@@ -49,7 +49,6 @@ from .qpfourier import (
     compose_angle,
     eval_shell,
     invert_angle_map,
-    mean_value,
 )
 from .smoothing import SampledCpFunction, SmoothingFamily, build_family, smooth
 
@@ -64,7 +63,7 @@ __all__ = [
     "certify_rotation", "compose_angle", "divisor_sum_bound_check",
     "epsilon_of", "eval_shell", "exactness_defect", "image_curve",
     "inductive_step", "intersection_bound", "intersection_witness",
-    "invert_angle_map", "kicked_twist", "mean_value", "model_from_config",
+    "invert_angle_map", "kicked_twist", "model_from_config",
     "normalize", "pure_twist", "rigid_shift", "run", "sample_admissible",
     "smallness_check", "smooth", "solve_back", "solve_coupled", "solve_single",
 ]

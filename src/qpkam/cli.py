@@ -30,7 +30,7 @@ from .diophantine import (
     divisor_sum_bound_check,
     sample_admissible,
 )
-from .errors import NoneAdmissible, NotConverged, QpKamError, ResonantFrequency
+from .errors import ConfigError, NoneAdmissible, NotConverged, QpKamError, ResonantFrequency
 from .kam import build_schedule, run, smallness_check
 from .maps import CurveGraph, exactness_defect, flat_curve, intersection_witness, model_from_config
 from .qpfourier import Frequency, ShellFunction
@@ -310,6 +310,9 @@ def main(argv=None) -> int:
                "diagnose": cmd_diagnose, "schedule": cmd_schedule}[args.command]
     try:
         code = handler(cfg, out_dir, args.verbose)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except QpKamError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, NotConverged) else 2

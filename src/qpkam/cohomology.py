@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diophantine import RotationNumber
-from .errors import UncertifiedDivisor
+from .errors import ResidualDefect, UncertifiedDivisor
 from .qpfourier import (
     StripFunction,
     cheb_nodes,
     default_grid,
+    k1_norms,
     k_dot_omega,
     symmetrize,
 )
@@ -68,15 +69,11 @@ def _grid_residual(u: StripFunction, rhs: StripFunction, alpha: float) -> float:
 def _coefnorm_at_y_samples(f: StripFunction, width: float, n_y: int = 9) -> float:
     """max over sampled y (real and on the disc boundary) of
     sum_k |f_k(y)| e^{width*|k|_1}; a lower estimate of the proof's bound target."""
-    from .qpfourier import k1_norms
-
     w = np.exp(width * k1_norms(f.K, f.n))
-    ys = list(f.domain.s * cheb_nodes(max(4, n_y - 4)))
-    ys += list(f.domain.s * np.exp(1j * np.pi * np.arange(4) / 4.0))
-    best = 0.0
-    for y in ys:
-        best = max(best, float(np.sum(np.abs(f.modes_at_y(y)) * w)))
-    return best
+    ys = f.domain.s * np.concatenate([cheb_nodes(max(4, n_y - 4)),
+                                      np.exp(1j * np.pi * np.arange(4) / 4.0)])
+    boxes = np.abs(f.modes_at_y(ys)) * w[..., None]
+    return float(np.max(np.sum(boxes, axis=tuple(range(f.n)))))
 
 
 def solve_single(f: StripFunction, alpha: RotationNumber, rho: float,
@@ -106,11 +103,16 @@ def solve_single(f: StripFunction, alpha: RotationNumber, rho: float,
         rhs = f - mean_part
         scale = 1.0 + f.norm_upper(0.0, dom.s)
         sol.residuals["single"] = _grid_residual(u, rhs, alpha.alpha)
-        assert sol.residuals["single"] <= RESIDUAL_TOL * scale, sol.residuals
+        _check_residuals(sol.residuals, scale)
         lhs = _coefnorm_at_y_samples(u, dom.r - rho)
         rhs_norm = f.norm_upper(dom.r, dom.s) / eps
         sol.norm_report["thm44"] = {"lhs": lhs, "rhs": rhs_norm, "passed": lhs <= rhs_norm}
     return sol
+
+
+def _check_residuals(residuals: dict, scale: float) -> None:
+    if max(residuals.values()) > RESIDUAL_TOL * scale:
+        raise ResidualDefect(f"residuals {residuals} exceed {RESIDUAL_TOL:.1e} * {scale:.3e}")
 
 
 def _mean_only(f: StripFunction) -> np.ndarray:
@@ -122,8 +124,6 @@ def _mean_only(f: StripFunction) -> np.ndarray:
 def partial_sum_chain(f: StripFunction, alpha: RotationNumber, y: float = 0.0):
     """g_m(y) = sum_{1<=|k|_1<=m} |f_k(y)/(e^{i<k,omega>alpha}-1)| e^{|k|_1 r}
     for m = 1..K; the proof bounds it by 6^{(n+1)/2} m^tau/gamma * |f|_{r,s}."""
-    from .qpfourier import k1_norms
-
     div = _divisors_for(f, alpha)
     k1 = k1_norms(f.K, f.n)
     amps = np.abs(f.modes_at_y(y))
@@ -172,7 +172,7 @@ def solve_coupled(f: StripFunction, g: StripFunction, alpha: RotationNumber,
         N = default_grid(f.K)
         sol.residuals["first"] = float(np.max(np.abs(res1.sample(N))))
         sol.residuals["second"] = float(np.max(np.abs(res2.sample(N))))
-        assert max(sol.residuals.values()) <= RESIDUAL_TOL * scale, sol.residuals
+        _check_residuals(sol.residuals, scale)
         if epsilon is None:
             M = max(f.norm_upper(dom.r, dom.s), g.norm_upper(dom.r, dom.s))
             lhs_u = _coefnorm_at_y_samples(u, dom.r - 2 * rho)

@@ -5,6 +5,14 @@ class QpKamError(Exception):
     """Base class for all qpkam errors."""
 
 
+class ConfigError(QpKamError, ValueError):
+    """An input or configuration value the construction cannot use."""
+
+
+class ResidualDefect(QpKamError):
+    """A solver's residual postcondition failed."""
+
+
 class ResonantFrequency(QpKamError):
     """A lattice vector annihilates the frequency vector to machine tolerance."""
 

@@ -21,6 +21,7 @@ import numpy as np
 from .cohomology import solve_coupled
 from .diophantine import RotationNumber
 from .errors import (
+    ConfigError,
     ContractionDiverged,
     NoIntersectionWitness,
     NotConverged,
@@ -37,12 +38,12 @@ from .qpfourier import (
     cheb_eval_rows,
     cheb_nodes,
     default_grid,
-    eval_modes,
-    k_dot_omega,
-    synthesize,
+    eval_modes,  # noqa: F401  (bound here for the layer tracer in benchmarks/)
+    eval_strip_stack,
+    synthesize,  # noqa: F401  (bound here for the layer tracer in benchmarks/)
     theta_grid,
 )
-from .smoothing import FROZEN_CONSTANTS, SampledCpFunction, q_bound, smooth
+from .smoothing import FROZEN_CONSTANTS, SampledCpFunction, member_gap, q_bound, smooth
 
 INTERSECTION_STRIP = 1.0 / 600.0
 
@@ -157,6 +158,11 @@ class NormalizedMap:
         b = float(np.max(np.abs(self.fy.sample(N))))
         return max(a, b)
 
+    def gap(self, other: "NormalizedMap") -> float:
+        """Grid sup of |self - other| at the Chebyshev nodes of the narrower strip."""
+        ys = min(self.domain.s, other.domain.s) * cheb_nodes(self.fx.J)
+        return max(member_gap(self.fx, other.fx, ys), member_gap(self.fy, other.fy, ys))
+
     def restricted(self, domain: StripDomain) -> "NormalizedMap":
         return NormalizedMap(self.alpha, self.twist,
                              self.fx.with_domain(domain), self.fy.with_domain(domain),
@@ -198,7 +204,7 @@ class ConjugacyMap:
 
     def values_at(self, theta_pts: np.ndarray, y_pts: np.ndarray):
         """(x-displacement P, image y) at scattered shell points."""
-        vals = eval_strip_pair(self.P, self.S, theta_pts, y_pts)
+        vals = eval_strip_stack([self.P, self.S], theta_pts, y_pts)
         return vals[..., 0], self.L * y_pts + vals[..., 1]
 
     def jacobian_at(self, theta_pts: np.ndarray, y_pts: np.ndarray):
@@ -227,17 +233,6 @@ class ConjugacyMap:
         return worst_im <= target.r and worst_y <= target.s
 
 
-def eval_strip_stack(strips, theta_pts, y_pts) -> np.ndarray:
-    """Evaluate same-shape strip functions at scattered points, (..., m)."""
-    coeffs = np.stack([s.coeffs for s in strips], axis=-1)
-    rows = eval_modes(coeffs, theta_pts)          # (P, J+1, m)
-    t = np.asarray(y_pts) / strips[0].domain.s
-    vals = cheb_eval_rows(np.moveaxis(rows, -1, -2), t[..., None])
-    if np.isrealobj(theta_pts) and np.isrealobj(y_pts):
-        return vals.real
-    return vals
-
-
 def power_truncation(coeffs, m: int, q: float) -> np.ndarray:
     """Degree-(m-1) polynomial with coefficients (1 - q^{2(m-k)}) c_k.
 
@@ -248,23 +243,6 @@ def power_truncation(coeffs, m: int, q: float) -> np.ndarray:
     upto = min(m, len(coeffs))
     ks = np.arange(upto)
     out[:upto] = (1.0 - q ** (2.0 * (m - ks))) * np.asarray(coeffs[:upto], dtype=float)
-    return out
-
-
-def eval_strip_pair(a: StripFunction, b: StripFunction, theta_pts, y_pts) -> np.ndarray:
-    return eval_strip_stack([a, b], theta_pts, y_pts)
-
-
-def grid_slices_shifted(strip: StripFunction, shifts, ys, N: int) -> np.ndarray:
-    """Values of strip(x + shift_j, y_j) on the torus grid, stacked over j.
-
-    Uniform-per-slice shifts keep everything in FFT form.
-    """
-    kw = k_dot_omega(strip.K, strip.freq.vec)
-    out = np.empty((N,) * strip.n + (len(ys),))
-    for j, (a, y) in enumerate(zip(np.broadcast_to(shifts, (len(ys),)), ys)):
-        box = strip.modes_at_y(y) * np.exp(1j * kw * a)
-        out[..., j] = synthesize(box, strip.n, N).real
     return out
 
 
@@ -294,7 +272,7 @@ def normalize(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
     a, b = mp.strip
     margin = min(alpha.alpha - a, b - alpha.alpha)
     if sigma * INTERSECTION_STRIP > margin:
-        raise ValueError(
+        raise ConfigError(
             f"intersection strip needs sigma/600 = {sigma * INTERSECTION_STRIP:.3e} "
             f"<= distance {margin:.3e} from alpha to the strip boundary")
     exact = ExactNormalizedMap(mp, alpha.alpha, sigma)
@@ -341,15 +319,11 @@ def family_estimates(norm: NormalizeResult, mp: QpPlanarMap, schedule: KamSchedu
     # |A - A_k| on the real grid
     N = default_grid(m_k.fx.K)
     ys = m_k.domain.s * cheb_nodes(m_k.fx.J)
-    th = theta_grid(N, mp.freq.n)
-    diff = 0.0
-    for j, y in enumerate(ys):
-        fx = mp.f_shell(th, norm.exact.alpha + sigma * y)
-        fy = mp.g_shell(th, norm.exact.alpha + sigma * y) / sigma
-        diff = max(diff,
-                   float(np.max(np.abs(fx - m_k.fx.sample(N, np.array([y]))[..., 0]))),
-                   float(np.max(np.abs(fy - m_k.fy.sample(N, np.array([y]))[..., 0]))))
-    gap = max(_member_diff(m_k, m_k1))
+    th = theta_grid(N, mp.freq.n)[..., None]
+    r = norm.exact.alpha + sigma * ys
+    diff = max(float(np.max(np.abs(mp.f_shell(th, r) - m_k.fx.sample(N, ys)))),
+               float(np.max(np.abs(mp.g_shell(th, r) / sigma - m_k.fy.sample(N, ys)))))
+    gap = m_k.gap(m_k1)
     delta_k = float(schedule.delta[k])
     return {
         "level0_sup": norm.report["family_level0_sup"],
@@ -458,34 +432,30 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, strict: bool = False,
     u, v = sol.u, sol.v
     w_scale = u.domain.s     # = t
 
-    # collocation grid on D_plus
+    # collocation grid on D_plus: (N,)*n torus points x J+1 nodes
     N = default_grid(K)
     ys = lc.s_plus * cheb_nodes(J)
-    th = theta_grid(N, n)
-    thf = th.reshape(n, -1)
+    thf = theta_grid(N, n).reshape(n, -1)
     shape = (N,) * n
 
+    def pair(a, b, y, shift=0.0):
+        return np.stack([a.sample(N, y, shift), b.sample(N, y, shift)], axis=-1)
+
+    def flat(grid):                    # (N,)*n + (J+1,) -> (points, J+1)
+        return grid.reshape(-1, J + 1)
+
     # fixed ingredients of the contraction
-    w_omega_star = np.stack([grid_slices_shifted(u, lc.alpha.alpha, ys, N),
-                             grid_slices_shifted(v, lc.alpha.alpha, ys, N)], axis=-1)
     shifts_plus = lc.alpha.alpha + lc.eps_plus * ys
-    w_omega_plus = np.stack([grid_slices_shifted(u, shifts_plus, ys, N),
-                             grid_slices_shifted(v, shifts_plus, ys, N)], axis=-1)
-    h_theta = np.stack([grid_slices_shifted(H.fx, 0.0, theta * ys, N),
-                        grid_slices_shifted(H.fy, 0.0, theta * ys, N)], axis=-1)
-    w_at_grid = np.stack([grid_slices_shifted(u, 0.0, ys, N),
-                          grid_slices_shifted(v, 0.0, ys, N)], axis=-1)
+    w_omega_plus = pair(u, v, ys, shifts_plus)
+    h_theta = pair(H.fx, H.fy, theta * ys)
+    w_at_grid = pair(u, v, ys)
+    f2 = pair(u, v, ys, lc.alpha.alpha) - w_omega_plus
 
     # F3 = h o (Theta + w) - h o Theta is z-independent
-    f3 = np.empty_like(h_theta)
     gmean = H.fy.mean_value()
     hstar2 = cheb_eval_rows(gmean.astype(complex), theta * ys / H.fy.domain.s).real
-    for j, y in enumerate(ys):
-        th_args = thf + np.multiply.outer(freq.vec, w_at_grid[..., j, 0].ravel())
-        y_args = theta * y + w_at_grid[..., j, 1].ravel()
-        vals = eval_strip_pair(H.fx, H.fy, th_args, y_args).reshape(shape + (2,))
-        f3[..., j, :] = vals - h_theta[..., j, :]
-    f2 = w_omega_star - w_omega_plus
+    f3 = eval_strip_stack([H.fx, H.fy], thf, theta * ys + flat(w_at_grid[..., 1]),
+                          flat(w_at_grid[..., 0])).reshape(h_theta.shape) - h_theta
 
     # (b) Picard contraction for z
     tol = contraction_tol if contraction_tol is not None else \
@@ -497,15 +467,9 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, strict: bool = False,
     deltas = []
     prev_delta = None
     for iters in range(1, max_iter + 1):
-        f1 = np.empty_like(z)
-        for j, y in enumerate(ys):
-            phi1 = z[..., j, 0].ravel()
-            phi2 = (z[..., j, 1].ravel() + hstar2[j]) / theta
-            th_args = thf + np.multiply.outer(freq.vec, shifts_plus[j] + phi1)
-            y_args = y + phi2
-            moved = eval_strip_pair(u, v, th_args, y_args).reshape(shape + (2,))
-            f1[..., j, :] = w_omega_plus[..., j, :] - moved
-        z_new = f1 + f2 + f3
+        phi2 = (flat(z[..., 1]) + hstar2) / theta
+        moved = eval_strip_stack([u, v], thf, ys + phi2, shifts_plus + flat(z[..., 0]))
+        z_new = (w_omega_plus - moved.reshape(z.shape)) + f2 + f3
         delta = float(np.max(np.abs(z_new - z)))
         z = z_new
         deltas.append(delta)
@@ -614,7 +578,10 @@ def _pullback_grid(Z: ConjugacyMap, thf: np.ndarray,
             break
         j11, j12, j21, j22 = Z.jacobian_at(th_args, yv.ravel())
         det = j11 * j22 - j12 * j21
-        det = np.where(np.abs(det) < 1e-14, 1e-14, det)
+        singular = np.abs(det) < 1e-14
+        if np.any(singular):
+            i = int(np.argmax(singular))
+            raise RootFindFailed((float(a.ravel()[i]), float(yv.ravel()[i])), res)
         da = (j22 * r1 - j12 * r2) / det
         dy = (-j21 * r1 + j11 * r2) / det
         a = a - da.reshape(a.shape)
@@ -640,30 +607,26 @@ def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
     r_pl, s_pl = lc_next["r"], lc_next["s"]
     twist_next = phi_plus.twist
     N = default_grid(K)
-    th = theta_grid(N, n)
-    thf = th.reshape(n, -1)
-    ys = s_pl * cheb_nodes(J)
-    shape = (N,) * n
+    thf = theta_grid(N, n).reshape(n, -1)
+    nodes = (s_pl * cheb_nodes(J))[None, :]   # broadcasts to (points, J+1)
 
-    a_out = np.empty(shape + (J + 1,))
-    y_out = np.empty(shape + (J + 1,))
+    # target: A_next(Z(x, y))
+    P, Zy = Z.values_at(thf, nodes)
+    fx = eval_strip_stack([A_next.fx, A_next.fy], thf, Zy, P)
+    dx = A_next.alpha + A_next.twist * Zy + fx[..., 0]
+    t_disp = P + dx                           # x-displacement of A(Z) vs x
+    t_y = Zy + fx[..., 1]
+    # seed: Phi_plus(x, y), solved in place node by node
+    sx = eval_strip_stack([phi_plus.fx, phi_plus.fy], thf, nodes)
+    a = A_next.alpha + twist_next * nodes + sx[..., 0]
+    yv = nodes + sx[..., 1]
     scale = 1.0 + abs(A_next.alpha)
-    for j, y in enumerate(ys):
-        # target: A_next(Z(x, y))
-        P, Zy = Z.values_at(thf, np.full(thf.shape[1], y))
-        zt = thf + np.multiply.outer(freq.vec, P)
-        fx = eval_strip_pair(A_next.fx, A_next.fy, zt, Zy)
-        dx = A_next.alpha + A_next.twist * Zy + fx[..., 0]
-        t_disp = P + dx                       # x-displacement of A(Z) vs x
-        t_y = Zy + fx[..., 1]
-        # seed: Phi_plus(x, y)
-        sx = eval_strip_pair(phi_plus.fx, phi_plus.fy, thf, np.full(thf.shape[1], y))
-        seed_disp = A_next.alpha + twist_next * y + sx[..., 0]
-        seed_y = y + sx[..., 1]
-        a, yv = _pullback_grid(Z, thf, t_disp, t_y, seed_disp, seed_y,
-                               freq, tol * scale)
-        a_out[..., j] = (a - A_next.alpha - twist_next * y).reshape(shape)
-        y_out[..., j] = (yv - y).reshape(shape)
+    for j in range(J + 1):
+        a[:, j], yv[:, j] = _pullback_grid(Z, thf, t_disp[:, j], t_y[:, j],
+                                           a[:, j], yv[:, j], freq, tol * scale)
+    grid = (N,) * n + (J + 1,)
+    a_out = (a - A_next.alpha - twist_next * nodes).reshape(grid)
+    y_out = (yv - nodes).reshape(grid)
 
     dom = StripDomain(r_pl, s_pl)
     hx = StripFunction.from_grid(a_out, freq, dom, K, J)
@@ -672,7 +635,7 @@ def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
 
     report = {}
     if A_prev is not None:
-        diff = max(_member_diff(A_prev, A_next))
+        diff = A_prev.gap(A_next)
         bound = lc_next["b"] * (2.0 * lc_next["s"]) / 7.0   # b_{k+1} * s_k / 7
         report["family_gap"] = diff
         report["family_gap_bound"] = bound
@@ -682,14 +645,6 @@ def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
         report["H_minus_phi"] = shift
         report["H_minus_phi_bound"] = diff / max(lc_next["b"], 1e-300)
     return H_next, report
-
-
-def _member_diff(A: NormalizedMap, B: NormalizedMap):
-    N = default_grid(max(A.fx.K, B.fx.K))
-    ys = min(A.domain.s, B.domain.s) * cheb_nodes(A.fx.J)
-    dx = float(np.max(np.abs(A.fx.sample(N, ys) - B.fx.sample(N, ys))))
-    dy = float(np.max(np.abs(A.fy.sample(N, ys) - B.fy.sample(N, ys))))
-    return dx, dy
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +757,7 @@ def _real_defect(Z: ConjugacyMap, exact: ExactNormalizedMap, alpha: float,
     img_y = Zy + dy
     Ps = Z.P.shift_x(alpha)
     Ss = Z.S.shift_x(alpha)
-    vals = eval_strip_pair(Ps, Ss, th, np.zeros(N))
+    vals = eval_strip_stack([Ps, Ss], th, np.zeros(N))
     tgt_x = xis + alpha + vals[..., 0]
     tgt_y = vals[..., 1]
     return float(max(np.max(np.abs(img_x - tgt_x)),
@@ -910,21 +865,15 @@ def compose_conjugacy(Z: ConjugacyMap, w_u: StripFunction, w_v: StripFunction,
     K, J = Z.P.K, Z.P.J
     dom_new = StripDomain(lc.rp_plus, lc.sp_plus)
     N = default_grid(K)
-    th = theta_grid(N, n)
-    thf = th.reshape(n, -1)
+    thf = theta_grid(N, n).reshape(n, -1)
     ys = lc.sp_plus * cheb_nodes(J)
-    shape = (N,) * n
-    P_new = np.empty(shape + (J + 1,))
-    S_new = np.empty(shape + (J + 1,))
+    grid = (N,) * n + (J + 1,)
     theta_c = lc.theta
-    for j, y in enumerate(ys):
-        wv = eval_strip_pair(w_u, w_v, thf, np.full(thf.shape[1], y))
-        u_val, v_val = wv[..., 0], wv[..., 1]
-        wy = theta_c * y + v_val
-        th_args = thf + np.multiply.outer(freq.vec, u_val)
-        vals = eval_strip_pair(Z.P, Z.S, th_args, wy)
-        P_new[..., j] = (u_val + vals[..., 0]).reshape(shape)
-        S_new[..., j] = (Z.L * v_val + vals[..., 1]).reshape(shape)
+    wv = eval_strip_stack([w_u, w_v], thf, ys[None, :])
+    u_val, v_val = wv[..., 0], wv[..., 1]
+    vals = eval_strip_stack([Z.P, Z.S], thf, theta_c * ys + v_val, u_val)
+    P_new = (u_val + vals[..., 0]).reshape(grid)
+    S_new = (Z.L * v_val + vals[..., 1]).reshape(grid)
     P = StripFunction.from_grid(P_new, freq, dom_new, K, J)
     S = StripFunction.from_grid(S_new, freq, dom_new, K, J)
     return ConjugacyMap(P, S, Z.L * theta_c,

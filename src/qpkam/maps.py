@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotAGraph, OutOfStrip
+from .errors import ConfigError, NotAGraph, OutOfStrip
 from .qpfourier import (
     Frequency,
     ShellFunction,
@@ -64,9 +64,6 @@ class QpPlanarMap:
         theta1 = theta + r + self.f_line(theta, r)
         r1 = r + self.g_line(theta, r)
         return theta1, r1
-
-def apply_map(mp: QpPlanarMap, point):
-    return mp.apply(point)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +126,7 @@ def model_from_config(cfg: dict, freq: Frequency) -> QpPlanarMap:
                             flux=float(cfg.get("flux", 0.0)), strip=strip)
     if name == "rigid_shift":
         return rigid_shift(freq, float(cfg.get("c", 0.0)), strip)
-    raise ValueError(f"unknown model {name!r}")
+    raise ConfigError(f"unknown model {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .errors import (
     NoConvergence,
     NotMonotone,
     RealityDefect,
+    SamplerNotFinite,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -187,6 +188,22 @@ def _pairwise_upper(amps: np.ndarray, n: int, weight_plus: np.ndarray,
     return float(0.5 * np.sum(big * weight_plus + small * weight_minus))
 
 
+def sheet_sup(coeffs: np.ndarray, n: int, N: int, rho: float = 0.0) -> float:
+    """Grid max of |f| on the real torus and, for rho > 0, on the 2^n corner
+    sheets Im theta = +-rho, over every mode box stacked on trailing axes.
+
+    Boxes are synthesized one at a time: large grids stay cache-sized.
+    """
+    kstack, _ = _lattice((coeffs.shape[0] - 1) // 2, n)
+    sheets = [np.zeros(n)]
+    if rho > 0:
+        sheets += [rho * (2 * np.array(sg) - 1) for sg in np.ndindex(*([2] * n))]
+    damps = [np.exp(-np.tensordot(v, kstack, axes=1)) for v in sheets]
+    boxes = coeffs.reshape(coeffs.shape[:n] + (-1,))
+    return max(float(np.max(np.abs(synthesize(boxes[..., b] * damp, n, N))))
+               for b in range(boxes.shape[-1]) for damp in damps)
+
+
 # ---------------------------------------------------------------------------
 # Chebyshev helpers
 # ---------------------------------------------------------------------------
@@ -305,10 +322,6 @@ class ShellFunction:
         vals = vals.reshape(x_arr.shape)
         return complex(vals) if vals.ndim == 0 else vals
 
-    def eval_real(self, x) -> np.ndarray | float:
-        v = self.eval(x)
-        return np.real(v) if isinstance(v, np.ndarray) else v.real
-
     def in_strip(self, x) -> bool:
         """Whether Im(x)*max|omega_j| stays within the certified width."""
         imax = float(np.max(np.abs(np.imag(np.asarray(x, dtype=complex)))))
@@ -379,15 +392,7 @@ class ShellFunction:
 
     def norm_lower(self, rho: float = 0.0, N: int | None = None) -> float:
         """Grid max over the real torus and the 2^n imaginary corner sheets."""
-        N = N or default_grid(self.K)
-        best = float(np.max(np.abs(synthesize(self.coeffs, self.n, N))))
-        if rho > 0:
-            kstack, _ = _lattice(self.K, self.n)
-            for signs in np.ndindex(*([2] * self.n)):
-                v = rho * (2 * np.array(signs) - 1)
-                damped = self.coeffs * np.exp(-np.tensordot(v, kstack, axes=1))
-                best = max(best, float(np.max(np.abs(synthesize(damped, self.n, N)))))
-        return best
+        return sheet_sup(self.coeffs, self.n, N or default_grid(self.K), rho)
 
     def sup_norm(self, rho: float = 0.0):
         """Bracketing interval [grid max, weighted coefficient sum] for |f|_rho."""
@@ -544,12 +549,6 @@ class StripFunction:
         return f
 
     @staticmethod
-    def from_shell(shell: ShellFunction, domain: StripDomain, J: int = 0) -> "StripFunction":
-        coeffs = np.zeros(shell.coeffs.shape + (J + 1,), dtype=complex)
-        coeffs[..., 0] = shell.coeffs
-        return StripFunction(shell.freq, domain, coeffs)
-
-    @staticmethod
     def from_grid(values: np.ndarray, freq: Frequency, domain: StripDomain,
                   K: int, J: int, enforce_reality: bool = True) -> "StripFunction":
         """Values on (theta grid)^n x cheb_nodes(J)*s, last axis the y nodes."""
@@ -562,14 +561,14 @@ class StripFunction:
     @staticmethod
     def from_sampler(sampler, freq: Frequency, domain: StripDomain, K: int, J: int,
                      N: int | None = None, enforce_reality: bool = True) -> "StripFunction":
-        """Sample sampler(theta_stack, y) on the collocation grid and project."""
-        n = freq.n
+        """Sample sampler(theta_stack, y), one y node per call, on the
+        collocation grid and project."""
         N = N or default_grid(K)
-        th = theta_grid(N, n)
-        ys = domain.s * cheb_nodes(J)
-        vals = np.empty((N,) * n + (J + 1,))
-        for m, y in enumerate(ys):
-            vals[..., m] = sampler(th, y)
+        th = theta_grid(N, freq.n)
+        vals = np.stack([np.broadcast_to(sampler(th, y), th.shape[1:])
+                         for y in domain.s * cheb_nodes(J)], axis=-1)
+        if not np.all(np.isfinite(vals)):
+            raise SamplerNotFinite("sampler produced non-finite values")
         return StripFunction.from_grid(vals, freq, domain, K, J, enforce_reality)
 
     # -- evaluation ----------------------------------------------------------
@@ -578,23 +577,26 @@ class StripFunction:
         return self.domain.s * cheb_nodes(self.J)
 
     def modes_at_y(self, y) -> np.ndarray:
-        """Fourier mode box evaluated at fixed y (scalar), shape (2K+1,)*n."""
-        return cheb_eval_rows(self.coeffs, np.asarray(y) / self.domain.s)
+        """Fourier mode boxes at fixed y values, shape (2K+1,)*n + np.shape(y)."""
+        y = np.asarray(y)
+        rows = self.coeffs.reshape(self.coeffs.shape[:-1] + (1,) * y.ndim + (self.J + 1,))
+        return cheb_eval_rows(rows, y / self.domain.s)
 
-    def sample(self, N: int | None = None, ys: np.ndarray | None = None) -> np.ndarray:
-        """Real values on the torus grid x given y points (default cheb nodes)."""
+    def sample(self, N: int | None = None, ys: np.ndarray | None = None,
+               shift=0.0) -> np.ndarray:
+        """Real values at (x + shift_j, y_j) on the torus grid, shape
+        (N,)*n + (len(ys),); ys defaults to the Chebyshev nodes and shift is a
+        scalar or one value per y.  One FFT synthesis covers all y."""
         N = N or default_grid(self.K)
-        ys = self.y_nodes() if ys is None else np.asarray(ys)
-        out = np.empty((N,) * self.n + (len(ys),))
-        for m, y in enumerate(ys):
-            out[..., m] = synthesize(self.modes_at_y(y), self.n, N).real
-        return out
+        boxes = self.modes_at_y(self.y_nodes() if ys is None else np.asarray(ys))
+        if np.any(shift):
+            kw = k_dot_omega(self.K, self.freq.vec)[..., None]
+            boxes = boxes * np.exp(1j * kw * shift)
+        return synthesize(boxes, self.n, N).real
 
     def eval_theta_y(self, theta_pts: np.ndarray, y_pts) -> np.ndarray:
         """Scattered evaluation; theta_pts (n, P), y_pts scalar or (P,)."""
-        rows = eval_modes(self.coeffs, np.atleast_2d(theta_pts))   # (P, J+1)
-        t = np.asarray(y_pts) / self.domain.s
-        return cheb_eval_rows(rows, t)
+        return eval_strip_stack([self], np.atleast_2d(theta_pts), y_pts)[..., 0]
 
     def eval_xy(self, x, y) -> np.ndarray:
         x_arr = np.asarray(x, dtype=complex)
@@ -650,9 +652,6 @@ class StripFunction:
         return StripFunction(self.freq, StripDomain(self.domain.r, self.domain.s / factor),
                              self.coeffs)
 
-    def with_width(self, r_new: float) -> "StripFunction":
-        return StripFunction(self.freq, StripDomain(r_new, self.domain.s), self.coeffs)
-
     def with_domain(self, domain: StripDomain, J_new: int | None = None) -> "StripFunction":
         """Re-expand on a new Chebyshev scale (exact for J_new >= J)."""
         J_new = self.J if J_new is None else J_new
@@ -692,40 +691,35 @@ class StripFunction:
         and the complex y-ring |y| = sigma."""
         rho = self.domain.r if rho is None else rho
         sigma = self.domain.s if sigma is None else sigma
-        N = N or default_grid(self.K)
-        ys = list(sigma * cheb_nodes(max(self.J, 4)))
-        ys += list(sigma * np.exp(1j * np.pi * np.arange(n_ring) / n_ring))
-        best = 0.0
-        kstack, _ = _lattice(self.K, self.n)
-        shifts = [np.zeros(self.n)]
-        if rho > 0:
-            shifts += [rho * (2 * np.array(sg) - 1) for sg in np.ndindex(*([2] * self.n))]
-        for y in ys:
-            box = self.modes_at_y(y)
-            for v in shifts:
-                damped = box * np.exp(-np.tensordot(v, kstack, axes=1))
-                best = max(best, float(np.max(np.abs(synthesize(damped, self.n, N)))))
-        return best
+        ys = sigma * np.concatenate([cheb_nodes(max(self.J, 4)),
+                                     np.exp(1j * np.pi * np.arange(n_ring) / n_ring)])
+        return sheet_sup(self.modes_at_y(ys), self.n, N or default_grid(self.K), rho)
 
     def sup_norm(self, rho: float | None = None, sigma: float | None = None):
         return self.norm_lower(rho, sigma), self.norm_upper(rho, sigma)
 
 
-def strip_product(f: StripFunction, g: StripFunction, K_out: int | None = None,
-                  J_out: int | None = None) -> StripFunction:
-    if not f.freq.same_omega(g.freq):
-        raise ValueError("frequency mismatch")
-    if not math.isclose(f.domain.s, g.domain.s, rel_tol=1e-12):
-        raise ValueError("Chebyshev scale mismatch")
-    K_out = K_out if K_out is not None else max(f.K, g.K)
-    J_out = J_out if J_out is not None else min(f.J + g.J, max(f.J, g.J) + 4)
-    N = default_grid(f.K + g.K)
-    ys = f.domain.s * cheb_nodes(J_out)
-    vals = f.sample(N, ys) * g.sample(N, ys)
-    dom = StripDomain(min(f.domain.r, g.domain.r), f.domain.s)
-    return StripFunction.from_grid(vals, f.freq, dom, K_out, J_out)
+def eval_strip_stack(strips, theta_pts: np.ndarray, y_pts, disp=0.0) -> np.ndarray:
+    """Values of same-shape strips at (theta_pts + omega*disp, y_pts).
 
-
-def mean_value(f: StripFunction) -> np.ndarray:
-    """[f](y) as Chebyshev coefficients; equals the k = 0 coefficient slice."""
-    return f.mean_value()
+    theta_pts has shape (n, P); y_pts and disp broadcast to (P,) or to
+    (P, nodes).  Returns shape (P,) + node shape + (len(strips),).  Each node
+    slice is one eval_modes call on P points, which bounds the phase-tensor
+    memory.  Real inputs give real values.
+    """
+    coeffs = np.stack([f.coeffs for f in strips], axis=-1)
+    omega = strips[0].freq.vec
+    P = theta_pts.shape[1]
+    t = np.asarray(y_pts) / strips[0].domain.s
+    disp = np.asarray(disp)
+    nodes = np.broadcast_shapes(t.shape[1:], disp.shape[1:])
+    t = np.broadcast_to(t, (P,) + nodes)
+    d = np.broadcast_to(disp, (P,) + nodes)
+    out = np.empty((P,) + nodes + (len(strips),), dtype=complex)
+    for j in np.ndindex(*nodes):
+        sl = (slice(None),) + j
+        rows = eval_modes(coeffs, theta_pts + np.multiply.outer(omega, d[sl]))  # (P, J+1, m)
+        out[sl] = cheb_eval_rows(np.moveaxis(rows, -1, -2), t[sl][..., None])
+    if all(np.isrealobj(a) for a in (theta_pts, y_pts, disp)):
+        return out.real
+    return out

@@ -14,17 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QTooLarge, SamplerNotFinite
+from .errors import QTooLarge
 from .qpfourier import (
     Frequency,
     ShellFunction,
     StripDomain,
     StripFunction,
-    cheb_nodes,
     default_grid,
     k1_norms,
+    sheet_sup,
     symmetrize,
-    theta_grid,
 )
 
 
@@ -93,15 +92,8 @@ def smooth(h: SampledCpFunction, delta: float, K_trunc: int, J: int = 0,
         raise ValueError("delta <= 1 required")
     n = h.freq.n
     s_box = float(domain_s if domain_s is not None else delta)
-    N = N or default_grid(K_trunc)
-    th = theta_grid(N, n)
-    ys = s_box * cheb_nodes(J)
-    vals = np.empty((N,) * n + (J + 1,))
-    for m, y in enumerate(ys):
-        vals[..., m] = h.shell_sampler(th, y)
-    if not np.all(np.isfinite(vals)):
-        raise SamplerNotFinite("sampler produced non-finite values")
-    f = StripFunction.from_grid(vals, h.freq, StripDomain(delta, s_box), K_trunc, J)
+    f = StripFunction.from_sampler(h.shell_sampler, h.freq, StripDomain(delta, s_box),
+                                   K_trunc, J, N)
     sym_x = lowpass_symbol(k1_norms(K_trunc, n), delta)
     sym_y = lowpass_symbol(np.arange(J + 1), delta)
     coeffs = f.coeffs * sym_x[..., None] * sym_y
@@ -151,34 +143,23 @@ def _family_fit(h: SampledCpFunction, deltas, members, sup_h: float,
     for i in range(len(members)):           # delta' = deltas[i]
         for jj in range(i + 1, len(members)):   # delta = deltas[jj] < delta'
             small, big = members[jj], members[i]
-            diff_sup = _diff_sup(small, big, deltas[jj])
+            ys = np.linspace(-small.domain.s, small.domain.s, 5)
+            diff_sup = member_gap(small, big, ys, deltas[jj])
             out["cauchy_pairs"].append(
                 diff_sup / max(h.cp_norm * deltas[i]**h.p, 1e-300))
     return out
 
 
-def _diff_sup(small: StripFunction, big: StripFunction, delta: float) -> float:
-    """Grid sup of |h_delta - h_delta'| over (samples of) E_delta."""
-    K = max(small.K, big.K)
-    N = default_grid(K)
-    ys = np.linspace(-small.domain.s, small.domain.s, 5)
-    best = 0.0
-    for y in ys:
-        a = small.sample(N, np.array([y]))[..., 0]
-        b = big.sample(N, np.array([y]))[..., 0]
-        best = max(best, float(np.max(np.abs(a - b))))
-    # imaginary-x corner sheets of E_delta
-    sh_small, sh_big = small.modes_at_y(0.0), big.modes_at_y(0.0)
-    from .qpfourier import _lattice, synthesize
-
-    kstack, _ = _lattice(K, small.n) if small.K == big.K else (None, None)
-    if kstack is not None:
-        for signs in np.ndindex(*([2] * small.n)):
-            v = delta * (2 * np.array(signs) - 1)
-            damp = np.exp(-np.tensordot(v, kstack, axes=1))
-            diff = synthesize((sh_small - sh_big) * damp, small.n, N)
-            best = max(best, float(np.max(np.abs(diff))))
-    return best
+def member_gap(f: StripFunction, g: StripFunction, ys, rho: float = 0.0) -> float:
+    """Grid sup of |f - g| at the y points ys and, for rho > 0, on the
+    imaginary-x corner sheets |Im x| = rho at y = 0; f and g share K."""
+    if f.K != g.K:
+        raise ValueError(f"mode boxes differ: K = {f.K} and {g.K}")
+    N = default_grid(f.K)
+    gap = sheet_sup(f.modes_at_y(ys) - g.modes_at_y(ys), f.n, N)
+    if rho > 0:
+        gap = max(gap, sheet_sup(f.modes_at_y(0.0) - g.modes_at_y(0.0), f.n, N, rho))
+    return gap
 
 
 def build_family(h: SampledCpFunction, q: float, depth: int, tau: float,

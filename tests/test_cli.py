@@ -64,6 +64,20 @@ def test_certify_rejected_alpha_exit_2(tmp_path, capsys):
     assert "(k, j)" in err
 
 
+def test_unknown_model_exit_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, map={"model": "no_such_map", "strip": [0.0, 1.7]})
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "unknown model 'no_such_map'" in err[0]
+
+
+def test_y_scale_beyond_strip_margin_exit_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, y_scale=1e4)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "intersection strip" in err[0]
+
+
 def test_malformed_config_exit_1(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

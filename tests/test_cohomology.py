@@ -1,10 +1,16 @@
 """Difference-equation solvers: closed-form coefficients, residual oracles, bounds."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qpkam
 from qpkam import qpfourier as qp
 from qpkam.cohomology import epsilon_of, partial_sum_chain, solve_coupled, solve_single
 from qpkam.diophantine import certify_frequency, sample_admissible
@@ -183,3 +189,35 @@ def test_coupled_epsilon_override():
     assert sol.epsilon == 0.05
     scale = 1.0 + max(f.norm_upper(0.0, DOM.s), g.norm_upper(0.0, DOM.s))
     assert max(sol.residuals.values()) <= 1e-9 * scale
+
+
+def test_residual_postconditions_raise_under_python_O():
+    # the residual checks are typed errors, not asserts, so -O keeps them
+    script = textwrap.dedent("""
+        import math
+        from qpkam import cohomology
+        from qpkam.diophantine import certify_frequency, sample_admissible
+        from qpkam.errors import ResidualDefect
+        from qpkam.qpfourier import StripDomain, StripFunction
+
+        freq = certify_frequency((1.0, math.sqrt(2.0)), 20, 2.0)
+        alpha = sample_admissible(freq, 1e-2, 3.0, (0.4, 1.2), K=20, count=50,
+                                  seed=5).accepted[0]
+        f = StripFunction.constant(freq, StripDomain(1.0, 0.3), 0.0, K=2, J=1)
+        cohomology.RESIDUAL_TOL = -1.0     # every residual now fails its check
+        raised = 0
+        for solve in (lambda: cohomology.solve_single(f, alpha, 0.2),
+                      lambda: cohomology.solve_coupled(f, f, alpha, 0.2)):
+            try:
+                solve()
+            except ResidualDefect:
+                raised += 1
+        print(__debug__, raised)
+    """)
+    src = str(Path(qpkam.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "2"]

@@ -7,7 +7,7 @@ import pytest
 
 from qpkam import qpfourier as qp
 from qpkam.diophantine import certify_frequency, sample_admissible
-from qpkam.errors import NoIntersectionWitness, NotConverged, SmoothnessTooLow
+from qpkam.errors import NoIntersectionWitness, NotConverged, RootFindFailed, SmoothnessTooLow
 from qpkam.kam import (
     ConjugacyMap,
     LevelContext,
@@ -15,7 +15,6 @@ from qpkam.kam import (
     TruncationPolynomial,
     build_schedule,
     compose_conjugacy,
-    eval_strip_pair,
     inductive_step,
     intersection_bound,
     normalize,
@@ -25,7 +24,7 @@ from qpkam.kam import (
     solve_back,
 )
 from qpkam.maps import kicked_twist, pure_twist, rigid_shift
-from qpkam.qpfourier import StripDomain, StripFunction
+from qpkam.qpfourier import StripDomain, StripFunction, eval_strip_stack
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 FREQ = certify_frequency((1.0, GOLDEN), 30, 2.0)
@@ -332,11 +331,11 @@ def push_forward(Z: ConjugacyMap, H: NormalizedMap, dom: StripDomain,
                                np.zeros(thf.shape[1]), np.full(thf.shape[1], y),
                                freq, 1e-14)
         th_eta = thf + np.multiply.outer(freq.vec, a)
-        hv = eval_strip_pair(H.fx, H.fy, th_eta, ey)
+        hv = eval_strip_stack([H.fx, H.fy], th_eta, ey)
         h_disp = H.alpha + H.twist * ey + hv[..., 0]
         h_y = ey + hv[..., 1]
         th_h = th_eta + np.multiply.outer(freq.vec, h_disp)
-        zv = eval_strip_pair(Z.P, Z.S, th_h, h_y)
+        zv = eval_strip_stack([Z.P, Z.S], th_h, h_y)
         img_disp = a + h_disp + zv[..., 0]            # x-displacement of Z(H(eta))
         img_y = Z.L * h_y + zv[..., 1]
         fx_vals[..., j] = (img_disp - H.alpha - H.twist * y).reshape(N, N)
@@ -344,6 +343,26 @@ def push_forward(Z: ConjugacyMap, H: NormalizedMap, dom: StripDomain,
     fx = StripFunction.from_grid(fx_vals, freq, dom, K, J)
     fy = StripFunction.from_grid(fy_vals, freq, dom, K, J)
     return NormalizedMap(H.alpha, H.twist, fx, fy, dom)
+
+
+def test_pullback_singular_jacobian_raises():
+    # Z(x, y) = (x, y - y (1 + cos x) / 2): d(Z_y)/dy = (1 - cos x) / 2 vanishes
+    # at the grid point x = 0 and nowhere else on the grid
+    from qpkam.kam import _pullback_grid
+
+    freq = qp.Frequency((1.0,))
+    dom = StripDomain(0.5, 1.0)
+    S = np.zeros((3, 2), dtype=complex)
+    S[:, 1] = [-0.25, -0.5, -0.25]          # coefficient of T_1(y/s) = y
+    Z = ConjugacyMap(StripFunction.zeros(freq, dom, 1, 1), StripFunction(freq, dom, S),
+                     1.0, 1.0, 1.0, dom)
+    thf = qp.theta_grid(8, 1).reshape(1, -1)
+    zeros = np.zeros(thf.shape[1])
+    _, _, _, j22 = Z.jacobian_at(thf, zeros)
+    assert abs(j22[0]) < 1e-14 and np.min(np.abs(j22[1:])) > 0.1
+    with pytest.raises(RootFindFailed) as info:
+        _pullback_grid(Z, thf, zeros, zeros + 0.1, zeros, zeros, freq, 1e-12)
+    assert info.value.point == (0.0, 0.0)
 
 
 def test_solve_back_reconstructs_synthetic():
@@ -436,15 +455,15 @@ def test_compose_conjugacy_consistency():
     th = np.stack([xs * 0 + xs, GOLDEN * 0 + xs * 0])  # placeholder, rebuilt below
     th = np.stack([xs, xs * GOLDEN])
     # direct: Z(W(point))
-    wv = eval_strip_pair(w_u, w_v, th, ys)
+    wv = eval_strip_stack([w_u, w_v], th, ys)
     u_val, v_val = wv[..., 0], wv[..., 1]
     wy = lc.theta * ys + v_val
     th_w = th + np.multiply.outer(FREQ.vec, u_val)
-    zv = eval_strip_pair(Z.P, Z.S, th_w, wy)
+    zv = eval_strip_stack([Z.P, Z.S], th_w, wy)
     direct_disp = u_val + zv[..., 0]
     direct_y = Z.L * wy + zv[..., 1]
     # composed representation
-    got = eval_strip_pair(Z_new.P, Z_new.S, th, ys)
+    got = eval_strip_stack([Z_new.P, Z_new.S], th, ys)
     assert float(np.max(np.abs(got[..., 0] - direct_disp))) < 1e-11
     assert float(np.max(np.abs(Z_new.L * ys + got[..., 1] - direct_y))) < 1e-11
 
@@ -460,7 +479,7 @@ def test_imaginary_part_containment():
         x = rng.uniform(0, 2 * math.pi) + 1j * rng.uniform(-dom.r, dom.r)
         y = rng.uniform(-dom.s, dom.s)
         th = np.multiply.outer(FREQ.vec, np.array([complex(x)]))
-        vals = eval_strip_pair(Z.P, Z.S, th, np.array([y + 0j]))
+        vals = eval_strip_stack([Z.P, Z.S], th, np.array([y + 0j]))
         zx = x + vals[0, 0]
         zy = Z.L * y + vals[0, 1]
         assert max(abs(zx.imag), abs(zy.imag)) <= bound * (1 + 1e-9)

@@ -114,7 +114,7 @@ def test_mean_value_oscillation_averages_out():
     f.coeffs[(1, 1, 1)] = dom.s          # y = s*T_1(y/s), k = 0
     f.coeffs[(2, 1, 0)] = 0.5            # k = (1,0)
     f.coeffs[(0, 1, 0)] = 0.5            # k = (-1,0)
-    mv = qp.mean_value(f)
+    mv = f.mean_value()
     poly = f.mean_poly()
     assert mv[1] == pytest.approx(dom.s)
     assert poly[0] == pytest.approx(0.0, abs=1e-15)
@@ -123,7 +123,7 @@ def test_mean_value_oscillation_averages_out():
 
 def test_mean_value_zero():
     f = StripFunction.zeros(FREQ2, StripDomain(1.0, 0.5), K=2, J=2)
-    assert np.allclose(qp.mean_value(f), 0.0)
+    assert np.allclose(f.mean_value(), 0.0)
 
 
 def test_mean_value_birkhoff_oracle():
@@ -143,7 +143,7 @@ def test_mean_value_birkhoff_oracle():
     xs = np.linspace(0.0, T, 2_000_001)
     vals = (3.0 + np.sin(math.sqrt(2.0) * xs)) * y0**2
     birkhoff = np.trapezoid(vals, xs) / T
-    mean_at_y0 = qp.cheb_eval_rows(qp.mean_value(f).astype(complex), y0 / dom.s).real
+    mean_at_y0 = qp.cheb_eval_rows(f.mean_value().astype(complex), y0 / dom.s).real
     assert mean_at_y0 == pytest.approx(birkhoff, abs=1e-3)
 
 
