@@ -4,7 +4,16 @@ Spectral construction of the conjugacy to a rigid rotation: Diophantine
 certification, analytic smoothing of C^p map data, small-divisor difference
 equations, and the iterative invariant-curve driver, with the proved
 inequalities available as runnable checks.
+
+QPKAM_THREADS, when set, caps the BLAS thread pools; it is read here, before
+the first numpy import of the package.
 """
+
+import os
+
+if "QPKAM_THREADS" in os.environ:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["QPKAM_THREADS"])
 
 from .cohomology import CohomologySolution, epsilon_of, solve_coupled, solve_single
 from .diophantine import (

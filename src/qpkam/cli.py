@@ -6,13 +6,6 @@ separate metadata file.  Exit codes: 0 ok, 1 config/parse error, 2 Diophantine
 rejection, 3 not converged.
 """
 
-import os
-
-if "QPKAM_THREADS" in os.environ:
-    # caps internal (BLAS/FFT) parallelism; must precede the numpy import
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["QPKAM_THREADS"])
-
 import argparse
 import json
 import sys
@@ -34,6 +27,18 @@ from .errors import ConfigError, NoneAdmissible, NotConverged, QpKamError, Reson
 from .kam import build_schedule, run, smallness_check
 from .maps import CurveGraph, exactness_defect, flat_curve, intersection_witness, model_from_config
 from .qpfourier import Frequency, ShellFunction
+
+# config fields checked for type by ExperimentConfig.load (bools are not numbers)
+INT_FIELDS = ("K", "K_trunc", "J", "k_max", "seed", "sample_count")
+FLOAT_FIELDS = ("gamma", "tau", "sigma0", "alpha", "p", "q", "tol", "y_scale")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -68,14 +73,25 @@ class ExperimentConfig:
         missing = [key for key in required if key not in raw]
         if missing:
             raise ValueError(f"config missing required keys: {missing}")
-        known = {f for f in ExperimentConfig.__dataclass_fields__}
-        unknown = set(raw) - known
+        fields = ExperimentConfig.__dataclass_fields__
+        unknown = set(raw) - set(fields)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in raw.items():
+            if value is None and fields[key].default is None:
+                continue
+            if key in INT_FIELDS and not _is_int(value):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if key in FLOAT_FIELDS and not _is_number(value):
+                raise ValueError(f"{key} must be a number, got {value!r}")
+        if not (isinstance(raw["omega"], list) and len(raw["omega"]) >= 1
+                and all(map(_is_number, raw["omega"]))):
+            raise ValueError("omega must be a nonempty list of numbers")
+        if not (isinstance(raw["interval"], list) and len(raw["interval"]) == 2
+                and all(map(_is_number, raw["interval"]))):
+            raise ValueError("interval must be a list of two numbers")
         cfg = ExperimentConfig(**raw)
         cfg.interval = tuple(cfg.interval)
-        if not (isinstance(cfg.omega, list) and len(cfg.omega) >= 1):
-            raise ValueError("omega must be a nonempty list")
         return cfg
 
 

@@ -19,6 +19,8 @@ from .qpfourier import Frequency, mode_vectors
 
 RESONANCE_TOL = 1e-14
 TIE_TOL = 1e-15      # equality slack: closed inequalities in exact arithmetic
+# elements of one (lattice x alpha chunk) float temporary in _divisor_pass (4 MB)
+ALPHA_CHUNK_ELEMS = 1 << 19
 
 
 def _box_k1_and_kw(omega: np.ndarray, K: int):
@@ -127,22 +129,40 @@ class AdmissibleSample:
     mask: np.ndarray = field(repr=False, default=None)
 
 
+def _divisor_pass(alphas: np.ndarray, freq: Frequency, gamma: float, tau: float, K: int):
+    """Per alpha: whether every divisor line of the box holds, and the min
+    margin dist*|k|^tau/gamma, with certify_rotation's elementwise operations.
+
+    The alphas run in chunks so each (lattice x chunk) temporary stays near
+    ALPHA_CHUNK_ELEMS elements; the lattice box is built once.
+    """
+    _, k1, kw = _box_k1_and_kw(freq.vec, K)
+    bound = (gamma / k1**tau)[:, None] - TIE_TOL
+    k1_tau = (k1**tau)[:, None]
+    ok = np.empty(len(alphas), dtype=bool)
+    margin = np.empty(len(alphas))
+    step = max(1, ALPHA_CHUNK_ELEMS // len(kw))
+    for i in range(0, len(alphas), step):
+        x = np.multiply.outer(kw, alphas[i:i + step]) / (2.0 * math.pi)
+        dist = np.abs(x - np.round(x))
+        ok[i:i + step] = np.all(dist >= bound, axis=0)
+        margin[i:i + step] = np.min(dist * k1_tau / gamma, axis=0)
+    return ok, margin
+
+
 def admissible_mask(alphas: np.ndarray, freq: Frequency, gamma: float, tau: float,
                     interval, K: int) -> np.ndarray:
     """Vectorized certification of a batch of alphas (divisor + interval lines)."""
     a, b = interval
     pad = gamma / 12.0**3
-    _, k1, kw = _box_k1_and_kw(freq.vec, K)
-    x = np.multiply.outer(kw, alphas) / (2.0 * math.pi)
-    dist = np.abs(x - np.round(x))
-    ok = np.all(dist >= (gamma / k1**tau)[:, None] - TIE_TOL, axis=0)
-    ok &= (alphas >= a + pad) & (alphas <= b - pad)
-    return ok
+    ok, _ = _divisor_pass(alphas, freq, gamma, tau, K)
+    return ok & (alphas >= a + pad) & (alphas <= b - pad)
 
 
 def sample_admissible(freq: Frequency, gamma: float, tau: float, interval,
                       K: int, count: int, seed: int = 0) -> AdmissibleSample:
-    """Uniform draws from the padded interval, certified in a batch."""
+    """Uniform draws from the padded interval, certified in a batch; each
+    accepted RotationNumber equals certify_rotation's for that alpha."""
     if count < 1:
         raise ValueError("count >= 1 required")
     _check_gamma_tau(gamma, tau, interval, freq.n)
@@ -150,9 +170,11 @@ def sample_admissible(freq: Frequency, gamma: float, tau: float, interval,
     pad = gamma / 12.0**3
     rng = np.random.default_rng(seed)
     alphas = rng.uniform(a + pad, b - pad, count)
-    mask = admissible_mask(alphas, freq, gamma, tau, interval, K)
-    accepted = [certify_rotation(al, freq, gamma, tau, interval, K)
-                for al in alphas[mask]]
+    ok, margin = _divisor_pass(alphas, freq, gamma, tau, K)
+    mask = ok & (alphas >= a + pad) & (alphas <= b - pad)
+    accepted = [RotationNumber(float(al), freq, float(gamma), float(tau),
+                               (float(a), float(b)), int(K), float(m))
+                for al, m in zip(alphas[mask], margin[mask])]
     frac = float(mask.mean())
     if not accepted:
         raise NoneAdmissible(

@@ -40,6 +40,7 @@ from .qpfourier import (
     default_grid,
     eval_modes,  # noqa: F401  (bound here for the layer tracer in benchmarks/)
     eval_strip_stack,
+    grid_eval_log,
     synthesize,  # noqa: F401  (bound here for the layer tracer in benchmarks/)
     theta_grid,
 )
@@ -202,15 +203,16 @@ class ConjugacyMap:
                             StripFunction.zeros(freq, domain, K, J),
                             1.0, 1.0, 1.0, domain)
 
-    def values_at(self, theta_pts: np.ndarray, y_pts: np.ndarray):
-        """(x-displacement P, image y) at scattered shell points."""
-        vals = eval_strip_stack([self.P, self.S], theta_pts, y_pts)
+    def values_at(self, theta_pts, y_pts: np.ndarray, disp=0.0):
+        """(x-displacement P, image y) at (theta_pts + omega*disp, y_pts);
+        theta_pts is scattered shell points or a grid size (eval_strip_stack)."""
+        vals = eval_strip_stack([self.P, self.S], theta_pts, y_pts, disp)
         return vals[..., 0], self.L * y_pts + vals[..., 1]
 
-    def jacobian_at(self, theta_pts: np.ndarray, y_pts: np.ndarray):
-        """Rows of dZ = [[1+Px, Py], [Sx, L+Sy]] at scattered shell points."""
+    def jacobian_at(self, theta_pts, y_pts: np.ndarray, disp=0.0):
+        """Rows of dZ = [[1+Px, Py], [Sx, L+Sy]] at the points of values_at."""
         strips = [self.P.dx(), self.P.dy(), self.S.dx(), self.S.dy()]
-        vals = eval_strip_stack(strips, theta_pts, y_pts)
+        vals = eval_strip_stack(strips, theta_pts, y_pts, disp)
         return (1.0 + vals[..., 0], vals[..., 1],
                 vals[..., 2], self.L + vals[..., 3])
 
@@ -435,7 +437,6 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, strict: bool = False,
     # collocation grid on D_plus: (N,)*n torus points x J+1 nodes
     N = default_grid(K)
     ys = lc.s_plus * cheb_nodes(J)
-    thf = theta_grid(N, n).reshape(n, -1)
     shape = (N,) * n
 
     def pair(a, b, y, shift=0.0):
@@ -454,7 +455,7 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, strict: bool = False,
     # F3 = h o (Theta + w) - h o Theta is z-independent
     gmean = H.fy.mean_value()
     hstar2 = cheb_eval_rows(gmean.astype(complex), theta * ys / H.fy.domain.s).real
-    f3 = eval_strip_stack([H.fx, H.fy], thf, theta * ys + flat(w_at_grid[..., 1]),
+    f3 = eval_strip_stack([H.fx, H.fy], N, theta * ys + flat(w_at_grid[..., 1]),
                           flat(w_at_grid[..., 0])).reshape(h_theta.shape) - h_theta
 
     # (b) Picard contraction for z
@@ -468,7 +469,7 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, strict: bool = False,
     prev_delta = None
     for iters in range(1, max_iter + 1):
         phi2 = (flat(z[..., 1]) + hstar2) / theta
-        moved = eval_strip_stack([u, v], thf, ys + phi2, shifts_plus + flat(z[..., 0]))
+        moved = eval_strip_stack([u, v], N, ys + phi2, shifts_plus + flat(z[..., 0]))
         z_new = (w_omega_plus - moved.reshape(z.shape)) + f2 + f3
         delta = float(np.max(np.abs(z_new - z)))
         z = z_new
@@ -557,26 +558,25 @@ def _w_point(w_u, w_v, theta, zpt):
 # solve-back
 # ---------------------------------------------------------------------------
 
-def _pullback_grid(Z: ConjugacyMap, thf: np.ndarray,
-                   targets_theta_disp: np.ndarray, targets_y: np.ndarray,
-                   seeds_disp: np.ndarray, seeds_y: np.ndarray,
-                   freq: Frequency, tol: float, max_iter: int = 40):
-    """Solve Z(w) = target per grid point by damped Newton, seeded.
+def _pullback_grid(Z: ConjugacyMap, thf, targets_theta_disp: np.ndarray,
+                   targets_y: np.ndarray, seeds_disp: np.ndarray, seeds_y: np.ndarray,
+                   tol: float, max_iter: int = 40):
+    """Solve Z(w) = target per point x by damped Newton, seeded.
 
+    thf is scattered shell points (n, P) or a grid size N (eval_strip_stack).
     Unknowns are the x-displacement a (w_x = x + a) and w_y; targets are the
     x-displacement of the target and its y value.
     """
     a = seeds_disp.copy()
     yv = seeds_y.copy()
     for it in range(max_iter):
-        th_args = thf + np.multiply.outer(freq.vec, a.ravel())
-        P, Zy = Z.values_at(th_args, yv.ravel())
+        P, Zy = Z.values_at(thf, yv.ravel(), a.ravel())
         r1 = (a.ravel() + P) - targets_theta_disp.ravel()
         r2 = Zy - targets_y.ravel()
         res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
         if res < tol:
             break
-        j11, j12, j21, j22 = Z.jacobian_at(th_args, yv.ravel())
+        j11, j12, j21, j22 = Z.jacobian_at(thf, yv.ravel(), a.ravel())
         det = j11 * j22 - j12 * j21
         singular = np.abs(det) < 1e-14
         if np.any(singular):
@@ -607,23 +607,25 @@ def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
     r_pl, s_pl = lc_next["r"], lc_next["s"]
     twist_next = phi_plus.twist
     N = default_grid(K)
-    thf = theta_grid(N, n).reshape(n, -1)
-    nodes = (s_pl * cheb_nodes(J))[None, :]   # broadcasts to (points, J+1)
+    ys = s_pl * cheb_nodes(J)
+    nodes = ys[None, :]                       # broadcasts to (points, J+1)
+
+    def at_nodes(f):                          # grid values at the nodes, (points, J+1)
+        return f.sample(N, ys).reshape(-1, J + 1)
 
     # target: A_next(Z(x, y))
-    P, Zy = Z.values_at(thf, nodes)
-    fx = eval_strip_stack([A_next.fx, A_next.fy], thf, Zy, P)
+    P, Zy = at_nodes(Z.P), Z.L * nodes + at_nodes(Z.S)
+    fx = eval_strip_stack([A_next.fx, A_next.fy], N, Zy, P)
     dx = A_next.alpha + A_next.twist * Zy + fx[..., 0]
     t_disp = P + dx                           # x-displacement of A(Z) vs x
     t_y = Zy + fx[..., 1]
     # seed: Phi_plus(x, y), solved in place node by node
-    sx = eval_strip_stack([phi_plus.fx, phi_plus.fy], thf, nodes)
-    a = A_next.alpha + twist_next * nodes + sx[..., 0]
-    yv = nodes + sx[..., 1]
+    a = A_next.alpha + twist_next * nodes + at_nodes(phi_plus.fx)
+    yv = nodes + at_nodes(phi_plus.fy)
     scale = 1.0 + abs(A_next.alpha)
     for j in range(J + 1):
-        a[:, j], yv[:, j] = _pullback_grid(Z, thf, t_disp[:, j], t_y[:, j],
-                                           a[:, j], yv[:, j], freq, tol * scale)
+        a[:, j], yv[:, j] = _pullback_grid(Z, N, t_disp[:, j], t_y[:, j],
+                                           a[:, j], yv[:, j], tol * scale)
     grid = (N,) * n + (J + 1,)
     a_out = (a - A_next.alpha - twist_next * nodes).reshape(grid)
     y_out = (yv - nodes).reshape(grid)
@@ -675,7 +677,7 @@ def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: Truncation
         seed_disp = np.full(n_xi, alpha + eps_plus * eta)
         seed_y = np.full(n_xi, eta)
         a, yv = _pullback_grid(Z, th, t_disp, t_y,
-                               seed_disp, seed_y, freq, 1e-12 * (1 + abs(alpha)))
+                               seed_disp, seed_y, 1e-12 * (1 + abs(alpha)))
         d = yv - eta                          # Psi^(2) - eta along the curve
         psi1_dev = a - alpha - eps_plus * eta  # Psi^(1) - (xi + alpha + eps+ eta)
         N_glob = max(N_glob, float(np.max(np.abs(d - Q.eval(eta)))),
@@ -803,50 +805,52 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
     cycle = 0
     converged = False
     while True:
-        defect = _real_defect(Z, exact, alpha.alpha)
-        rec = {"k": k, "defect": defect, "M_k": float(schedule.M[k]),
-               "BM_k": float(schedule.B[k] * schedule.M[k]),
-               "regime": "proof" if H.defect_sup() <= schedule.M[k] else "numerical"}
-        trace.append(rec)
-        if defect <= tol:
-            converged = True
-            break
-        if k >= k_max:
-            break
+        with grid_eval_log() as evaluator:
+            defect = _real_defect(Z, exact, alpha.alpha)
+            rec = {"k": k, "defect": defect, "M_k": float(schedule.M[k]),
+                   "BM_k": float(schedule.B[k] * schedule.M[k]),
+                   "regime": "proof" if H.defect_sup() <= schedule.M[k] else "numerical",
+                   "evaluator": evaluator}
+            trace.append(rec)
+            if defect <= tol:
+                converged = True
+                break
+            if k >= k_max:
+                break
 
-        lc = LevelContext(k=k, r=float(schedule.r[k]), s=float(schedule.s[k]),
-                          theta=schedule.theta, q=schedule.q,
-                          eps=sigma * schedule.theta**cycle,
-                          M_paper=float(schedule.M[k]), alpha=alpha)
-        try:
-            step = inductive_step(H, lc)
-            rec["contraction_iters"] = step.report["contraction_iters"]
-            rec["w_minus_theta"] = step.report["w_minus_theta"]
-            rec["Q"] = [step.Q.a0, step.Q.a1, step.Q.a2]
-
-            # Z_{k+1} = Z_k o W_k on D'_{k+1}
-            Z = compose_conjugacy(Z, step.w_u, step.w_v, lc, schedule)
-
-            # replace A_k by A_{k+1} through the new conjugacy
-            A_next = member(k + 1)
-            lc_next = {"r": float(schedule.r[k + 1]), "s": float(schedule.s[k + 1]),
-                       "b": float(Z.b)}
-            H, sb_report = solve_back(Z, A_next, step.phi_plus, lc_next, A_prev=A_cur)
-            rec["solve_back"] = sb_report
-            A_cur = A_next
-        except (ContractionDiverged, RootFindFailed) as exc:
-            rec["failure"] = f"{type(exc).__name__}: {exc}"
-            break
-
-        if check_intersection:
+            lc = LevelContext(k=k, r=float(schedule.r[k]), s=float(schedule.s[k]),
+                              theta=schedule.theta, q=schedule.q,
+                              eps=sigma * schedule.theta**cycle,
+                              M_paper=float(schedule.M[k]), alpha=alpha)
             try:
-                rec["intersection"] = intersection_bound(
-                    Z, exact, step.Q, float(schedule.s[k + 1]), alpha.alpha,
-                    lc.eps_plus)
-            except NoIntersectionWitness as exc:
-                rec["intersection"] = {"pass": False, "error": str(exc)}
-        k += 1
-        cycle += 1
+                step = inductive_step(H, lc)
+                rec["contraction_iters"] = step.report["contraction_iters"]
+                rec["w_minus_theta"] = step.report["w_minus_theta"]
+                rec["Q"] = [step.Q.a0, step.Q.a1, step.Q.a2]
+
+                # Z_{k+1} = Z_k o W_k on D'_{k+1}
+                Z = compose_conjugacy(Z, step.w_u, step.w_v, lc, schedule)
+
+                # replace A_k by A_{k+1} through the new conjugacy
+                A_next = member(k + 1)
+                lc_next = {"r": float(schedule.r[k + 1]), "s": float(schedule.s[k + 1]),
+                           "b": float(Z.b)}
+                H, sb_report = solve_back(Z, A_next, step.phi_plus, lc_next, A_prev=A_cur)
+                rec["solve_back"] = sb_report
+                A_cur = A_next
+            except (ContractionDiverged, RootFindFailed) as exc:
+                rec["failure"] = f"{type(exc).__name__}: {exc}"
+                break
+
+            if check_intersection:
+                try:
+                    rec["intersection"] = intersection_bound(
+                        Z, exact, step.Q, float(schedule.s[k + 1]), alpha.alpha,
+                        lc.eps_plus)
+                except NoIntersectionWitness as exc:
+                    rec["intersection"] = {"pass": False, "error": str(exc)}
+            k += 1
+            cycle += 1
 
     curve = _curve_from_Z(Z, exact, alpha)
     curve.defect = trace[-1]["defect"]
@@ -865,13 +869,12 @@ def compose_conjugacy(Z: ConjugacyMap, w_u: StripFunction, w_v: StripFunction,
     K, J = Z.P.K, Z.P.J
     dom_new = StripDomain(lc.rp_plus, lc.sp_plus)
     N = default_grid(K)
-    thf = theta_grid(N, n).reshape(n, -1)
     ys = lc.sp_plus * cheb_nodes(J)
     grid = (N,) * n + (J + 1,)
     theta_c = lc.theta
-    wv = eval_strip_stack([w_u, w_v], thf, ys[None, :])
-    u_val, v_val = wv[..., 0], wv[..., 1]
-    vals = eval_strip_stack([Z.P, Z.S], thf, theta_c * ys + v_val, u_val)
+    u_val = w_u.sample(N, ys).reshape(-1, J + 1)
+    v_val = w_v.sample(N, ys).reshape(-1, J + 1)
+    vals = eval_strip_stack([Z.P, Z.S], N, theta_c * ys + v_val, u_val)
     P_new = (u_val + vals[..., 0]).reshape(grid)
     S_new = (Z.L * v_val + vals[..., 1]).reshape(grid)
     P = StripFunction.from_grid(P_new, freq, dom_new, K, J)

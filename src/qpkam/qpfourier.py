@@ -13,6 +13,7 @@ bounds, divisor sums) are l1 norms; the storage/enumeration boxes are max-norm.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -123,6 +124,14 @@ def synthesize(coeffs: np.ndarray, n: int, N: int) -> np.ndarray:
     """Values of sum_k c_k e^{i<k,theta>} on the uniform (N,)*n torus grid."""
     spread = embed_fft(coeffs, n, N)
     return np.fft.ifftn(spread, axes=tuple(range(n))) * N**n
+
+
+def synthesize_grid(coeffs: np.ndarray, n: int, N: int) -> np.ndarray:
+    """synthesize on theta_grid(N, n) for any box size: a box wider than N
+    is synthesized on the smallest multiple L*N >= 2K+1, keeping every L-th
+    point."""
+    L = -(-coeffs.shape[0] // N)
+    return synthesize(coeffs, n, L * N)[(slice(None, None, L),) * n]
 
 
 def analyze(values: np.ndarray, n: int, K: int) -> np.ndarray:
@@ -592,7 +601,7 @@ class StripFunction:
         if np.any(shift):
             kw = k_dot_omega(self.K, self.freq.vec)[..., None]
             boxes = boxes * np.exp(1j * kw * shift)
-        return synthesize(boxes, self.n, N).real
+        return synthesize_grid(boxes, self.n, N).real
 
     def eval_theta_y(self, theta_pts: np.ndarray, y_pts) -> np.ndarray:
         """Scattered evaluation; theta_pts (n, P), y_pts scalar or (P,)."""
@@ -699,17 +708,68 @@ class StripFunction:
         return self.norm_lower(rho, sigma), self.norm_upper(rho, sigma)
 
 
-def eval_strip_stack(strips, theta_pts: np.ndarray, y_pts, disp=0.0) -> np.ndarray:
+# Taylor orders of the grid path: the smallest M whose remainder bound meets
+# TAYLOR_TOL, tried up to TAYLOR_MAX_ORDER before the direct fallback
+TAYLOR_TOL = 2.0**-53
+TAYLOR_MAX_ORDER = 24
+
+# active grid_eval_log records; the grid path of eval_strip_stack updates them
+_grid_logs: list = []
+
+
+@contextmanager
+def grid_eval_log():
+    """Collect, over the block, the node slices evaluated on the grid path of
+    eval_strip_stack, the largest Taylor order used and the direct fallbacks."""
+    log = {"nodes": 0, "max_order": 0, "fallbacks": 0}
+    _grid_logs.append(log)
+    try:
+        yield log
+    finally:
+        _grid_logs.remove(log)
+
+
+def taylor_order(x: float) -> int | None:
+    """Smallest M with x^(M+1)/(M+1)! * e^x <= TAYLOR_TOL, where x = W*delta
+    bounds |<k,omega>| times the displacement spread; None when x is not
+    finite or no M <= TAYLOR_MAX_ORDER meets the bound."""
+    # for M + 1 <= x the term x^(M+1)/(M+1)! is >= 1: no order can pass
+    if not 0.0 <= x < TAYLOR_MAX_ORDER + 1:
+        return None
+    term = math.exp(x)
+    for M in range(TAYLOR_MAX_ORDER + 1):
+        term *= x / (M + 1)
+        if term <= TAYLOR_TOL:
+            return M
+    return None
+
+
+def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:
     """Values of same-shape strips at (theta_pts + omega*disp, y_pts).
 
-    theta_pts has shape (n, P); y_pts and disp broadcast to (P,) or to
-    (P, nodes).  Returns shape (P,) + node shape + (len(strips),).  Each node
-    slice is one eval_modes call on P points, which bounds the phase-tensor
-    memory.  Real inputs give real values.
+    theta_pts is either scattered points of shape (n, P) or an int N, meaning
+    the P = N^n points of theta_grid(N, n) in flattened order.  y_pts and disp
+    broadcast to (P,) or to (P, nodes).  Returns shape (P,) + node shape +
+    (len(strips),).  Real inputs give real values.
+
+    Scattered points: each node slice is one eval_modes call on P points,
+    which bounds the phase-tensor memory.  Grid: per node slice, with c the
+    midpoint of its real displacements and delta = max|d - c|,
+    f(theta + omega*(c + d)) = sum_{m <= M} d^m/m! IFFT[(i<k,omega>)^m
+    e^{i<k,omega>c} f_k], with M = taylor_order(W*delta) and W = max|<k,omega>|
+    (a relative remainder below TAYLOR_TOL of sum|f_k|).  A slice with no such
+    M falls back to the direct eval_modes slice.
     """
     coeffs = np.stack([f.coeffs for f in strips], axis=-1)
     omega = strips[0].freq.vec
-    P = theta_pts.shape[1]
+    grid = isinstance(theta_pts, (int, np.integer))
+    if grid:
+        N, n = int(theta_pts), len(omega)
+        P = N**n
+        kw = k_dot_omega(strips[0].K, omega)
+        W = float(np.max(np.abs(kw)))
+    else:
+        P = theta_pts.shape[1]
     t = np.asarray(y_pts) / strips[0].domain.s
     disp = np.asarray(disp)
     nodes = np.broadcast_shapes(t.shape[1:], disp.shape[1:])
@@ -718,7 +778,31 @@ def eval_strip_stack(strips, theta_pts: np.ndarray, y_pts, disp=0.0) -> np.ndarr
     out = np.empty((P,) + nodes + (len(strips),), dtype=complex)
     for j in np.ndindex(*nodes):
         sl = (slice(None),) + j
-        rows = eval_modes(coeffs, theta_pts + np.multiply.outer(omega, d[sl]))  # (P, J+1, m)
+        M = None
+        if grid:
+            dj = d[sl]
+            c = 0.5 * (np.max(dj.real) + np.min(dj.real))
+            dj = dj - c
+            M = taylor_order(W * float(np.max(np.abs(dj))))
+            for log in _grid_logs:
+                log["nodes"] += 1
+                if M is None:
+                    log["fallbacks"] += 1
+                else:
+                    log["max_order"] = max(log["max_order"], M)
+        if M is None:
+            th = theta_grid(N, n).reshape(n, -1) if grid else theta_pts
+            rows = eval_modes(coeffs, th + np.multiply.outer(omega, d[sl]))  # (P, J+1, m)
+        else:
+            # derivative boxes (i<k,omega>)^m/m! e^{i<k,omega>c} f_k, m = 0..M
+            ms = np.arange(M + 1)
+            fac = (1j * kw[..., None]) ** ms / np.array([math.factorial(m) for m in ms])
+            fac = fac * np.exp(1j * kw * c)[..., None]
+            derivs = synthesize_grid(coeffs[..., None, :, :] * fac[..., None, None], n, N)
+            derivs = derivs.reshape((P, M + 1) + coeffs.shape[n:])
+            rows = derivs[:, M]
+            for m in range(M - 1, -1, -1):          # Horner in d
+                rows = rows * dj[:, None, None] + derivs[:, m]
         out[sl] = cheb_eval_rows(np.moveaxis(rows, -1, -2), t[sl][..., None])
     if all(np.isrealobj(a) for a in (theta_pts, y_pts, disp)):
         return out.real

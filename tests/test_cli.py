@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +80,14 @@ def test_y_scale_beyond_strip_margin_exit_1(tmp_path, capsys):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "intersection strip" in err[0]
+
+
+@pytest.mark.parametrize("key, value", [("K_trunc", "8"), ("J", 6.0), ("tol", "1e-8")])
+def test_wrong_typed_field_exit_1(tmp_path, capsys, key, value):
+    cfg = write_cfg(tmp_path, **{key: value})
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and key in err[0]
 
 
 def test_malformed_config_exit_1(tmp_path):
@@ -184,3 +196,20 @@ def test_diophantine_subcommand_resonant(tmp_path):
                  "--tau", "3.0", "--interval", "0.4", "1.2",
                  "--out", str(tmp_path / "d2")])
     assert code == 2
+
+
+def test_curve_json_identical_across_thread_counts(tmp_path):
+    cfg = write_cfg(tmp_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    # the BLAS variables would take precedence over QPKAM_THREADS
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    curves = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        env = {**base, "QPKAM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-m", "qpkam.cli", "solve", "--config", str(cfg),
+                        "--out", str(out)], env=env, check=True)
+        curves.append((out / "curve.json").read_bytes())
+    assert curves[0] == curves[1]

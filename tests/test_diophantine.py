@@ -130,6 +130,21 @@ def test_sample_monotone_on_fixed_set():
     assert fracs == sorted(fracs)
 
 
+@pytest.mark.parametrize("omega, gamma, tau, count", [
+    ((1.0, GOLDEN), 1e-2, 3.0, 1000),
+    ((1.0, SQRT2, math.sqrt(3.0)), 1e-2, 3.5, 60),
+])
+def test_sample_admissible_matches_certify_rotation(omega, gamma, tau, count):
+    # the chunked batch pass rebuilds certify_rotation's certificates exactly
+    freq = certify_frequency(omega, K=30)
+    res = sample_admissible(freq, gamma, tau, (0.3, 1.1), K=30, count=count, seed=4)
+    assert len(res.accepted) > 0
+    assert res.accepted == [certify_rotation(a, freq, gamma, tau, (0.3, 1.1), 30)
+                            for a in res.alphas[res.mask]]
+    np.testing.assert_array_equal(
+        res.mask, admissible_mask(res.alphas, freq, gamma, tau, (0.3, 1.1), 30))
+
+
 def test_none_admissible():
     with pytest.raises(NoneAdmissible):
         sample_admissible(FREQ, 0.49, 3.0, (0.4, 1.2), K=30, count=50, seed=1)

@@ -329,7 +329,7 @@ def push_forward(Z: ConjugacyMap, H: NormalizedMap, dom: StripDomain,
         a, ey = _pullback_grid(Z, thf, np.zeros(thf.shape[1]),
                                np.full(thf.shape[1], y),
                                np.zeros(thf.shape[1]), np.full(thf.shape[1], y),
-                               freq, 1e-14)
+                               1e-14)
         th_eta = thf + np.multiply.outer(freq.vec, a)
         hv = eval_strip_stack([H.fx, H.fy], th_eta, ey)
         h_disp = H.alpha + H.twist * ey + hv[..., 0]
@@ -361,7 +361,7 @@ def test_pullback_singular_jacobian_raises():
     _, _, _, j22 = Z.jacobian_at(thf, zeros)
     assert abs(j22[0]) < 1e-14 and np.min(np.abs(j22[1:])) > 0.1
     with pytest.raises(RootFindFailed) as info:
-        _pullback_grid(Z, thf, zeros, zeros + 0.1, zeros, zeros, freq, 1e-12)
+        _pullback_grid(Z, thf, zeros, zeros + 0.1, zeros, zeros, 1e-12)
     assert info.value.point == (0.0, 0.0)
 
 

@@ -1,9 +1,11 @@
-"""Property tests of the strip evaluation primitives against per-node oracles."""
+"""Property tests of the strip evaluation primitives against per-node and
+direct scattered-evaluation oracles."""
 
 import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,3 +73,108 @@ def test_sheet_sup_matches_brute_force_sheets(seed, n, K, batch, rho):
     brute = max(float(np.max(np.abs(qp.eval_modes(coeffs[..., b], grid + 1j * v[:, None]))))
                 for v in sheets for b in range(batch))
     assert abs(sheet_sup(coeffs, n, N, rho) - brute) <= 1e-12 * brute
+
+
+def coeff_scale(strips, tmax):
+    """sum |f_kj| M_j(tmax) over the stack: bounds every value at |y/s| <= tmax."""
+    Mj = qp.cheb_disc_bounds(strips[0].J, tmax)
+    return sum(float(np.sum(np.abs(f.coeffs) @ Mj)) for f in strips)
+
+
+def order_threshold(M):
+    """Largest x with taylor_order(x) <= M (bisection on the remainder bound)."""
+    lo, hi = 0.0, qp.TAYLOR_MAX_ORDER + 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid ** (M + 1) / math.factorial(M + 1) * math.exp(mid) <= qp.TAYLOR_TOL:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def grid_vs_direct(strips, N, y, disp):
+    n = strips[0].n
+    with qp.grid_eval_log() as log:
+        got = eval_strip_stack(strips, N, y, disp)
+    want = eval_strip_stack(strips, qp.theta_grid(N, n).reshape(n, -1), y, disp)
+    return got, want, log
+
+
+@PROPS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(0, 4),
+       J=st.integers(0, 4), m=st.integers(1, 3), nodes=st.integers(1, 3),
+       N=st.integers(2, 12), spread=st.floats(0.0, 0.05), complex_y=st.booleans())
+def test_grid_path_matches_direct_oracle(seed, n, K, J, m, nodes, N, spread, complex_y):
+    # N ranges below 2K+1 as well: those boxes are synthesized on a multiple of N
+    if n == 3:
+        N = min(N, 8)
+    rng = np.random.default_rng(seed)
+    strips = [random_strip(rng, n, K, J) for _ in range(m)]
+    P = N**n
+    s = strips[0].domain.s
+    disp = rng.uniform(-1.0, 1.0, nodes) + spread * rng.uniform(-1.0, 1.0, (P, nodes))
+    y = rng.uniform(-s, s, (P, nodes))
+    if complex_y:
+        y = y + 1j * rng.uniform(-s, s, (P, nodes))
+    got, want, log = grid_vs_direct(strips, N, y, disp)
+    assert got.shape == (P, nodes, m) and np.iscomplexobj(got) == complex_y
+    assert log["nodes"] == nodes and log["fallbacks"] == 0
+    tmax = float(np.max(np.abs(y))) / s
+    assert np.max(np.abs(got - want)) <= 1e-14 * coeff_scale(strips, tmax)
+
+
+@pytest.mark.parametrize("M", range(qp.TAYLOR_MAX_ORDER + 1))
+def test_grid_path_runs_every_taylor_order(M):
+    rng = np.random.default_rng(M)
+    n, K, N = 2, 3, 10
+    strips = [random_strip(rng, n, K, 3) for _ in range(2)]
+    W = float(np.max(np.abs(qp.k_dot_omega(K, strips[0].freq.vec))))
+    lo = order_threshold(M - 1) if M > 0 else 0.0
+    x = 0.5 * (lo + order_threshold(M))
+    # displacements spread exactly +-x/W around 0.7
+    disp = 0.7 + x / W * np.linspace(-1.0, 1.0, N**n)[rng.permutation(N**n)]
+    y = rng.uniform(-0.4, 0.4, N**n)
+    got, want, log = grid_vs_direct(strips, N, y, disp)
+    assert log == {"nodes": 1, "max_order": M, "fallbacks": 0}
+    assert np.max(np.abs(got - want)) <= 1e-14 * coeff_scale(strips, 1.0)
+
+
+@pytest.mark.parametrize("bad", ["wide", "nan", "inf"])
+def test_grid_path_falls_back_to_direct_slice(bad):
+    rng = np.random.default_rng(1)
+    n, K, N = 2, 3, 10
+    strips = [random_strip(rng, n, K, 2)]
+    W = float(np.max(np.abs(qp.k_dot_omega(K, strips[0].freq.vec))))
+    disp = rng.uniform(-1.0, 1.0, (N**n, 2)) * np.array([1e-3, 1.0])
+    if bad == "wide":
+        disp[:, 1] *= 2.0 * order_threshold(qp.TAYLOR_MAX_ORDER) / W + 1.0
+    else:
+        disp[3, 1] = float(bad)
+    y = rng.uniform(-0.4, 0.4, (N**n, 2))
+    with np.errstate(invalid="ignore"):
+        got, want, log = grid_vs_direct(strips, N, y, disp)
+    assert log["nodes"] == 2 and log["fallbacks"] == 1
+    # the fallback node is the direct slice itself
+    np.testing.assert_array_equal(got[:, 1], want[:, 1])
+    assert np.max(np.abs(got[:, 0] - want[:, 0])) <= 1e-14 * coeff_scale(strips, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(0.0, 3.0))
+def test_taylor_order_is_the_smallest_passing_order(x):
+    def remainder(M):
+        return x ** (M + 1) / math.factorial(M + 1) * math.exp(x)
+
+    M = qp.taylor_order(x)
+    if M is None:
+        assert all(remainder(m) > qp.TAYLOR_TOL for m in range(qp.TAYLOR_MAX_ORDER + 1))
+    else:
+        assert remainder(M) <= qp.TAYLOR_TOL
+        assert M == 0 or remainder(M - 1) > qp.TAYLOR_TOL
+
+
+def test_taylor_order_rejects_non_finite_and_wide():
+    for x in (math.nan, math.inf, -1.0, 25.0, 1e300):
+        assert qp.taylor_order(x) is None
+    assert qp.taylor_order(0.0) == 0
