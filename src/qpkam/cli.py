@@ -91,6 +91,8 @@ class ExperimentConfig:
                 and all(map(_is_number, raw["interval"]))):
             raise ValueError("interval must be a list of two numbers")
         cfg = ExperimentConfig(**raw)
+        if cfg.K_trunc > cfg.K:
+            raise ValueError(f"K_trunc = {cfg.K_trunc} exceeds the certified cutoff K = {cfg.K}")
         cfg.interval = tuple(cfg.interval)
         return cfg
 
@@ -183,7 +185,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
     xis = np.linspace(0.0, 100.0, 1001)
     th, r = curve.points(xis)
     lines = ["xi,theta,r"]
-    lines += [f"{x!r},{t!r},{v!r}" for x, t, v in zip(xis, th, r)]
+    lines += [f"{float(x)!r},{float(t)!r},{float(v)!r}" for x, t, v in zip(xis, th, r)]
     (out_dir / "samples.csv").write_text("\n".join(lines) + "\n")
     if verbose:
         for rec in trace:

@@ -195,6 +195,12 @@ def image_curve(mp: QpPlanarMap, curve: CurveGraph, K_out: int | None = None) ->
     return CurveGraph(phi1, psi1)
 
 
+# the witness bracket (span/grid_size wide) shrinks by
+# (BISECT_POINTS + 1)^BISECT_ROUNDS = 2^48: to 3e-15 at the defaults
+BISECT_POINTS = 255
+BISECT_ROUNDS = 6
+
+
 @dataclass
 class WitnessReport:
     found: bool
@@ -230,38 +236,32 @@ def intersection_witness(mp: QpPlanarMap, curve: CurveGraph, grid_size: int = 25
         if flips.size:
             i = int(flips[0])
             lo, hi = xs[i], xs[i + 1]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if np.sign(d.eval(mid).real) == sgn[i]:
-                    lo = mid
-                else:
-                    hi = mid
+            # each round keeps the first sign change among the interior points
+            for _ in range(BISECT_ROUNDS):
+                grid = np.linspace(lo, hi, BISECT_POINTS + 2)
+                flip = np.flatnonzero(np.sign(d.eval(grid[1:-1]).real) != sgn[i])
+                j = int(flip[0]) + 1 if flip.size else BISECT_POINTS + 1
+                lo, hi = grid[j - 1], grid[j]
             found, xi_star, sign_change = True, float(0.5 * (lo + hi)), True
     area = None
     if mp.declared.get("exact_symplectic"):
-        area = _area_functional_signs(mp, curve, img)
+        area = _area_functional_signs(r_orig, img.r_of_theta())
     return WitnessReport(found, xi_star, sign_change, d, area)
 
 
-def _area_functional_signs(mp: QpPlanarMap, curve: CurveGraph, img: CurveGraph,
+def _area_functional_signs(r_orig: ShellFunction, r_img: ShellFunction,
                            n_grid: int = 64, span: float = 120.0):
     """Range of Delta(t, T) = int_t^T (r1 dtheta1 - r dtheta) over a (t, T) grid.
 
-    Evaluated through cumulative quadrature of the angle-parameterized radii.
+    Evaluated through cumulative quadrature of the angle-parameterized radii
+    r_orig and r_img of the curve and its image.
     """
     ts = np.linspace(0.0, span, n_grid * 8)
-    r_orig = _radius_vs_angle(curve, ts)
-    r_img = _radius_vs_angle(img, ts)
-    diff = r_img - r_orig
+    diff = r_img.eval(ts).real - r_orig.eval(ts).real
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (diff[1:] + diff[:-1]) * np.diff(ts))])
     idx = np.linspace(0, len(ts) - 1, n_grid, dtype=int)
     delta = cum[idx][None, :] - cum[idx][:, None]     # Delta(t_i, T_j)
     return float(np.min(delta)), float(np.max(delta))
-
-
-def _radius_vs_angle(curve: CurveGraph, thetas: np.ndarray) -> np.ndarray:
-    rfun = curve.r_of_theta()
-    return rfun.eval(thetas).real
 
 
 def exactness_defect(mp: QpPlanarMap, curve: CurveGraph, K_out: int | None = None) -> float:

@@ -157,19 +157,19 @@ def eval_modes(coeffs: np.ndarray, theta_pts: np.ndarray) -> np.ndarray:
     """Evaluate a centered mode box at scattered torus points.
 
     theta_pts has shape (n, P); returns shape (P,) + trailing axes of coeffs.
-    Contracts one torus axis at a time to keep memory O(P * (2K+1)).
+    Contracts one torus axis at a time to keep memory O(P * (2K+1)): the
+    first as one matrix product, the later ones as a product per point.
     """
-    n = theta_pts.shape[0]
+    n, P = theta_pts.shape
     K = (coeffs.shape[0] - 1) // 2
     ks = np.arange(-K, K + 1)
-    res = coeffs
-    for d in range(n):
-        phase = np.exp(1j * np.multiply.outer(theta_pts[d], ks))  # (P, 2K+1)
-        if d == 0:
-            res = np.einsum("pk,k...->p...", phase, res)
-        else:
-            res = np.einsum("pk,pk...->p...", phase, res)
-    return res
+    phase = np.exp(1j * np.multiply.outer(theta_pts[0], ks))     # (P, 2K+1)
+    res = phase @ coeffs.reshape(2 * K + 1, -1)
+    for d in range(1, n):
+        phase = np.exp(1j * np.multiply.outer(theta_pts[d], ks))
+        res = res.reshape(P, 2 * K + 1, res.shape[1] // (2 * K + 1))
+        res = (phase[:, None, :] @ res)[:, 0]
+    return res.reshape((P,) + coeffs.shape[n:])
 
 
 def symmetrize(coeffs: np.ndarray, n: int, tol: float = REALITY_TOL, check: bool = True):
@@ -495,7 +495,8 @@ def invert_angle_map(h: ShellFunction, K_out: int | None = None, tol: float = 1e
             break
         slope = np.maximum(1.0 + both[:, 1], 1e-3)
         cand = v - res / slope
-        inside = (cand > lo) & (cand < hi)
+        # closed bracket: a converged point's step lands on its own endpoint
+        inside = (cand >= lo) & (cand <= hi)
         v = np.where(inside, cand, 0.5 * (lo + hi))
     else:
         raise NoConvergence(

@@ -82,6 +82,13 @@ def test_y_scale_beyond_strip_margin_exit_1(tmp_path, capsys):
     assert len(err) == 1 and "intersection strip" in err[0]
 
 
+def test_k_trunc_beyond_cutoff_exit_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, K=10, K_trunc=12)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "K_trunc" in err[0]
+
+
 @pytest.mark.parametrize("key, value", [("K_trunc", "8"), ("J", 6.0), ("tol", "1e-8")])
 def test_wrong_typed_field_exit_1(tmp_path, capsys, key, value):
     cfg = write_cfg(tmp_path, **{key: value})
@@ -108,7 +115,10 @@ def test_solve_zero_perturbation(tmp_path):
     assert curve["phi"]["coeffs"] == []
     trace = json.loads((out / "trace.json").read_text())
     assert trace["converged"]
-    assert (out / "samples.csv").read_text().startswith("xi,theta,r")
+    header, *rows = (out / "samples.csv").read_text().splitlines()
+    assert header == "xi,theta,r" and len(rows) == 1001
+    # every field is a plain number
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
 
 def test_solve_acceptance_and_determinism(tmp_path):
@@ -198,18 +208,36 @@ def test_diophantine_subcommand_resonant(tmp_path):
     assert code == 2
 
 
-def test_curve_json_identical_across_thread_counts(tmp_path):
-    cfg = write_cfg(tmp_path)
+def run_with_threads(threads, argv):
+    """Run the CLI in a fresh process with QPKAM_THREADS set."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     # the BLAS variables would take precedence over QPKAM_THREADS
-    base = {k: v for k, v in os.environ.items()
-            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(QPKAM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-m", "qpkam.cli", *argv], env=env, check=True)
+
+
+def test_curve_json_identical_across_thread_counts(tmp_path):
+    cfg = write_cfg(tmp_path)
     curves = []
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}"
-        env = {**base, "QPKAM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        subprocess.run([sys.executable, "-m", "qpkam.cli", "solve", "--config", str(cfg),
-                        "--out", str(out)], env=env, check=True)
+        run_with_threads(threads, ["solve", "--config", str(cfg), "--out", str(out)])
         curves.append((out / "curve.json").read_bytes())
     assert curves[0] == curves[1]
+
+
+def test_diagnose_json_identical_across_thread_counts(tmp_path):
+    # eval_modes contracts through BLAS matrix products on this path
+    cfg = write_cfg(tmp_path, alpha=0.7,
+                    map={**BASE["map"], "lambda": 0.03, "strip": [-1.0, 3.0]},
+                    curves=[{"r0": None, "amp": 0.0}] + [{"r0": None, "amp": 0.05, "K": 3}] * 3)
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        run_with_threads(threads, ["diagnose", "--config", str(cfg), "--out", str(out)])
+        reports.append((out / "diagnose.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert all(row["witness_found"] for row in json.loads(reports[0])["curves"])

@@ -232,6 +232,22 @@ def test_compose_then_invert_round_trip():
         assert comp.norm_upper(0.0) < 1e-9
 
 
+def test_invert_converges_at_newton_speed(monkeypatch):
+    # shaped like the angle displacement of a diagnose image curve: mean 0.7,
+    # oscillation about +-0.3, K 8; one eval_modes call per iteration
+    freq = Frequency((1.0, (1.0 + math.sqrt(5.0)) / 2.0))
+    h = ShellFunction.from_modes(freq, {(0, 0): 0.7, (1, 0): 0.08 - 0.05j, (0, 1): -0.06j,
+                                        (1, 1): 0.03, (2, -1): 0.01j}, K=8)
+    calls = []
+    eval_modes = qp.eval_modes
+    monkeypatch.setattr(qp, "eval_modes", lambda c, t: calls.append(1) or eval_modes(c, t))
+    h1 = invert_angle_map(h, K_out=24)
+    assert len(calls) <= 10
+    taus = np.linspace(0, 20, 300)
+    t = taus + h1.eval(taus).real
+    assert np.max(np.abs(t + h.eval(t).real - taus)) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------

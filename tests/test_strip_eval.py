@@ -1,5 +1,6 @@
-"""Property tests of the strip evaluation primitives against per-node and
-direct scattered-evaluation oracles."""
+"""Property tests of the evaluation primitives: eval_modes against FFT
+synthesis and the explicit mode sum, and the strip evaluators against
+per-node and direct scattered-evaluation oracles."""
 
 import itertools
 import math
@@ -21,6 +22,43 @@ def random_strip(rng, n, K, J, s=0.4):
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     coeffs *= np.exp(-0.5 * qp.k1_norms(K, n))[..., None]
     return StripFunction(Frequency(OMEGAS[n]), StripDomain(0.7, s), coeffs).symmetrized()[0]
+
+
+def random_box(rng, n, K, trailing):
+    shape = (2 * K + 1,) * n + trailing
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+TRAILING = st.sampled_from([(), (1,), (3,), (2, 3)])
+
+
+@PROPS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(0, 4),
+       extra=st.integers(0, 3), trailing=TRAILING)
+def test_eval_modes_matches_synthesize_on_grid(seed, n, K, extra, trailing):
+    rng = np.random.default_rng(seed)
+    coeffs = random_box(rng, n, K, trailing)
+    N = 2 * K + 1 + extra
+    got = qp.eval_modes(coeffs, qp.theta_grid(N, n).reshape(n, -1))
+    want = qp.synthesize(coeffs, n, N).reshape((N**n,) + trailing)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * np.sum(np.abs(coeffs))
+
+
+@PROPS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(0, 4),
+       P=st.integers(1, 20), trailing=TRAILING, imag=st.sampled_from([0.0, 0.3]))
+def test_eval_modes_matches_explicit_sum(seed, n, K, P, trailing, imag):
+    rng = np.random.default_rng(seed)
+    coeffs = random_box(rng, n, K, trailing)
+    theta = rng.uniform(-qp.TWO_PI, qp.TWO_PI, (n, P)) + 1j * imag * rng.uniform(-1.0, 1.0, (n, P))
+    # sum over every k of c_k e^{i<k, theta_p>}
+    phase = np.exp(1j * qp.mode_vectors(K, n).T @ theta)          # ((2K+1)^n, P)
+    want = np.tensordot(phase, coeffs.reshape((-1,) + trailing), axes=([0], [0]))
+    got = qp.eval_modes(coeffs, theta)
+    assert got.shape == (P,) + trailing
+    bound = np.sum(np.abs(coeffs)) * math.exp(imag * n * K)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * bound
 
 
 @PROPS
