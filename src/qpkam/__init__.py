@@ -56,7 +56,6 @@ from .qpfourier import (
     StripDomain,
     StripFunction,
     compose_angle,
-    eval_shell,
     invert_angle_map,
 )
 from .smoothing import SampledCpFunction, SmoothingFamily, build_family, smooth
@@ -70,7 +69,7 @@ __all__ = [
     "SampledCpFunction", "ShellFunction", "SmoothingFamily", "StripDomain",
     "StripFunction", "build_family", "build_schedule", "certify_frequency",
     "certify_rotation", "compose_angle", "divisor_sum_bound_check",
-    "epsilon_of", "eval_shell", "exactness_defect", "image_curve",
+    "epsilon_of", "exactness_defect", "image_curve",
     "inductive_step", "intersection_bound", "intersection_witness",
     "invert_angle_map", "kicked_twist", "model_from_config",
     "normalize", "pure_twist", "rigid_shift", "run", "sample_admissible",

@@ -283,7 +283,6 @@ def cmd_diophantine(args) -> int:
     _write(out_dir, "diophantine.json", report)
     if args.verbose:
         print(json.dumps(report, indent=1, sort_keys=True))
-    _metadata(out_dir, "diophantine")
     return 0
 
 
@@ -312,22 +311,23 @@ def main(argv=None) -> int:
     dp.add_argument("--verbose", action="store_true")
 
     args = parser.parse_args(argv)
-    if args.command == "diophantine":
-        return cmd_diophantine(args)
-
-    try:
-        cfg = ExperimentConfig.load(args.config)
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    if args.seed is not None:
-        cfg.seed = args.seed
+    if args.command != "diophantine":
+        try:
+            cfg = ExperimentConfig.load(args.config)
+        except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 1
+        if args.seed is not None:
+            cfg.seed = args.seed
 
     out_dir = Path(args.out)
-    handler = {"certify": cmd_certify, "solve": cmd_solve,
-               "diagnose": cmd_diagnose, "schedule": cmd_schedule}[args.command]
     try:
-        code = handler(cfg, out_dir, args.verbose)
+        if args.command == "diophantine":
+            code = cmd_diophantine(args)
+        else:
+            handler = {"certify": cmd_certify, "solve": cmd_solve,
+                       "diagnose": cmd_diagnose, "schedule": cmd_schedule}[args.command]
+            code = handler(cfg, out_dir, args.verbose)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -121,19 +121,6 @@ def _mean_only(f: StripFunction) -> np.ndarray:
     return out
 
 
-def partial_sum_chain(f: StripFunction, alpha: RotationNumber, y: float = 0.0):
-    """g_m(y) = sum_{1<=|k|_1<=m} |f_k(y)/(e^{i<k,omega>alpha}-1)| e^{|k|_1 r}
-    for m = 1..K; the proof bounds it by 6^{(n+1)/2} m^tau/gamma * |f|_{r,s}."""
-    div = _divisors_for(f, alpha)
-    k1 = k1_norms(f.K, f.n)
-    amps = np.abs(f.modes_at_y(y))
-    r = f.domain.r
-    terms = np.where(k1 > 0, amps / np.where(k1 > 0, np.abs(div), 1.0) * np.exp(r * k1), 0.0)
-    ms = np.arange(1, f.K * f.n + 1)
-    sums = np.array([float(terms[(k1 >= 1) & (k1 <= m)].sum()) for m in ms])
-    return ms, sums
-
-
 def solve_coupled(f: StripFunction, g: StripFunction, alpha: RotationNumber,
                   rho: float, epsilon: float | None = None,
                   check: bool = True) -> CohomologySolution:

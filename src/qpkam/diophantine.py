@@ -3,8 +3,7 @@
 Certification is finite: conditions are verified for all lattice vectors in
 the max-norm box 0 < |k|_inf <= K and the cutoff K is recorded, which covers
 every divisor a truncated solver can touch.  Magnitudes |k| inside the bounds
-are l1 norms.  Lattice scans run vectorized over the whole box; enumeration by
-max-norm shells is available for partial certificates.
+are l1 norms.  Lattice scans run vectorized over the whole box.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoneAdmissible, ResonantFrequency
+from .errors import ConfigError, NoneAdmissible, ResonantFrequency
 from .qpfourier import Frequency, mode_vectors
 
 RESONANCE_TOL = 1e-14
@@ -43,10 +42,10 @@ def _box_k1_and_kw(omega: np.ndarray, K: int):
 def certify_frequency(omega, K: int, sigma0: float | None = None) -> Frequency:
     """Largest c with |<k,omega>| >= c/|k|_1^sigma0 on the box 0 < |k|_inf <= K."""
     if K < 1:
-        raise ValueError("K >= 1 required")
+        raise ConfigError("K >= 1 required")
     om = np.asarray([float(w) for w in omega])
     if not np.all(np.isfinite(om)) or np.any(om == 0):
-        raise ValueError("frequencies must be finite and nonzero")
+        raise ConfigError("frequencies must be finite and nonzero")
     if sigma0 is None:
         sigma0 = float(len(om))
     kvecs, k1, kw = _box_k1_and_kw(om, K)
@@ -86,16 +85,16 @@ class RejectionReport:
 def _check_gamma_tau(gamma: float, tau: float, interval, n: int):
     a, b = interval
     if not tau > n:
-        raise ValueError(f"tau = {tau} must exceed n = {n}")
+        raise ConfigError(f"tau = {tau} must exceed n = {n}")
     if not (0.0 < gamma < 0.5 * min(1.0, 12.0**3 * (b - a))):
-        raise ValueError("gamma outside (0, min(1, 12^3(b-a))/2)")
+        raise ConfigError(f"gamma = {gamma} outside (0, min(1, 12^3(b-a))/2)")
 
 
 def certify_rotation(alpha: float, freq: Frequency, gamma: float, tau: float,
                      interval, K: int):
     """Accept alpha into the admissible class or return a RejectionReport."""
     if K < 1:
-        raise ValueError("K >= 1 required")
+        raise ConfigError("K >= 1 required")
     _check_gamma_tau(gamma, tau, interval, freq.n)
     a, b = interval
     pad = gamma / 12.0**3
@@ -150,21 +149,12 @@ def _divisor_pass(alphas: np.ndarray, freq: Frequency, gamma: float, tau: float,
     return ok, margin
 
 
-def admissible_mask(alphas: np.ndarray, freq: Frequency, gamma: float, tau: float,
-                    interval, K: int) -> np.ndarray:
-    """Vectorized certification of a batch of alphas (divisor + interval lines)."""
-    a, b = interval
-    pad = gamma / 12.0**3
-    ok, _ = _divisor_pass(alphas, freq, gamma, tau, K)
-    return ok & (alphas >= a + pad) & (alphas <= b - pad)
-
-
 def sample_admissible(freq: Frequency, gamma: float, tau: float, interval,
                       K: int, count: int, seed: int = 0) -> AdmissibleSample:
     """Uniform draws from the padded interval, certified in a batch; each
     accepted RotationNumber equals certify_rotation's for that alpha."""
     if count < 1:
-        raise ValueError("count >= 1 required")
+        raise ConfigError("count >= 1 required")
     _check_gamma_tau(gamma, tau, interval, freq.n)
     a, b = interval
     pad = gamma / 12.0**3
@@ -215,9 +205,6 @@ class DivisorTable:
         div = np.abs(np.exp(1j * kw * alpha.alpha) - 1.0)
         return DivisorTable(freq, alpha, int(m), kvecs, k1, div)
 
-    def min_divisor(self) -> float:
-        return float(np.min(self.divisors))
-
 
 @dataclass(frozen=True)
 class DivisorSumReport:
@@ -235,33 +222,3 @@ def divisor_sum_bound_check(freq: Frequency, alpha: RotationNumber, m: int) -> D
     n = freq.n
     rhs = 3.0 ** (n + 3) / 8.0 * alpha.gamma**-2.0 * float(m) ** (2.0 * alpha.tau)
     return DivisorSumReport(int(m), lhs, rhs, bool(lhs <= rhs))
-
-
-def shells_up_to(K: int, n: int):
-    """Max-norm shells {|k|_inf = m}, m = 1..K, as (n, count_m) arrays.
-
-    Scanning shell by shell gives valid partial certificates.
-    """
-    kvecs = mode_vectors(K, n)
-    kinf = np.abs(kvecs).max(axis=0)
-    return [kvecs[:, kinf == m] for m in range(1, K + 1)]
-
-
-def running_certificates(omega, K: int, sigma0: float | None = None):
-    """Per-shell partial certificates: (m, c_m) with c_m the constant verified
-    on the box |k|_inf <= m.  The sequence is nonincreasing and ends at the
-    full certificate."""
-    om = np.asarray([float(w) for w in omega])
-    if sigma0 is None:
-        sigma0 = float(len(om))
-    out = []
-    c = math.inf
-    for m, shell in enumerate(shells_up_to(K, len(om)), start=1):
-        k1 = np.abs(shell).sum(axis=0)
-        vals = np.abs(shell.T @ om)
-        worst = int(np.argmin(vals))
-        if vals[worst] <= RESONANCE_TOL:
-            raise ResonantFrequency(shell[:, worst], vals[worst])
-        c = min(c, float(np.min(vals * k1**sigma0)))
-        out.append((m, c))
-    return out

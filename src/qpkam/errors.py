@@ -54,7 +54,7 @@ class QTooLarge(QpKamError):
         )
 
 
-class SmoothnessTooLow(QpKamError):
+class SmoothnessTooLow(ConfigError):
     """Declared smoothness p fails p > 2*tau + 1."""
 
 

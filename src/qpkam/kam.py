@@ -42,7 +42,6 @@ from .qpfourier import (
     eval_strip_stack,
     grid_eval_log,
     synthesize,  # noqa: F401  (bound here for the layer tracer in benchmarks/)
-    theta_grid,
 )
 from .smoothing import FROZEN_CONSTANTS, SampledCpFunction, member_gap, q_bound, smooth
 
@@ -92,22 +91,22 @@ def build_schedule(p: float, n: int, tau: float, gamma: float,
                    q: float | None = None, k_max: int = 12) -> KamSchedule:
     """Schedule from the constants ledger; q defaults to its upper bound."""
     if not tau >= n:
-        raise ValueError(f"tau = {tau} must be >= n = {n}")
+        raise ConfigError(f"tau = {tau} must be >= n = {n}")
     if not p > 2 * tau + 1:
         raise SmoothnessTooLow(f"p = {p} must exceed 2*tau + 1 = {2 * tau + 1}")
     if not 0 < gamma < 0.5:
-        raise ValueError("0 < gamma < 1/2 required")
+        raise ConfigError(f"gamma = {gamma}: 0 < gamma < 1/2 required")
     b_smooth, b_abs = q_bound(p, tau)
     if q is None:
         q = min(b_smooth, b_abs)
     if not 0 < q <= min(b_smooth, b_abs) + 1e-15:
-        raise ValueError(f"q = {q} violates min({b_smooth:.3e}, {b_abs:.3e})")
+        raise ConfigError(f"q = {q} violates min({b_smooth:.3e}, {b_abs:.3e})")
     theta = 2.0**-tau
     if q > (theta / 10.0) ** 2 + 1e-15:
-        raise ValueError("q <= (theta/10)^2 violated")
+        raise ConfigError(f"q = {q}: q <= (theta/10)^2 violated")
     # condition (1+q)^p/(1-q) <= 2^(p-1-2 tau), checked directly
     if (1 + q) ** p / (1 - q) > 2.0 ** (p - 1 - 2 * tau):
-        raise ValueError("geometric condition (1+q)^p/(1-q) <= 2^(p-1-2tau) fails")
+        raise ConfigError("geometric condition (1+q)^p/(1-q) <= 2^(p-1-2tau) fails")
     s0 = 2.0**-tau / 300.0
     eps0 = 6.0 ** -(tau + (n + 1) / 2.0) * gamma / math.gamma(tau + 1.0)
     M0 = q * eps0 * s0 / 3.0
@@ -219,20 +218,16 @@ class ConjugacyMap:
     def range_containment(self, domain: StripDomain, target: StripDomain,
                           n_grid: int = 24) -> bool:
         """Z(domain) inside target, checked on a boundary grid: |Im Z_x| and
-        |Z_y| sampled on the corner sheets Im x = +-r, |y| = s."""
+        |Z_y| sampled at Im x in {-r, 0, r} times y in {-s, 0, s}, one node
+        column per pair."""
         xs = np.linspace(0.0, 2 * math.pi, n_grid, endpoint=False)
-        worst_im, worst_y = 0.0, 0.0
-        for im in (-domain.r, 0.0, domain.r):
-            for y in (-domain.s, 0.0, domain.s):
-                pts = xs + 1j * im
-                th = np.multiply.outer(self.P.freq.vec, pts)
-                vals = eval_strip_stack([self.P, self.S], th,
-                                        np.full(n_grid, y, dtype=complex))
-                zx = pts + vals[..., 0]
-                zy = self.L * y + vals[..., 1]
-                worst_im = max(worst_im, float(np.max(np.abs(zx.imag))))
-                worst_y = max(worst_y, float(np.max(np.abs(zy))))
-        return worst_im <= target.r and worst_y <= target.s
+        im = np.repeat([-domain.r, 0.0, domain.r], 3)[None, :]
+        y = np.tile([-domain.s, 0.0, domain.s], 3)[None, :]
+        vals = eval_strip_stack([self.P, self.S], np.multiply.outer(self.P.freq.vec, xs),
+                                y, 1j * im)
+        zx = xs[:, None] + 1j * im + vals[..., 0]
+        zy = self.L * y + vals[..., 1]
+        return bool(np.max(np.abs(zx.imag)) <= target.r and np.max(np.abs(zy)) <= target.s)
 
 
 def power_truncation(coeffs, m: int, q: float) -> np.ndarray:
@@ -307,34 +302,6 @@ def normalize(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
     report["family_level0_sup"] = m0.defect_sup()
     report["family_level0_bound"] = FROZEN_CONSTANTS["c0"] * sup_fg / sigma
     return NormalizeResult(exact, member, report, sigma)
-
-
-def family_estimates(norm: NormalizeResult, mp: QpPlanarMap, schedule: KamSchedule,
-                     k: int, p: float | None = None) -> dict:
-    """Measured values behind the three smoothing-family estimates at level k:
-    |A_0 - Omega_0| on E_0, |A - A_k| on the reals, |A_k - A_{k+1}| on E_{k+1},
-    against the c0/c1/c2 bounds with the declared norms."""
-    p = schedule.p if p is None else p
-    sigma = norm.y_scale
-    cp = mp.cp_norm / sigma + mp.cp_norm
-    m_k, m_k1 = norm.family(k), norm.family(k + 1)
-    # |A - A_k| on the real grid
-    N = default_grid(m_k.fx.K)
-    ys = m_k.domain.s * cheb_nodes(m_k.fx.J)
-    th = theta_grid(N, mp.freq.n)[..., None]
-    r = norm.exact.alpha + sigma * ys
-    diff = max(float(np.max(np.abs(mp.f_shell(th, r) - m_k.fx.sample(N, ys)))),
-               float(np.max(np.abs(mp.g_shell(th, r) / sigma - m_k.fy.sample(N, ys)))))
-    gap = m_k.gap(m_k1)
-    delta_k = float(schedule.delta[k])
-    return {
-        "level0_sup": norm.report["family_level0_sup"],
-        "level0_bound": norm.report["family_level0_bound"],
-        "reals_gap": diff,
-        "reals_bound": FROZEN_CONSTANTS["c1"] * cp * delta_k**p,
-        "member_gap": gap,
-        "member_bound": FROZEN_CONSTANTS["c2"] * cp * delta_k**p,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -525,35 +492,6 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, strict: bool = False,
     return StepResult(u, v, phi_plus, Q, report)
 
 
-def bilipschitz_sample(w_u: StripFunction, w_v: StripFunction, lc: LevelContext,
-                       rng, n_pairs: int = 64):
-    """Measured Lipschitz ratios of W = Theta + w on random pairs in D'_plus."""
-    theta = lc.theta
-    lo_ratio, hi_ratio = math.inf, 0.0
-    for _ in range(n_pairs):
-        x1, x2 = rng.uniform(0, 2 * math.pi, 2)
-        y1, y2 = rng.uniform(-lc.sp_plus, lc.sp_plus, 2)
-        ims = rng.uniform(-lc.rp_plus, lc.rp_plus, 2)
-        z1 = (x1 + 1j * ims[0], y1)
-        z2 = (x2 + 1j * ims[1], y2)
-        if abs(z1[0] - z2[0]) + abs(z1[1] - z2[1]) < 1e-9:
-            continue
-        w1 = _w_point(w_u, w_v, theta, z1)
-        w2 = _w_point(w_u, w_v, theta, z2)
-        num = max(abs(w1[0] - w2[0]), abs(w1[1] - w2[1]))
-        den = max(abs(z1[0] - z2[0]), abs(z1[1] - z2[1]))
-        ratio = num / den
-        lo_ratio, hi_ratio = min(lo_ratio, ratio), max(hi_ratio, ratio)
-    return lo_ratio, hi_ratio
-
-
-def _w_point(w_u, w_v, theta, zpt):
-    x, y = zpt
-    uu = w_u.eval_xy(np.array([x]), np.array([y]))[0]
-    vv = w_v.eval_xy(np.array([x]), np.array([y]))[0]
-    return x + uu, theta * y + vv
-
-
 # ---------------------------------------------------------------------------
 # solve-back
 # ---------------------------------------------------------------------------
@@ -563,32 +501,32 @@ def _pullback_grid(Z: ConjugacyMap, thf, targets_theta_disp: np.ndarray,
                    tol: float, max_iter: int = 40):
     """Solve Z(w) = target per point x by damped Newton, seeded.
 
-    thf is scattered shell points (n, P) or a grid size N (eval_strip_stack).
-    Unknowns are the x-displacement a (w_x = x + a) and w_y; targets are the
-    x-displacement of the target and its y value.
+    thf is scattered shell points (n, P) or a grid size N (eval_strip_stack);
+    targets and seeds have shape (P,) or (P, nodes), one column per node, and
+    all nodes iterate until the largest residual meets tol.  Unknowns are the
+    x-displacement a (w_x = x + a) and w_y; targets are the x-displacement of
+    the target and its y value.
     """
     a = seeds_disp.copy()
     yv = seeds_y.copy()
     for it in range(max_iter):
-        P, Zy = Z.values_at(thf, yv.ravel(), a.ravel())
-        r1 = (a.ravel() + P) - targets_theta_disp.ravel()
-        r2 = Zy - targets_y.ravel()
+        P, Zy = Z.values_at(thf, yv, a)
+        r1 = (a + P) - targets_theta_disp
+        r2 = Zy - targets_y
         res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
         if res < tol:
             break
-        j11, j12, j21, j22 = Z.jacobian_at(thf, yv.ravel(), a.ravel())
+        j11, j12, j21, j22 = Z.jacobian_at(thf, yv, a)
         det = j11 * j22 - j12 * j21
         singular = np.abs(det) < 1e-14
         if np.any(singular):
             i = int(np.argmax(singular))
-            raise RootFindFailed((float(a.ravel()[i]), float(yv.ravel()[i])), res)
-        da = (j22 * r1 - j12 * r2) / det
-        dy = (-j21 * r1 + j11 * r2) / det
-        a = a - da.reshape(a.shape)
-        yv = yv - dy.reshape(yv.shape)
+            raise RootFindFailed((float(a.flat[i]), float(yv.flat[i])), res)
+        a = a - (j22 * r1 - j12 * r2) / det
+        yv = yv - (-j21 * r1 + j11 * r2) / det
     else:
         i = int(np.argmax(np.abs(r1) + np.abs(r2)))
-        raise RootFindFailed((float(a.ravel()[i]), float(yv.ravel()[i])), res)
+        raise RootFindFailed((float(a.flat[i]), float(yv.flat[i])), res)
     return a, yv
 
 
@@ -619,13 +557,10 @@ def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
     dx = A_next.alpha + A_next.twist * Zy + fx[..., 0]
     t_disp = P + dx                           # x-displacement of A(Z) vs x
     t_y = Zy + fx[..., 1]
-    # seed: Phi_plus(x, y), solved in place node by node
+    # seed: Phi_plus(x, y)
     a = A_next.alpha + twist_next * nodes + at_nodes(phi_plus.fx)
     yv = nodes + at_nodes(phi_plus.fy)
-    scale = 1.0 + abs(A_next.alpha)
-    for j in range(J + 1):
-        a[:, j], yv[:, j] = _pullback_grid(Z, N, t_disp[:, j], t_y[:, j],
-                                           a[:, j], yv[:, j], tol * scale)
+    a, yv = _pullback_grid(Z, N, t_disp, t_y, a, yv, tol * (1.0 + abs(A_next.alpha)))
     grid = (N,) * n + (J + 1,)
     a_out = (a - A_next.alpha - twist_next * nodes).reshape(grid)
     y_out = (yv - nodes).reshape(grid)
@@ -665,33 +600,30 @@ def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: Truncation
     freq = Z.P.freq
     etas = np.linspace(-0.9 * s_plus, 0.9 * s_plus, n_eta)
     xis = np.linspace(0.0, span, n_xi, endpoint=False)
+    # one column per eta: the curves xi -> Z(xi, eta) side by side
+    th = np.multiply.outer(freq.vec, xis)
+    eta_cols = np.broadcast_to(etas, (n_xi, n_eta))
+    P, Zy = Z.values_at(th, eta_cols)
+    zt = th[..., None] + np.multiply.outer(freq.vec, P)
+    dx, dy = exact.displacement(zt, Zy)
+    a, yv = _pullback_grid(Z, th, P + dx, Zy + dy, alpha + eps_plus * eta_cols,
+                           eta_cols, 1e-12 * (1 + abs(alpha)))
+    d = yv - etas                             # Psi^(2) - eta along each curve
+    psi1_dev = a - alpha - eps_plus * etas    # Psi^(1) - (xi + alpha + eps+ eta)
+    N_glob = max(float(np.max(np.abs(d - Q.eval(etas)))), float(np.max(np.abs(psi1_dev))))
     witnesses = []
-    N_glob = 0.0
-    for eta in etas:
-        th = np.multiply.outer(freq.vec, xis)
-        P, Zy = Z.values_at(th, np.full(n_xi, eta))
-        zt = th + np.multiply.outer(freq.vec, P)
-        dx, dy = exact.displacement(zt, Zy)
-        t_disp = P + dx
-        t_y = Zy + dy
-        seed_disp = np.full(n_xi, alpha + eps_plus * eta)
-        seed_y = np.full(n_xi, eta)
-        a, yv = _pullback_grid(Z, th, t_disp, t_y,
-                               seed_disp, seed_y, 1e-12 * (1 + abs(alpha)))
-        d = yv - eta                          # Psi^(2) - eta along the curve
-        psi1_dev = a - alpha - eps_plus * eta  # Psi^(1) - (xi + alpha + eps+ eta)
-        N_glob = max(N_glob, float(np.max(np.abs(d - Q.eval(eta)))),
-                     float(np.max(np.abs(psi1_dev))))
+    for eta, d_eta in zip(etas, d.T):
         scale = 1.0 + abs(eta)
-        if float(np.min(np.abs(d))) <= atol * scale:
-            witnesses.append((float(eta), float(xis[int(np.argmin(np.abs(d)))])))
+        if float(np.min(np.abs(d_eta))) <= atol * scale:
+            witnesses.append((float(eta), float(xis[int(np.argmin(np.abs(d_eta)))])))
         else:
-            sgn = np.sign(d)
+            sgn = np.sign(d_eta)
             flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
             if flips.size == 0:
                 raise NoIntersectionWitness(
                     f"no radial sign change at eta = {eta:.3e} "
-                    f"(min d = {float(np.min(d)):.3e}, max d = {float(np.max(d)):.3e})")
+                    f"(min d = {float(np.min(d_eta)):.3e}, "
+                    f"max d = {float(np.max(d_eta)):.3e})")
             i = int(flips[0])
             witnesses.append((float(eta), float(0.5 * (xis[i] + xis[i + 1]))))
     q_sup = Q.sup_disc(s_plus)
@@ -794,10 +726,11 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
     else:
         k0 = int(start_level)
 
+    dom_k0 = StripDomain(float(schedule.r[k0]), float(schedule.s[k0]))
     dom_prime = StripDomain(float(schedule.r_prime[k0]), float(schedule.s_prime[k0]))
     Z = ConjugacyMap.identity(freq, dom_prime, K_trunc, J)
     A_cur = member(k0)
-    H = A_cur.restricted(StripDomain(float(schedule.r[k0]), float(schedule.s[k0])))
+    H = A_cur.restricted(dom_k0)
     H = NormalizedMap(alpha.alpha, sigma, H.fx, H.fy, H.domain)
 
     trace = []
@@ -828,8 +761,10 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
                 rec["w_minus_theta"] = step.report["w_minus_theta"]
                 rec["Q"] = [step.Q.a0, step.Q.a1, step.Q.a2]
 
-                # Z_{k+1} = Z_k o W_k on D'_{k+1}
+                # Z_{k+1} = Z_k o W_k on D'_{k+1}, mapping D_{k+1} into D_{k0}
                 Z = compose_conjugacy(Z, step.w_u, step.w_v, lc, schedule)
+                rec["Z_contained"] = Z.range_containment(
+                    StripDomain(float(schedule.r[k + 1]), float(schedule.s[k + 1])), dom_k0)
 
                 # replace A_k by A_{k+1} through the new conjugacy
                 A_next = member(k + 1)

@@ -122,6 +122,9 @@ def model_from_config(cfg: dict, freq: Frequency) -> QpPlanarMap:
         return pure_twist(freq, strip)
     if name == "kicked_twist":
         modes = [(tuple(m["k"]), float(m.get("c", 1.0))) for m in cfg.get("modes", [])]
+        for k, _ in modes:
+            if len(k) != freq.n:
+                raise ConfigError(f"mode k = {list(k)} needs {freq.n} components")
         return kicked_twist(freq, float(cfg.get("lambda", 0.0)), modes,
                             flux=float(cfg.get("flux", 0.0)), strip=strip)
     if name == "rigid_shift":
@@ -245,7 +248,10 @@ def intersection_witness(mp: QpPlanarMap, curve: CurveGraph, grid_size: int = 25
             found, xi_star, sign_change = True, float(0.5 * (lo + hi)), True
     area = None
     if mp.declared.get("exact_symplectic"):
-        area = _area_functional_signs(r_orig, img.r_of_theta())
+        # img.psi is already the image's radius over the angle (the same
+        # operand as in d); img.r_of_theta() would invert phi1, which is only
+        # the inversion's truncation residual
+        area = _area_functional_signs(r_orig, img.psi)
     return WitnessReport(found, xi_star, sign_change, d, area)
 
 

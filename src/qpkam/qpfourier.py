@@ -319,10 +319,6 @@ class ShellFunction:
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval_theta(self, theta_pts: np.ndarray) -> np.ndarray:
-        """Evaluate the shell at scattered torus points, shape (n, P)."""
-        return eval_modes(self.coeffs, np.atleast_2d(theta_pts))
-
     def eval(self, x) -> np.ndarray | complex:
         """Evaluate f(x) = sum_k f_k e^{i<k,omega>x}; x scalar or array."""
         x_arr = np.asarray(x, dtype=complex)
@@ -330,11 +326,6 @@ class ShellFunction:
         vals = eval_modes(self.coeffs, theta)
         vals = vals.reshape(x_arr.shape)
         return complex(vals) if vals.ndim == 0 else vals
-
-    def in_strip(self, x) -> bool:
-        """Whether Im(x)*max|omega_j| stays within the certified width."""
-        imax = float(np.max(np.abs(np.imag(np.asarray(x, dtype=complex)))))
-        return imax * float(np.max(np.abs(self.freq.vec))) <= self.width + 1e-15
 
     def sample(self, N: int | None = None) -> np.ndarray:
         N = N or default_grid(self.K)
@@ -406,11 +397,6 @@ class ShellFunction:
     def sup_norm(self, rho: float = 0.0):
         """Bracketing interval [grid max, weighted coefficient sum] for |f|_rho."""
         return self.norm_lower(rho), self.norm_upper(rho)
-
-
-def eval_shell(f: ShellFunction, x):
-    """Operation-level evaluation returning (value, extrapolated_flag)."""
-    return f.eval(x), not f.in_strip(x)
 
 
 def shell_product(f: ShellFunction, g: ShellFunction, K_out: int | None = None) -> ShellFunction:
@@ -604,16 +590,12 @@ class StripFunction:
             boxes = boxes * np.exp(1j * kw * shift)
         return synthesize_grid(boxes, self.n, N).real
 
-    def eval_theta_y(self, theta_pts: np.ndarray, y_pts) -> np.ndarray:
-        """Scattered evaluation; theta_pts (n, P), y_pts scalar or (P,)."""
-        return eval_strip_stack([self], np.atleast_2d(theta_pts), y_pts)[..., 0]
-
     def eval_xy(self, x, y) -> np.ndarray:
+        """Scattered evaluation at points x (any shape), y broadcast to x."""
         x_arr = np.asarray(x, dtype=complex)
         theta = np.multiply.outer(self.freq.vec, x_arr.ravel())
         y_arr = np.broadcast_to(np.asarray(y, dtype=complex), x_arr.shape).ravel()
-        vals = self.eval_theta_y(theta, y_arr)
-        return vals.reshape(x_arr.shape)
+        return eval_strip_stack([self], theta, y_arr)[..., 0].reshape(x_arr.shape)
 
     # -- algebra -------------------------------------------------------------
 
@@ -805,6 +787,7 @@ def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:
             for m in range(M - 1, -1, -1):          # Horner in d
                 rows = rows * dj[:, None, None] + derivs[:, m]
         out[sl] = cheb_eval_rows(np.moveaxis(rows, -1, -2), t[sl][..., None])
+        derivs = rows = None        # free this slice before the next synthesis
     if all(np.isrealobj(a) for a in (theta_pts, y_pts, disp)):
         return out.real
     return out

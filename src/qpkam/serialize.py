@@ -1,7 +1,6 @@
-"""JSON serialization for shell and strip functions.
+"""JSON serialization of shell functions (the phi and psi of curve.json).
 
-Schema (shell): {"omega": [...], "width": r, "coeffs": [{"k": [k1..kn], "re": .., "im": ..}]}
-Strip functions add "domain": {"r": .., "s": ..} and a "j" index per entry.
+Schema: {"omega": [...], "width": r, "coeffs": [{"k": [k1..kn], "re": .., "im": ..}]}
 Zero coefficients are omitted; entries are emitted in lexicographic order so
 dumps are byte-stable for identical inputs.
 """
@@ -12,7 +11,7 @@ import json
 
 import numpy as np
 
-from .qpfourier import Frequency, ShellFunction, StripDomain, StripFunction, mode_vectors
+from .qpfourier import Frequency, ShellFunction, mode_vectors
 
 
 def shell_to_dict(f: ShellFunction) -> dict:
@@ -35,38 +34,6 @@ def shell_from_dict(d: dict, K: int | None = None) -> ShellFunction:
         idx = tuple(int(v) + K for v in e["k"])
         coeffs[idx] = e["re"] + 1j * e["im"]
     return ShellFunction(freq, coeffs, float(d.get("width", 0.0)))
-
-
-def strip_to_dict(f: StripFunction, extra: dict | None = None) -> dict:
-    kvecs = mode_vectors(f.K, f.n).T
-    flat = f.coeffs.reshape(-1, f.J + 1)
-    entries = []
-    for k, row in zip(kvecs, flat):
-        for j, c in enumerate(row):
-            if c != 0:
-                entries.append({"k": [int(v) for v in k], "j": j,
-                                "re": float(c.real), "im": float(c.imag)})
-    out = {"omega": list(f.freq.omega),
-           "domain": {"r": float(f.domain.r), "s": float(f.domain.s)},
-           "coeffs": entries}
-    if extra:
-        out.update(extra)
-    return out
-
-
-def strip_from_dict(d: dict, K: int | None = None, J: int | None = None) -> StripFunction:
-    freq = Frequency(tuple(d["omega"]))
-    dom = StripDomain(float(d["domain"]["r"]), float(d["domain"]["s"]))
-    entries = d.get("coeffs", [])
-    if K is None:
-        K = max((max(abs(int(v)) for v in e["k"]) for e in entries), default=0)
-    if J is None:
-        J = max((int(e["j"]) for e in entries), default=0)
-    coeffs = np.zeros((2 * K + 1,) * freq.n + (J + 1,), dtype=complex)
-    for e in entries:
-        idx = tuple(int(v) + K for v in e["k"]) + (int(e["j"]),)
-        coeffs[idx] = e["re"] + 1j * e["im"]
-    return StripFunction(freq, dom, coeffs)
 
 
 def dump_json(obj, path) -> None:

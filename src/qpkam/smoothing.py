@@ -17,7 +17,6 @@ import numpy as np
 from .errors import QTooLarge
 from .qpfourier import (
     Frequency,
-    ShellFunction,
     StripDomain,
     StripFunction,
     default_grid,
@@ -63,22 +62,6 @@ class SampledCpFunction:
         theta = np.multiply.outer(self.freq.vec, x_arr)
         return self.shell_sampler(theta, y)
 
-    def check_quasiperiodic(self, n_periods: int = 6, tol: float = 1e-6) -> bool:
-        """Spot-check |h(x + T, y) - h(x, y)| for near-periods T of omega."""
-        # near-periods: T with omega_j*T all close to multiples of 2*pi
-        om = self.freq.vec
-        best_T, best_err = None, math.inf
-        for m in range(1, 4000):
-            T = 2.0 * math.pi * m / om[0]
-            err = max(abs((w * T / (2 * math.pi)) % 1.0 - 0.5) for w in om[1:]) if len(om) > 1 else 0.5
-            err = 0.5 - err
-            if err < best_err:
-                best_err, best_T = err, T
-        xs = np.linspace(0.0, 5.0, 64)
-        gap = np.abs(self.sample_line(xs + best_T, 0.0) - self.sample_line(xs, 0.0))
-        # the defect scales with the angle misfit of the near-period
-        return float(np.max(gap)) <= max(tol, 20.0 * best_err * self.cp_norm)
-
 
 def smooth(h: SampledCpFunction, delta: float, K_trunc: int, J: int = 0,
            domain_s: float | None = None, N: int | None = None) -> StripFunction:
@@ -101,12 +84,6 @@ def smooth(h: SampledCpFunction, delta: float, K_trunc: int, J: int = 0,
     return StripFunction(h.freq, StripDomain(delta, s_box), coeffs)
 
 
-def smooth_shell(h: ShellFunction, delta: float) -> ShellFunction:
-    """Mollify an explicit shell function (pure coefficient filter)."""
-    sym = lowpass_symbol(k1_norms(h.K, h.n), delta)
-    return ShellFunction(h.freq, h.coeffs * sym, max(h.width, delta))
-
-
 # frozen calibration constants for Lemma-2.9-type inequalities; fitted once on
 # a corpus of known-norm trig data (see tests) and used by smallness reports
 FROZEN_CONSTANTS = {"c0": 2.0, "c1": 2.0, "c2": 2.0}
@@ -120,13 +97,6 @@ class SmoothingFamily:
     c1: float
     c2: float
     report: dict = field(default_factory=dict)
-
-    def members_to_json(self) -> list:
-        """Members in the strip-function schema with an added delta field."""
-        from .serialize import strip_to_dict
-
-        return [strip_to_dict(m, extra={"delta": float(d)})
-                for d, m in zip(self.deltas, self.members)]
 
 
 def _family_fit(h: SampledCpFunction, deltas, members, sup_h: float,

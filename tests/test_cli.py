@@ -97,6 +97,37 @@ def test_wrong_typed_field_exit_1(tmp_path, capsys, key, value):
     assert len(err) == 1 and err[0].startswith("config error:") and key in err[0]
 
 
+DIOPHANTINE_ARGS = ["--omega", "1.0", str(2.0**0.5), "--gamma", "1e-3", "--K", "30",
+                    "--interval", "0.4", "1.2", "--count", "200"]
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("certify", {"omega": [0.0, 1.0]}),                       # a zero frequency
+    ("solve", {"tau": 1.5}),                                  # tau <= n
+    ("certify", {"tau": 2.0}),
+    ("certify", {"gamma": 0.7}),                              # gamma >= 1/2
+    ("schedule", {"gamma": 0.7}),
+    ("solve", {"q": 0.5}),                                    # q above its bound
+    ("schedule", {"q": 0.5}),
+    ("solve", {"p": 5.0}),                                    # p <= 2 tau + 1
+    ("schedule", {"p": 5.0}),
+    ("solve", {"map": {**BASE["map"], "modes": [{"k": [1, 0, 0], "c": 0.5}]}}),
+    ("diophantine", ["--tau", "1.5"]),
+    ("diophantine", ["--tau", "3.0", "--gamma", "0.7"]),
+])
+def test_bad_parameters_exit_1(tmp_path, capsys, command, overrides):
+    out = str(tmp_path / "o")
+    if command == "diophantine":
+        argv = ["diophantine", *DIOPHANTINE_ARGS, *overrides, "--out", out]
+    else:
+        argv = [command, "--config", str(write_cfg(tmp_path, **overrides)), "--out", out]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_malformed_config_exit_1(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -12,7 +12,7 @@ import pytest
 
 import qpkam
 from qpkam import qpfourier as qp
-from qpkam.cohomology import epsilon_of, partial_sum_chain, solve_coupled, solve_single
+from qpkam.cohomology import epsilon_of, solve_coupled, solve_single
 from qpkam.diophantine import certify_frequency, sample_admissible
 from qpkam.errors import UncertifiedDivisor
 from qpkam.qpfourier import StripDomain, StripFunction
@@ -127,14 +127,21 @@ def test_uncertified_divisor():
 
 
 def test_partial_sum_chain_bound():
+    # g_m(y) = sum_{1<=|k|_1<=m} |f_k(y)/(e^{i<k,omega>alpha}-1)| e^{|k|_1 r},
+    # m = 1..K n, is bounded by 6^{(n+1)/2} m^tau/gamma * |f|_{r,s}
     rng = np.random.default_rng(7)
     n = FREQ.n
     for _ in range(5):
         f = random_strip(rng)
         fnorm = f.norm_upper(DOM.r, DOM.s)
+        k1 = qp.k1_norms(f.K, n)
+        div = np.abs(np.exp(1j * qp.k_dot_omega(f.K, FREQ.vec) * ALPHA.alpha) - 1.0)
+        ms = np.arange(1, f.K * n + 1)
+        bound = 6.0 ** ((n + 1) / 2.0) * ms ** ALPHA.tau / ALPHA.gamma * fnorm
         for y in (0.0, 0.2, -0.29):
-            ms, sums = partial_sum_chain(f, ALPHA, y)
-            bound = 6.0 ** ((n + 1) / 2.0) * ms ** ALPHA.tau / ALPHA.gamma * fnorm
+            terms = np.where(k1 > 0, np.abs(f.modes_at_y(y)) / np.where(k1 > 0, div, 1.0)
+                             * np.exp(f.domain.r * k1), 0.0)
+            sums = np.array([terms[(k1 >= 1) & (k1 <= m)].sum() for m in ms])
             assert np.all(sums <= bound * (1 + 1e-12))
 
 

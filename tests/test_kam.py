@@ -236,8 +236,7 @@ def test_step_contraction_factor_proof_scale():
 
 
 def test_step_bilipschitz_sample():
-    from qpkam.kam import bilipschitz_sample
-
+    # measured Lipschitz ratios of W = Theta + w on random pairs in D'_plus
     tau, gamma, q = 2.05, 0.15, 0.3
     alpha = sample_admissible(FREQ, gamma, tau, (0.3, 1.1), K=30, count=2000,
                               seed=11).accepted[0]
@@ -254,9 +253,17 @@ def test_step_bilipschitz_sample():
     H = NormalizedMap(alpha.alpha, eps, fx, StripFunction.zeros(FREQ, dom, 5, 3), dom)
     step = inductive_step(H, lc, strict=True)
     rng = np.random.default_rng(5)
-    lo, hi = bilipschitz_sample(step.w_u, step.w_v, lc, rng)
-    assert lo >= theta * (1 - q) * (1 - 1e-6)
-    assert hi <= (1 + q) * (1 + 1e-6)
+    n_points = 128                        # 64 pairs: point 2i against 2i + 1
+    x = (rng.uniform(0, 2 * math.pi, n_points)
+         + 1j * rng.uniform(-lc.rp_plus, lc.rp_plus, n_points))
+    y = rng.uniform(-lc.sp_plus, lc.sp_plus, n_points)
+    wx = x + step.w_u.eval_xy(x, y)
+    wy = theta * y + step.w_v.eval_xy(x, y)
+    num = np.maximum(np.abs(wx[::2] - wx[1::2]), np.abs(wy[::2] - wy[1::2]))
+    den = np.maximum(np.abs(x[::2] - x[1::2]), np.abs(y[::2] - y[1::2]))
+    ratios = num / den
+    assert ratios.min() >= theta * (1 - q) * (1 - 1e-6)
+    assert ratios.max() <= (1 + q) * (1 + 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +370,31 @@ def test_pullback_singular_jacobian_raises():
     with pytest.raises(RootFindFailed) as info:
         _pullback_grid(Z, thf, zeros, zeros + 0.1, zeros, zeros, 1e-12)
     assert info.value.point == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("grid", [True, False])
+def test_pullback_grid_node_axis_matches_per_node_calls(grid):
+    # a (P, nodes) solve agrees with one (P,) solve per node column
+    from qpkam.kam import _pullback_grid
+
+    dom = StripDomain(0.5, 0.01)
+    Z = small_conjugacy(dom, seed=3, amp=1e-4)
+    N = qp.default_grid(Z.P.K)
+    thf = N if grid else qp.theta_grid(N, 2).reshape(2, -1)[:, ::7]
+    P = N**2 if grid else thf.shape[1]
+    ys = dom.s * qp.cheb_nodes(Z.P.J)
+    rng = np.random.default_rng(8)
+    t_disp = 0.3 + 1e-4 * rng.standard_normal((P, ys.size))
+    t_y = ys + 1e-4 * rng.standard_normal((P, ys.size))
+    seed_disp = np.full((P, ys.size), 0.3)
+    seed_y = np.broadcast_to(ys, (P, ys.size))
+    a, yv = _pullback_grid(Z, thf, t_disp, t_y, seed_disp, seed_y, 1e-13)
+    assert a.shape == yv.shape == (P, ys.size)
+    for j in range(ys.size):
+        aj, yj = _pullback_grid(Z, thf, t_disp[:, j], t_y[:, j],
+                                seed_disp[:, j], seed_y[:, j], 1e-13)
+        assert np.max(np.abs(a[:, j] - aj)) <= 1e-13
+        assert np.max(np.abs(yv[:, j] - yj)) <= 1e-13
 
 
 def test_solve_back_reconstructs_synthetic():
@@ -572,16 +604,22 @@ def test_trace_BM_trend_and_containment():
     dom = StripDomain(float(sched.r[k_last]), float(sched.s[k_last]))
     target = StripDomain(float(sched.r[0]), float(sched.s[0]))
     assert out.Z.range_containment(dom, target)
+    # the driver records the same check after every step
+    assert len(out.trace) > 1
+    assert all(r["Z_contained"] for r in out.trace[:-1])
 
 
 def test_family_estimates_report():
-    from qpkam.kam import family_estimates, normalize
-
     sched = make_schedule()
     mp = acceptance_map()
     norm = normalize(mp, ALPHA, sched, K_trunc=8, J=6, y_scale=16.0)
-    rep = family_estimates(norm, mp, sched, k=1, p=8.0)
-    assert rep["level0_sup"] <= rep["level0_bound"]
-    assert rep["reals_gap"] >= 0.0 and math.isfinite(rep["reals_bound"])
-    # level 1 admits the |k|_1 = 1 modes; the gap to A is the blocked (1,1) part
-    assert rep["reals_gap"] == pytest.approx(1e-4 * 0.15, rel=2e-2)
+    assert norm.report["family_level0_sup"] <= norm.report["family_level0_bound"]
+    # |A - A_1| on the real grid: level 1 admits the |k|_1 = 1 modes, so the
+    # gap to A is the blocked (1,1) part
+    m1 = norm.family(1)
+    N = qp.default_grid(m1.fx.K)
+    ys = m1.fx.y_nodes()
+    th = qp.theta_grid(N, FREQ.n)[..., None]
+    f_exact = mp.f_shell(th, norm.exact.alpha + norm.y_scale * ys)
+    gap = float(np.max(np.abs(f_exact - m1.fx.sample(N, ys))))
+    assert gap == pytest.approx(1e-4 * 0.15, rel=2e-2)

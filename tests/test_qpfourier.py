@@ -13,7 +13,6 @@ from qpkam.qpfourier import (
     StripDomain,
     StripFunction,
     compose_angle,
-    eval_shell,
     invert_angle_map,
     shell_product,
 )
@@ -60,15 +59,11 @@ def test_eval_mixed_mode_oracle():
     assert f.eval(1.0).real == pytest.approx(expected, abs=1e-13)
 
 
-def test_eval_real_output_and_strip_flag():
+def test_eval_real_output():
     rng = np.random.default_rng(7)
     f = random_shell(rng, FREQ2, K=4, width=0.5)
     vals = f.eval(np.linspace(0, 10, 50))
     assert np.max(np.abs(vals.imag)) < 1e-12
-    _, flagged = eval_shell(f, 0.3)
-    assert not flagged
-    _, flagged = eval_shell(f, 0.3 + 1.0j)
-    assert flagged
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +327,10 @@ def test_strip_scale_y_is_theta_composition():
 
 
 def test_serialization_round_trip():
-    from qpkam.serialize import shell_from_dict, shell_to_dict, strip_from_dict, strip_to_dict
+    from qpkam.serialize import shell_from_dict, shell_to_dict
 
     rng = np.random.default_rng(17)
     f = random_shell(rng, FREQ2, K=3, width=0.4)
     g = shell_from_dict(shell_to_dict(f))
     assert np.max(np.abs(g.coeffs - f.coeffs)) == 0.0
     assert g.width == f.width
-
-    dom = StripDomain(0.8, 0.3)
-    u = random_strip(rng, FREQ2, dom, K=2, J=3)
-    v = strip_from_dict(strip_to_dict(u))
-    assert np.max(np.abs(v.coeffs - u.coeffs)) == 0.0

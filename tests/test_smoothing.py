@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from qpkam.errors import QTooLarge, SamplerNotFinite
-from qpkam.qpfourier import Frequency, ShellFunction
+from qpkam.qpfourier import Frequency, ShellFunction, eval_modes
 from qpkam.smoothing import (
     SampledCpFunction,
     build_family,
     lowpass_symbol,
     q_bound,
     smooth,
-    smooth_shell,
 )
 
 FREQ = Frequency((1.0, math.sqrt(2.0)))
@@ -74,7 +73,7 @@ def test_smooth_reproduces_trig_polynomial():
     # all modes |k|_1 <= 2 pass exactly once 1/(2 delta) >= 2
     modes = {(1, 0): 0.3, (0, 1): 0.2 - 0.1j, (1, 1): 0.05}
     f = ShellFunction.from_modes(FREQ, modes, K=2, width=1.0)
-    h = SampledCpFunction(lambda th, y: f.eval_theta(th.reshape(2, -1)).real.reshape(th.shape[1:]),
+    h = SampledCpFunction(lambda th, y: eval_modes(f.coeffs, th.reshape(2, -1)).real.reshape(th.shape[1:]),
                           6.0, 10.0, FREQ)
     hd = smooth(h, delta=0.25, K_trunc=4, J=0)
     xs = np.linspace(0, 20, 100)
@@ -159,13 +158,6 @@ def test_family_convergence_monotone_slack():
     assert errs[-1] < errs[0]
 
 
-def test_smooth_shell_filter():
-    f = ShellFunction.from_modes(FREQ, {(1, 0): 0.5, (3, 3): 0.1}, K=3, width=1.0)
-    g = smooth_shell(f, delta=0.25)       # keeps |k|_1 <= 2, kills |k|_1 >= 4
-    assert g.coeffs[3 + 1, 3 + 0] == pytest.approx(0.5)
-    assert g.coeffs[3 + 3, 3 + 3] == 0.0
-
-
 def test_norm_equivalence_axis_modes():
     # for F = cos(m theta_d): ||F||_p = sum_i m^i, ||h||_p = sum_i (m w_d)^i;
     # they bracket each other within max(1, max_j |omega_j|^p)
@@ -177,19 +169,3 @@ def test_norm_equivalence_axis_modes():
             norm_h = sum((m * w) ** i for i in range(p + 1))
             assert norm_F <= factor * norm_h * (1 + 1e-12)
             assert norm_h <= factor * norm_F * (1 + 1e-12)
-
-
-def test_quasiperiodicity_spot_check():
-    h, *_ = lacunary(jmax=4)
-    assert h.check_quasiperiodic()
-
-
-def test_family_serialization_has_delta():
-    h, *_ = lacunary(jmax=3)
-    fam = build_family(h, q=3e-4, depth=2, tau=2.2, K_trunc=16, J=2)
-    docs = fam.members_to_json()
-    assert [d["delta"] for d in docs] == [float(x) for x in fam.deltas]
-    from qpkam.serialize import strip_from_dict
-    m0 = strip_from_dict(docs[1])
-    import numpy as _np
-    assert _np.allclose(m0.coeffs, fam.members[1].pad_to(m0.K).coeffs) if hasattr(fam.members[1], "pad_to") else True
