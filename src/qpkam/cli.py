@@ -3,7 +3,8 @@
 All reports are JSON (CSV only for plot-ready curve samples); identical
 config + seed reproduce byte-identical outputs, with timestamps kept in a
 separate metadata file.  Exit codes: 0 ok, 1 config/parse error, 2 Diophantine
-rejection, 3 not converged.
+rejection (ResonantFrequency, NoneAdmissible or a rejected rotation number),
+3 not converged or another numerical failure (NotAGraph, NoConvergence, ...).
 """
 
 import argparse
@@ -28,9 +29,13 @@ from .kam import build_schedule, run, smallness_check
 from .maps import CurveGraph, exactness_defect, flat_curve, intersection_witness, model_from_config
 from .qpfourier import Frequency, ShellFunction
 
-# config fields checked for type by ExperimentConfig.load (bools are not numbers)
+# fields checked for type by ExperimentConfig.load in the config and in its
+# map, map.modes and curves objects (bools are not numbers)
 INT_FIELDS = ("K", "K_trunc", "J", "k_max", "seed", "sample_count")
-FLOAT_FIELDS = ("gamma", "tau", "sigma0", "alpha", "p", "q", "tol", "y_scale")
+FLOAT_FIELDS = ("gamma", "tau", "sigma0", "alpha", "p", "q", "tol", "y_scale",
+                "lambda", "flux", "c", "r0", "amp")
+PAIR_FIELDS = ("interval", "strip")
+NULLABLE_FIELDS = ("sigma0", "alpha", "q", "r0")
 
 
 def _is_int(value) -> bool:
@@ -39,6 +44,28 @@ def _is_int(value) -> bool:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_list_of(value, item_ok, length: int | None = None) -> bool:
+    return (isinstance(value, list) and length in (None, len(value))
+            and all(map(item_ok, value)))
+
+
+def _check_fields(obj, where: str) -> None:
+    """Type-check the INT_FIELDS, FLOAT_FIELDS and PAIR_FIELDS entries of one
+    config object; where names the object in messages ("" for the top level)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where or 'config'} must be an object, got {obj!r}")
+    for key, value in obj.items():
+        name = f"{where}.{key}" if where else key
+        if value is None and key in NULLABLE_FIELDS:
+            continue
+        if key in INT_FIELDS and not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if key in FLOAT_FIELDS and not _is_number(value):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        if key in PAIR_FIELDS and not _is_list_of(value, _is_number, 2):
+            raise ValueError(f"{name} must be a list of two numbers, got {value!r}")
 
 
 @dataclass
@@ -69,27 +96,28 @@ class ExperimentConfig:
     def load(path: str) -> "ExperimentConfig":
         with open(path) as fh:
             raw = json.load(fh)
+        _check_fields(raw, "")
         required = ["omega", "gamma", "tau", "interval"]
         missing = [key for key in required if key not in raw]
         if missing:
             raise ValueError(f"config missing required keys: {missing}")
-        fields = ExperimentConfig.__dataclass_fields__
-        unknown = set(raw) - set(fields)
+        unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in raw.items():
-            if value is None and fields[key].default is None:
-                continue
-            if key in INT_FIELDS and not _is_int(value):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-            if key in FLOAT_FIELDS and not _is_number(value):
-                raise ValueError(f"{key} must be a number, got {value!r}")
-        if not (isinstance(raw["omega"], list) and len(raw["omega"]) >= 1
-                and all(map(_is_number, raw["omega"]))):
+        if not (_is_list_of(raw["omega"], _is_number) and raw["omega"]):
             raise ValueError("omega must be a nonempty list of numbers")
-        if not (isinstance(raw["interval"], list) and len(raw["interval"]) == 2
-                and all(map(_is_number, raw["interval"]))):
-            raise ValueError("interval must be a list of two numbers")
+        mp = raw.get("map", {})
+        _check_fields(mp, "map")
+        if not isinstance(mp.get("model", ""), str):
+            raise ValueError(f"map.model must be a string, got {mp['model']!r}")
+        for where, items in (("map.modes", mp.get("modes", [])),
+                             ("curves", raw.get("curves", []))):
+            if not isinstance(items, list):
+                raise ValueError(f"{where} must be a list, got {items!r}")
+            for i, item in enumerate(items):
+                _check_fields(item, f"{where}[{i}]")
+        if not all(_is_list_of(mode.get("k"), _is_int) for mode in mp.get("modes", [])):
+            raise ValueError("every map.modes k must be a list of integers")
         cfg = ExperimentConfig(**raw)
         if cfg.K_trunc > cfg.K:
             raise ValueError(f"K_trunc = {cfg.K_trunc} exceeds the certified cutoff K = {cfg.K}")
@@ -195,6 +223,8 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
 
 def _diagnose_curves(cfg: ExperimentConfig, freq: Frequency, alpha: float):
     rng = np.random.default_rng(cfg.seed)
+    n = freq.n
+    e_first, e_last = (1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,)
     out = []
     for spec in cfg.curves:
         r0 = spec.get("r0")
@@ -204,8 +234,8 @@ def _diagnose_curves(cfg: ExperimentConfig, freq: Frequency, alpha: float):
             out.append(flat_curve(freq, r0))
             continue
         K = int(spec.get("K", 3))
-        modes_phi = {(1, 0): amp * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))}
-        modes_psi = {(0, 1): amp * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))}
+        modes_phi = {e_first: amp * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))}
+        modes_psi = {e_last: amp * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))}
         phi = ShellFunction.from_modes(freq, modes_phi, K=K, width=0.5)
         psi = ShellFunction.from_modes(freq, modes_psi, K=K, width=0.5) + r0
         out.append(CurveGraph(phi, psi))
@@ -333,7 +363,7 @@ def main(argv=None) -> int:
         return 1
     except QpKamError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, NotConverged) else 2
+        return 2 if isinstance(exc, (ResonantFrequency, NoneAdmissible)) else 3
     _metadata(out_dir, args.command)
     return code
 

@@ -31,7 +31,7 @@ class NotMonotone(QpKamError):
 
 
 class NoConvergence(QpKamError):
-    """A fixed-point iteration did not reach tolerance within max_iter."""
+    """A fixed-point iteration did not reach tolerance within its iteration cap."""
 
 
 class RealityDefect(QpKamError):

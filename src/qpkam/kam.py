@@ -29,7 +29,7 @@ from .errors import (
     RootFindFailed,
     SmoothnessTooLow,
 )
-from .maps import QpPlanarMap
+from .maps import CurveGraph, QpPlanarMap
 from .qpfourier import (
     Frequency,
     ShellFunction,
@@ -46,6 +46,8 @@ from .qpfourier import (
 from .smoothing import FROZEN_CONSTANTS, SampledCpFunction, member_gap, q_bound, smooth
 
 INTERSECTION_STRIP = 1.0 / 600.0
+# the trace defect is sup |M(curve(xi)) - curve(xi + alpha)| over these xi
+DEFECT_XIS = np.linspace(0.0, 240.0, 192, endpoint=False)
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +154,10 @@ class NormalizedMap:
     fy: StripFunction
     domain: StripDomain
 
-    def defect_sup(self, N: int | None = None) -> float:
-        N = N or default_grid(self.fx.K)
-        a = float(np.max(np.abs(self.fx.sample(N))))
-        b = float(np.max(np.abs(self.fy.sample(N))))
-        return max(a, b)
+    def defect_sup(self) -> float:
+        N = default_grid(self.fx.K)
+        return max(float(np.max(np.abs(self.fx.sample(N)))),
+                   float(np.max(np.abs(self.fy.sample(N)))))
 
     def gap(self, other: "NormalizedMap") -> float:
         """Grid sup of |self - other| at the Chebyshev nodes of the narrower strip."""
@@ -215,12 +216,11 @@ class ConjugacyMap:
         return (1.0 + vals[..., 0], vals[..., 1],
                 vals[..., 2], self.L + vals[..., 3])
 
-    def range_containment(self, domain: StripDomain, target: StripDomain,
-                          n_grid: int = 24) -> bool:
+    def range_containment(self, domain: StripDomain, target: StripDomain) -> bool:
         """Z(domain) inside target, checked on a boundary grid: |Im Z_x| and
-        |Z_y| sampled at Im x in {-r, 0, r} times y in {-s, 0, s}, one node
-        column per pair."""
-        xs = np.linspace(0.0, 2 * math.pi, n_grid, endpoint=False)
+        |Z_y| sampled at 24 points of Re x in [0, 2 pi), Im x in {-r, 0, r}
+        and y in {-s, 0, s}, one node column per (Im x, y) pair."""
+        xs = np.linspace(0.0, 2 * math.pi, 24, endpoint=False)
         im = np.repeat([-domain.r, 0.0, domain.r], 3)[None, :]
         y = np.tile([-domain.s, 0.0, domain.s], 3)[None, :]
         vals = eval_strip_stack([self.P, self.S], np.multiply.outer(self.P.freq.vec, xs),
@@ -376,20 +376,22 @@ class StepResult:
 # inductive step
 # ---------------------------------------------------------------------------
 
-def inductive_step(H: NormalizedMap, lc: LevelContext, strict: bool = False,
-                   max_iter: int = 200, contraction_tol: float | None = None) -> StepResult:
+PICARD_MAX_ITER = 200
+
+
+def inductive_step(H: NormalizedMap, lc: LevelContext, measured: float,
+                   strict: bool = False) -> StepResult:
     """One inductive cycle: coupled solve, contraction, W, Phi_plus, Q.
 
-    strict enforces |H - Omega|_D <= M (the proof regime); the numerical
-    driver runs with the measured defect as working size instead.
+    measured is H.defect_sup(), the grid sup of |H - Omega|.  strict enforces
+    |H - Omega|_D <= M (the proof regime); the numerical driver runs with the
+    measured defect as working size instead.
     """
     freq = H.fx.freq
     n = freq.n
     K = H.fx.K
     J = H.fx.J
     theta = lc.theta
-    measured = H.defect_sup()
-    regime = "proof" if measured <= lc.M_paper * (1 + 1e-12) else "numerical"
     if strict and measured > lc.M_paper * (1 + 1e-12):
         raise PreconditionDefect(f"|H-Omega| = {measured:.3e} > M = {lc.M_paper:.3e}")
     M_work = max(measured, lc.M_paper)
@@ -426,15 +428,14 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, strict: bool = False,
                           flat(w_at_grid[..., 0])).reshape(h_theta.shape) - h_theta
 
     # (b) Picard contraction for z
-    tol = contraction_tol if contraction_tol is not None else \
-        max(1e-13 * theta**2 * M_work, 5e-16 * (1.0 + float(np.max(np.abs(w_at_grid)))))
+    tol = max(1e-13 * theta**2 * M_work, 5e-16 * (1.0 + float(np.max(np.abs(w_at_grid)))))
     z = np.zeros(shape + (J + 1, 2))
     guard = 1e6 * (theta**2 * M_work + 1e-300)
     iters = 0
     ratios = []
     deltas = []
     prev_delta = None
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, PICARD_MAX_ITER + 1):
         phi2 = (flat(z[..., 1]) + hstar2) / theta
         moved = eval_strip_stack([u, v], N, ys + phi2, shifts_plus + flat(z[..., 0]))
         z_new = (w_omega_plus - moved.reshape(z.shape)) + f2 + f3
@@ -450,7 +451,7 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, strict: bool = False,
             raise ContractionDiverged(
                 f"|z| = {float(np.max(np.abs(z))):.3e} exceeds guard {guard:.3e}")
     else:
-        raise ContractionDiverged(f"no fixed point in {max_iter} iterations "
+        raise ContractionDiverged(f"no fixed point in {PICARD_MAX_ITER} iterations "
                                   f"(last delta {delta:.3e})")
 
     # (c) phi = Theta^{-1}(z + h* o Theta), Phi_plus = Omega_plus + phi
@@ -473,16 +474,15 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, strict: bool = False,
     w_sup_dprime = max(
         float(np.max(np.abs(u.sample(N, lc.sp_plus * cheb_nodes(J))))),
         float(np.max(np.abs(v.sample(N, lc.sp_plus * cheb_nodes(J))))))
-    q_chk = lc.q
     phi_minus_q = np.abs(phi1_vals).max()
     q_at_ys = Q.eval(ys)
     phi_minus_q = max(phi_minus_q, float(np.max(np.abs(phi2_vals - q_at_ys))))
     report = {
-        "regime": regime, "measured_defect": measured, "M_paper": lc.M_paper,
+        "measured_defect": measured, "M_paper": lc.M_paper,
         "contraction_iters": iters, "contraction_ratios": ratios[:8],
         "contraction_deltas": deltas[:9],
         "w_minus_theta": w_sup_dprime,
-        "w_bound_paper": 2.0 / 3.0 * q_chk * lc.s,
+        "w_bound_paper": 2.0 / 3.0 * lc.q * lc.s,
         "w_bound_working": 2.0 * M_work / lc.eps,
         "phi_minus_omega_minus_q": phi_minus_q,
         "phi_bound_paper": 5.0 / 48.0 * theta * lc.M_paper,
@@ -498,8 +498,8 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, strict: bool = False,
 
 def _pullback_grid(Z: ConjugacyMap, thf, targets_theta_disp: np.ndarray,
                    targets_y: np.ndarray, seeds_disp: np.ndarray, seeds_y: np.ndarray,
-                   tol: float, max_iter: int = 40):
-    """Solve Z(w) = target per point x by damped Newton, seeded.
+                   tol: float):
+    """Solve Z(w) = target per point x by Newton (full steps, at most 40), seeded.
 
     thf is scattered shell points (n, P) or a grid size N (eval_strip_stack);
     targets and seeds have shape (P,) or (P, nodes), one column per node, and
@@ -509,7 +509,7 @@ def _pullback_grid(Z: ConjugacyMap, thf, targets_theta_disp: np.ndarray,
     """
     a = seeds_disp.copy()
     yv = seeds_y.copy()
-    for it in range(max_iter):
+    for _ in range(40):
         P, Zy = Z.values_at(thf, yv, a)
         r1 = (a + P) - targets_theta_disp
         r2 = Zy - targets_y
@@ -531,21 +531,20 @@ def _pullback_grid(Z: ConjugacyMap, thf, targets_theta_disp: np.ndarray,
 
 
 def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
-               lc_next: dict, A_prev: NormalizedMap | None = None,
-               tol: float = 1e-12) -> tuple[NormalizedMap, dict]:
-    """H with Z o H = A_next o Z on D_{k+1}, seeded at Phi_plus.
+               dom: StripDomain, A_prev: NormalizedMap | None = None
+               ) -> tuple[NormalizedMap, dict]:
+    """H with Z o H = A_next o Z on dom = D_{k+1}, seeded at Phi_plus.
 
-    Reports the (3.19)-type smallness |A_next - A_prev|_E <= b*(s_k/7) and the
-    contraction of H around the seed.
+    Reports the (3.19)-type smallness |A_next - A_prev|_E <= b*(s_k/7), with
+    b = Z.b, and the contraction of H around the seed.
     """
     freq = A_next.fx.freq
     n = freq.n
     K = phi_plus.fx.K
     J = phi_plus.fx.J
-    r_pl, s_pl = lc_next["r"], lc_next["s"]
     twist_next = phi_plus.twist
     N = default_grid(K)
-    ys = s_pl * cheb_nodes(J)
+    ys = dom.s * cheb_nodes(J)
     nodes = ys[None, :]                       # broadcasts to (points, J+1)
 
     def at_nodes(f):                          # grid values at the nodes, (points, J+1)
@@ -560,12 +559,11 @@ def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
     # seed: Phi_plus(x, y)
     a = A_next.alpha + twist_next * nodes + at_nodes(phi_plus.fx)
     yv = nodes + at_nodes(phi_plus.fy)
-    a, yv = _pullback_grid(Z, N, t_disp, t_y, a, yv, tol * (1.0 + abs(A_next.alpha)))
+    a, yv = _pullback_grid(Z, N, t_disp, t_y, a, yv, 1e-12 * (1.0 + abs(A_next.alpha)))
     grid = (N,) * n + (J + 1,)
     a_out = (a - A_next.alpha - twist_next * nodes).reshape(grid)
     y_out = (yv - nodes).reshape(grid)
 
-    dom = StripDomain(r_pl, s_pl)
     hx = StripFunction.from_grid(a_out, freq, dom, K, J)
     hy = StripFunction.from_grid(y_out, freq, dom, K, J)
     H_next = NormalizedMap(A_next.alpha, twist_next, hx, hy, dom)
@@ -573,14 +571,14 @@ def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
     report = {}
     if A_prev is not None:
         diff = A_prev.gap(A_next)
-        bound = lc_next["b"] * (2.0 * lc_next["s"]) / 7.0   # b_{k+1} * s_k / 7
+        bound = Z.b * (2.0 * dom.s) / 7.0         # b_{k+1} * s_k / 7
         report["family_gap"] = diff
         report["family_gap_bound"] = bound
         report["family_gap_ok"] = bool(diff <= bound)
         shift = max(float(np.max(np.abs(hx.coeffs - phi_plus.fx.coeffs))),
                     float(np.max(np.abs(hy.coeffs - phi_plus.fy.coeffs))))
         report["H_minus_phi"] = shift
-        report["H_minus_phi_bound"] = diff / max(lc_next["b"], 1e-300)
+        report["H_minus_phi_bound"] = diff / max(Z.b, 1e-300)
     return H_next, report
 
 
@@ -588,18 +586,22 @@ def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
 # intersection bound
 # ---------------------------------------------------------------------------
 
+# |Psi^(2) - eta| at or below this (times 1 + |eta|) is a witness by itself
+WITNESS_ATOL = 1e-12
+
+
 def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: TruncationPolynomial,
-                       s_plus: float, alpha: float, eps_plus: float,
-                       n_eta: int = 7, n_xi: int = 128, span: float = 150.0,
-                       atol: float = 1e-12) -> dict:
+                       s_plus: float, alpha: float, eps_plus: float) -> dict:
     """Witness xi0(eta) of Psi^(2)(xi0, eta) = eta on curves xi -> Z(xi, eta)
     and the |Q| <= 3N bound extracted from the measured N.
 
-    Psi is the pullback of the exact map A through Z on the reals.
+    Psi is the pullback of the exact map A through Z on the reals, sampled at
+    7 values of eta in [-0.9, 0.9] s_plus and 128 of xi in [0, 150).
     """
     freq = Z.P.freq
+    n_eta, n_xi = 7, 128
     etas = np.linspace(-0.9 * s_plus, 0.9 * s_plus, n_eta)
-    xis = np.linspace(0.0, span, n_xi, endpoint=False)
+    xis = np.linspace(0.0, 150.0, n_xi, endpoint=False)
     # one column per eta: the curves xi -> Z(xi, eta) side by side
     th = np.multiply.outer(freq.vec, xis)
     eta_cols = np.broadcast_to(etas, (n_xi, n_eta))
@@ -614,7 +616,7 @@ def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: Truncation
     witnesses = []
     for eta, d_eta in zip(etas, d.T):
         scale = 1.0 + abs(eta)
-        if float(np.min(np.abs(d_eta))) <= atol * scale:
+        if float(np.min(np.abs(d_eta))) <= WITNESS_ATOL * scale:
             witnesses.append((float(eta), float(xis[int(np.argmin(np.abs(d_eta)))])))
         else:
             sgn = np.sign(d_eta)
@@ -627,7 +629,7 @@ def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: Truncation
             i = int(flips[0])
             witnesses.append((float(eta), float(0.5 * (xis[i] + xis[i + 1]))))
     q_sup = Q.sup_disc(s_plus)
-    slack = 1e-12 + 4.0 * atol
+    slack = 1e-12 + 4.0 * WITNESS_ATOL
     passed = bool(abs(Q.a0) <= N_glob + slack
                   and abs(Q.a1) * s_plus + abs(Q.a2) * s_plus**2 <= 2 * N_glob + slack
                   and q_sup <= 3 * N_glob + slack)
@@ -640,17 +642,11 @@ def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: Truncation
 # ---------------------------------------------------------------------------
 
 @dataclass
-class InvariantCurve:
+class InvariantCurve(CurveGraph):
     """theta = xi + phi(xi), r = psi(xi); conjugates the map to xi -> xi+alpha."""
 
-    phi: ShellFunction
-    psi: ShellFunction
     rotation: RotationNumber
-    defect: float
-
-    def points(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return xi + self.phi.eval(xi).real, self.psi.eval(xi).real
+    defect: float = math.nan
 
     def conjugacy_residual(self, mp: QpPlanarMap, xis) -> float:
         th, r = self.points(xis)
@@ -675,38 +671,19 @@ def _curve_from_Z(Z: ConjugacyMap, exact: ExactNormalizedMap,
     phi = ShellFunction(freq, Z.P.modes_at_y(0.0), 0.0)
     psi_shell = ShellFunction(freq, Z.S.modes_at_y(0.0) * exact.y_scale, 0.0)
     psi = psi_shell + rotation.alpha
-    return InvariantCurve(phi, psi, rotation, math.nan)
-
-
-def _real_defect(Z: ConjugacyMap, exact: ExactNormalizedMap, alpha: float,
-                 N: int = 192, span: float = 240.0) -> float:
-    """sup over real xi of |A o Z(xi,0) - Z(xi+alpha,0)| in original units."""
-    freq = Z.P.freq
-    xis = np.linspace(0.0, span, N, endpoint=False)
-    th = np.multiply.outer(freq.vec, xis)
-    P, Zy = Z.values_at(th, np.zeros(N))
-    zt = th + np.multiply.outer(freq.vec, P)
-    dx, dy = exact.displacement(zt, Zy)
-    img_x = xis + P + dx
-    img_y = Zy + dy
-    Ps = Z.P.shift_x(alpha)
-    Ss = Z.S.shift_x(alpha)
-    vals = eval_strip_stack([Ps, Ss], th, np.zeros(N))
-    tgt_x = xis + alpha + vals[..., 0]
-    tgt_y = vals[..., 1]
-    return float(max(np.max(np.abs(img_x - tgt_x)),
-                     exact.y_scale * np.max(np.abs(img_y - tgt_y))))
+    return InvariantCurve(phi, psi, rotation)
 
 
 def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
         tol: float = 1e-8, k_max: int | None = None, K_trunc: int = 8, J: int = 6,
-        y_scale: float = 1.0, start_level: int | str = "auto",
-        check_intersection: bool = True, raise_on_fail: bool = True) -> RunResult:
+        y_scale: float = 1.0, check_intersection: bool = True,
+        raise_on_fail: bool = True) -> RunResult:
     """Construct the invariant curve with rotation number alpha.
 
     Iterates inductive_step + solve_back (+ intersection_bound) from the first
     level whose mollified family member differs from the twist; the trace
-    records the defect in original (theta, r) units per level.
+    records per level the curve's conjugacy_residual on DEFECT_XIS, in
+    original (theta, r) units.
     """
     k_max = schedule.k_max if k_max is None else min(k_max, schedule.k_max)
     norm = normalize(mp, alpha, schedule, K_trunc, J, y_scale=y_scale)
@@ -714,17 +691,9 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
     sigma = norm.y_scale
     freq = mp.freq
 
-    if start_level == "auto":
-        k0 = 0
-        base_scale = mp.sup_norm_fg / sigma + 1e-300
-        for k in range(k_max + 1):
-            if member(k).defect_sup() > 1e-13 * base_scale:
-                k0 = k
-                break
-        else:
-            k0 = 0
-    else:
-        k0 = int(start_level)
+    base_scale = mp.sup_norm_fg / sigma + 1e-300
+    k0 = next((k for k in range(k_max + 1)
+               if member(k).defect_sup() > 1e-13 * base_scale), 0)
 
     dom_k0 = StripDomain(float(schedule.r[k0]), float(schedule.s[k0]))
     dom_prime = StripDomain(float(schedule.r_prime[k0]), float(schedule.s_prime[k0]))
@@ -739,13 +708,15 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
     converged = False
     while True:
         with grid_eval_log() as evaluator:
-            defect = _real_defect(Z, exact, alpha.alpha)
-            rec = {"k": k, "defect": defect, "M_k": float(schedule.M[k]),
+            curve = _curve_from_Z(Z, exact, alpha)
+            curve.defect = curve.conjugacy_residual(mp, DEFECT_XIS)
+            measured = H.defect_sup()
+            rec = {"k": k, "defect": curve.defect, "M_k": float(schedule.M[k]),
                    "BM_k": float(schedule.B[k] * schedule.M[k]),
-                   "regime": "proof" if H.defect_sup() <= schedule.M[k] else "numerical",
+                   "regime": "proof" if measured <= schedule.M[k] else "numerical",
                    "evaluator": evaluator}
             trace.append(rec)
-            if defect <= tol:
+            if curve.defect <= tol:
                 converged = True
                 break
             if k >= k_max:
@@ -756,21 +727,19 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
                               eps=sigma * schedule.theta**cycle,
                               M_paper=float(schedule.M[k]), alpha=alpha)
             try:
-                step = inductive_step(H, lc)
+                step = inductive_step(H, lc, measured)
                 rec["contraction_iters"] = step.report["contraction_iters"]
                 rec["w_minus_theta"] = step.report["w_minus_theta"]
                 rec["Q"] = [step.Q.a0, step.Q.a1, step.Q.a2]
 
                 # Z_{k+1} = Z_k o W_k on D'_{k+1}, mapping D_{k+1} into D_{k0}
-                Z = compose_conjugacy(Z, step.w_u, step.w_v, lc, schedule)
-                rec["Z_contained"] = Z.range_containment(
-                    StripDomain(float(schedule.r[k + 1]), float(schedule.s[k + 1])), dom_k0)
+                Z = compose_conjugacy(Z, step.w_u, step.w_v, lc)
+                dom_next = StripDomain(float(schedule.r[k + 1]), float(schedule.s[k + 1]))
+                rec["Z_contained"] = Z.range_containment(dom_next, dom_k0)
 
                 # replace A_k by A_{k+1} through the new conjugacy
                 A_next = member(k + 1)
-                lc_next = {"r": float(schedule.r[k + 1]), "s": float(schedule.s[k + 1]),
-                           "b": float(Z.b)}
-                H, sb_report = solve_back(Z, A_next, step.phi_plus, lc_next, A_prev=A_cur)
+                H, sb_report = solve_back(Z, A_next, step.phi_plus, dom_next, A_prev=A_cur)
                 rec["solve_back"] = sb_report
                 A_cur = A_next
             except (ContractionDiverged, RootFindFailed) as exc:
@@ -787,8 +756,6 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
             k += 1
             cycle += 1
 
-    curve = _curve_from_Z(Z, exact, alpha)
-    curve.defect = trace[-1]["defect"]
     result = RunResult(curve, trace, converged, k - k0, Z, sigma)
     if not converged and raise_on_fail:
         raise NotConverged(f"defect {trace[-1]['defect']:.3e} > tol {tol:.3e} "
@@ -797,7 +764,7 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
 
 
 def compose_conjugacy(Z: ConjugacyMap, w_u: StripFunction, w_v: StripFunction,
-                      lc: LevelContext, schedule: KamSchedule) -> ConjugacyMap:
+                      lc: LevelContext) -> ConjugacyMap:
     """Z_new = Z o (Theta + w), represented on D'_{k+1}."""
     freq = Z.P.freq
     n = freq.n
@@ -815,5 +782,5 @@ def compose_conjugacy(Z: ConjugacyMap, w_u: StripFunction, w_v: StripFunction,
     P = StripFunction.from_grid(P_new, freq, dom_new, K, J)
     S = StripFunction.from_grid(S_new, freq, dom_new, K, J)
     return ConjugacyMap(P, S, Z.L * theta_c,
-                        Z.b * theta_c * (1 - schedule.q), Z.B * (1 + schedule.q),
+                        Z.b * theta_c * (1 - lc.q), Z.B * (1 + lc.q),
                         dom_new)

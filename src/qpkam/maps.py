@@ -198,8 +198,8 @@ def image_curve(mp: QpPlanarMap, curve: CurveGraph, K_out: int | None = None) ->
     return CurveGraph(phi1, psi1)
 
 
-# the witness bracket (span/grid_size wide) shrinks by
-# (BISECT_POINTS + 1)^BISECT_ROUNDS = 2^48: to 3e-15 at the defaults
+# d is scanned at 256 points of [0, 200); the witness bracket (200/256 wide)
+# shrinks by (BISECT_POINTS + 1)^BISECT_ROUNDS = 2^48: to 3e-15
 BISECT_POINTS = 255
 BISECT_ROUNDS = 6
 
@@ -213,25 +213,24 @@ class WitnessReport:
     area_signs: tuple | None = None    # (min, max) of Delta(t, T) when computed
 
 
-def intersection_witness(mp: QpPlanarMap, curve: CurveGraph, grid_size: int = 256,
-                         span: float = 200.0, atol: float = 1e-11) -> WitnessReport:
+def intersection_witness(mp: QpPlanarMap, curve: CurveGraph) -> WitnessReport:
     """Witness of M(curve) meeting curve: a zero of the radial displacement
     d(theta) between the two graphs over the angle.
 
-    d identically small counts as the trivial witness; otherwise the first
-    sign change of d along increasing xi is reported.  For declared exact
-    symplectic maps the area functional Delta(t, T) is evaluated on a grid and
-    both signs are reported.
+    |d| <= 1e-11 (1 + |psi|) everywhere counts as the trivial witness;
+    otherwise the first sign change of d along increasing xi is reported.
+    For declared exact symplectic maps the area functional Delta(t, T) is
+    evaluated on a grid and both signs are reported.
     """
     img = image_curve(mp, curve)
     r_orig = curve.r_of_theta()
     K = max(img.psi.K, r_orig.K)
     d = img.psi.pad_to(K) - r_orig.pad_to(K)
     scale = 1.0 + curve.psi.norm_upper(0.0)
-    xs = np.linspace(0.0, span, grid_size, endpoint=False)
+    xs = np.linspace(0.0, 200.0, 256, endpoint=False)
     dv = d.eval(xs).real
     found, xi_star, sign_change = False, None, False
-    if float(np.max(np.abs(dv))) <= atol * scale:
+    if float(np.max(np.abs(dv))) <= 1e-11 * scale:
         found, xi_star = True, float(xs[0])
     else:
         sgn = np.sign(dv)
@@ -255,14 +254,15 @@ def intersection_witness(mp: QpPlanarMap, curve: CurveGraph, grid_size: int = 25
     return WitnessReport(found, xi_star, sign_change, d, area)
 
 
-def _area_functional_signs(r_orig: ShellFunction, r_img: ShellFunction,
-                           n_grid: int = 64, span: float = 120.0):
-    """Range of Delta(t, T) = int_t^T (r1 dtheta1 - r dtheta) over a (t, T) grid.
+def _area_functional_signs(r_orig: ShellFunction, r_img: ShellFunction):
+    """Range of Delta(t, T) = int_t^T (r1 dtheta1 - r dtheta) over a 64 x 64
+    grid of (t, T) in [0, 120].
 
     Evaluated through cumulative quadrature of the angle-parameterized radii
-    r_orig and r_img of the curve and its image.
+    r_orig and r_img of the curve and its image, on 512 points.
     """
-    ts = np.linspace(0.0, span, n_grid * 8)
+    n_grid = 64
+    ts = np.linspace(0.0, 120.0, n_grid * 8)
     diff = r_img.eval(ts).real - r_orig.eval(ts).real
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (diff[1:] + diff[:-1]) * np.diff(ts))])
     idx = np.linspace(0, len(ts) - 1, n_grid, dtype=int)

@@ -22,6 +22,7 @@ from numpy.polynomial import chebyshev as npcheb
 
 from .errors import (
     CertifiedStripExceeded,
+    ConfigError,
     NoConvergence,
     NotMonotone,
     RealityDefect,
@@ -172,18 +173,19 @@ def eval_modes(coeffs: np.ndarray, theta_pts: np.ndarray) -> np.ndarray:
     return res.reshape((P,) + coeffs.shape[n:])
 
 
-def symmetrize(coeffs: np.ndarray, n: int, tol: float = REALITY_TOL, check: bool = True):
+def symmetrize(coeffs: np.ndarray, n: int, check: bool = True):
     """Average with the conjugate-reflected box; returns (sym, defect).
 
     Enforces f_{-k} = conj(f_k) along the torus axes (reality class).  With
-    check=True a defect above tol*(1 + scale) fails fast; grid-recovery paths
-    use that mode, explicit symmetrization of user data passes check=False.
+    check=True a defect above REALITY_TOL*(1 + scale) fails fast;
+    grid-recovery paths use that mode, explicit symmetrization of user data
+    passes check=False.
     """
     flipped = np.flip(coeffs, axis=tuple(range(n))).conj()
     sym = 0.5 * (coeffs + flipped)
     defect = float(np.max(np.abs(coeffs - flipped))) * 0.5 if coeffs.size else 0.0
     scale = 1.0 + float(np.max(np.abs(coeffs))) if coeffs.size else 1.0
-    if check and defect > tol * scale:
+    if check and defect > REALITY_TOL * scale:
         raise RealityDefect(f"symmetrization defect {defect:.3e} (scale {scale:.3e})")
     return sym, defect
 
@@ -300,6 +302,9 @@ class ShellFunction:
     def from_modes(freq: Frequency, modes: dict, K: int, width: float = 0.0,
                    real: bool = True) -> "ShellFunction":
         """Build from {k_tuple: amplitude}; real=True also stores conjugates."""
+        outside = [list(k) for k in modes if len(k) != freq.n or max(map(abs, k)) > K]
+        if outside:
+            raise ConfigError(f"modes {outside} need {freq.n} components in |k_i| <= K = {K}")
         coeffs = np.zeros((2 * K + 1,) * freq.n, dtype=complex)
         for k, a in modes.items():
             idx = tuple(int(ki) + K for ki in k)
@@ -310,11 +315,9 @@ class ShellFunction:
         return ShellFunction(freq, coeffs, width)
 
     @staticmethod
-    def from_grid(values: np.ndarray, freq: Frequency, K: int, width: float = 0.0,
-                  enforce_reality: bool = True) -> "ShellFunction":
-        coeffs = analyze(np.asarray(values, dtype=complex), freq.n, K)
-        if enforce_reality:
-            coeffs, _ = symmetrize(coeffs, freq.n)
+    def from_grid(values: np.ndarray, freq: Frequency, K: int,
+                  width: float = 0.0) -> "ShellFunction":
+        coeffs, _ = symmetrize(analyze(np.asarray(values, dtype=complex), freq.n, K), freq.n)
         return ShellFunction(freq, coeffs, width)
 
     # -- evaluation ----------------------------------------------------------
@@ -390,9 +393,9 @@ class ShellFunction:
         return _pairwise_upper(np.abs(self.coeffs), self.n,
                                np.exp(rho * k1), np.exp(-rho * k1))
 
-    def norm_lower(self, rho: float = 0.0, N: int | None = None) -> float:
+    def norm_lower(self, rho: float = 0.0) -> float:
         """Grid max over the real torus and the 2^n imaginary corner sheets."""
-        return sheet_sup(self.coeffs, self.n, N or default_grid(self.K), rho)
+        return sheet_sup(self.coeffs, self.n, default_grid(self.K), rho)
 
     def sup_norm(self, rho: float = 0.0):
         """Bracketing interval [grid max, weighted coefficient sum] for |f|_rho."""
@@ -410,7 +413,7 @@ def shell_product(f: ShellFunction, g: ShellFunction, K_out: int | None = None) 
 
 
 def compose_angle(g: ShellFunction, f: ShellFunction, K_out: int | None = None,
-                  grid_factor: int = 1, require_width: float | None = None) -> ShellFunction:
+                  require_width: float | None = None) -> ShellFunction:
     """Quasi-periodic composition t -> g(t + f(t)) by shell collocation.
 
     The result's certified width w solves w + max|omega_j|*|f|_w <= g.width.
@@ -421,7 +424,7 @@ def compose_angle(g: ShellFunction, f: ShellFunction, K_out: int | None = None,
         raise ValueError("frequency mismatch")
     n = f.n
     K_out = K_out if K_out is not None else max(f.K, g.K)
-    N = grid_factor * default_grid(K_out)
+    N = default_grid(K_out)
     fvals = synthesize(f.coeffs, n, N).real
     omax = float(np.max(np.abs(f.freq.vec)))
     theta = theta_grid(N, n).reshape(n, -1)
@@ -448,16 +451,17 @@ def compose_angle(g: ShellFunction, f: ShellFunction, K_out: int | None = None,
     return ShellFunction.from_grid(gvals, f.freq, K_out, width)
 
 
-def invert_angle_map(h: ShellFunction, K_out: int | None = None, tol: float = 1e-13,
-                     max_iter: int = 60, grid_factor: int = 1) -> ShellFunction:
+def invert_angle_map(h: ShellFunction, K_out: int | None = None) -> ShellFunction:
     """Inverse displacement h1 with (t + h(t)) o (tau + h1(tau)) = id.
 
-    Damped-Newton iteration on a collocation grid for the residual
-    v + h(tau + v); the beta = 1 case of the quasi-periodic inverse lemma.
+    Safeguarded Newton iteration (bisection when a step leaves the bracket) on
+    a collocation grid for the residual v + h(tau + v), to a residual below
+    1e-13 in at most 60 iterations; the beta = 1 case of the quasi-periodic
+    inverse lemma.
     """
     n = h.n
     K_out = K_out if K_out is not None else h.K
-    N = grid_factor * default_grid(max(K_out, h.K))
+    N = default_grid(max(K_out, h.K))
     dcoeffs = h.derivative().coeffs
     dvals = synthesize(dcoeffs, n, N).real
     if float(np.min(1.0 + dvals)) <= 0.0:
@@ -471,13 +475,13 @@ def invert_angle_map(h: ShellFunction, K_out: int | None = None, tol: float = 1e
     lo = np.full(theta.shape[1], -bound)
     hi = np.full(theta.shape[1], bound)
     v = np.zeros(theta.shape[1])
-    for _ in range(max_iter):
+    for _ in range(60):
         shifted = theta + np.multiply.outer(omega, v)
         both = eval_modes(stacked, shifted).real
         res = v + both[:, 0]
         hi = np.where(res > 0, np.minimum(hi, v), hi)
         lo = np.where(res <= 0, np.maximum(lo, v), lo)
-        if float(np.max(np.abs(res))) < tol:
+        if float(np.max(np.abs(res))) < 1e-13:
             break
         slope = np.maximum(1.0 + both[:, 1], 1e-3)
         cand = v - res / slope
@@ -546,26 +550,23 @@ class StripFunction:
 
     @staticmethod
     def from_grid(values: np.ndarray, freq: Frequency, domain: StripDomain,
-                  K: int, J: int, enforce_reality: bool = True) -> "StripFunction":
+                  K: int, J: int) -> "StripFunction":
         """Values on (theta grid)^n x cheb_nodes(J)*s, last axis the y nodes."""
         cheb = cheb_fit_last_axis(np.asarray(values, dtype=complex), J)
-        coeffs = analyze(cheb, freq.n, K)
-        if enforce_reality:
-            coeffs, _ = symmetrize(coeffs, freq.n)
+        coeffs, _ = symmetrize(analyze(cheb, freq.n, K), freq.n)
         return StripFunction(freq, domain, coeffs)
 
     @staticmethod
-    def from_sampler(sampler, freq: Frequency, domain: StripDomain, K: int, J: int,
-                     N: int | None = None, enforce_reality: bool = True) -> "StripFunction":
+    def from_sampler(sampler, freq: Frequency, domain: StripDomain, K: int,
+                     J: int) -> "StripFunction":
         """Sample sampler(theta_stack, y), one y node per call, on the
         collocation grid and project."""
-        N = N or default_grid(K)
-        th = theta_grid(N, freq.n)
+        th = theta_grid(default_grid(K), freq.n)
         vals = np.stack([np.broadcast_to(sampler(th, y), th.shape[1:])
                          for y in domain.s * cheb_nodes(J)], axis=-1)
         if not np.all(np.isfinite(vals)):
             raise SamplerNotFinite("sampler produced non-finite values")
-        return StripFunction.from_grid(vals, freq, domain, K, J, enforce_reality)
+        return StripFunction.from_grid(vals, freq, domain, K, J)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -677,15 +678,14 @@ class StripFunction:
         k1 = k1_norms(self.K, self.n)
         return _pairwise_upper(amps, self.n, np.exp(rho * k1), np.exp(-rho * k1))
 
-    def norm_lower(self, rho: float | None = None, sigma: float | None = None,
-                   N: int | None = None, n_ring: int = 8) -> float:
+    def norm_lower(self, rho: float | None = None, sigma: float | None = None) -> float:
         """Max over sampled points of D(rho, sigma): real grid, corner sheets,
-        and the complex y-ring |y| = sigma."""
+        and 8 points of the complex y-ring |y| = sigma."""
         rho = self.domain.r if rho is None else rho
         sigma = self.domain.s if sigma is None else sigma
         ys = sigma * np.concatenate([cheb_nodes(max(self.J, 4)),
-                                     np.exp(1j * np.pi * np.arange(n_ring) / n_ring)])
-        return sheet_sup(self.modes_at_y(ys), self.n, N or default_grid(self.K), rho)
+                                     np.exp(1j * np.pi * np.arange(8) / 8)])
+        return sheet_sup(self.modes_at_y(ys), self.n, default_grid(self.K), rho)
 
     def sup_norm(self, rho: float | None = None, sigma: float | None = None):
         return self.norm_lower(rho, sigma), self.norm_upper(rho, sigma)

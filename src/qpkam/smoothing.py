@@ -64,7 +64,7 @@ class SampledCpFunction:
 
 
 def smooth(h: SampledCpFunction, delta: float, K_trunc: int, J: int = 0,
-           domain_s: float | None = None, N: int | None = None) -> StripFunction:
+           domain_s: float | None = None) -> StripFunction:
     """Analytic approximant h_delta as a Fourier x Chebyshev projection with
     coefficient mollification; holomorphic (as a truncated series) on E_delta.
 
@@ -76,7 +76,7 @@ def smooth(h: SampledCpFunction, delta: float, K_trunc: int, J: int = 0,
     n = h.freq.n
     s_box = float(domain_s if domain_s is not None else delta)
     f = StripFunction.from_sampler(h.shell_sampler, h.freq, StripDomain(delta, s_box),
-                                   K_trunc, J, N)
+                                   K_trunc, J)
     sym_x = lowpass_symbol(k1_norms(K_trunc, n), delta)
     sym_y = lowpass_symbol(np.arange(J + 1), delta)
     coeffs = f.coeffs * sym_x[..., None] * sym_y
@@ -99,10 +99,10 @@ class SmoothingFamily:
     report: dict = field(default_factory=dict)
 
 
-def _family_fit(h: SampledCpFunction, deltas, members, sup_h: float,
-                n_grid: int = 1024) -> dict:
+def _family_fit(h: SampledCpFunction, deltas, members) -> dict:
     """Measured ratios behind the three smoothing inequalities."""
-    xs = np.linspace(0.0, 200.0, n_grid)
+    sup_h = float(np.max(np.abs(h.sample_line(np.linspace(0.0, 200.0, 2048), 0.0))))
+    xs = np.linspace(0.0, 200.0, 1024)
     h_line = h.sample_line(xs, 0.0)
     out = {"bounded": [], "approx": [], "cauchy_pairs": []}
     for delta, hd in zip(deltas, members):
@@ -133,21 +133,15 @@ def member_gap(f: StripFunction, g: StripFunction, ys, rho: float = 0.0) -> floa
 
 
 def build_family(h: SampledCpFunction, q: float, depth: int, tau: float,
-                 K_trunc: int, J: int = 0, domain_s=None, N: int | None = None,
-                 sup_h: float | None = None) -> SmoothingFamily:
+                 K_trunc: int, J: int = 0) -> SmoothingFamily:
     """Members h_{delta_k}, delta_k = ((1+q)/2)^k, with empirically fitted
     constants making the three smoothing inequalities hold on the family."""
     b_smooth, b_abs = q_bound(h.p, tau)
     if not 0.0 < q <= min(b_smooth, b_abs) + 1e-15:
         raise QTooLarge(q, b_smooth, b_abs)
     deltas = ((1.0 + q) / 2.0) ** np.arange(depth + 1)
-    members = [smooth(h, d, K_trunc, J,
-                      domain_s=None if domain_s is None else min(domain_s, d), N=N)
-               for d in deltas]
-    if sup_h is None:
-        xs = np.linspace(0.0, 200.0, 2048)
-        sup_h = float(np.max(np.abs(h.sample_line(xs, 0.0))))
-    fit = _family_fit(h, deltas, members, sup_h)
+    members = [smooth(h, d, K_trunc, J) for d in deltas]
+    fit = _family_fit(h, deltas, members)
     c0 = max(max(fit["bounded"], default=0.0), 1.0)
     c1 = max(max(fit["approx"], default=0.0), 1e-12)
     c2 = max(max(fit["cauchy_pairs"], default=0.0), 1e-12)

@@ -181,7 +181,7 @@ def test_criterion_3_smoothing_order():
                                 .eval_xy(xs, 0.0).real))) for d in deltas]
     slope = float(np.polyfit(np.log(deltas), np.log(errs), 1)[0])
 
-    fam = build_family(h, q=4e-4, depth=7, tau=2.2, K_trunc=130, J=0, sup_h=None)
+    fam = build_family(h, q=4e-4, depth=7, tau=2.2, K_trunc=130, J=0)
     consts_ok = (max(fam.report["bounded"]) <= fam.c0 + 1e-12
                  and max(fam.report["approx"]) <= fam.c1 + 1e-12
                  and max(fam.report["cauchy_pairs"]) <= fam.c2 + 1e-12

@@ -114,6 +114,27 @@ DIOPHANTINE_ARGS = ["--omega", "1.0", str(2.0**0.5), "--gamma", "1e-3", "--K", "
     ("solve", {"map": {**BASE["map"], "modes": [{"k": [1, 0, 0], "c": 0.5}]}}),
     ("diophantine", ["--tau", "1.5"]),
     ("diophantine", ["--tau", "3.0", "--gamma", "0.7"]),
+    # wrong types inside map and curves
+    ("solve", {"map": [1]}),
+    ("solve", {"map": {**BASE["map"], "model": 3}}),
+    ("solve", {"map": {**BASE["map"], "modes": [{"k": 1}]}}),
+    ("solve", {"map": {**BASE["map"], "modes": [{"k": [1, 0.5]}]}}),
+    ("solve", {"map": {**BASE["map"], "modes": [{"k": [1, 0], "c": "x"}]}}),
+    ("solve", {"map": {**BASE["map"], "modes": [3]}}),
+    ("solve", {"map": {**BASE["map"], "modes": "abc"}}),
+    ("solve", {"map": {**BASE["map"], "lambda": "big"}}),
+    ("solve", {"map": {**BASE["map"], "flux": [0.1]}}),
+    ("solve", {"map": {"model": "rigid_shift", "c": True}}),
+    ("solve", {"map": {**BASE["map"], "strip": "ab"}}),
+    ("diagnose", {"map": {**BASE["map"], "strip": "ab"}}),
+    ("diagnose", {"map": {**BASE["map"], "strip": [0.0, 1.0, 2.0]}}),
+    ("diagnose", {"map": [1]}),
+    ("diagnose", {"curves": "abc"}),
+    ("diagnose", {"curves": [1]}),
+    ("diagnose", {"curves": [{"r0": "x", "amp": 0.0}]}),
+    ("diagnose", {"curves": [{"r0": None, "amp": None}]}),
+    ("diagnose", {"curves": [{"amp": 0.05, "K": 3.0}]}),
+    ("diagnose", {"curves": [{"amp": 0.05, "K": 0}]}),         # e_1 outside the box
 ])
 def test_bad_parameters_exit_1(tmp_path, capsys, command, overrides):
     out = str(tmp_path / "o")
@@ -126,6 +147,29 @@ def test_bad_parameters_exit_1(tmp_path, capsys, command, overrides):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:")
     assert "Traceback" not in err
+
+
+def test_numerical_failure_exit_3(tmp_path, capsys):
+    # a curve this wavy has an image that folds over: NotAGraph, not a rejection
+    cfg = write_cfg(tmp_path, alpha=0.7, curves=[{"r0": 0.7, "amp": 2.0}])
+    assert main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("NotAGraph:")
+    assert "Traceback" not in err
+
+
+def test_diagnose_three_frequencies(tmp_path):
+    cfg = write_cfg(tmp_path, omega=[1.0, math.sqrt(2.0), math.sqrt(3.0)], gamma=1e-2,
+                    tau=3.5, alpha=0.7, curves=[{"r0": None, "amp": 0.05}],
+                    map={**BASE["map"], "modes": [{"k": [1, 0, 0], "c": 0.55},
+                                                  {"k": [0, 1, 0], "c": 0.45},
+                                                  {"k": [0, 0, 1], "c": 0.15}]})
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 0
+    row = json.loads((out / "diagnose.json").read_text())["curves"][0]
+    assert row["witness_found"] and row["sign_change"]
+    assert abs(row["exactness_defect"]) <= 1e-8
 
 
 def test_malformed_config_exit_1(tmp_path):

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qpkam
 from qpkam import qpfourier as qp
-from qpkam.cohomology import epsilon_of, solve_coupled, solve_single
+from qpkam.cohomology import RESIDUAL_TOL, epsilon_of, solve_coupled, solve_single
 from qpkam.diophantine import certify_frequency, sample_admissible
 from qpkam.errors import UncertifiedDivisor
 from qpkam.qpfourier import StripDomain, StripFunction
@@ -177,6 +179,25 @@ def test_coupled_random_residuals_and_bounds():
         assert max(sol.residuals.values()) <= 1e-9 * scale
         assert sol.norm_report["thm45_u"]["passed"]
         assert sol.norm_report["thm45_v"]["passed"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), K=st.integers(0, 8), J=st.integers(0, 4),
+       log_scale=st.floats(-8.0, 2.0), epsilon=st.sampled_from([None, 0.05, 3.0]))
+def test_coupled_residuals_within_tolerance(seed, K, J, log_scale, epsilon):
+    rng = np.random.default_rng(seed)
+    f, g = (random_strip(rng, K, J, scale=10.0**log_scale) for _ in range(2))
+    sol = solve_coupled(f, g, ALPHA, rho=0.2, epsilon=epsilon)
+    scale = 1.0 + max(f.norm_upper(0.0, DOM.s), g.norm_upper(0.0, DOM.s))
+    assert max(sol.residuals.values()) <= RESIDUAL_TOL * scale
+    # the same equations at scattered real points, off the collocation grid
+    x = rng.uniform(0.0, 100.0, 50)
+    y = rng.uniform(-DOM.s, DOM.s, 50)
+    u, v, a = sol.u, sol.v, ALPHA.alpha
+    g_mean = StripFunction(FREQ, DOM, np.where(qp.k1_norms(K, 2)[..., None] == 0, g.coeffs, 0))
+    res1 = u.eval_xy(x + a, y) - u.eval_xy(x, y) - sol.epsilon * v.eval_xy(x, y) - f.eval_xy(x, y)
+    res2 = v.eval_xy(x + a, y) - v.eval_xy(x, y) - g.eval_xy(x, y) + g_mean.eval_xy(x, y)
+    assert max(np.max(np.abs(res1)), np.max(np.abs(res2))) <= RESIDUAL_TOL * scale
 
 
 def test_coupled_mean_conditions():

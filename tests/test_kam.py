@@ -9,6 +9,7 @@ from qpkam import qpfourier as qp
 from qpkam.diophantine import certify_frequency, sample_admissible
 from qpkam.errors import NoIntersectionWitness, NotConverged, RootFindFailed, SmoothnessTooLow
 from qpkam.kam import (
+    DEFECT_XIS,
     ConjugacyMap,
     LevelContext,
     NormalizedMap,
@@ -23,7 +24,7 @@ from qpkam.kam import (
     smallness_check,
     solve_back,
 )
-from qpkam.maps import kicked_twist, pure_twist, rigid_shift
+from qpkam.maps import CurveGraph, kicked_twist, pure_twist, rigid_shift
 from qpkam.qpfourier import StripDomain, StripFunction, eval_strip_stack
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -192,7 +193,7 @@ def test_step_zero_perturbation():
     lc = LevelContext(k=0, r=1.0, s=sched.s0, theta=sched.theta, q=sched.q,
                       eps=sched.eps0, M_paper=sched.M0, alpha=ALPHA)
     H = zero_normalized(lc)
-    step = inductive_step(H, lc)
+    step = inductive_step(H, lc, H.defect_sup())
     assert float(np.max(np.abs(step.w_u.coeffs))) == 0.0
     assert float(np.max(np.abs(step.w_v.coeffs))) == 0.0
     assert step.Q.a0 == step.Q.a1 == step.Q.a2 == 0.0
@@ -223,7 +224,7 @@ def test_step_contraction_factor_proof_scale():
     fy.coeffs[(K, K - 1, 0)] = 0.4999j * M
     H = NormalizedMap(alpha.alpha, eps, fx, fy, dom)
     assert H.defect_sup() <= M * (1 + 1e-9)
-    step = inductive_step(H, lc, strict=True)
+    step = inductive_step(H, lc, H.defect_sup(), strict=True)
     deltas = step.report["contraction_deltas"]
     floor = 1e-13 * max(deltas)
     for d0, d1 in zip(deltas, deltas[1:]):
@@ -251,7 +252,7 @@ def test_step_bilipschitz_sample():
     fx.coeffs[(6, 5, 0)] = 0.4999 * M
     fx.coeffs[(4, 5, 0)] = 0.4999 * M
     H = NormalizedMap(alpha.alpha, eps, fx, StripFunction.zeros(FREQ, dom, 5, 3), dom)
-    step = inductive_step(H, lc, strict=True)
+    step = inductive_step(H, lc, H.defect_sup(), strict=True)
     rng = np.random.default_rng(5)
     n_points = 128                        # 64 pairs: point 2i against 2i + 1
     x = (rng.uniform(0, 2 * math.pi, n_points)
@@ -298,7 +299,7 @@ def test_solve_back_same_member_returns_seed():
     phi = small_normalized(dom, ALPHA.alpha, 0.2, seed=5, amp=5e-5)
     # when A_next is the exact push-forward of phi through Z, H == phi
     A_push = push_forward(Z, phi, dom)
-    H, rep = solve_back(Z, A_push, phi, {"r": dom.r, "s": dom.s, "b": Z.b},
+    H, rep = solve_back(Z, A_push, phi, dom,
                         A_prev=A_push)
     assert float(np.max(np.abs(H.fx.coeffs - phi.fx.coeffs))) < 1e-11
     assert float(np.max(np.abs(H.fy.coeffs - phi.fy.coeffs))) < 1e-11
@@ -312,7 +313,7 @@ def test_solve_back_identity_conjugacy():
     seed = NormalizedMap(ALPHA.alpha, 0.2,
                          StripFunction.zeros(FREQ, dom, 4, 3),
                          StripFunction.zeros(FREQ, dom, 4, 3), dom)
-    H, _ = solve_back(Z, A, seed, {"r": dom.r, "s": dom.s, "b": 1.0})
+    H, _ = solve_back(Z, A, seed, dom)
     assert float(np.max(np.abs(H.fx.coeffs - A.fx.coeffs))) < 1e-11
     assert float(np.max(np.abs(H.fy.coeffs - A.fy.coeffs))) < 1e-11
 
@@ -406,7 +407,7 @@ def test_solve_back_reconstructs_synthetic():
     seed = NormalizedMap(ALPHA.alpha, 0.2,
                          StripFunction.zeros(FREQ, dom, K_rep, J_rep),
                          StripFunction.zeros(FREQ, dom, K_rep, J_rep), dom)
-    H_rec, _ = solve_back(Z, A, seed, {"r": dom.r, "s": dom.s, "b": Z.b})
+    H_rec, _ = solve_back(Z, A, seed, dom)
     pad = (K_rep - H_true.fx.K, J_rep - H_true.fx.J)
     fx_ref = np.pad(H_true.fx.coeffs, [(pad[0], pad[0])] * 2 + [(0, pad[1])])
     fy_ref = np.pad(H_true.fy.coeffs, [(pad[0], pad[0])] * 2 + [(0, pad[1])])
@@ -480,7 +481,7 @@ def test_compose_conjugacy_consistency():
                      1.0, 1.0 - 1e-3, 1.0 + 1e-3, dom_prime)
     dom_w = StripDomain(lc.r - 2 * lc.rho, lc.t)
     w_u, w_v = low_order(dom_w, 3e-6, J=5), low_order(dom_w, 3e-6, J=5)
-    Z_new = compose_conjugacy(Z, w_u, w_v, lc, sched)
+    Z_new = compose_conjugacy(Z, w_u, w_v, lc)
     # random sample of D_{k+1}
     xs = rng.uniform(0, 2 * math.pi, 30)
     ys = rng.uniform(-lc.s_plus, lc.s_plus, 30)
@@ -591,6 +592,24 @@ def test_run_curve_quality_and_orbit():
         pt = mp.apply(pt, check_strip=False)
         worst = max(worst, abs(pt[1] - float(r_hat.eval(pt[0]).real)))
     assert worst <= 10.0 * math.sqrt(1e-8)
+
+
+def test_run_measures_each_level_once(monkeypatch):
+    calls = []
+    defect_sup = NormalizedMap.defect_sup
+    monkeypatch.setattr(NormalizedMap, "defect_sup",
+                        lambda self: calls.append(1) or defect_sup(self))
+    mp = acceptance_map()
+    out = run(mp, ALPHA, make_schedule(), tol=1e-8, k_max=8, K_trunc=8, J=6,
+              y_scale=16.0, check_intersection=False)
+    k0 = out.trace[0]["k"]
+    # one per trace record, k0 + 1 in the start-level scan, one in normalize's report
+    assert len(out.trace) > 1
+    assert len(calls) == len(out.trace) + (k0 + 1) + 1
+    # the trace defect is the returned curve's conjugacy residual
+    assert isinstance(out.curve, CurveGraph)
+    assert out.curve.defect == out.trace[-1]["defect"]
+    assert out.curve.defect == out.curve.conjugacy_residual(mp, DEFECT_XIS)
 
 
 def test_trace_BM_trend_and_containment():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qpkam import qpfourier as qp
-from qpkam.errors import CertifiedStripExceeded, NotMonotone, RealityDefect
+from qpkam.errors import CertifiedStripExceeded, ConfigError, NotMonotone, RealityDefect
 from qpkam.qpfourier import (
     Frequency,
     ShellFunction,
@@ -49,6 +49,16 @@ def test_eval_constant():
 def test_eval_cosine_at_zero():
     f = ShellFunction.from_modes(FREQ2, {(1, 0): 0.5}, K=1, width=1.0)
     assert f.eval(0.0).real == pytest.approx(1.0, abs=1e-14)
+
+
+def test_from_modes_rejects_modes_outside_the_box():
+    # a 3-vector on a 2-torus box used to fill a whole slice of it silently
+    with pytest.raises(ConfigError, match="need 2 components"):
+        ShellFunction.from_modes(FREQ2, {(1, 0, 0): 0.5}, K=1)
+    with pytest.raises(ConfigError):
+        ShellFunction.from_modes(FREQ2, {(1,): 0.5}, K=1)
+    with pytest.raises(ConfigError, match="K = 1"):
+        ShellFunction.from_modes(FREQ2, {(2, 0): 0.5}, K=1)
 
 
 def test_eval_mixed_mode_oracle():

@@ -1,6 +1,7 @@
 """Property tests of the evaluation primitives: eval_modes against FFT
 synthesis and the explicit mode sum, and the strip evaluators against
-per-node and direct scattered-evaluation oracles."""
+per-node and direct scattered-evaluation oracles; and of the Fourier/Chebyshev
+algebra: symmetrize, with_domain, and invert_angle_map with compose_angle."""
 
 import itertools
 import math
@@ -11,7 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpkam import qpfourier as qp
-from qpkam.qpfourier import Frequency, StripDomain, StripFunction, eval_strip_stack, sheet_sup
+from qpkam.qpfourier import (
+    Frequency,
+    ShellFunction,
+    StripDomain,
+    StripFunction,
+    compose_angle,
+    eval_strip_stack,
+    invert_angle_map,
+    sheet_sup,
+)
 
 OMEGAS = {1: (1.0,), 2: (1.0, math.sqrt(2.0)), 3: (1.0, math.sqrt(2.0), math.sqrt(3.0))}
 PROPS = settings(max_examples=40, deadline=None)
@@ -216,3 +226,46 @@ def test_taylor_order_rejects_non_finite_and_wide():
     for x in (math.nan, math.inf, -1.0, 25.0, 1e300):
         assert qp.taylor_order(x) is None
     assert qp.taylor_order(0.0) == 0
+
+
+# ---------------------------------------------------------------------------
+# Fourier/Chebyshev algebra
+# ---------------------------------------------------------------------------
+
+@PROPS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(0, 4),
+       trailing=TRAILING)
+def test_symmetrize_is_idempotent(seed, n, K, trailing):
+    coeffs = random_box(np.random.default_rng(seed), n, K, trailing)
+    sym, _ = qp.symmetrize(coeffs, n, check=False)
+    again, defect = qp.symmetrize(sym, n, check=False)
+    assert defect == 0.0
+    np.testing.assert_array_equal(again, sym)
+
+
+@PROPS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2), K=st.integers(0, 3),
+       J=st.integers(0, 5), extra=st.integers(0, 3), ratio=st.floats(0.2, 1.5))
+def test_with_domain_is_exact_for_wider_chebyshev_order(seed, n, K, J, extra, ratio):
+    rng = np.random.default_rng(seed)
+    f = random_strip(rng, n, K, J)
+    g = f.with_domain(StripDomain(0.5, ratio * f.domain.s), J + extra)
+    assert g.J == J + extra
+    ys = g.domain.s * rng.uniform(-1.0, 1.0, 7)
+    tmax = max(1.0, ratio)
+    err = np.max(np.abs(g.modes_at_y(ys) - f.modes_at_y(ys)))
+    assert err <= 1e-13 * coeff_scale([f], tmax)
+
+
+@PROPS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2), K=st.integers(1, 3))
+def test_invert_then_compose_is_identity(seed, n, K):
+    rng = np.random.default_rng(seed)
+    box = random_box(rng, n, K, ()) * np.exp(-0.5 * qp.k1_norms(K, n))
+    h = ShellFunction(Frequency(OMEGAS[n]), box, 1.0).symmetrized()[0]
+    # |h| <= 0.15 and |h'| <= 0.1 keep the inverse's tail at K_out 24 below
+    # 1e-11 (n = 1) and 1e-13 (n = 2), far inside the 1e-9 budget
+    h = h * min(0.15 / h.norm_upper(0.0), 0.1 / h.derivative().norm_upper(0.0))
+    h1 = invert_angle_map(h, K_out=24)
+    # displacement of t -> t + h(t) + h1(t + h(t)), the identity's being 0
+    assert (compose_angle(h1, h, K_out=24) + h).norm_upper(0.0) < 1e-9
