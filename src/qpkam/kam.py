@@ -50,6 +50,17 @@ INTERSECTION_STRIP = 1.0 / 600.0
 DEFECT_XIS = np.linspace(0.0, 240.0, 192, endpoint=False)
 
 
+def collocation_grid(K: int) -> int:
+    """Torus points per axis of the KAM collocation grids: 3K + 2 (at least 8).
+
+    The 3/2 dealiasing rule for quadratic terms (Orszag 1971): on this grid
+    the product of two |k|_inf <= K fields aliases only onto shells above K.
+    About 3/4 of default_grid's points per axis.  Sup measurements stay on
+    default_grid.
+    """
+    return max(3 * K + 2, 8)
+
+
 # ---------------------------------------------------------------------------
 # schedule
 # ---------------------------------------------------------------------------
@@ -155,6 +166,8 @@ class NormalizedMap:
     domain: StripDomain
 
     def defect_sup(self) -> float:
+        """Grid sup of |fx| and |fy| at the Chebyshev nodes.  A sup measurement,
+        not a collocation: it stays on the oversampled default_grid."""
         N = default_grid(self.fx.K)
         return max(float(np.max(np.abs(self.fx.sample(N)))),
                    float(np.max(np.abs(self.fy.sample(N)))))
@@ -404,7 +417,7 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, measured: float,
     w_scale = u.domain.s     # = t
 
     # collocation grid on D_plus: (N,)*n torus points x J+1 nodes
-    N = default_grid(K)
+    N = collocation_grid(K)
     ys = lc.s_plus * cheb_nodes(J)
     shape = (N,) * n
 
@@ -471,9 +484,10 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, measured: float,
     Q = TruncationPolynomial(*power_truncation(gpow, 3, theta / 2.0))
 
     # verification reports (theorems in the proof regime, advisory otherwise)
+    N_sup = default_grid(K)
     w_sup_dprime = max(
-        float(np.max(np.abs(u.sample(N, lc.sp_plus * cheb_nodes(J))))),
-        float(np.max(np.abs(v.sample(N, lc.sp_plus * cheb_nodes(J))))))
+        float(np.max(np.abs(u.sample(N_sup, lc.sp_plus * cheb_nodes(J))))),
+        float(np.max(np.abs(v.sample(N_sup, lc.sp_plus * cheb_nodes(J))))))
     phi_minus_q = np.abs(phi1_vals).max()
     q_at_ys = Q.eval(ys)
     phi_minus_q = max(phi_minus_q, float(np.max(np.abs(phi2_vals - q_at_ys))))
@@ -499,7 +513,8 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, measured: float,
 def _pullback_grid(Z: ConjugacyMap, thf, targets_theta_disp: np.ndarray,
                    targets_y: np.ndarray, seeds_disp: np.ndarray, seeds_y: np.ndarray,
                    tol: float):
-    """Solve Z(w) = target per point x by Newton (full steps, at most 40), seeded.
+    """Solve Z(w) = target per point x by Newton (full steps, at most 40), seeded;
+    returns the solution, the Newton steps taken and the final max residual.
 
     thf is scattered shell points (n, P) or a grid size N (eval_strip_stack);
     targets and seeds have shape (P,) or (P, nodes), one column per node, and
@@ -509,7 +524,7 @@ def _pullback_grid(Z: ConjugacyMap, thf, targets_theta_disp: np.ndarray,
     """
     a = seeds_disp.copy()
     yv = seeds_y.copy()
-    for _ in range(40):
+    for it in range(40):
         P, Zy = Z.values_at(thf, yv, a)
         r1 = (a + P) - targets_theta_disp
         r2 = Zy - targets_y
@@ -527,7 +542,7 @@ def _pullback_grid(Z: ConjugacyMap, thf, targets_theta_disp: np.ndarray,
     else:
         i = int(np.argmax(np.abs(r1) + np.abs(r2)))
         raise RootFindFailed((float(a.flat[i]), float(yv.flat[i])), res)
-    return a, yv
+    return a, yv, it, res
 
 
 def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
@@ -535,15 +550,16 @@ def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
                ) -> tuple[NormalizedMap, dict]:
     """H with Z o H = A_next o Z on dom = D_{k+1}, seeded at Phi_plus.
 
-    Reports the (3.19)-type smallness |A_next - A_prev|_E <= b*(s_k/7), with
-    b = Z.b, and the contraction of H around the seed.
+    Reports the pullback Newton's steps and final residual, the (3.19)-type
+    smallness |A_next - A_prev|_E <= b*(s_k/7), with b = Z.b, and the
+    contraction of H around the seed.
     """
     freq = A_next.fx.freq
     n = freq.n
     K = phi_plus.fx.K
     J = phi_plus.fx.J
     twist_next = phi_plus.twist
-    N = default_grid(K)
+    N = collocation_grid(K)
     ys = dom.s * cheb_nodes(J)
     nodes = ys[None, :]                       # broadcasts to (points, J+1)
 
@@ -559,7 +575,8 @@ def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
     # seed: Phi_plus(x, y)
     a = A_next.alpha + twist_next * nodes + at_nodes(phi_plus.fx)
     yv = nodes + at_nodes(phi_plus.fy)
-    a, yv = _pullback_grid(Z, N, t_disp, t_y, a, yv, 1e-12 * (1.0 + abs(A_next.alpha)))
+    a, yv, iters, res = _pullback_grid(Z, N, t_disp, t_y, a, yv,
+                                       1e-12 * (1.0 + abs(A_next.alpha)))
     grid = (N,) * n + (J + 1,)
     a_out = (a - A_next.alpha - twist_next * nodes).reshape(grid)
     y_out = (yv - nodes).reshape(grid)
@@ -568,7 +585,7 @@ def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
     hy = StripFunction.from_grid(y_out, freq, dom, K, J)
     H_next = NormalizedMap(A_next.alpha, twist_next, hx, hy, dom)
 
-    report = {}
+    report = {"newton_iters": iters, "newton_residual": res}
     if A_prev is not None:
         diff = A_prev.gap(A_next)
         bound = Z.b * (2.0 * dom.s) / 7.0         # b_{k+1} * s_k / 7
@@ -608,8 +625,8 @@ def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: Truncation
     P, Zy = Z.values_at(th, eta_cols)
     zt = th[..., None] + np.multiply.outer(freq.vec, P)
     dx, dy = exact.displacement(zt, Zy)
-    a, yv = _pullback_grid(Z, th, P + dx, Zy + dy, alpha + eps_plus * eta_cols,
-                           eta_cols, 1e-12 * (1 + abs(alpha)))
+    a, yv, _, _ = _pullback_grid(Z, th, P + dx, Zy + dy, alpha + eps_plus * eta_cols,
+                                 eta_cols, 1e-12 * (1 + abs(alpha)))
     d = yv - etas                             # Psi^(2) - eta along each curve
     psi1_dev = a - alpha - eps_plus * etas    # Psi^(1) - (xi + alpha + eps+ eta)
     N_glob = max(float(np.max(np.abs(d - Q.eval(etas)))), float(np.max(np.abs(psi1_dev))))
@@ -770,7 +787,7 @@ def compose_conjugacy(Z: ConjugacyMap, w_u: StripFunction, w_v: StripFunction,
     n = freq.n
     K, J = Z.P.K, Z.P.J
     dom_new = StripDomain(lc.rp_plus, lc.sp_plus)
-    N = default_grid(K)
+    N = collocation_grid(K)
     ys = lc.sp_plus * cheb_nodes(J)
     grid = (N,) * n + (J + 1,)
     theta_c = lc.theta

@@ -104,27 +104,32 @@ def _fft_indices(K: int, N: int) -> np.ndarray:
     return np.arange(-K, K + 1) % N
 
 
-def embed_fft(coeffs: np.ndarray, n: int, N: int) -> np.ndarray:
-    """Place a centered mode box into an (N,)*n FFT-layout array."""
-    K = (coeffs.shape[0] - 1) // 2
+def extract_fft(grid_fft: np.ndarray, n: int, K: int) -> np.ndarray:
+    """Centered mode box |k|_inf <= K of an (N,)*n FFT-layout array, divided
+    by N^n."""
+    N = grid_fft.shape[0]
     if N < 2 * K + 1:
         raise ValueError(f"grid N={N} cannot hold modes up to K={K}")
-    out = np.zeros((N,) * n + coeffs.shape[n:], dtype=complex)
-    idx = [_fft_indices(K, N)] * n
-    out[np.ix_(*idx)] = coeffs
-    return out
-
-
-def extract_fft(grid_fft: np.ndarray, n: int, K: int) -> np.ndarray:
-    N = grid_fft.shape[0]
     idx = [_fft_indices(K, N)] * n
     return grid_fft[np.ix_(*idx)] / N**n
 
 
 def synthesize(coeffs: np.ndarray, n: int, N: int) -> np.ndarray:
-    """Values of sum_k c_k e^{i<k,theta>} on the uniform (N,)*n torus grid."""
-    spread = embed_fft(coeffs, n, N)
-    return np.fft.ifftn(spread, axes=tuple(range(n))) * N**n
+    """Values of sum_k c_k e^{i<k,theta>} on the uniform (N,)*n torus grid.
+
+    One torus axis at a time, so each inverse FFT runs only over lines that
+    hold modes: (2K+1)^(n-1-d) * N^d lines on axis d.
+    """
+    K = (coeffs.shape[0] - 1) // 2
+    if N < 2 * K + 1:
+        raise ValueError(f"grid N={N} cannot hold modes up to K={K}")
+    idx = _fft_indices(K, N)
+    out = coeffs
+    for ax in range(n):
+        spread = np.zeros(out.shape[:ax] + (N,) + out.shape[ax + 1:], dtype=complex)
+        spread[(slice(None),) * ax + (idx,)] = out
+        out = np.fft.ifft(spread, axis=ax, norm="forward")
+    return out
 
 
 def synthesize_grid(coeffs: np.ndarray, n: int, N: int) -> np.ndarray:
@@ -136,10 +141,27 @@ def synthesize_grid(coeffs: np.ndarray, n: int, N: int) -> np.ndarray:
 
 
 def analyze(values: np.ndarray, n: int, K: int) -> np.ndarray:
-    """Centered mode box from values on a uniform torus grid (extra axes kept)."""
-    N = values.shape[0]
+    """Centered mode box from values on a uniform torus grid (extra axes kept).
+
+    Under an active grid_eval_log, also records the largest discarded band:
+    sum |c_k| over the shells K < |k|_inf <= (N-1)//2 that the grid resolves
+    but the projection drops, summed over the extra axes.
+    """
     grid_fft = np.fft.fftn(values, axes=tuple(range(n)))
+    if _grid_logs:
+        band = _band_mass(grid_fft, n, K)
+        for log in _grid_logs:
+            log["band"] = max(log["band"], band)
     return extract_fft(grid_fft, n, K)
+
+
+def _band_mass(grid_fft: np.ndarray, n: int, K: int) -> float:
+    B = (grid_fft.shape[0] - 1) // 2
+    if B <= K:
+        return 0.0
+    mass = np.abs(extract_fft(grid_fft, n, B)).reshape((2 * B + 1,) * n + (-1,)).sum(axis=-1)
+    mass[(slice(B - K, B + K + 1),) * n] = 0.0
+    return float(mass.sum())
 
 
 def theta_grid(N: int, n: int) -> np.ndarray:
@@ -150,7 +172,14 @@ def theta_grid(N: int, n: int) -> np.ndarray:
 
 
 def default_grid(K: int) -> int:
-    """Oversampled grid size: twice the alias-free minimum."""
+    """Oversampled grid size: twice the alias-free minimum.
+
+    Its users: the shell algebra and strip sampling of this module
+    (shell_product, compose_angle, invert_angle_map, from_sampler, the
+    norm_lower sups), smoothing, cohomology, the shell compositions in maps
+    and NormalizedMap.defect_sup.  The KAM collocation grids use
+    kam.collocation_grid instead.
+    """
     return max(2 * (2 * K + 1), 8)
 
 
@@ -696,15 +725,16 @@ class StripFunction:
 TAYLOR_TOL = 2.0**-53
 TAYLOR_MAX_ORDER = 24
 
-# active grid_eval_log records; the grid path of eval_strip_stack updates them
+# active grid_eval_log records; eval_strip_stack's grid path and analyze update them
 _grid_logs: list = []
 
 
 @contextmanager
 def grid_eval_log():
     """Collect, over the block, the node slices evaluated on the grid path of
-    eval_strip_stack, the largest Taylor order used and the direct fallbacks."""
-    log = {"nodes": 0, "max_order": 0, "fallbacks": 0}
+    eval_strip_stack, the largest Taylor order used, the direct fallbacks and
+    the largest discarded band of analyze."""
+    log = {"nodes": 0, "max_order": 0, "fallbacks": 0, "band": 0.0}
     _grid_logs.append(log)
     try:
         yield log

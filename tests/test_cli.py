@@ -296,12 +296,15 @@ def run_with_threads(threads, argv):
 
 def test_curve_json_identical_across_thread_counts(tmp_path):
     cfg = write_cfg(tmp_path)
-    curves = []
+    outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}"
         run_with_threads(threads, ["solve", "--config", str(cfg), "--out", str(out)])
-        curves.append((out / "curve.json").read_bytes())
-    assert curves[0] == curves[1]
+        outputs.append([(out / name).read_bytes()
+                        for name in ("curve.json", "trace.json", "samples.csv")])
+    assert outputs[0] == outputs[1]
+    levels = json.loads(outputs[0][1])["levels"]
+    assert all("band" in rec["evaluator"] for rec in levels)
 
 
 def test_diagnose_json_identical_across_thread_counts(tmp_path):

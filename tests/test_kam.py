@@ -1,6 +1,7 @@
 """KAM machinery: schedule formulas, inductive step, solve-back, driver runs."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -334,10 +335,10 @@ def push_forward(Z: ConjugacyMap, H: NormalizedMap, dom: StripDomain,
     fy_vals = np.empty((N, N, J + 1))
     for j, y in enumerate(ys):
         # eta = Z^{-1}(grid point)
-        a, ey = _pullback_grid(Z, thf, np.zeros(thf.shape[1]),
-                               np.full(thf.shape[1], y),
-                               np.zeros(thf.shape[1]), np.full(thf.shape[1], y),
-                               1e-14)
+        a, ey, _, _ = _pullback_grid(Z, thf, np.zeros(thf.shape[1]),
+                                     np.full(thf.shape[1], y),
+                                     np.zeros(thf.shape[1]), np.full(thf.shape[1], y),
+                                     1e-14)
         th_eta = thf + np.multiply.outer(freq.vec, a)
         hv = eval_strip_stack([H.fx, H.fy], th_eta, ey)
         h_disp = H.alpha + H.twist * ey + hv[..., 0]
@@ -389,11 +390,13 @@ def test_pullback_grid_node_axis_matches_per_node_calls(grid):
     t_y = ys + 1e-4 * rng.standard_normal((P, ys.size))
     seed_disp = np.full((P, ys.size), 0.3)
     seed_y = np.broadcast_to(ys, (P, ys.size))
-    a, yv = _pullback_grid(Z, thf, t_disp, t_y, seed_disp, seed_y, 1e-13)
+    a, yv, iters, res = _pullback_grid(Z, thf, t_disp, t_y, seed_disp, seed_y, 1e-13)
     assert a.shape == yv.shape == (P, ys.size)
+    assert 0 < iters < 40 and res < 1e-13
     for j in range(ys.size):
-        aj, yj = _pullback_grid(Z, thf, t_disp[:, j], t_y[:, j],
-                                seed_disp[:, j], seed_y[:, j], 1e-13)
+        aj, yj, iters_j, _ = _pullback_grid(Z, thf, t_disp[:, j], t_y[:, j],
+                                            seed_disp[:, j], seed_y[:, j], 1e-13)
+        assert iters_j <= iters
         assert np.max(np.abs(a[:, j] - aj)) <= 1e-13
         assert np.max(np.abs(yv[:, j] - yj)) <= 1e-13
 
@@ -549,6 +552,31 @@ def test_run_acceptance_instance():
         assert b <= a / 4.0
     for rec in out.trace[:-1]:
         assert rec["intersection"]["pass"]
+    # the collocation grid drops no resolved mass here: no aliasing to guard
+    assert all(rec["evaluator"]["band"] <= 1e-12 for rec in out.trace)
+
+
+# a kicked twist with modes up to |k|_inf = 4 at lambda 3e-3: its level fields
+# fill the K_trunc 12 box, so the 3K+2 collocation grid runs close to aliasing
+STRESS_MODES = MODES + [((3, -2), 0.1), ((2, 3), 0.08), ((4, 1), 0.05)]
+# per-level defects of this run with the collocation on default_grid, 2(2K+1) points
+STRESS_DEFECTS_2X = [3.6995e-3, 1.1066e-3, 6.7401e-4, 5.1429e-5, 7.4170e-7, 2.0654e-8]
+
+
+def test_run_stress_collocation_grid_matches_oversampled_grid():
+    t0 = time.monotonic()
+    mp = kicked_twist(FREQ, 3e-3, STRESS_MODES, strip=STRIP)
+    out = run(mp, ALPHA, make_schedule(), tol=1e-10, k_max=6, K_trunc=12, J=6,
+              y_scale=16.0, check_intersection=False, raise_on_fail=False)
+    elapsed = time.monotonic() - t0
+    defects = [r["defect"] for r in out.trace]
+    assert len(defects) == len(STRESS_DEFECTS_2X)
+    for got, ref in zip(defects, STRESS_DEFECTS_2X):
+        assert got == pytest.approx(ref, rel=0.05)
+    bands = [r["evaluator"]["band"] for r in out.trace]
+    assert max(bands) > 1e-6               # the indicator sees the near-aliasing
+    assert all(r["solve_back"]["newton_residual"] < 1e-11 for r in out.trace[:-1])
+    assert elapsed <= 20.0, f"{elapsed:.1f}s over the 20 s budget"
 
 
 def test_run_level1_defect_scales_linearly():

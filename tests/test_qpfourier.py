@@ -266,6 +266,26 @@ def test_round_trip_grid_recovery():
         assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-12
 
 
+def test_analyze_refuses_a_grid_too_small_for_the_box():
+    # N = 6 holds |k| <= 2 only: K = 4 would wrap modes onto each other
+    with pytest.raises(ValueError, match="N=6 cannot hold modes up to K=4"):
+        qp.analyze(np.random.default_rng(0).random((6, 6)), 2, 4)
+    assert qp.analyze(np.ones((5, 5)), 2, 2).shape == (5, 5)
+
+
+def test_analyze_logs_the_discarded_band():
+    # values of a K = 6 box analyzed to K = 3: the band 3 < |k|_inf <= 6 is
+    # exactly the coefficient mass that the projection drops
+    rng = np.random.default_rng(16)
+    f = random_shell(rng, FREQ2, K=6)
+    kmax = np.max(np.abs(qp.mode_vectors(6, 2)), axis=0).reshape(f.coeffs.shape)
+    with qp.grid_eval_log() as log:
+        qp.analyze(f.sample(26), 2, 3)
+        qp.analyze(f.sample(26), 2, 6)
+    assert log["band"] == pytest.approx(float(np.sum(np.abs(f.coeffs[kmax > 3]))),
+                                        rel=1e-12)
+
+
 def test_bessel_lemma_check():
     rng = np.random.default_rng(13)
     n = FREQ2.n

@@ -184,7 +184,7 @@ def test_grid_path_runs_every_taylor_order(M):
     disp = 0.7 + x / W * np.linspace(-1.0, 1.0, N**n)[rng.permutation(N**n)]
     y = rng.uniform(-0.4, 0.4, N**n)
     got, want, log = grid_vs_direct(strips, N, y, disp)
-    assert log == {"nodes": 1, "max_order": M, "fallbacks": 0}
+    assert log == {"nodes": 1, "max_order": M, "fallbacks": 0, "band": 0.0}
     assert np.max(np.abs(got - want)) <= 1e-14 * coeff_scale(strips, 1.0)
 
 
