@@ -2,8 +2,8 @@
 
 Spectral construction of the conjugacy to a rigid rotation: Diophantine
 certification, analytic smoothing of C^p map data, small-divisor difference
-equations, and the iterative invariant-curve driver, with the proved
-inequalities available as runnable checks.
+equations with residual postconditions, and the iterative invariant-curve
+driver.
 
 QPKAM_THREADS, when set, caps the BLAS thread pools; it is read here, before
 the first numpy import of the package.
@@ -15,7 +15,7 @@ if "QPKAM_THREADS" in os.environ:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, os.environ["QPKAM_THREADS"])
 
-from .cohomology import CohomologySolution, epsilon_of, solve_coupled, solve_single
+from .cohomology import solve_coupled, solve_single
 from .diophantine import (
     DivisorTable,
     RejectionReport,
@@ -58,18 +58,18 @@ from .qpfourier import (
     compose_angle,
     invert_angle_map,
 )
-from .smoothing import SampledCpFunction, SmoothingFamily, build_family, smooth
+from .smoothing import SampledCpFunction, smooth
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CohomologySolution", "ConjugacyMap", "CurveGraph", "DivisorTable",
+    "ConjugacyMap", "CurveGraph", "DivisorTable",
     "Frequency", "InvariantCurve", "KamSchedule", "NormalizedMap",
     "QpKamError", "QpPlanarMap", "RejectionReport", "RotationNumber",
-    "SampledCpFunction", "ShellFunction", "SmoothingFamily", "StripDomain",
-    "StripFunction", "build_family", "build_schedule", "certify_frequency",
+    "SampledCpFunction", "ShellFunction", "StripDomain",
+    "StripFunction", "build_schedule", "certify_frequency",
     "certify_rotation", "compose_angle", "divisor_sum_bound_check",
-    "epsilon_of", "exactness_defect", "image_curve",
+    "exactness_defect", "image_curve",
     "inductive_step", "intersection_bound", "intersection_witness",
     "invert_angle_map", "kicked_twist", "model_from_config",
     "normalize", "pure_twist", "rigid_shift", "run", "sample_admissible",

@@ -147,6 +147,14 @@ def _certificates(cfg: ExperimentConfig):
     return freq, rot, fraction
 
 
+def _rejection_line(rot: RejectionReport) -> str:
+    """The one stderr line of a rejected rotation number."""
+    line = f"rejection: alpha = {rot.alpha} violates the {rot.reason} condition"
+    if rot.k is not None:
+        line += f" at (k, j) = ({rot.k}, {rot.j}), margin {rot.margin}"
+    return line
+
+
 def cmd_certify(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
     try:
         freq, rot, fraction = _certificates(cfg)
@@ -163,8 +171,7 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
               "frequency": {"omega": list(freq.omega), "c": freq.c,
                             "sigma0": freq.sigma0, "K": freq.cutoff}}
     if isinstance(rot, RejectionReport):
-        print(f"rejection: alpha = {rot.alpha} violates the {rot.reason} condition "
-              f"at (k, j) = ({rot.k}, {rot.j}), margin {rot.margin}", file=sys.stderr)
+        print(_rejection_line(rot), file=sys.stderr)
         report.update({"accepted": False, "reason": rot.reason,
                        "k": list(rot.k) if rot.k else None, "j": rot.j,
                        "margin": rot.margin})
@@ -186,7 +193,7 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
     freq, rot, _ = _certificates(cfg)
     if isinstance(rot, RejectionReport):
-        print(f"rejection: ({rot.k}, {rot.j})", file=sys.stderr)
+        print(_rejection_line(rot), file=sys.stderr)
         return 2
     mp = model_from_config(cfg.map, freq)
     schedule = build_schedule(cfg.p, freq.n, cfg.tau, cfg.gamma, cfg.q,
@@ -195,7 +202,6 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
     try:
         result = run(mp, rot, schedule, tol=cfg.tol, k_max=cfg.k_max,
                      K_trunc=cfg.K_trunc, J=cfg.J, y_scale=cfg.y_scale)
-        trace, converged = result.trace, True
     except NotConverged as exc:
         _write(out_dir, "trace.json", {"converged": False, "smallness": small,
                                        "levels": exc.trace})
@@ -207,16 +213,16 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
                  "phi": serialize.shell_to_dict(curve.phi),
                  "psi": serialize.shell_to_dict(curve.psi)}
     _write(out_dir, "curve.json", curve_doc)
-    _write(out_dir, "trace.json", {"converged": converged, "smallness": small,
+    _write(out_dir, "trace.json", {"converged": True, "smallness": small,
                                    "y_scale": result.y_scale,
-                                   "levels": trace})
+                                   "levels": result.trace})
     xis = np.linspace(0.0, 100.0, 1001)
     th, r = curve.points(xis)
     lines = ["xi,theta,r"]
     lines += [f"{float(x)!r},{float(t)!r},{float(v)!r}" for x, t, v in zip(xis, th, r)]
     (out_dir / "samples.csv").write_text("\n".join(lines) + "\n")
     if verbose:
-        for rec in trace:
+        for rec in result.trace:
             print(f"level {rec['k']}: defect {rec['defect']:.3e} [{rec['regime']}]")
     return 0
 

@@ -22,10 +22,6 @@ class ResonantFrequency(QpKamError):
         super().__init__(f"resonance <k,omega> = {value:.3e} at k = {self.k}")
 
 
-class CertifiedStripExceeded(QpKamError):
-    """A composition would evaluate a series outside its certified strip."""
-
-
 class NotMonotone(QpKamError):
     """The angle map t -> t + h(t) is not orientation preserving."""
 
@@ -42,18 +38,6 @@ class SamplerNotFinite(QpKamError):
     """A sampled value was nan or inf."""
 
 
-class QTooLarge(QpKamError):
-    """q violates the smallness bound tied to (p, tau)."""
-
-    def __init__(self, q, bound_smooth, bound_abs):
-        self.q = q
-        self.bound_smooth = bound_smooth
-        self.bound_abs = bound_abs
-        super().__init__(
-            f"q = {q:.6g} exceeds min({bound_smooth:.6g}, {bound_abs:.6g})"
-        )
-
-
 class SmoothnessTooLow(ConfigError):
     """Declared smoothness p fails p > 2*tau + 1."""
 
@@ -64,10 +48,6 @@ class UncertifiedDivisor(QpKamError):
 
 class ContractionDiverged(QpKamError):
     """Picard iteration for the conjugacy correction failed to contract."""
-
-
-class PreconditionDefect(QpKamError):
-    """|H - Omega| exceeds the level bound M in strict mode."""
 
 
 class RootFindFailed(QpKamError):
@@ -85,10 +65,6 @@ class NoIntersectionWitness(QpKamError):
 
 class NotAGraph(QpKamError):
     """The image of a curve folds over and is not a graph over the angle."""
-
-
-class OutOfStrip(QpKamError):
-    """A map was applied outside its declared strip a < r < b."""
 
 
 class NoneAdmissible(QpKamError):

@@ -25,7 +25,7 @@ from .errors import (
     ContractionDiverged,
     NoIntersectionWitness,
     NotConverged,
-    PreconditionDefect,
+    ResidualDefect,
     RootFindFailed,
     SmoothnessTooLow,
 )
@@ -135,18 +135,15 @@ def build_schedule(p: float, n: int, tau: float, gamma: float,
         delta=((1 + q) / 2.0) ** ks)
 
 
-def smallness_check(sup_fg: float, cp_fg: float, schedule: KamSchedule,
-                    c0: float | None = None, c1: float | None = None,
-                    c2: float | None = None) -> dict:
-    """Both smallness conditions; advisory (the driver may run beyond them)."""
-    c0 = FROZEN_CONSTANTS["c0"] if c0 is None else c0
-    c1 = FROZEN_CONSTANTS["c1"] if c1 is None else c1
-    c2 = FROZEN_CONSTANTS["c2"] if c2 is None else c2
+def smallness_check(sup_fg: float, cp_fg: float, schedule: KamSchedule) -> dict:
+    """Both smallness conditions with the FROZEN_CONSTANTS smoothing
+    constants; advisory (the driver may run beyond them)."""
+    c = FROZEN_CONSTANTS
     n, tau, gamma, q = schedule.n, schedule.tau, schedule.gamma, schedule.q
     gg = (gamma / math.gamma(tau + 1.0)) ** 2
     pre = 6.0 ** -(n + 1) / 3.0
-    rhs0 = pre * q / (300.0 * c0) * (1.0 / 72.0) ** tau * gg
-    rhsP = pre * q * (1 - q) / (3600.0 * (3 * c1 + c2)) * (1.0 / 288.0) ** tau * gg
+    rhs0 = pre * q / (300.0 * c["c0"]) * (1.0 / 72.0) ** tau * gg
+    rhsP = pre * q * (1 - q) / (3600.0 * (3 * c["c1"] + c["c2"])) * (1.0 / 288.0) ** tau * gg
     return {"lhs0": sup_fg, "rhs0": rhs0, "lhsP": cp_fg, "rhsP": rhsP,
             "pass": bool(sup_fg <= rhs0 and cp_fg <= rhsP)}
 
@@ -263,22 +260,22 @@ def power_truncation(coeffs, m: int, q: float) -> np.ndarray:
 @dataclass
 class NormalizeResult:
     exact: ExactNormalizedMap
-    family: dict              # level -> NormalizedMap (built lazily via member())
+    family: callable          # level -> NormalizedMap, built lazily
     report: dict
     y_scale: float
-    strip_halfwidth: float = INTERSECTION_STRIP
 
 
 def normalize(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
-              K_trunc: int, J: int, y_scale: float | None = None) -> NormalizeResult:
-    """Linear change theta = x, r = alpha + sigma*y and the smoothed family.
+              K_trunc: int, J: int, y_scale: float) -> NormalizeResult:
+    """Linear change theta = x, r = alpha + sigma*y and the smoothed family,
+    with sigma = y_scale.
 
-    sigma defaults to the schedule's eps0 (the proof normalization); the
-    numerical driver passes a moderate sigma instead, since eps0 amplifies the
-    radial perturbation by eps0^{-1}.  The intersection strip |y| < 1/600 must
-    land inside the declared r-strip.
+    The schedule's eps0 as sigma is the proof normalization; the numerical
+    driver passes a moderate sigma instead, since eps0 amplifies the radial
+    perturbation by eps0^{-1}.  The intersection strip |y| < 1/600 must land
+    inside the declared r-strip.
     """
-    sigma = float(schedule.eps0 if y_scale is None else y_scale)
+    sigma = float(y_scale)
     a, b = mp.strip
     margin = min(alpha.alpha - a, b - alpha.alpha)
     if sigma * INTERSECTION_STRIP > margin:
@@ -300,8 +297,8 @@ def normalize(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
         if k not in members:
             d = float(schedule.delta[k])
             s_box = min(d, y_strip)
-            fx = smooth(hx, d, K_trunc, J, domain_s=s_box)
-            fy = smooth(hy, d, K_trunc, J, domain_s=s_box)
+            fx = smooth(hx, d, K_trunc, J, s_box)
+            fy = smooth(hy, d, K_trunc, J, s_box)
             members[k] = NormalizedMap(alpha.alpha, sigma, fx, fy,
                                        StripDomain(d, s_box))
         return members[k]
@@ -337,10 +334,6 @@ class LevelContext:
     @property
     def rho(self) -> float:
         return self.r / 6.0
-
-    @property
-    def t(self) -> float:
-        return self.s / self.theta
 
     @property
     def r_plus(self) -> float:
@@ -392,29 +385,25 @@ class StepResult:
 PICARD_MAX_ITER = 200
 
 
-def inductive_step(H: NormalizedMap, lc: LevelContext, measured: float,
-                   strict: bool = False) -> StepResult:
+def inductive_step(H: NormalizedMap, lc: LevelContext, measured: float) -> StepResult:
     """One inductive cycle: coupled solve, contraction, W, Phi_plus, Q.
 
-    measured is H.defect_sup(), the grid sup of |H - Omega|.  strict enforces
-    |H - Omega|_D <= M (the proof regime); the numerical driver runs with the
-    measured defect as working size instead.
+    measured is H.defect_sup(), the grid sup of |H - Omega|.  The working
+    size is max(measured, M): the proof regime |H - Omega|_D <= M is not
+    required, and run records which regime each level is in.
     """
     freq = H.fx.freq
     n = freq.n
     K = H.fx.K
     J = H.fx.J
     theta = lc.theta
-    if strict and measured > lc.M_paper * (1 + 1e-12):
-        raise PreconditionDefect(f"|H-Omega| = {measured:.3e} > M = {lc.M_paper:.3e}")
     M_work = max(measured, lc.M_paper)
 
     # (a) coupled linear solve with Theta-scaled right side on D(r, t)
     fT = H.fx.scale_y(theta)
     gT = H.fy.scale_y(theta)
-    sol = solve_coupled(fT, gT, lc.alpha, rho=lc.rho, epsilon=lc.eps, check=False)
-    u, v = sol.u, sol.v
-    w_scale = u.domain.s     # = t
+    u, v = solve_coupled(fT, gT, lc.alpha, rho=lc.rho, epsilon=lc.eps)
+    w_scale = u.domain.s     # = s / theta
 
     # collocation grid on D_plus: (N,)*n torus points x J+1 nodes
     N = collocation_grid(K)
@@ -546,13 +535,12 @@ def _pullback_grid(Z: ConjugacyMap, thf, targets_theta_disp: np.ndarray,
 
 
 def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
-               dom: StripDomain, A_prev: NormalizedMap | None = None
-               ) -> tuple[NormalizedMap, dict]:
+               dom: StripDomain, A_prev: NormalizedMap) -> tuple[NormalizedMap, dict]:
     """H with Z o H = A_next o Z on dom = D_{k+1}, seeded at Phi_plus.
 
     Reports the pullback Newton's steps and final residual, the (3.19)-type
-    smallness |A_next - A_prev|_E <= b*(s_k/7), with b = Z.b, and the
-    contraction of H around the seed.
+    smallness |A_next - A_prev|_E <= b*(s_k/7) of the replaced member A_prev,
+    with b = Z.b, and the contraction of H around the seed.
     """
     freq = A_next.fx.freq
     n = freq.n
@@ -585,17 +573,14 @@ def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
     hy = StripFunction.from_grid(y_out, freq, dom, K, J)
     H_next = NormalizedMap(A_next.alpha, twist_next, hx, hy, dom)
 
-    report = {"newton_iters": iters, "newton_residual": res}
-    if A_prev is not None:
-        diff = A_prev.gap(A_next)
-        bound = Z.b * (2.0 * dom.s) / 7.0         # b_{k+1} * s_k / 7
-        report["family_gap"] = diff
-        report["family_gap_bound"] = bound
-        report["family_gap_ok"] = bool(diff <= bound)
-        shift = max(float(np.max(np.abs(hx.coeffs - phi_plus.fx.coeffs))),
-                    float(np.max(np.abs(hy.coeffs - phi_plus.fy.coeffs))))
-        report["H_minus_phi"] = shift
-        report["H_minus_phi_bound"] = diff / max(Z.b, 1e-300)
+    diff = A_prev.gap(A_next)
+    bound = Z.b * (2.0 * dom.s) / 7.0             # b_{k+1} * s_k / 7
+    shift = max(float(np.max(np.abs(hx.coeffs - phi_plus.fx.coeffs))),
+                float(np.max(np.abs(hy.coeffs - phi_plus.fy.coeffs))))
+    report = {"newton_iters": iters, "newton_residual": res,
+              "family_gap": diff, "family_gap_bound": bound,
+              "family_gap_ok": bool(diff <= bound),
+              "H_minus_phi": shift, "H_minus_phi_bound": diff / max(Z.b, 1e-300)}
     return H_next, report
 
 
@@ -667,17 +652,17 @@ class InvariantCurve(CurveGraph):
 
     def conjugacy_residual(self, mp: QpPlanarMap, xis) -> float:
         th, r = self.points(xis)
-        th1, r1 = mp.apply((th, r), check_strip=False)
+        th1, r1 = mp.apply((th, r))
         th_t, r_t = self.points(np.asarray(xis) + self.rotation.alpha)
         return float(max(np.max(np.abs(th1 - th_t)), np.max(np.abs(r1 - r_t))))
 
 
 @dataclass
 class RunResult:
+    """A converged run: the last level's defect is at most tol."""
+
     curve: InvariantCurve
     trace: list
-    converged: bool
-    levels_used: int
     Z: ConjugacyMap
     y_scale: float
 
@@ -693,14 +678,15 @@ def _curve_from_Z(Z: ConjugacyMap, exact: ExactNormalizedMap,
 
 def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
         tol: float = 1e-8, k_max: int | None = None, K_trunc: int = 8, J: int = 6,
-        y_scale: float = 1.0, check_intersection: bool = True,
-        raise_on_fail: bool = True) -> RunResult:
+        y_scale: float = 1.0) -> RunResult:
     """Construct the invariant curve with rotation number alpha.
 
-    Iterates inductive_step + solve_back (+ intersection_bound) from the first
+    Iterates inductive_step + solve_back + intersection_bound from the first
     level whose mollified family member differs from the twist; the trace
     records per level the curve's conjugacy_residual on DEFECT_XIS, in
-    original (theta, r) units.
+    original (theta, r) units.  A run that stops above tol (k_max reached, or
+    a step failed with ContractionDiverged, ResidualDefect or RootFindFailed,
+    recorded as the level's failure) raises NotConverged with the trace.
     """
     k_max = schedule.k_max if k_max is None else min(k_max, schedule.k_max)
     norm = normalize(mp, alpha, schedule, K_trunc, J, y_scale=y_scale)
@@ -722,7 +708,6 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
     trace = []
     k = k0
     cycle = 0
-    converged = False
     while True:
         with grid_eval_log() as evaluator:
             curve = _curve_from_Z(Z, exact, alpha)
@@ -734,8 +719,7 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
                    "evaluator": evaluator}
             trace.append(rec)
             if curve.defect <= tol:
-                converged = True
-                break
+                return RunResult(curve, trace, Z, sigma)
             if k >= k_max:
                 break
 
@@ -756,28 +740,24 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
 
                 # replace A_k by A_{k+1} through the new conjugacy
                 A_next = member(k + 1)
-                H, sb_report = solve_back(Z, A_next, step.phi_plus, dom_next, A_prev=A_cur)
+                H, sb_report = solve_back(Z, A_next, step.phi_plus, dom_next, A_cur)
                 rec["solve_back"] = sb_report
                 A_cur = A_next
-            except (ContractionDiverged, RootFindFailed) as exc:
+            except (ContractionDiverged, ResidualDefect, RootFindFailed) as exc:
                 rec["failure"] = f"{type(exc).__name__}: {exc}"
                 break
 
-            if check_intersection:
-                try:
-                    rec["intersection"] = intersection_bound(
-                        Z, exact, step.Q, float(schedule.s[k + 1]), alpha.alpha,
-                        lc.eps_plus)
-                except NoIntersectionWitness as exc:
-                    rec["intersection"] = {"pass": False, "error": str(exc)}
+            try:
+                rec["intersection"] = intersection_bound(
+                    Z, exact, step.Q, float(schedule.s[k + 1]), alpha.alpha,
+                    lc.eps_plus)
+            except NoIntersectionWitness as exc:
+                rec["intersection"] = {"pass": False, "error": str(exc)}
             k += 1
             cycle += 1
 
-    result = RunResult(curve, trace, converged, k - k0, Z, sigma)
-    if not converged and raise_on_fail:
-        raise NotConverged(f"defect {trace[-1]['defect']:.3e} > tol {tol:.3e} "
-                           f"after level {k}", trace=trace)
-    return result
+    raise NotConverged(f"defect {trace[-1]['defect']:.3e} > tol {tol:.3e} "
+                       f"after level {k}", trace=trace)
 
 
 def compose_conjugacy(Z: ConjugacyMap, w_u: StripFunction, w_v: StripFunction,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NotAGraph, OutOfStrip
+from .errors import ConfigError, NotAGraph
 from .qpfourier import (
     Frequency,
     ShellFunction,
@@ -22,7 +22,6 @@ from .qpfourier import (
     default_grid,
     invert_angle_map,
     shell_product,
-    synthesize,
     theta_grid,
 )
 
@@ -55,12 +54,9 @@ class QpPlanarMap:
         th = np.multiply.outer(self.freq.vec, np.asarray(theta, dtype=float))
         return self.g_shell(th, r)
 
-    def apply(self, point, check_strip: bool = True):
-        """Image of (theta, r); raises OutOfStrip when r leaves [a, b]."""
+    def apply(self, point):
+        """Image of (theta, r), also for r outside the declared strip."""
         theta, r = point
-        a, b = self.strip
-        if check_strip and not (np.all(a <= np.asarray(r)) and np.all(np.asarray(r) <= b)):
-            raise OutOfStrip(f"r = {r} outside [{a}, {b}]")
         theta1 = theta + r + self.f_line(theta, r)
         r1 = r + self.g_line(theta, r)
         return theta1, r1
@@ -78,7 +74,7 @@ def pure_twist(freq: Frequency, strip=(-math.inf, math.inf)) -> QpPlanarMap:
 
 
 def kicked_twist(freq: Frequency, lam: float, modes, flux: float = 0.0,
-                 strip=(-math.inf, math.inf), p: float = math.inf) -> QpPlanarMap:
+                 strip=(-math.inf, math.inf)) -> QpPlanarMap:
     """theta_1 = theta + r + lam*s(theta), r_1 = r + lam*s(theta) + flux,
     with s = sum of c*sin(<k,theta>) over modes = [(k_tuple, c), ...].
 
@@ -97,7 +93,7 @@ def kicked_twist(freq: Frequency, lam: float, modes, flux: float = 0.0,
     amp = float(lam) * float(np.sum(np.abs(cs)))
     kmax = float(np.max(np.abs(ks @ freq.vec))) if len(modes) else 0.0
     cp = sum(amp * kmax**i for i in range(0, 8))
-    return QpPlanarMap(freq, f, g, strip, p=p, cp_norm=cp,
+    return QpPlanarMap(freq, f, g, strip, cp_norm=cp,
                        sup_norm_fg=2 * amp + abs(flux),
                        declared={"intersection": flux == 0.0,
                                  "exact_symplectic": flux == 0.0},
@@ -158,16 +154,15 @@ def flat_curve(freq: Frequency, r0: float, K: int = 4) -> CurveGraph:
                       ShellFunction.constant(freq, r0, K))
 
 
-def forward_shells(mp: QpPlanarMap, curve: CurveGraph, K_out: int | None = None):
+def forward_shells(mp: QpPlanarMap, curve: CurveGraph, K_out: int):
     """Image of a graph curve in the original parameter: the angle displacement
     u = phi + psi + f(curve) and the radius R1 = psi + g(curve), both shells."""
     freq = mp.freq
-    K_out = K_out if K_out is not None else max(2 * curve.phi.K, 8)
     N = default_grid(K_out)
     th = theta_grid(N, freq.n)
     thf = th.reshape(freq.n, -1)
-    phi_v = synthesize(curve.phi.coeffs, freq.n, N).real.ravel()
-    psi_v = synthesize(curve.psi.coeffs, freq.n, N).real.ravel()
+    phi_v = curve.phi.sample(N).ravel()
+    psi_v = curve.psi.sample(N).ravel()
     th_curve = thf + np.multiply.outer(freq.vec, phi_v)
     fv = mp.f_shell(th_curve, psi_v)
     gv = mp.g_shell(th_curve, psi_v)
@@ -185,11 +180,10 @@ def image_curve(mp: QpPlanarMap, curve: CurveGraph, K_out: int | None = None) ->
     to the inversion's truncation residual, which the pair (phi1, psi1)
     absorbs consistently.
     """
-    freq = mp.freq
     K_out = K_out if K_out is not None else max(2 * curve.phi.K, 8)
     u, r1 = forward_shells(mp, curve, K_out)
     N = default_grid(K_out)
-    du = synthesize(u.derivative().coeffs, freq.n, N).real
+    du = u.derivative().sample(N)
     if float(np.min(1.0 + du)) <= 0.0:
         raise NotAGraph(f"min(1 + u') = {float(np.min(1.0 + du)):.3e}")
     inv = invert_angle_map(u, K_out=K_out)

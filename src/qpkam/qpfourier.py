@@ -21,7 +21,6 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from .errors import (
-    CertifiedStripExceeded,
     ConfigError,
     NoConvergence,
     NotMonotone,
@@ -175,9 +174,9 @@ def default_grid(K: int) -> int:
     """Oversampled grid size: twice the alias-free minimum.
 
     Its users: the shell algebra and strip sampling of this module
-    (shell_product, compose_angle, invert_angle_map, from_sampler, the
-    norm_lower sups), smoothing, cohomology, the shell compositions in maps
-    and NormalizedMap.defect_sup.  The KAM collocation grids use
+    (shell_product, compose_angle, invert_angle_map, from_sampler),
+    smoothing, cohomology, the shell compositions in maps and
+    NormalizedMap.defect_sup.  The KAM collocation grids use
     kam.collocation_grid instead.
     """
     return max(2 * (2 * K + 1), 8)
@@ -202,21 +201,19 @@ def eval_modes(coeffs: np.ndarray, theta_pts: np.ndarray) -> np.ndarray:
     return res.reshape((P,) + coeffs.shape[n:])
 
 
-def symmetrize(coeffs: np.ndarray, n: int, check: bool = True):
-    """Average with the conjugate-reflected box; returns (sym, defect).
+def symmetrize(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Average with the conjugate-reflected box.
 
-    Enforces f_{-k} = conj(f_k) along the torus axes (reality class).  With
-    check=True a defect above REALITY_TOL*(1 + scale) fails fast;
-    grid-recovery paths use that mode, explicit symmetrization of user data
-    passes check=False.
+    Enforces f_{-k} = conj(f_k) along the torus axes (reality class) on
+    coefficients recovered from real data, where only roundoff breaks it: a
+    defect above REALITY_TOL*(1 + scale) fails fast.
     """
     flipped = np.flip(coeffs, axis=tuple(range(n))).conj()
-    sym = 0.5 * (coeffs + flipped)
     defect = float(np.max(np.abs(coeffs - flipped))) * 0.5 if coeffs.size else 0.0
     scale = 1.0 + float(np.max(np.abs(coeffs))) if coeffs.size else 1.0
-    if check and defect > REALITY_TOL * scale:
+    if defect > REALITY_TOL * scale:
         raise RealityDefect(f"symmetrization defect {defect:.3e} (scale {scale:.3e})")
-    return sym, defect
+    return 0.5 * (coeffs + flipped)
 
 
 def _pairwise_upper(amps: np.ndarray, n: int, weight_plus: np.ndarray,
@@ -228,20 +225,15 @@ def _pairwise_upper(amps: np.ndarray, n: int, weight_plus: np.ndarray,
     return float(0.5 * np.sum(big * weight_plus + small * weight_minus))
 
 
-def sheet_sup(coeffs: np.ndarray, n: int, N: int, rho: float = 0.0) -> float:
-    """Grid max of |f| on the real torus and, for rho > 0, on the 2^n corner
-    sheets Im theta = +-rho, over every mode box stacked on trailing axes.
+def sheet_sup(coeffs: np.ndarray, n: int, N: int) -> float:
+    """Grid max of |f| on the real torus, over every mode box stacked on
+    trailing axes.
 
     Boxes are synthesized one at a time: large grids stay cache-sized.
     """
-    kstack, _ = _lattice((coeffs.shape[0] - 1) // 2, n)
-    sheets = [np.zeros(n)]
-    if rho > 0:
-        sheets += [rho * (2 * np.array(sg) - 1) for sg in np.ndindex(*([2] * n))]
-    damps = [np.exp(-np.tensordot(v, kstack, axes=1)) for v in sheets]
     boxes = coeffs.reshape(coeffs.shape[:n] + (-1,))
-    return max(float(np.max(np.abs(synthesize(boxes[..., b] * damp, n, N))))
-               for b in range(boxes.shape[-1]) for damp in damps)
+    return max(float(np.max(np.abs(synthesize(boxes[..., b], n, N))))
+               for b in range(boxes.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +320,10 @@ class ShellFunction:
         return f
 
     @staticmethod
-    def from_modes(freq: Frequency, modes: dict, K: int, width: float = 0.0,
-                   real: bool = True) -> "ShellFunction":
-        """Build from {k_tuple: amplitude}; real=True also stores conjugates."""
+    def from_modes(freq: Frequency, modes: dict, K: int,
+                   width: float = 0.0) -> "ShellFunction":
+        """Real function from {k_tuple: amplitude}: each k != 0 also stores
+        the conjugate amplitude at -k."""
         outside = [list(k) for k in modes if len(k) != freq.n or max(map(abs, k)) > K]
         if outside:
             raise ConfigError(f"modes {outside} need {freq.n} components in |k_i| <= K = {K}")
@@ -338,7 +331,7 @@ class ShellFunction:
         for k, a in modes.items():
             idx = tuple(int(ki) + K for ki in k)
             coeffs[idx] += a
-            if real and any(ki != 0 for ki in k):
+            if any(ki != 0 for ki in k):
                 ridx = tuple(-int(ki) + K for ki in k)
                 coeffs[ridx] += np.conj(a)
         return ShellFunction(freq, coeffs, width)
@@ -346,7 +339,7 @@ class ShellFunction:
     @staticmethod
     def from_grid(values: np.ndarray, freq: Frequency, K: int,
                   width: float = 0.0) -> "ShellFunction":
-        coeffs, _ = symmetrize(analyze(np.asarray(values, dtype=complex), freq.n, K), freq.n)
+        coeffs = symmetrize(analyze(np.asarray(values, dtype=complex), freq.n, K), freq.n)
         return ShellFunction(freq, coeffs, width)
 
     # -- evaluation ----------------------------------------------------------
@@ -359,8 +352,8 @@ class ShellFunction:
         vals = vals.reshape(x_arr.shape)
         return complex(vals) if vals.ndim == 0 else vals
 
-    def sample(self, N: int | None = None) -> np.ndarray:
-        N = N or default_grid(self.K)
+    def sample(self, N: int) -> np.ndarray:
+        """Real values on the uniform (N,)*n torus grid."""
         return synthesize(self.coeffs, self.n, N).real
 
     # -- algebra -------------------------------------------------------------
@@ -402,17 +395,8 @@ class ShellFunction:
         kw = k_dot_omega(self.K, self.freq.vec)
         return ShellFunction(self.freq, self.coeffs * (1j * kw), self.width)
 
-    def shift(self, a: float) -> "ShellFunction":
-        """t -> t + a: multiply mode k by e^{i<k,omega>a}."""
-        kw = k_dot_omega(self.K, self.freq.vec)
-        return ShellFunction(self.freq, self.coeffs * np.exp(1j * kw * a), self.width)
-
     def mean(self) -> float:
         return float(self.coeffs[(self.K,) * self.n].real)
-
-    def symmetrized(self, check: bool = False):
-        coeffs, defect = symmetrize(self.coeffs, self.n, check=check)
-        return ShellFunction(self.freq, coeffs, self.width), defect
 
     # -- norms ---------------------------------------------------------------
 
@@ -421,14 +405,6 @@ class ShellFunction:
         k1 = k1_norms(self.K, self.n)
         return _pairwise_upper(np.abs(self.coeffs), self.n,
                                np.exp(rho * k1), np.exp(-rho * k1))
-
-    def norm_lower(self, rho: float = 0.0) -> float:
-        """Grid max over the real torus and the 2^n imaginary corner sheets."""
-        return sheet_sup(self.coeffs, self.n, default_grid(self.K), rho)
-
-    def sup_norm(self, rho: float = 0.0):
-        """Bracketing interval [grid max, weighted coefficient sum] for |f|_rho."""
-        return self.norm_lower(rho), self.norm_upper(rho)
 
 
 def shell_product(f: ShellFunction, g: ShellFunction, K_out: int | None = None) -> ShellFunction:
@@ -441,20 +417,17 @@ def shell_product(f: ShellFunction, g: ShellFunction, K_out: int | None = None) 
     return ShellFunction.from_grid(vals, f.freq, K_out, min(f.width, g.width))
 
 
-def compose_angle(g: ShellFunction, f: ShellFunction, K_out: int | None = None,
-                  require_width: float | None = None) -> ShellFunction:
+def compose_angle(g: ShellFunction, f: ShellFunction, K_out: int) -> ShellFunction:
     """Quasi-periodic composition t -> g(t + f(t)) by shell collocation.
 
-    The result's certified width w solves w + max|omega_j|*|f|_w <= g.width.
-    Raises CertifiedStripExceeded when that bookkeeping cannot certify the
-    requested require_width (the displaced strip leaves g's strip).
+    The result's certified width w solves w + max|omega_j|*|f|_w <= g.width
+    (0 when no w >= 0 does).
     """
     if not f.freq.same_omega(g.freq):
         raise ValueError("frequency mismatch")
     n = f.n
-    K_out = K_out if K_out is not None else max(f.K, g.K)
     N = default_grid(K_out)
-    fvals = synthesize(f.coeffs, n, N).real
+    fvals = f.sample(N)
     omax = float(np.max(np.abs(f.freq.vec)))
     theta = theta_grid(N, n).reshape(n, -1)
     shifted = theta + np.multiply.outer(f.freq.vec, fvals.ravel())
@@ -473,14 +446,10 @@ def compose_angle(g: ShellFunction, f: ShellFunction, K_out: int | None = None,
             width = lo
     elif np.isinf(g.width):
         width = f.width
-    if require_width is not None and width < require_width:
-        raise CertifiedStripExceeded(
-            f"certified width {width:.3e} below required {require_width:.3e} "
-            f"(|f|_0*max|omega| = {f.norm_upper(0.0) * omax:.3e}, g width {g.width:.3e})")
     return ShellFunction.from_grid(gvals, f.freq, K_out, width)
 
 
-def invert_angle_map(h: ShellFunction, K_out: int | None = None) -> ShellFunction:
+def invert_angle_map(h: ShellFunction, K_out: int) -> ShellFunction:
     """Inverse displacement h1 with (t + h(t)) o (tau + h1(tau)) = id.
 
     Safeguarded Newton iteration (bisection when a step leaves the bracket) on
@@ -489,14 +458,13 @@ def invert_angle_map(h: ShellFunction, K_out: int | None = None) -> ShellFunctio
     inverse lemma.
     """
     n = h.n
-    K_out = K_out if K_out is not None else h.K
     N = default_grid(max(K_out, h.K))
-    dcoeffs = h.derivative().coeffs
-    dvals = synthesize(dcoeffs, n, N).real
+    dh = h.derivative()
+    dvals = dh.sample(N)
     if float(np.min(1.0 + dvals)) <= 0.0:
         raise NotMonotone(f"min(1 + h') = {float(np.min(1.0 + dvals)):.3e}")
     theta = theta_grid(N, n).reshape(n, -1)
-    stacked = np.stack([h.coeffs, dcoeffs], axis=-1)
+    stacked = np.stack([h.coeffs, dh.coeffs], axis=-1)
     omega = h.freq.vec
     # per point the residual v + h(tau + v) is strictly increasing in v
     # (1 + h' > 0), so the root is unique and bracketed by +-sup|h|
@@ -571,19 +539,11 @@ class StripFunction:
                              np.zeros((2 * K + 1,) * freq.n + (J + 1,), dtype=complex))
 
     @staticmethod
-    def constant(freq: Frequency, domain: StripDomain, value: float,
-                 K: int = 0, J: int = 0) -> "StripFunction":
-        f = StripFunction.zeros(freq, domain, K, J)
-        f.coeffs[(K,) * freq.n + (0,)] = value
-        return f
-
-    @staticmethod
     def from_grid(values: np.ndarray, freq: Frequency, domain: StripDomain,
                   K: int, J: int) -> "StripFunction":
         """Values on (theta grid)^n x cheb_nodes(J)*s, last axis the y nodes."""
         cheb = cheb_fit_last_axis(np.asarray(values, dtype=complex), J)
-        coeffs, _ = symmetrize(analyze(cheb, freq.n, K), freq.n)
-        return StripFunction(freq, domain, coeffs)
+        return StripFunction(freq, domain, symmetrize(analyze(cheb, freq.n, K), freq.n))
 
     @staticmethod
     def from_sampler(sampler, freq: Frequency, domain: StripDomain, K: int,
@@ -619,13 +579,6 @@ class StripFunction:
             kw = k_dot_omega(self.K, self.freq.vec)[..., None]
             boxes = boxes * np.exp(1j * kw * shift)
         return synthesize_grid(boxes, self.n, N).real
-
-    def eval_xy(self, x, y) -> np.ndarray:
-        """Scattered evaluation at points x (any shape), y broadcast to x."""
-        x_arr = np.asarray(x, dtype=complex)
-        theta = np.multiply.outer(self.freq.vec, x_arr.ravel())
-        y_arr = np.broadcast_to(np.asarray(y, dtype=complex), x_arr.shape).ravel()
-        return eval_strip_stack([self], theta, y_arr)[..., 0].reshape(x_arr.shape)
 
     # -- algebra -------------------------------------------------------------
 
@@ -692,10 +645,6 @@ class StripFunction:
         poly_t = npcheb.cheb2poly(cheb_c)            # in t = y/s
         return poly_t / self.domain.s ** np.arange(len(poly_t))
 
-    def symmetrized(self, check: bool = False):
-        coeffs, defect = symmetrize(self.coeffs, self.n, check=check)
-        return StripFunction(self.freq, self.domain, coeffs), defect
-
     # -- norms ---------------------------------------------------------------
 
     def norm_upper(self, rho: float | None = None, sigma: float | None = None) -> float:
@@ -706,18 +655,6 @@ class StripFunction:
         amps = np.abs(self.coeffs) @ Mj
         k1 = k1_norms(self.K, self.n)
         return _pairwise_upper(amps, self.n, np.exp(rho * k1), np.exp(-rho * k1))
-
-    def norm_lower(self, rho: float | None = None, sigma: float | None = None) -> float:
-        """Max over sampled points of D(rho, sigma): real grid, corner sheets,
-        and 8 points of the complex y-ring |y| = sigma."""
-        rho = self.domain.r if rho is None else rho
-        sigma = self.domain.s if sigma is None else sigma
-        ys = sigma * np.concatenate([cheb_nodes(max(self.J, 4)),
-                                     np.exp(1j * np.pi * np.arange(8) / 8)])
-        return sheet_sup(self.modes_at_y(ys), self.n, default_grid(self.K), rho)
-
-    def sup_norm(self, rho: float | None = None, sigma: float | None = None):
-        return self.norm_lower(rho, sigma), self.norm_upper(rho, sigma)
 
 
 # Taylor orders of the grid path: the smallest M whose remainder bound meets

@@ -68,6 +68,21 @@ def test_certify_rejected_alpha_exit_2(tmp_path, capsys):
     assert "(k, j)" in err
 
 
+@pytest.mark.parametrize("overrides, reason", [
+    ({"alpha": 1.2}, "interval"),                              # outside [0.3, 1.1]
+    ({"alpha": 2 * math.pi, "interval": [0.0, 10.0]}, "divisor"),
+])
+def test_solve_rejected_alpha_exit_2(tmp_path, capsys, overrides, reason):
+    cfg = write_cfg(tmp_path, **overrides)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    assert f"alpha = {overrides['alpha']} violates the {reason} condition" in lines[0]
+    # a (k, j) pair only where the divisor condition names one
+    assert ("(k, j)" in lines[0]) == (reason == "divisor")
+
+
 def test_unknown_model_exit_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, map={"model": "no_such_map", "strip": [0.0, 1.7]})
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

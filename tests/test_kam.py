@@ -5,7 +5,9 @@ import time
 
 import numpy as np
 import pytest
+from conftest import eval_xy, symmetrized
 
+from qpkam import cohomology
 from qpkam import qpfourier as qp
 from qpkam.diophantine import certify_frequency, sample_admissible
 from qpkam.errors import NoIntersectionWitness, NotConverged, RootFindFailed, SmoothnessTooLow
@@ -27,6 +29,7 @@ from qpkam.kam import (
 )
 from qpkam.maps import CurveGraph, kicked_twist, pure_twist, rigid_shift
 from qpkam.qpfourier import StripDomain, StripFunction, eval_strip_stack
+from qpkam.smoothing import FROZEN_CONSTANTS
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 FREQ = certify_frequency((1.0, GOLDEN), 30, 2.0)
@@ -90,9 +93,9 @@ def test_smallness_zero_passes():
 
 def test_smallness_rhs0_formula():
     sched = make_schedule()
-    rep = smallness_check(0.0, 0.0, sched, c0=1.0, c1=1.0, c2=1.0)
-    want = (6.0**-3 / 3.0) * (sched.q / 300.0) * (1.0 / 72.0) ** 2.5 \
-        * (0.1 / math.gamma(3.5)) ** 2
+    rep = smallness_check(0.0, 0.0, sched)
+    want = (6.0**-3 / 3.0) * (sched.q / (300.0 * FROZEN_CONSTANTS["c0"])) \
+        * (1.0 / 72.0) ** 2.5 * (0.1 / math.gamma(3.5)) ** 2
     assert rep["rhs0"] == pytest.approx(want, rel=1e-12)
 
 
@@ -142,13 +145,13 @@ def test_cauchy_estimate_on_strip_functions():
     shape = (7, 7, 4)
     coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     coeffs *= np.exp(-qp.k1_norms(3, 2))[..., None] * 0.3 ** np.arange(4)
-    w = StripFunction(FREQ, dom, coeffs).symmetrized()[0]
+    w = symmetrized(StripFunction(FREQ, dom, coeffs))
     d = 0.04
     sup = w.norm_upper()                     # >= true sup over D
     for _ in range(40):
         x1, x2 = rng.uniform(0, 2 * math.pi, 2) + 1j * rng.uniform(-(dom.r - d), dom.r - d, 2)
         y1, y2 = rng.uniform(-(dom.s - d), dom.s - d, 2)
-        num = abs(complex(w.eval_xy(x1, y1)) - complex(w.eval_xy(x2, y2)))
+        num = abs(complex(eval_xy(w, x1, y1)) - complex(eval_xy(w, x2, y2)))
         den = max(abs(x1 - x2), abs(y1 - y2))
         assert num <= sup / d * den * (1 + 1e-6)
 
@@ -224,8 +227,8 @@ def test_step_contraction_factor_proof_scale():
     fy.coeffs[(K, K + 1, 0)] = -0.4999j * M
     fy.coeffs[(K, K - 1, 0)] = 0.4999j * M
     H = NormalizedMap(alpha.alpha, eps, fx, fy, dom)
-    assert H.defect_sup() <= M * (1 + 1e-9)
-    step = inductive_step(H, lc, H.defect_sup(), strict=True)
+    assert H.defect_sup() <= M * (1 + 1e-12)          # the proof regime
+    step = inductive_step(H, lc, H.defect_sup())
     deltas = step.report["contraction_deltas"]
     floor = 1e-13 * max(deltas)
     for d0, d1 in zip(deltas, deltas[1:]):
@@ -253,14 +256,15 @@ def test_step_bilipschitz_sample():
     fx.coeffs[(6, 5, 0)] = 0.4999 * M
     fx.coeffs[(4, 5, 0)] = 0.4999 * M
     H = NormalizedMap(alpha.alpha, eps, fx, StripFunction.zeros(FREQ, dom, 5, 3), dom)
-    step = inductive_step(H, lc, H.defect_sup(), strict=True)
+    assert H.defect_sup() <= M * (1 + 1e-12)          # the proof regime
+    step = inductive_step(H, lc, H.defect_sup())
     rng = np.random.default_rng(5)
     n_points = 128                        # 64 pairs: point 2i against 2i + 1
     x = (rng.uniform(0, 2 * math.pi, n_points)
          + 1j * rng.uniform(-lc.rp_plus, lc.rp_plus, n_points))
     y = rng.uniform(-lc.sp_plus, lc.sp_plus, n_points)
-    wx = x + step.w_u.eval_xy(x, y)
-    wy = theta * y + step.w_v.eval_xy(x, y)
+    wx = x + eval_xy(step.w_u, x, y)
+    wy = theta * y + eval_xy(step.w_v, x, y)
     num = np.maximum(np.abs(wx[::2] - wx[1::2]), np.abs(wy[::2] - wy[1::2]))
     den = np.maximum(np.abs(x[::2] - x[1::2]), np.abs(y[::2] - y[1::2]))
     ratios = num / den
@@ -275,22 +279,22 @@ def test_step_bilipschitz_sample():
 def small_conjugacy(dom, K=4, J=3, amp=2e-4, L=1.0, seed=0):
     rng = np.random.default_rng(seed)
     shape = (2 * K + 1,) * 2 + (J + 1,)
-    mk = lambda: StripFunction(
+    mk = lambda: symmetrized(StripFunction(
         FREQ, dom,
         (amp * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
          * np.exp(-qp.k1_norms(K, 2))[..., None] * 0.3 ** np.arange(J + 1))
-    ).symmetrized()[0]
+    ))
     return ConjugacyMap(mk(), mk(), L, 1.0 - 1e-3, 1.0 + 1e-3, dom)
 
 
 def small_normalized(dom, alpha, twist, K=4, J=3, amp=1e-4, seed=1):
     rng = np.random.default_rng(seed)
     shape = (2 * K + 1,) * 2 + (J + 1,)
-    mk = lambda: StripFunction(
+    mk = lambda: symmetrized(StripFunction(
         FREQ, dom,
         (amp * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
          * np.exp(-qp.k1_norms(K, 2))[..., None] * 0.3 ** np.arange(J + 1))
-    ).symmetrized()[0]
+    ))
     return NormalizedMap(alpha, twist, mk(), mk(), dom)
 
 
@@ -300,8 +304,7 @@ def test_solve_back_same_member_returns_seed():
     phi = small_normalized(dom, ALPHA.alpha, 0.2, seed=5, amp=5e-5)
     # when A_next is the exact push-forward of phi through Z, H == phi
     A_push = push_forward(Z, phi, dom)
-    H, rep = solve_back(Z, A_push, phi, dom,
-                        A_prev=A_push)
+    H, rep = solve_back(Z, A_push, phi, dom, A_push)
     assert float(np.max(np.abs(H.fx.coeffs - phi.fx.coeffs))) < 1e-11
     assert float(np.max(np.abs(H.fy.coeffs - phi.fy.coeffs))) < 1e-11
     assert rep["family_gap"] < 1e-13
@@ -314,7 +317,7 @@ def test_solve_back_identity_conjugacy():
     seed = NormalizedMap(ALPHA.alpha, 0.2,
                          StripFunction.zeros(FREQ, dom, 4, 3),
                          StripFunction.zeros(FREQ, dom, 4, 3), dom)
-    H, _ = solve_back(Z, A, seed, dom)
+    H, _ = solve_back(Z, A, seed, dom, A)
     assert float(np.max(np.abs(H.fx.coeffs - A.fx.coeffs))) < 1e-11
     assert float(np.max(np.abs(H.fy.coeffs - A.fy.coeffs))) < 1e-11
 
@@ -410,7 +413,7 @@ def test_solve_back_reconstructs_synthetic():
     seed = NormalizedMap(ALPHA.alpha, 0.2,
                          StripFunction.zeros(FREQ, dom, K_rep, J_rep),
                          StripFunction.zeros(FREQ, dom, K_rep, J_rep), dom)
-    H_rec, _ = solve_back(Z, A, seed, dom)
+    H_rec, _ = solve_back(Z, A, seed, dom, A)
     pad = (K_rep - H_true.fx.K, J_rep - H_true.fx.J)
     fx_ref = np.pad(H_true.fx.coeffs, [(pad[0], pad[0])] * 2 + [(0, pad[1])])
     fy_ref = np.pad(H_true.fy.coeffs, [(pad[0], pad[0])] * 2 + [(0, pad[1])])
@@ -478,11 +481,11 @@ def test_compose_conjugacy_consistency():
         blk = (rng.standard_normal((2 * k_fill + 1,) * 2 + (J + 1,))
                + 1j * rng.standard_normal((2 * k_fill + 1,) * 2 + (J + 1,)))
         coeffs[lo, lo, :] = amp * blk * 0.3 ** np.arange(J + 1)
-        return StripFunction(FREQ, dom, coeffs).symmetrized()[0]
+        return symmetrized(StripFunction(FREQ, dom, coeffs))
 
     Z = ConjugacyMap(low_order(dom_prime, 1e-4, J=5), low_order(dom_prime, 1e-4, J=5),
                      1.0, 1.0 - 1e-3, 1.0 + 1e-3, dom_prime)
-    dom_w = StripDomain(lc.r - 2 * lc.rho, lc.t)
+    dom_w = StripDomain(lc.r - 2 * lc.rho, lc.s / lc.theta)
     w_u, w_v = low_order(dom_w, 3e-6, J=5), low_order(dom_w, 3e-6, J=5)
     Z_new = compose_conjugacy(Z, w_u, w_v, lc)
     # random sample of D_{k+1}
@@ -532,9 +535,8 @@ def acceptance_map(lam=1e-4, flux=0.0):
 def test_run_zero_perturbation():
     sched = make_schedule()
     out = run(pure_twist(FREQ, STRIP), ALPHA, sched, tol=1e-8, k_max=6,
-              K_trunc=6, J=4, y_scale=8.0, check_intersection=False)
-    assert out.converged
-    assert out.levels_used == 0
+              K_trunc=6, J=4, y_scale=8.0)
+    assert len(out.trace) == 1             # converged before any step
     assert out.trace[-1]["defect"] == 0.0
     assert out.curve.phi.norm_upper() == 0.0
     assert out.curve.psi.mean() == pytest.approx(ALPHA.alpha)
@@ -544,7 +546,6 @@ def test_run_acceptance_instance():
     sched = make_schedule()
     out = run(acceptance_map(), ALPHA, sched, tol=1e-8, k_max=8,
               K_trunc=8, J=6, y_scale=16.0)
-    assert out.converged
     defects = [r["defect"] for r in out.trace]
     assert defects[-1] <= 1e-8
     assert out.trace[-1]["k"] <= 6
@@ -566,16 +567,19 @@ STRESS_DEFECTS_2X = [3.6995e-3, 1.1066e-3, 6.7401e-4, 5.1429e-5, 7.4170e-7, 2.06
 def test_run_stress_collocation_grid_matches_oversampled_grid():
     t0 = time.monotonic()
     mp = kicked_twist(FREQ, 3e-3, STRESS_MODES, strip=STRIP)
-    out = run(mp, ALPHA, make_schedule(), tol=1e-10, k_max=6, K_trunc=12, J=6,
-              y_scale=16.0, check_intersection=False, raise_on_fail=False)
+    # k_max 6 stops this run above tol 1e-10: its trace comes with NotConverged
+    with pytest.raises(NotConverged) as info:
+        run(mp, ALPHA, make_schedule(), tol=1e-10, k_max=6, K_trunc=12, J=6,
+            y_scale=16.0)
     elapsed = time.monotonic() - t0
-    defects = [r["defect"] for r in out.trace]
+    trace = info.value.trace
+    defects = [r["defect"] for r in trace]
     assert len(defects) == len(STRESS_DEFECTS_2X)
     for got, ref in zip(defects, STRESS_DEFECTS_2X):
         assert got == pytest.approx(ref, rel=0.05)
-    bands = [r["evaluator"]["band"] for r in out.trace]
+    bands = [r["evaluator"]["band"] for r in trace]
     assert max(bands) > 1e-6               # the indicator sees the near-aliasing
-    assert all(r["solve_back"]["newton_residual"] < 1e-11 for r in out.trace[:-1])
+    assert all(r["solve_back"]["newton_residual"] < 1e-11 for r in trace[:-1])
     assert elapsed <= 20.0, f"{elapsed:.1f}s over the 20 s budget"
 
 
@@ -585,8 +589,7 @@ def test_run_level1_defect_scales_linearly():
     d1 = []
     for lam in lams:
         out = run(acceptance_map(lam), ALPHA, sched, tol=1e-8, k_max=8,
-                  K_trunc=8, J=6, y_scale=16.0, check_intersection=False,
-                  raise_on_fail=False)
+                  K_trunc=8, J=6, y_scale=16.0)
         d1.append([r for r in out.trace if r["k"] == 1][0]["defect"])
     slope = np.polyfit(np.log(lams), np.log(d1), 1)[0]
     assert abs(slope - 1.0) <= 0.15
@@ -596,15 +599,26 @@ def test_run_large_perturbation_not_converged():
     sched = make_schedule()
     with pytest.raises(NotConverged) as exc:
         run(acceptance_map(0.5), ALPHA, sched, tol=1e-8, k_max=6,
-            K_trunc=8, J=6, y_scale=16.0, check_intersection=False)
+            K_trunc=8, J=6, y_scale=16.0)
     assert len(exc.value.trace) >= 1
+
+
+def test_run_checks_the_coupled_residuals(monkeypatch):
+    # every stepped level verifies the coupled equations: a residual above
+    # tolerance ends the run in NotConverged, recorded as the level's failure
+    monkeypatch.setattr(cohomology, "_grid_residual", lambda u, rhs, alpha: 1.0)
+    with pytest.raises(NotConverged) as info:
+        run(acceptance_map(), ALPHA, make_schedule(), tol=1e-8, k_max=8,
+            K_trunc=8, J=6, y_scale=16.0)
+    trace = info.value.trace
+    assert len(trace) == 1
+    assert trace[0]["failure"].startswith("ResidualDefect:")
 
 
 def test_run_curve_quality_and_orbit():
     sched = make_schedule()
     mp = acceptance_map()
-    out = run(mp, ALPHA, sched, tol=1e-8, k_max=8, K_trunc=8, J=6, y_scale=16.0,
-              check_intersection=False)
+    out = run(mp, ALPHA, sched, tol=1e-8, k_max=8, K_trunc=8, J=6, y_scale=16.0)
     rng = np.random.default_rng(0)
     xis = rng.uniform(0, 100, 1000)
     assert out.curve.conjugacy_residual(mp, xis) <= 1e-8
@@ -617,7 +631,7 @@ def test_run_curve_quality_and_orbit():
     pt = (float(th[0]), float(r[0]))
     worst = 0.0
     for _ in range(10_000):
-        pt = mp.apply(pt, check_strip=False)
+        pt = mp.apply(pt)
         worst = max(worst, abs(pt[1] - float(r_hat.eval(pt[0]).real)))
     assert worst <= 10.0 * math.sqrt(1e-8)
 
@@ -629,7 +643,7 @@ def test_run_measures_each_level_once(monkeypatch):
                         lambda self: calls.append(1) or defect_sup(self))
     mp = acceptance_map()
     out = run(mp, ALPHA, make_schedule(), tol=1e-8, k_max=8, K_trunc=8, J=6,
-              y_scale=16.0, check_intersection=False)
+              y_scale=16.0)
     k0 = out.trace[0]["k"]
     # one per trace record, k0 + 1 in the start-level scan, one in normalize's report
     assert len(out.trace) > 1
@@ -643,7 +657,7 @@ def test_run_measures_each_level_once(monkeypatch):
 def test_trace_BM_trend_and_containment():
     sched = make_schedule()
     out = run(acceptance_map(), ALPHA, sched, tol=1e-8, k_max=8,
-              K_trunc=8, J=6, y_scale=16.0, check_intersection=False)
+              K_trunc=8, J=6, y_scale=16.0)
     bms = [r["BM_k"] for r in out.trace]
     for a, b in zip(bms, bms[1:]):
         assert b < a                      # B_k M_k -> 0 trend

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qpkam.errors import NotAGraph, OutOfStrip
+from qpkam.errors import NotAGraph
 from qpkam.maps import (
     CurveGraph,
     QpPlanarMap,
@@ -65,12 +65,6 @@ def test_apply_kicked_against_formula():
     s = np.sin((1.0 + math.sqrt(2.0)) * th)
     assert np.allclose(th1, th + r + lam * s, atol=1e-13)
     assert np.allclose(r1, r + lam * s, atol=1e-13)
-
-
-def test_apply_out_of_strip():
-    mp = pure_twist(FREQ, strip=(0.0, 1.0))
-    with pytest.raises(OutOfStrip):
-        mp.apply((0.0, 1.5))
 
 
 def test_model_from_config_round_trip():

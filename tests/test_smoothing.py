@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import build_family, eval_xy, sample_line
 
-from qpkam.errors import QTooLarge, SamplerNotFinite
+from qpkam.errors import SamplerNotFinite
 from qpkam.qpfourier import Frequency, ShellFunction, eval_modes
 from qpkam.smoothing import (
+    FROZEN_CONSTANTS,
     SampledCpFunction,
-    build_family,
     lowpass_symbol,
     q_bound,
     smooth,
@@ -75,33 +76,33 @@ def test_smooth_reproduces_trig_polynomial():
     f = ShellFunction.from_modes(FREQ, modes, K=2, width=1.0)
     h = SampledCpFunction(lambda th, y: eval_modes(f.coeffs, th.reshape(2, -1)).real.reshape(th.shape[1:]),
                           6.0, 10.0, FREQ)
-    hd = smooth(h, delta=0.25, K_trunc=4, J=0)
+    hd = smooth(h, 0.25, K_trunc=4, J=0, domain_s=0.25)
     xs = np.linspace(0, 20, 100)
-    assert np.max(np.abs(hd.eval_xy(xs, 0.0).real - f.eval(xs).real)) < 1e-12
+    assert np.max(np.abs(eval_xy(hd, xs, 0.0).real - f.eval(xs).real)) < 1e-12
 
 
 def test_smooth_zero():
     h = SampledCpFunction(lambda th, y: np.zeros(th.shape[1:]), 6.0, 0.0, FREQ)
-    hd = smooth(h, 0.5, K_trunc=4, J=2)
+    hd = smooth(h, 0.5, K_trunc=4, J=2, domain_s=0.5)
     assert float(np.max(np.abs(hd.coeffs))) == 0.0
 
 
 def test_smooth_rejects_nonfinite():
     h = SampledCpFunction(lambda th, y: np.full(th.shape[1:], np.nan), 6.0, 1.0, FREQ)
     with pytest.raises(SamplerNotFinite):
-        smooth(h, 0.5, 4)
+        smooth(h, 0.5, 4, 0, 0.5)
 
 
 def test_smoothing_order_slope():
     p = 6.0
     h, js, cs, mults = lacunary(p=p)
     xs = np.linspace(0.0, 40.0, 4001)     # includes x = 0 where tails align
-    h_line = h.sample_line(xs, 0.0)
+    h_line = sample_line(h, xs, 0.0)
     deltas = 2.0 ** -np.arange(3, 9)
     errs = []
     for d in deltas:
-        hd = smooth(h, d, K_trunc=130, J=0)
-        errs.append(float(np.max(np.abs(h_line - hd.eval_xy(xs, 0.0).real))))
+        hd = smooth(h, d, K_trunc=130, J=0, domain_s=d)
+        errs.append(float(np.max(np.abs(h_line - eval_xy(hd, xs, 0.0).real))))
         # exact tail oracle: blocked coefficients sum
         tail = float(np.sum(cs[2.0**js >= 1.0 / d]))
         assert errs[-1] == pytest.approx(tail, rel=1e-6, abs=1e-14)
@@ -119,28 +120,20 @@ def test_q_bound_example():
 
 def test_build_family_depth_zero():
     h, *_ = lacunary(jmax=3)
-    fam = build_family(h, q=3e-4, depth=0, tau=2.2, K_trunc=16, J=0)
+    fam = build_family(h, q=3e-4, depth=0, K_trunc=16, J=0)
     assert len(fam.members) == 1
     assert fam.deltas[0] == 1.0
 
 
-def test_build_family_q_too_large():
-    h, *_ = lacunary(jmax=3)
-    with pytest.raises(QTooLarge):
-        build_family(h, q=0.1, depth=1, tau=2.2, K_trunc=16)
-
-
 def test_family_constants_and_inequalities():
-    from qpkam.smoothing import FROZEN_CONSTANTS
-
     h, *_ = lacunary(jmax=5)
-    fam = build_family(h, q=4e-4, depth=7, tau=2.2, K_trunc=36, J=0)
+    fam = build_family(h, q=4e-4, depth=7, K_trunc=36, J=0)
     assert fam.c0 >= 1.0
     # the frozen config constants must dominate measured ratios on fresh
     # instances (the per-family fits only certify their own family)
     for base in (17.0, 3.0):
-        fam2 = build_family(h := lacunary(p=6.0, jmax=5, base=base)[0],
-                            q=4e-4, depth=7, tau=2.2, K_trunc=36, J=0)
+        fam2 = build_family(lacunary(p=6.0, jmax=5, base=base)[0],
+                            q=4e-4, depth=7, K_trunc=36, J=0)
         assert fam2.c0 <= FROZEN_CONSTANTS["c0"]
         assert fam2.c1 <= FROZEN_CONSTANTS["c1"]
         assert fam2.c2 <= FROZEN_CONSTANTS["c2"]
@@ -148,10 +141,10 @@ def test_family_constants_and_inequalities():
 
 def test_family_convergence_monotone_slack():
     h, *_ = lacunary(jmax=5)
-    fam = build_family(h, q=4e-4, depth=7, tau=2.2, K_trunc=36, J=0)
+    fam = build_family(h, q=4e-4, depth=7, K_trunc=36, J=0)
     xs = np.linspace(0.0, 40.0, 2001)
-    h_line = h.sample_line(xs, 0.0)
-    errs = [float(np.max(np.abs(h_line - m.eval_xy(xs, 0.0).real)))
+    h_line = sample_line(h, xs, 0.0)
+    errs = [float(np.max(np.abs(h_line - eval_xy(m, xs, 0.0).real)))
             for m in fam.members]
     for a, b in zip(errs, errs[1:]):
         assert b <= 2.0 * a + 1e-14

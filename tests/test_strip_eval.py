@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import corner_sheet_sup, eval_xy, symmetric_box, symmetrized
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,6 @@ from qpkam.qpfourier import (
     compose_angle,
     eval_strip_stack,
     invert_angle_map,
-    sheet_sup,
 )
 
 OMEGAS = {1: (1.0,), 2: (1.0, math.sqrt(2.0)), 3: (1.0, math.sqrt(2.0), math.sqrt(3.0))}
@@ -31,7 +31,7 @@ def random_strip(rng, n, K, J, s=0.4):
     shape = (2 * K + 1,) * n + (J + 1,)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     coeffs *= np.exp(-0.5 * qp.k1_norms(K, n))[..., None]
-    return StripFunction(Frequency(OMEGAS[n]), StripDomain(0.7, s), coeffs).symmetrized()[0]
+    return symmetrized(StripFunction(Frequency(OMEGAS[n]), StripDomain(0.7, s), coeffs))
 
 
 def random_box(rng, n, K, trailing):
@@ -99,11 +99,12 @@ def test_node_sliced_evaluator_matches_eval_xy(seed, n, K, J, P, nodes):
     got = eval_strip_stack([f, g], np.multiply.outer(f.freq.vec, x), y, disp)
     assert got.shape == (P, nodes, 2) and np.isrealobj(got)
     for m, h in enumerate((f, g)):
-        want = h.eval_xy(x[:, None] + disp, y).real
+        want = eval_xy(h, x[:, None] + disp, y).real
         assert np.max(np.abs(got[..., m] - want)) <= 1e-11 * (1.0 + np.max(np.abs(want)))
     # without a node axis the evaluator is plain scattered evaluation
     flat = eval_strip_stack([f], np.multiply.outer(f.freq.vec, x), y[:, 0])[..., 0]
-    assert np.max(np.abs(flat - f.eval_xy(x, y[:, 0]).real)) <= 1e-11 * (1.0 + np.max(np.abs(flat)))
+    err = np.max(np.abs(flat - eval_xy(f, x, y[:, 0]).real))
+    assert err <= 1e-11 * (1.0 + np.max(np.abs(flat)))
 
 
 @PROPS
@@ -120,7 +121,9 @@ def test_sheet_sup_matches_brute_force_sheets(seed, n, K, batch, rho):
         sheets += [rho * np.array(c) for c in itertools.product((-1.0, 1.0), repeat=n)]
     brute = max(float(np.max(np.abs(qp.eval_modes(coeffs[..., b], grid + 1j * v[:, None]))))
                 for v in sheets for b in range(batch))
-    assert abs(sheet_sup(coeffs, n, N, rho) - brute) <= 1e-12 * brute
+    assert abs(corner_sheet_sup(coeffs, n, N, rho) - brute) <= 1e-12 * brute
+    if rho == 0:                        # the real torus alone: qp.sheet_sup
+        assert abs(qp.sheet_sup(coeffs, n, N) - brute) <= 1e-12 * brute
 
 
 def coeff_scale(strips, tmax):
@@ -237,10 +240,9 @@ def test_taylor_order_rejects_non_finite_and_wide():
        trailing=TRAILING)
 def test_symmetrize_is_idempotent(seed, n, K, trailing):
     coeffs = random_box(np.random.default_rng(seed), n, K, trailing)
-    sym, _ = qp.symmetrize(coeffs, n, check=False)
-    again, defect = qp.symmetrize(sym, n, check=False)
-    assert defect == 0.0
-    np.testing.assert_array_equal(again, sym)
+    sym = symmetric_box(coeffs, n)
+    # a symmetric box passes the reality check and comes back unchanged
+    np.testing.assert_array_equal(qp.symmetrize(sym, n), sym)
 
 
 @PROPS
@@ -262,7 +264,7 @@ def test_with_domain_is_exact_for_wider_chebyshev_order(seed, n, K, J, extra, ra
 def test_invert_then_compose_is_identity(seed, n, K):
     rng = np.random.default_rng(seed)
     box = random_box(rng, n, K, ()) * np.exp(-0.5 * qp.k1_norms(K, n))
-    h = ShellFunction(Frequency(OMEGAS[n]), box, 1.0).symmetrized()[0]
+    h = symmetrized(ShellFunction(Frequency(OMEGAS[n]), box, 1.0))
     # |h| <= 0.15 and |h'| <= 0.1 keep the inverse's tail at K_out 24 below
     # 1e-11 (n = 1) and 1e-13 (n = 2), far inside the 1e-9 budget
     h = h * min(0.15 / h.norm_upper(0.0), 0.1 / h.derivative().norm_upper(0.0))
