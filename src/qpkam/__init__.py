@@ -17,7 +17,6 @@ if "QPKAM_THREADS" in os.environ:
 
 from .cohomology import solve_coupled, solve_single
 from .diophantine import (
-    DivisorTable,
     RejectionReport,
     RotationNumber,
     certify_frequency,
@@ -58,15 +57,15 @@ from .qpfourier import (
     compose_angle,
     invert_angle_map,
 )
-from .smoothing import SampledCpFunction, smooth
+from .smoothing import smooth
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConjugacyMap", "CurveGraph", "DivisorTable",
+    "ConjugacyMap", "CurveGraph",
     "Frequency", "InvariantCurve", "KamSchedule", "NormalizedMap",
     "QpKamError", "QpPlanarMap", "RejectionReport", "RotationNumber",
-    "SampledCpFunction", "ShellFunction", "StripDomain",
+    "ShellFunction", "StripDomain",
     "StripFunction", "build_schedule", "certify_frequency",
     "certify_rotation", "compose_angle", "divisor_sum_bound_check",
     "exactness_defect", "image_curve",

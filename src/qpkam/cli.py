@@ -26,7 +26,14 @@ from .diophantine import (
 )
 from .errors import ConfigError, NoneAdmissible, NotConverged, QpKamError, ResonantFrequency
 from .kam import build_schedule, run, smallness_check
-from .maps import CurveGraph, exactness_defect, flat_curve, intersection_witness, model_from_config
+from .maps import (
+    CurveGraph,
+    check_model_config,
+    exactness_defect,
+    flat_curve,
+    intersection_witness,
+    model_from_config,
+)
 from .qpfourier import Frequency, ShellFunction
 
 # fields checked for type by ExperimentConfig.load in the config and in its
@@ -36,6 +43,8 @@ FLOAT_FIELDS = ("gamma", "tau", "sigma0", "alpha", "p", "q", "tol", "y_scale",
                 "lambda", "flux", "c", "r0", "amp")
 PAIR_FIELDS = ("interval", "strip")
 NULLABLE_FIELDS = ("sigma0", "alpha", "q", "r0")
+# the keys of one curves entry (the map keys are maps.MODEL_KEYS)
+CURVE_KEYS = ("r0", "amp", "K")
 
 
 def _is_int(value) -> bool:
@@ -118,9 +127,19 @@ class ExperimentConfig:
                 _check_fields(item, f"{where}[{i}]")
         if not all(_is_list_of(mode.get("k"), _is_int) for mode in mp.get("modes", [])):
             raise ValueError("every map.modes k must be a list of integers")
+        check_model_config(mp, len(raw["omega"]))
+        for i, curve in enumerate(raw.get("curves", [])):
+            unknown = set(curve) - set(CURVE_KEYS)
+            if unknown:
+                raise ValueError(f"curves[{i}] has unknown keys {sorted(unknown)}")
         cfg = ExperimentConfig(**raw)
         if cfg.K_trunc > cfg.K:
             raise ValueError(f"K_trunc = {cfg.K_trunc} exceeds the certified cutoff K = {cfg.K}")
+        for key in ("K_trunc", "J"):
+            if getattr(cfg, key) < 0:
+                raise ValueError(f"{key} = {getattr(cfg, key)} must be >= 0")
+        if not cfg.y_scale > 0:
+            raise ValueError(f"y_scale = {cfg.y_scale} must be > 0")
         cfg.interval = tuple(cfg.interval)
         return cfg
 
@@ -242,8 +261,8 @@ def _diagnose_curves(cfg: ExperimentConfig, freq: Frequency, alpha: float):
         K = int(spec.get("K", 3))
         modes_phi = {e_first: amp * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))}
         modes_psi = {e_last: amp * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))}
-        phi = ShellFunction.from_modes(freq, modes_phi, K=K, width=0.5)
-        psi = ShellFunction.from_modes(freq, modes_psi, K=K, width=0.5) + r0
+        phi = ShellFunction.from_modes(freq, modes_phi, K=K)
+        psi = ShellFunction.from_modes(freq, modes_psi, K=K) + r0
         out.append(CurveGraph(phi, psi))
     return out
 

@@ -65,7 +65,6 @@ class RotationNumber:
     freq: Frequency
     gamma: float
     tau: float
-    interval: tuple
     cutoff: int
     margin: float = math.inf   # min over the box of dist*|k|^tau/gamma (>= 1)
 
@@ -112,18 +111,14 @@ def certify_rotation(alpha: float, freq: Frequency, gamma: float, tau: float,
         worst = int(np.argmin(np.where(bad, margins, np.inf)))
         return RejectionReport(alpha, "divisor", k=tuple(int(v) for v in kvecs[:, worst]),
                                j=int(j[worst]), margin=float(margins[worst]))
-    return RotationNumber(float(alpha), freq, float(gamma), float(tau),
-                          (float(a), float(b)), int(K), float(np.min(margins)))
+    return RotationNumber(float(alpha), freq, float(gamma), float(tau), int(K),
+                          float(np.min(margins)))
 
 
 @dataclass
 class AdmissibleSample:
     accepted: list
     fraction: float
-    gamma: float
-    tau: float
-    count: int
-    seed: int
     alphas: np.ndarray = field(repr=False, default=None)
     mask: np.ndarray = field(repr=False, default=None)
 
@@ -162,49 +157,18 @@ def sample_admissible(freq: Frequency, gamma: float, tau: float, interval,
     alphas = rng.uniform(a + pad, b - pad, count)
     ok, margin = _divisor_pass(alphas, freq, gamma, tau, K)
     mask = ok & (alphas >= a + pad) & (alphas <= b - pad)
-    accepted = [RotationNumber(float(al), freq, float(gamma), float(tau),
-                               (float(a), float(b)), int(K), float(m))
+    accepted = [RotationNumber(float(al), freq, float(gamma), float(tau), int(K), float(m))
                 for al, m in zip(alphas[mask], margin[mask])]
     frac = float(mask.mean())
     if not accepted:
         raise NoneAdmissible(
             f"0/{count} admissible at gamma = {gamma:.3e}; decrease gamma")
-    return AdmissibleSample(accepted, frac, gamma, tau, count, seed, alphas, mask)
+    return AdmissibleSample(accepted, frac, alphas, mask)
 
 
 # ---------------------------------------------------------------------------
 # small divisors
 # ---------------------------------------------------------------------------
-
-def _l1_ball(omega: np.ndarray, m: int):
-    """Vectors with 0 < |k|_1 <= m (full, both signs) and their <k,omega>."""
-    n = len(omega)
-    kvecs = mode_vectors(m, n)
-    k1 = np.abs(kvecs).sum(axis=0)
-    keep = (k1 > 0) & (k1 <= m)
-    return kvecs[:, keep], k1[keep], kvecs[:, keep].T @ omega
-
-
-@dataclass(frozen=True)
-class DivisorTable:
-    """Small divisors |e^{i<k,omega>alpha} - 1| over the l1 ball of radius m."""
-
-    freq: Frequency
-    alpha: RotationNumber
-    m: int
-    kvecs: np.ndarray
-    k1: np.ndarray
-    divisors: np.ndarray
-
-    @staticmethod
-    def build(alpha: RotationNumber, m: int) -> "DivisorTable":
-        if m > alpha.cutoff:
-            raise ValueError(f"m = {m} exceeds certified cutoff {alpha.cutoff}")
-        freq = alpha.freq
-        kvecs, k1, kw = _l1_ball(freq.vec, m)
-        div = np.abs(np.exp(1j * kw * alpha.alpha) - 1.0)
-        return DivisorTable(freq, alpha, int(m), kvecs, k1, div)
-
 
 @dataclass(frozen=True)
 class DivisorSumReport:
@@ -216,9 +180,14 @@ class DivisorSumReport:
 
 def divisor_sum_bound_check(freq: Frequency, alpha: RotationNumber, m: int) -> DivisorSumReport:
     """Direct sum of |e^{i<k,omega>alpha}-1|^{-2} over 0 < |k|_1 <= m against
-    the bound (3^{n+3}/8) gamma^{-2} m^{2 tau}."""
-    table = DivisorTable.build(alpha, m)
-    lhs = float(np.sum(table.divisors**-2.0))
+    the bound (3^{n+3}/8) gamma^{-2} m^{2 tau}; m may not exceed the
+    certified cutoff."""
+    if m > alpha.cutoff:
+        raise ValueError(f"m = {m} exceeds certified cutoff {alpha.cutoff}")
     n = freq.n
+    kvecs = mode_vectors(m, n)
+    k1 = np.abs(kvecs).sum(axis=0)
+    kw = kvecs[:, (k1 > 0) & (k1 <= m)].T @ freq.vec
+    lhs = float(np.sum(np.abs(np.exp(1j * kw * alpha.alpha) - 1.0) ** -2.0))
     rhs = 3.0 ** (n + 3) / 8.0 * alpha.gamma**-2.0 * float(m) ** (2.0 * alpha.tau)
     return DivisorSumReport(int(m), lhs, rhs, bool(lhs <= rhs))

@@ -43,7 +43,7 @@ from .qpfourier import (
     grid_eval_log,
     synthesize,  # noqa: F401  (bound here for the layer tracer in benchmarks/)
 )
-from .smoothing import FROZEN_CONSTANTS, SampledCpFunction, member_gap, q_bound, smooth
+from .smoothing import FROZEN_CONSTANTS, member_gap, q_bound, smooth
 
 INTERSECTION_STRIP = 1.0 / 600.0
 # the trace defect is sup |M(curve(xi)) - curve(xi + alpha)| over these xi
@@ -198,20 +198,19 @@ class ExactNormalizedMap:
 
 @dataclass
 class ConjugacyMap:
-    """Z(x, y) = (x + P(x,y), L y + S(x,y)); P, S quasi-periodic strips."""
+    """Z(x, y) = (x + P(x,y), L y + S(x,y)); P, S quasi-periodic strips on
+    Z's domain."""
 
     P: StripFunction
     S: StripFunction
     L: float
     b: float
-    B: float
-    domain: StripDomain
 
     @staticmethod
     def identity(freq: Frequency, domain: StripDomain, K: int, J: int) -> "ConjugacyMap":
         return ConjugacyMap(StripFunction.zeros(freq, domain, K, J),
                             StripFunction.zeros(freq, domain, K, J),
-                            1.0, 1.0, 1.0, domain)
+                            1.0, 1.0)
 
     def values_at(self, theta_pts, y_pts: np.ndarray, disp=0.0):
         """(x-displacement P, image y) at (theta_pts + omega*disp, y_pts);
@@ -257,18 +256,11 @@ def power_truncation(coeffs, m: int, q: float) -> np.ndarray:
 # normalize
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NormalizeResult:
-    exact: ExactNormalizedMap
-    family: callable          # level -> NormalizedMap, built lazily
-    report: dict
-    y_scale: float
-
-
 def normalize(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
-              K_trunc: int, J: int, y_scale: float) -> NormalizeResult:
+              K_trunc: int, J: int, y_scale: float) -> tuple[ExactNormalizedMap, callable]:
     """Linear change theta = x, r = alpha + sigma*y and the smoothed family,
-    with sigma = y_scale.
+    with sigma = y_scale: the exact normalized map and the family, a function
+    level -> NormalizedMap that builds each member once, on first use.
 
     The schedule's eps0 as sigma is the proof normalization; the numerical
     driver passes a moderate sigma instead, since eps0 amplifies the radial
@@ -285,11 +277,11 @@ def normalize(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
     exact = ExactNormalizedMap(mp, alpha.alpha, sigma)
     y_strip = min(1.0, margin / sigma)
 
-    freq = mp.freq
-    hx = SampledCpFunction(lambda th, y: mp.f_shell(th, alpha.alpha + sigma * y),
-                           mp.p, mp.cp_norm, freq)
-    hy = SampledCpFunction(lambda th, y: mp.g_shell(th, alpha.alpha + sigma * y) / sigma,
-                           mp.p, mp.cp_norm / sigma, freq)
+    def hx(th, y):
+        return mp.f_shell(th, alpha.alpha + sigma * y)
+
+    def hy(th, y):
+        return mp.g_shell(th, alpha.alpha + sigma * y) / sigma
 
     members: dict[int, NormalizedMap] = {}
 
@@ -297,21 +289,13 @@ def normalize(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
         if k not in members:
             d = float(schedule.delta[k])
             s_box = min(d, y_strip)
-            fx = smooth(hx, d, K_trunc, J, s_box)
-            fy = smooth(hy, d, K_trunc, J, s_box)
+            fx = smooth(hx, mp.freq, d, K_trunc, J, s_box)
+            fy = smooth(hy, mp.freq, d, K_trunc, J, s_box)
             members[k] = NormalizedMap(alpha.alpha, sigma, fx, fy,
                                        StripDomain(d, s_box))
         return members[k]
 
-    report = {"sigma": sigma, "paper_eps0": schedule.eps0,
-              "strip_halfwidth": INTERSECTION_STRIP,
-              "proof_scaling": math.isclose(sigma, schedule.eps0, rel_tol=1e-9)}
-    # the (c7)-style estimates for the first members, with sigma in eps0's role
-    m0 = member(0)
-    sup_fg = mp.sup_norm_fg
-    report["family_level0_sup"] = m0.defect_sup()
-    report["family_level0_bound"] = FROZEN_CONSTANTS["c0"] * sup_fg / sigma
-    return NormalizeResult(exact, member, report, sigma)
+    return exact, member
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +306,6 @@ def normalize(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
 class LevelContext:
     """Constants of one inductive call: domains at (r, s), target halves."""
 
-    k: int
     r: float
     s: float
     theta: float
@@ -670,8 +653,8 @@ class RunResult:
 def _curve_from_Z(Z: ConjugacyMap, exact: ExactNormalizedMap,
                   rotation: RotationNumber) -> InvariantCurve:
     freq = Z.P.freq
-    phi = ShellFunction(freq, Z.P.modes_at_y(0.0), 0.0)
-    psi_shell = ShellFunction(freq, Z.S.modes_at_y(0.0) * exact.y_scale, 0.0)
+    phi = ShellFunction(freq, Z.P.modes_at_y(0.0))
+    psi_shell = ShellFunction(freq, Z.S.modes_at_y(0.0) * exact.y_scale)
     psi = psi_shell + rotation.alpha
     return InvariantCurve(phi, psi, rotation)
 
@@ -689,9 +672,8 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
     recorded as the level's failure) raises NotConverged with the trace.
     """
     k_max = schedule.k_max if k_max is None else min(k_max, schedule.k_max)
-    norm = normalize(mp, alpha, schedule, K_trunc, J, y_scale=y_scale)
-    exact, member = norm.exact, norm.family
-    sigma = norm.y_scale
+    exact, member = normalize(mp, alpha, schedule, K_trunc, J, y_scale=y_scale)
+    sigma = exact.y_scale
     freq = mp.freq
 
     base_scale = mp.sup_norm_fg / sigma + 1e-300
@@ -703,7 +685,6 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
     Z = ConjugacyMap.identity(freq, dom_prime, K_trunc, J)
     A_cur = member(k0)
     H = A_cur.restricted(dom_k0)
-    H = NormalizedMap(alpha.alpha, sigma, H.fx, H.fy, H.domain)
 
     trace = []
     k = k0
@@ -723,7 +704,7 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
             if k >= k_max:
                 break
 
-            lc = LevelContext(k=k, r=float(schedule.r[k]), s=float(schedule.s[k]),
+            lc = LevelContext(r=float(schedule.r[k]), s=float(schedule.s[k]),
                               theta=schedule.theta, q=schedule.q,
                               eps=sigma * schedule.theta**cycle,
                               M_paper=float(schedule.M[k]), alpha=alpha)
@@ -778,6 +759,4 @@ def compose_conjugacy(Z: ConjugacyMap, w_u: StripFunction, w_v: StripFunction,
     S_new = (Z.L * v_val + vals[..., 1]).reshape(grid)
     P = StripFunction.from_grid(P_new, freq, dom_new, K, J)
     S = StripFunction.from_grid(S_new, freq, dom_new, K, J)
-    return ConjugacyMap(P, S, Z.L * theta_c,
-                        Z.b * theta_c * (1 - lc.q), Z.B * (1 + lc.q),
-                        dom_new)
+    return ConjugacyMap(P, S, Z.L * theta_c, Z.b * theta_c * (1 - lc.q))

@@ -39,12 +39,10 @@ class QpPlanarMap:
     f_shell: callable
     g_shell: callable
     strip: tuple
-    p: float = math.inf
     cp_norm: float = 0.0
     sup_norm_fg: float = 0.0          # |f| + |g| on the strip (declared)
     declared: dict = field(default_factory=dict)
     label: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def f_line(self, theta, r):
         th = np.multiply.outer(self.freq.vec, np.asarray(theta, dtype=float))
@@ -97,8 +95,7 @@ def kicked_twist(freq: Frequency, lam: float, modes, flux: float = 0.0,
                        sup_norm_fg=2 * amp + abs(flux),
                        declared={"intersection": flux == 0.0,
                                  "exact_symplectic": flux == 0.0},
-                       label="kicked_twist",
-                       params={"lambda": lam, "modes": list(modes), "flux": flux})
+                       label="kicked_twist")
 
 
 def rigid_shift(freq: Frequency, c: float, strip=(-math.inf, math.inf)) -> QpPlanarMap:
@@ -107,7 +104,34 @@ def rigid_shift(freq: Frequency, c: float, strip=(-math.inf, math.inf)) -> QpPla
     g = lambda th, r: np.full(np.broadcast_shapes(th.shape[1:], np.shape(r)), c)
     return QpPlanarMap(freq, zero, g, strip, sup_norm_fg=abs(c),
                        declared={"intersection": False, "exact_symplectic": False},
-                       label="rigid_shift", params={"c": c})
+                       label="rigid_shift")
+
+
+# the config keys each catalog model reads besides "model", and those of one
+# kicked_twist mode
+MODEL_KEYS = {"pure_twist": ("strip",),
+              "kicked_twist": ("lambda", "modes", "flux", "strip"),
+              "rigid_shift": ("c", "strip")}
+MODE_KEYS = ("k", "c")
+
+
+def check_model_config(cfg: dict, n: int) -> None:
+    """Raise ConfigError where model_from_config would misread cfg, a
+    JSON-style dict of type-checked values: an unknown model, a key the
+    model does not read, or a mode k without n components."""
+    name = cfg.get("model", "kicked_twist")
+    if name not in MODEL_KEYS:
+        raise ConfigError(f"unknown model {name!r}")
+    unknown = set(cfg) - {"model", *MODEL_KEYS[name]}
+    if unknown:
+        raise ConfigError(f"model {name!r} reads no map keys {sorted(unknown)}; "
+                          f"it reads {sorted(('model',) + MODEL_KEYS[name])}")
+    for i, mode in enumerate(cfg.get("modes", [])):
+        unknown = set(mode) - set(MODE_KEYS)
+        if unknown:
+            raise ConfigError(f"map.modes[{i}] has unknown keys {sorted(unknown)}")
+        if len(mode["k"]) != n:
+            raise ConfigError(f"mode k = {mode['k']} needs {n} components")
 
 
 def model_from_config(cfg: dict, freq: Frequency) -> QpPlanarMap:
@@ -118,9 +142,6 @@ def model_from_config(cfg: dict, freq: Frequency) -> QpPlanarMap:
         return pure_twist(freq, strip)
     if name == "kicked_twist":
         modes = [(tuple(m["k"]), float(m.get("c", 1.0))) for m in cfg.get("modes", [])]
-        for k, _ in modes:
-            if len(k) != freq.n:
-                raise ConfigError(f"mode k = {list(k)} needs {freq.n} components")
         return kicked_twist(freq, float(cfg.get("lambda", 0.0)), modes,
                             flux=float(cfg.get("flux", 0.0)), strip=strip)
     if name == "rigid_shift":
@@ -203,7 +224,6 @@ class WitnessReport:
     found: bool
     xi_star: float | None
     sign_change: bool
-    displacement: ShellFunction
     area_signs: tuple | None = None    # (min, max) of Delta(t, T) when computed
 
 
@@ -245,7 +265,7 @@ def intersection_witness(mp: QpPlanarMap, curve: CurveGraph) -> WitnessReport:
         # operand as in d); img.r_of_theta() would invert phi1, which is only
         # the inversion's truncation residual
         area = _area_functional_signs(r_orig, img.psi)
-    return WitnessReport(found, xi_star, sign_change, d, area)
+    return WitnessReport(found, xi_star, sign_change, area)
 
 
 def _area_functional_signs(r_orig: ShellFunction, r_img: ShellFunction):

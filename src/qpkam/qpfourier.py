@@ -297,7 +297,6 @@ class ShellFunction:
 
     freq: Frequency
     coeffs: np.ndarray    # complex, shape (2K+1,)*n
-    width: float = 0.0
 
     @property
     def n(self) -> int:
@@ -310,18 +309,17 @@ class ShellFunction:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zeros(freq: Frequency, K: int, width: float = 0.0) -> "ShellFunction":
-        return ShellFunction(freq, np.zeros((2 * K + 1,) * freq.n, dtype=complex), width)
+    def zeros(freq: Frequency, K: int) -> "ShellFunction":
+        return ShellFunction(freq, np.zeros((2 * K + 1,) * freq.n, dtype=complex))
 
     @staticmethod
-    def constant(freq: Frequency, value: float, K: int = 0, width: float = np.inf) -> "ShellFunction":
-        f = ShellFunction.zeros(freq, K, width)
+    def constant(freq: Frequency, value: float, K: int = 0) -> "ShellFunction":
+        f = ShellFunction.zeros(freq, K)
         f.coeffs[(K,) * freq.n] = value
         return f
 
     @staticmethod
-    def from_modes(freq: Frequency, modes: dict, K: int,
-                   width: float = 0.0) -> "ShellFunction":
+    def from_modes(freq: Frequency, modes: dict, K: int) -> "ShellFunction":
         """Real function from {k_tuple: amplitude}: each k != 0 also stores
         the conjugate amplitude at -k."""
         outside = [list(k) for k in modes if len(k) != freq.n or max(map(abs, k)) > K]
@@ -334,13 +332,12 @@ class ShellFunction:
             if any(ki != 0 for ki in k):
                 ridx = tuple(-int(ki) + K for ki in k)
                 coeffs[ridx] += np.conj(a)
-        return ShellFunction(freq, coeffs, width)
+        return ShellFunction(freq, coeffs)
 
     @staticmethod
-    def from_grid(values: np.ndarray, freq: Frequency, K: int,
-                  width: float = 0.0) -> "ShellFunction":
+    def from_grid(values: np.ndarray, freq: Frequency, K: int) -> "ShellFunction":
         coeffs = symmetrize(analyze(np.asarray(values, dtype=complex), freq.n, K), freq.n)
-        return ShellFunction(freq, coeffs, width)
+        return ShellFunction(freq, coeffs)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -371,14 +368,13 @@ class ShellFunction:
             raise ValueError("cannot shrink mode box")
         pad = K - self.K
         coeffs = np.pad(self.coeffs, [(pad, pad)] * self.n)
-        return ShellFunction(self.freq, coeffs, self.width)
+        return ShellFunction(self.freq, coeffs)
 
     def __add__(self, other):
         if isinstance(other, ShellFunction):
             a, b, K = self._aligned(other)
-            return ShellFunction(self.freq, a.coeffs + b.coeffs,
-                                 min(self.width, other.width))
-        f = ShellFunction(self.freq, self.coeffs.copy(), self.width)
+            return ShellFunction(self.freq, a.coeffs + b.coeffs)
+        f = ShellFunction(self.freq, self.coeffs.copy())
         f.coeffs[(self.K,) * self.n] += other
         return f
 
@@ -386,14 +382,14 @@ class ShellFunction:
         return self + (other * -1.0 if isinstance(other, ShellFunction) else -other)
 
     def __mul__(self, scalar):
-        return ShellFunction(self.freq, self.coeffs * scalar, self.width)
+        return ShellFunction(self.freq, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
     def derivative(self) -> "ShellFunction":
         """d/dt of f(t): multiply mode k by i<k,omega>."""
         kw = k_dot_omega(self.K, self.freq.vec)
-        return ShellFunction(self.freq, self.coeffs * (1j * kw), self.width)
+        return ShellFunction(self.freq, self.coeffs * (1j * kw))
 
     def mean(self) -> float:
         return float(self.coeffs[(self.K,) * self.n].real)
@@ -414,39 +410,20 @@ def shell_product(f: ShellFunction, g: ShellFunction, K_out: int | None = None) 
     K_out = K_out if K_out is not None else f.K + g.K
     N = default_grid(max(K_out, f.K + g.K))
     vals = synthesize(f.coeffs, f.n, N) * synthesize(g.coeffs, g.n, N)
-    return ShellFunction.from_grid(vals, f.freq, K_out, min(f.width, g.width))
+    return ShellFunction.from_grid(vals, f.freq, K_out)
 
 
 def compose_angle(g: ShellFunction, f: ShellFunction, K_out: int) -> ShellFunction:
-    """Quasi-periodic composition t -> g(t + f(t)) by shell collocation.
-
-    The result's certified width w solves w + max|omega_j|*|f|_w <= g.width
-    (0 when no w >= 0 does).
-    """
+    """Quasi-periodic composition t -> g(t + f(t)) by shell collocation."""
     if not f.freq.same_omega(g.freq):
         raise ValueError("frequency mismatch")
     n = f.n
     N = default_grid(K_out)
     fvals = f.sample(N)
-    omax = float(np.max(np.abs(f.freq.vec)))
     theta = theta_grid(N, n).reshape(n, -1)
     shifted = theta + np.multiply.outer(f.freq.vec, fvals.ravel())
     gvals = eval_modes(g.coeffs, shifted).reshape((N,) * n)
-    # remaining strip width of the composition: w + |omega|*|f|_w <= g.width
-    width = 0.0
-    if g.width > 0 and np.isfinite(g.width):
-        lo, hi = 0.0, min(f.width, g.width) if f.width > 0 else g.width
-        if omax * f.norm_upper(0.0) <= g.width:
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                if mid + omax * f.norm_upper(mid) <= g.width:
-                    lo = mid
-                else:
-                    hi = mid
-            width = lo
-    elif np.isinf(g.width):
-        width = f.width
-    return ShellFunction.from_grid(gvals, f.freq, K_out, width)
+    return ShellFunction.from_grid(gvals, f.freq, K_out)
 
 
 def invert_angle_map(h: ShellFunction, K_out: int) -> ShellFunction:
@@ -488,7 +465,7 @@ def invert_angle_map(h: ShellFunction, K_out: int) -> ShellFunction:
     else:
         raise NoConvergence(
             f"angle inversion stalled at residual = {float(np.max(np.abs(res))):.3e}")
-    return ShellFunction.from_grid(v.reshape((N,) * n), h.freq, K_out, 0.0)
+    return ShellFunction.from_grid(v.reshape((N,) * n), h.freq, K_out)
 
 
 # ---------------------------------------------------------------------------

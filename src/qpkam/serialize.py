@@ -1,8 +1,9 @@
 """JSON serialization of shell functions (the phi and psi of curve.json).
 
-Schema: {"omega": [...], "width": r, "coeffs": [{"k": [k1..kn], "re": .., "im": ..}]}
+Schema: {"omega": [...], "coeffs": [{"k": [k1..kn], "re": .., "im": ..}]}
 Zero coefficients are omitted; entries are emitted in lexicographic order so
-dumps are byte-stable for identical inputs.
+dumps are byte-stable for identical inputs.  shell_from_dict ignores other
+keys, such as the "width" that older files carry.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ def shell_to_dict(f: ShellFunction) -> dict:
     for k, c in zip(kvecs, flat):
         if c != 0:
             entries.append({"k": [int(v) for v in k], "re": float(c.real), "im": float(c.imag)})
-    return {"omega": list(f.freq.omega), "width": float(f.width), "coeffs": entries}
+    return {"omega": list(f.freq.omega), "coeffs": entries}
 
 
 def shell_from_dict(d: dict, K: int | None = None) -> ShellFunction:
@@ -33,7 +34,7 @@ def shell_from_dict(d: dict, K: int | None = None) -> ShellFunction:
     for e in entries:
         idx = tuple(int(v) + K for v in e["k"])
         coeffs[idx] = e["re"] + 1j * e["im"]
-    return ShellFunction(freq, coeffs, float(d.get("width", 0.0)))
+    return ShellFunction(freq, coeffs)
 
 
 def dump_json(obj, path) -> None:

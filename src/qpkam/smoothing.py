@@ -10,7 +10,6 @@ and is filtered by the same symbol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,43 +40,31 @@ def q_bound(p: float, tau: float) -> tuple[float, float]:
     return (p - 2.0 * tau - 1.0) / (p + 1.0) * math.log(2.0), 1e-2 * 4.0**-tau
 
 
-@dataclass
-class SampledCpFunction:
-    """Finitely differentiable quasi-periodic map data.
-
-    shell_sampler(theta_stack, y) evaluates the shell function F(theta, y) on
-    stacked torus coordinates (shape (n, ...)) of the line trace h(x, y) =
-    F(omega*x, y).  p may be fractional; cp_norm is the declared C^p bound.
-    """
-
-    shell_sampler: callable
-    p: float
-    cp_norm: float
-    freq: Frequency
-
-
-def smooth(h: SampledCpFunction, delta: float, K_trunc: int, J: int,
+def smooth(sampler, freq: Frequency, delta: float, K_trunc: int, J: int,
            domain_s: float) -> StripFunction:
-    """Analytic approximant h_delta as a Fourier x Chebyshev projection with
-    coefficient mollification; holomorphic (as a truncated series) on E_delta.
+    """Analytic approximant h_delta of the map data h(x, y) = F(omega*x, y)
+    as a Fourier x Chebyshev projection with coefficient mollification;
+    holomorphic (as a truncated series) on E_delta.
 
-    Quasi-periodicity and reality are preserved; the member is represented on
-    D(delta, domain_s) with domain_s <= delta covering the disc in y.
+    sampler(theta_stack, y) evaluates the shell function F(theta, y) on
+    stacked torus coordinates of shape (n, ...).  Quasi-periodicity and
+    reality are preserved; the member is represented on D(delta, domain_s)
+    with domain_s <= delta covering the disc in y.
     """
     if delta > 1.0:
         raise ValueError("delta <= 1 required")
-    n = h.freq.n
+    n = freq.n
     dom = StripDomain(delta, float(domain_s))
-    f = StripFunction.from_sampler(h.shell_sampler, h.freq, dom, K_trunc, J)
+    f = StripFunction.from_sampler(sampler, freq, dom, K_trunc, J)
     sym_x = lowpass_symbol(k1_norms(K_trunc, n), delta)
     sym_y = lowpass_symbol(np.arange(J + 1), delta)
     coeffs = f.coeffs * sym_x[..., None] * sym_y
-    return StripFunction(h.freq, dom, symmetrize(coeffs, n))
+    return StripFunction(freq, dom, symmetrize(coeffs, n))
 
 
 # constants of the Lemma-2.9-type smoothing inequalities, used by
-# smallness_check and normalize's level-0 bound; the tests fit them on
-# lacunary data of known C^p norm and check that the fits stay below these
+# smallness_check; the tests fit them on lacunary data of known C^p norm and
+# check that the fits stay below these
 FROZEN_CONSTANTS = {"c0": 2.0, "c1": 2.0, "c2": 2.0}
 
 

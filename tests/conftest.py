@@ -1,6 +1,6 @@
 """Hypothesis profiles, and the helpers that only the tests use: fixtures and
 scattered strip evaluation, the paper's norm estimates for the cohomology solves, lower
-sup estimates on corner sheets, and the smoothing-family fit.  Test modules
+sup estimates on corner sheets, and C^p data with the smoothing-family fit.  Test modules
 import them with `from conftest import ...`.
 
 With CI set, hypothesis examples are derandomized, so a failure seen in CI
@@ -135,6 +135,21 @@ def strip_norm_lower(f, rho, sigma):
 # smoothing family
 # ---------------------------------------------------------------------------
 
+@dataclasses.dataclass
+class SampledCpFunction:
+    """Finitely differentiable quasi-periodic data of declared C^p norm.
+
+    shell_sampler(theta_stack, y) evaluates the shell function F(theta, y) on
+    stacked torus coordinates (shape (n, ...)) of the line trace h(x, y) =
+    F(omega*x, y).  p may be fractional; cp_norm is the declared C^p bound.
+    """
+
+    shell_sampler: callable
+    p: float
+    cp_norm: float
+    freq: qp.Frequency
+
+
 def sample_line(h, x, y):
     """The line trace h(x, y) = F(omega*x, y) of a SampledCpFunction."""
     return h.shell_sampler(np.multiply.outer(h.freq.vec, np.asarray(x, dtype=float)), y)
@@ -152,7 +167,7 @@ def build_family(h, q, depth, K_trunc, J=0):
     with the sups estimated from below on grids and corner sheets.
     """
     deltas = ((1.0 + q) / 2.0) ** np.arange(depth + 1)
-    members = [smooth(h, d, K_trunc, J, d) for d in deltas]
+    members = [smooth(h.shell_sampler, h.freq, d, K_trunc, J, d) for d in deltas]
     sup_h = float(np.max(np.abs(sample_line(h, np.linspace(0.0, 200.0, 2048), 0.0))))
     xs = np.linspace(0.0, 200.0, 1024)
     h_line = sample_line(h, xs, 0.0)

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 from conftest import (
+    SampledCpFunction,
     build_family,
     coupled_residuals,
     epsilon_of,
@@ -45,7 +46,7 @@ from qpkam.qpfourier import (
     compose_angle,
     invert_angle_map,
 )
-from qpkam.smoothing import FROZEN_CONSTANTS, SampledCpFunction, smooth
+from qpkam.smoothing import FROZEN_CONSTANTS, smooth
 
 SQRT2 = math.sqrt(2.0)
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -125,7 +126,7 @@ def test_criterion_2_proved_inequalities():
         r = rng.uniform(0.0, 1.0)
         lhs = float(np.sum(np.abs(f.coeffs[..., 0]) ** 2
                            * np.exp(2 * r * qp.k1_norms(8, 2))))
-        sh = ShellFunction(FREQ_S, f.coeffs[..., 0], 1.0)
+        sh = ShellFunction(FREQ_S, f.coeffs[..., 0])
         ok &= lhs <= 2**n * sh.norm_upper(r) ** 2 * (1 + 1e-12)
     notes.append("lemma4.2")
 
@@ -190,12 +191,11 @@ def test_criterion_3_smoothing_order():
     xs = np.linspace(0.0, 40.0, 4001)
     h_line = sample_line(h, xs, 0.0)
     deltas = 2.0 ** -np.arange(3, 9)
-    errs = [float(np.max(np.abs(h_line - eval_xy(smooth(h, d, 130, 0, d), xs, 0.0)
-                                .real))) for d in deltas]
+    errs = [float(np.max(np.abs(h_line - eval_xy(smooth(shell, FREQ_S, d, 130, 0, d),
+                                                 xs, 0.0).real))) for d in deltas]
     slope = float(np.polyfit(np.log(deltas), np.log(errs), 1)[0])
 
-    # the fitted Lemma-2.9 constants stay below the ones smallness_check and
-    # normalize use
+    # the fitted Lemma-2.9 constants stay below the ones smallness_check uses
     fam = build_family(h, q=4e-4, depth=7, K_trunc=130, J=0)
     consts_ok = (fam.c0 <= FROZEN_CONSTANTS["c0"] and fam.c1 <= FROZEN_CONSTANTS["c1"]
                  and fam.c2 <= FROZEN_CONSTANTS["c2"])
@@ -277,10 +277,10 @@ def test_criterion_7_structural_diagnostics():
         amp = 0.05
         phi = ShellFunction.from_modes(
             FREQ_G, {(1, 0): amp * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))},
-            K=3, width=0.5)
+            K=3)
         psi = ShellFunction.from_modes(
             FREQ_G, {(0, 1): amp * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))},
-            K=3, width=0.5) + ALPHA_G.alpha
+            K=3) + ALPHA_G.alpha
         ok &= intersection_witness(exact, CurveGraph(phi, psi)).found
     shifted = rigid_shift(FREQ_G, 0.02, STRIP)
     ok &= not intersection_witness(shifted, flat_curve(FREQ_G, ALPHA_G.alpha)).found

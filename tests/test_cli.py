@@ -37,6 +37,9 @@ BASE = {
 }
 
 
+NO_LAMBDA = {key: value for key, value in BASE["map"].items() if key != "lambda"}
+
+
 def write_cfg(tmp_path, name="cfg.json", **overrides):
     cfg = json.loads(json.dumps(BASE))
     cfg.update(overrides)
@@ -150,6 +153,20 @@ DIOPHANTINE_ARGS = ["--omega", "1.0", str(2.0**0.5), "--gamma", "1e-3", "--K", "
     ("diagnose", {"curves": [{"r0": None, "amp": None}]}),
     ("diagnose", {"curves": [{"amp": 0.05, "K": 3.0}]}),
     ("diagnose", {"curves": [{"amp": 0.05, "K": 0}]}),         # e_1 outside the box
+    # misspelled keys and keys the chosen model does not read
+    ("solve", {"map": {**NO_LAMBDA, "lamda": 1e-4}}),
+    ("solve", {"map": {**BASE["map"], "modes": [{"k": [1, 0], "amp": 0.55}]}}),
+    ("diagnose", {"curves": [{"r0": None, "amplitude": 0.05}]}),
+    ("solve", {"map": {"model": "rigid_shift", "lambda": 1e-4}}),
+    ("solve", {"map": {"model": "pure_twist", "modes": BASE["map"]["modes"]}}),
+    # an unknown model fails at load, also where the command builds no map
+    ("certify", {"map": {"model": "no_such_map"}}),
+    ("schedule", {"map": {"model": "no_such_map"}}),
+    # values out of range
+    ("solve", {"J": -1}),
+    ("solve", {"K_trunc": -1}),
+    ("solve", {"y_scale": 0}),
+    ("solve", {"y_scale": -16.0}),
 ])
 def test_bad_parameters_exit_1(tmp_path, capsys, command, overrides):
     out = str(tmp_path / "o")

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qpkam.diophantine import (
-    DivisorTable,
     RejectionReport,
     RotationNumber,
     certify_frequency,
@@ -15,6 +14,7 @@ from qpkam.diophantine import (
     sample_admissible,
 )
 from qpkam.errors import NoneAdmissible, ResonantFrequency
+from qpkam.qpfourier import mode_vectors
 
 SQRT2 = math.sqrt(2.0)
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -181,6 +181,13 @@ def test_divisor_sum_bound_certified():
         assert rep.passed, f"m={m}: lhs={rep.lhs:.3e} rhs={rep.rhs:.3e}"
 
 
+def test_divisor_sum_needs_certified_cutoff():
+    alpha = certified_alpha(K=10)
+    assert divisor_sum_bound_check(FREQ, alpha, 10).passed
+    with pytest.raises(ValueError, match="cutoff"):
+        divisor_sum_bound_check(FREQ, alpha, 11)
+
+
 def test_divisor_sum_monotone_in_m():
     alpha = certified_alpha(seed=9)
     lhs = [divisor_sum_bound_check(FREQ, alpha, m).lhs for m in range(1, 15)]
@@ -190,13 +197,16 @@ def test_divisor_sum_monotone_in_m():
 
 def test_divisor_lower_bound_pi_dist():
     # |e^{i phi} - 1| >= pi * dist(phi/(2 pi), Z) for every stored divisor
+    # over the l1 ball 0 < |k|_1 <= 20 that divisor_sum_bound_check sums
     alpha = certified_alpha(seed=11)
-    table = DivisorTable.build(alpha, 20)
-    kw = table.kvecs.T @ FREQ.vec
+    kvecs = mode_vectors(20, 2)
+    k1 = np.abs(kvecs).sum(axis=0)
+    kw = kvecs[:, (k1 > 0) & (k1 <= 20)].T @ FREQ.vec
+    divisors = np.abs(np.exp(1j * kw * alpha.alpha) - 1.0)
     x = kw * alpha.alpha / (2 * math.pi)
     dist = np.abs(x - np.round(x))
-    assert np.all(table.divisors >= math.pi * dist - 1e-14)
-    assert np.min(table.divisors) > 0
+    assert np.all(divisors >= math.pi * dist - 1e-14)
+    assert np.min(divisors) > 0
 
 
 def test_quantified_divisor_bound_over_random_certified():

@@ -162,10 +162,9 @@ def test_cauchy_estimate_on_strip_functions():
 
 def test_normalize_zero_perturbation():
     sched = make_schedule()
-    norm = normalize(pure_twist(FREQ, STRIP), ALPHA, sched, K_trunc=6, J=4, y_scale=8.0)
+    _, family = normalize(pure_twist(FREQ, STRIP), ALPHA, sched, K_trunc=6, J=4, y_scale=8.0)
     for k in (0, 1, 3):
-        assert norm.family(k).defect_sup() == 0.0
-    assert norm.report["strip_halfwidth"] == pytest.approx(1.0 / 600.0)
+        assert family(k).defect_sup() == 0.0
 
 
 def test_normalize_strip_containment():
@@ -175,11 +174,17 @@ def test_normalize_strip_containment():
         normalize(tight, ALPHA, sched, K_trunc=6, J=4, y_scale=1.0)
 
 
+def level0_bound_holds(mp, family, y_scale):
+    """The (c7)-style level-0 estimate, y_scale in eps0's role:
+    |A_0 - Omega| <= c0 * (|f| + |g|) / y_scale."""
+    return family(0).defect_sup() <= FROZEN_CONSTANTS["c0"] * mp.sup_norm_fg / y_scale
+
+
 def test_normalize_level0_bound():
     sched = make_schedule()
     mp = kicked_twist(FREQ, 1e-4, MODES, strip=STRIP)
-    norm = normalize(mp, ALPHA, sched, K_trunc=6, J=4, y_scale=8.0)
-    assert norm.report["family_level0_sup"] <= norm.report["family_level0_bound"] + 1e-15
+    _, family = normalize(mp, ALPHA, sched, K_trunc=6, J=4, y_scale=8.0)
+    assert level0_bound_holds(mp, family, 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +199,7 @@ def zero_normalized(lc, K=6, J=4):
 
 def test_step_zero_perturbation():
     sched = make_schedule()
-    lc = LevelContext(k=0, r=1.0, s=sched.s0, theta=sched.theta, q=sched.q,
+    lc = LevelContext(r=1.0, s=sched.s0, theta=sched.theta, q=sched.q,
                       eps=sched.eps0, M_paper=sched.M0, alpha=ALPHA)
     H = zero_normalized(lc)
     step = inductive_step(H, lc, H.defect_sup())
@@ -216,7 +221,7 @@ def test_step_contraction_factor_proof_scale():
     s = theta * (r / 6.0) / 50.0
     eps = 6.0**-1.5 * gamma / math.gamma(tau + 1.0) * (r / 6.0) ** tau
     M = q * eps * s / 3.0
-    lc = LevelContext(k=0, r=r, s=s, theta=theta, q=q, eps=eps, M_paper=M,
+    lc = LevelContext(r=r, s=s, theta=theta, q=q, eps=eps, M_paper=M,
                       alpha=alpha)
     dom = StripDomain(r, s)
     K, J = 5, 3
@@ -249,7 +254,7 @@ def test_step_bilipschitz_sample():
     r, s = 1.0, theta / 300.0
     eps = 6.0**-1.5 * gamma / math.gamma(tau + 1.0) * (r / 6.0) ** tau
     M = q * eps * s / 3.0
-    lc = LevelContext(k=0, r=r, s=s, theta=theta, q=q, eps=eps, M_paper=M,
+    lc = LevelContext(r=r, s=s, theta=theta, q=q, eps=eps, M_paper=M,
                       alpha=alpha)
     dom = StripDomain(r, s)
     fx = StripFunction.zeros(FREQ, dom, 5, 3)
@@ -284,7 +289,7 @@ def small_conjugacy(dom, K=4, J=3, amp=2e-4, L=1.0, seed=0):
         (amp * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
          * np.exp(-qp.k1_norms(K, 2))[..., None] * 0.3 ** np.arange(J + 1))
     ))
-    return ConjugacyMap(mk(), mk(), L, 1.0 - 1e-3, 1.0 + 1e-3, dom)
+    return ConjugacyMap(mk(), mk(), L, 1.0 - 1e-3)
 
 
 def small_normalized(dom, alpha, twist, K=4, J=3, amp=1e-4, seed=1):
@@ -367,7 +372,7 @@ def test_pullback_singular_jacobian_raises():
     S = np.zeros((3, 2), dtype=complex)
     S[:, 1] = [-0.25, -0.5, -0.25]          # coefficient of T_1(y/s) = y
     Z = ConjugacyMap(StripFunction.zeros(freq, dom, 1, 1), StripFunction(freq, dom, S),
-                     1.0, 1.0, 1.0, dom)
+                     1.0, 1.0)
     thf = qp.theta_grid(8, 1).reshape(1, -1)
     zeros = np.zeros(thf.shape[1])
     _, _, _, j22 = Z.jacobian_at(thf, zeros)
@@ -427,11 +432,11 @@ def test_solve_back_reconstructs_synthetic():
 
 def test_intersection_zero_displacement():
     sched = make_schedule()
-    norm = normalize(pure_twist(FREQ, STRIP), ALPHA, sched, K_trunc=4, J=3, y_scale=8.0)
+    exact, _ = normalize(pure_twist(FREQ, STRIP), ALPHA, sched, K_trunc=4, J=3, y_scale=8.0)
     dom = StripDomain(0.5, 0.01)
     Z = ConjugacyMap.identity(FREQ, dom, 4, 3)
     Q = TruncationPolynomial(0.0, 0.0, 0.0)
-    rep = intersection_bound(Z, norm.exact, Q, s_plus=0.005, alpha=ALPHA.alpha,
+    rep = intersection_bound(Z, exact, Q, s_plus=0.005, alpha=ALPHA.alpha,
                              eps_plus=8.0 * sched.theta)
     assert rep["pass"]
     assert len(rep["witnesses"]) == 7
@@ -454,12 +459,12 @@ def test_intersection_polynomial_extraction_chain():
 def test_intersection_rigid_shift_no_witness():
     sched = make_schedule()
     mp = rigid_shift(FREQ, 5e-3, STRIP)
-    norm = normalize(mp, ALPHA, sched, K_trunc=4, J=3, y_scale=8.0)
+    exact, _ = normalize(mp, ALPHA, sched, K_trunc=4, J=3, y_scale=8.0)
     dom = StripDomain(0.5, 0.01)
     Z = ConjugacyMap.identity(FREQ, dom, 4, 3)
     Q = TruncationPolynomial(0.0, 0.0, 0.0)
     with pytest.raises(NoIntersectionWitness):
-        intersection_bound(Z, norm.exact, Q, s_plus=0.005, alpha=ALPHA.alpha,
+        intersection_bound(Z, exact, Q, s_plus=0.005, alpha=ALPHA.alpha,
                            eps_plus=8.0 * sched.theta)
 
 
@@ -469,7 +474,7 @@ def test_intersection_rigid_shift_no_witness():
 
 def test_compose_conjugacy_consistency():
     sched = make_schedule()
-    lc = LevelContext(k=1, r=0.5, s=sched.s0 / 2, theta=sched.theta, q=sched.q,
+    lc = LevelContext(r=0.5, s=sched.s0 / 2, theta=sched.theta, q=sched.q,
                       eps=8.0, M_paper=sched.M0, alpha=ALPHA)
     dom_prime = StripDomain(4.0 / 3.0 * (lc.r - lc.s), 4.0 / 3.0 * lc.s)
     rng = np.random.default_rng(13)
@@ -484,7 +489,7 @@ def test_compose_conjugacy_consistency():
         return symmetrized(StripFunction(FREQ, dom, coeffs))
 
     Z = ConjugacyMap(low_order(dom_prime, 1e-4, J=5), low_order(dom_prime, 1e-4, J=5),
-                     1.0, 1.0 - 1e-3, 1.0 + 1e-3, dom_prime)
+                     1.0, 1.0 - 1e-3)
     dom_w = StripDomain(lc.r - 2 * lc.rho, lc.s / lc.theta)
     w_u, w_v = low_order(dom_w, 3e-6, J=5), low_order(dom_w, 3e-6, J=5)
     Z_new = compose_conjugacy(Z, w_u, w_v, lc)
@@ -512,7 +517,7 @@ def test_imaginary_part_containment():
     dom = StripDomain(0.05, 0.01)
     Z = small_conjugacy(dom, amp=1e-4, seed=14)
     rng = np.random.default_rng(15)
-    B = Z.B
+    B = 1.0 + 1e-3          # B_1 = 1 + q for the q of small_conjugacy's b = 1 - q
     bound = B * max(dom.r, dom.s)
     for _ in range(20):
         x = rng.uniform(0, 2 * math.pi) + 1j * rng.uniform(-dom.r, dom.r)
@@ -645,9 +650,9 @@ def test_run_measures_each_level_once(monkeypatch):
     out = run(mp, ALPHA, make_schedule(), tol=1e-8, k_max=8, K_trunc=8, J=6,
               y_scale=16.0)
     k0 = out.trace[0]["k"]
-    # one per trace record, k0 + 1 in the start-level scan, one in normalize's report
+    # one per trace record and k0 + 1 in the start-level scan
     assert len(out.trace) > 1
-    assert len(calls) == len(out.trace) + (k0 + 1) + 1
+    assert len(calls) == len(out.trace) + (k0 + 1)
     # the trace defect is the returned curve's conjugacy residual
     assert isinstance(out.curve, CurveGraph)
     assert out.curve.defect == out.trace[-1]["defect"]
@@ -673,14 +678,14 @@ def test_trace_BM_trend_and_containment():
 def test_family_estimates_report():
     sched = make_schedule()
     mp = acceptance_map()
-    norm = normalize(mp, ALPHA, sched, K_trunc=8, J=6, y_scale=16.0)
-    assert norm.report["family_level0_sup"] <= norm.report["family_level0_bound"]
+    exact, family = normalize(mp, ALPHA, sched, K_trunc=8, J=6, y_scale=16.0)
+    assert level0_bound_holds(mp, family, 16.0)
     # |A - A_1| on the real grid: level 1 admits the |k|_1 = 1 modes, so the
     # gap to A is the blocked (1,1) part
-    m1 = norm.family(1)
+    m1 = family(1)
     N = qp.default_grid(m1.fx.K)
     ys = m1.fx.y_nodes()
     th = qp.theta_grid(N, FREQ.n)[..., None]
-    f_exact = mp.f_shell(th, norm.exact.alpha + norm.y_scale * ys)
+    f_exact = mp.f_shell(th, exact.alpha + exact.y_scale * ys)
     gap = float(np.max(np.abs(f_exact - m1.fx.sample(N, ys))))
     assert gap == pytest.approx(1e-4 * 0.15, rel=2e-2)

@@ -28,10 +28,10 @@ def random_curve(rng, r0=0.7, K=3, amp=0.08):
     phi = ShellFunction.from_modes(
         FREQ, {(1, 0): amp * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)),
                (0, 1): amp * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))},
-        K=K, width=0.5)
+        K=K)
     psi = ShellFunction.from_modes(
         FREQ, {(1, 1): amp * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))},
-        K=K, width=0.5) + r0
+        K=K) + r0
     return CurveGraph(phi, psi)
 
 
@@ -122,7 +122,7 @@ def test_image_round_trip_residual():
 
 def test_image_not_a_graph():
     mp = pure_twist(FREQ)
-    psi = ShellFunction.from_modes(FREQ, {(1, 0): -0.9j}, K=2, width=0.5) + 0.5
+    psi = ShellFunction.from_modes(FREQ, {(1, 0): -0.9j}, K=2) + 0.5
     curve = CurveGraph(ShellFunction.zeros(FREQ, 2), psi)  # u' dips below -1
     with pytest.raises(NotAGraph):
         image_curve(mp, curve)

@@ -21,11 +21,11 @@ from qpkam.qpfourier import (
 FREQ2 = Frequency((1.0, math.sqrt(2.0)))
 
 
-def random_shell(rng, freq, K, scale=1.0, width=1.0, decay=0.5):
+def random_shell(rng, freq, K, scale=1.0, decay=0.5):
     coeffs = scale * (rng.standard_normal((2 * K + 1,) * freq.n)
                       + 1j * rng.standard_normal((2 * K + 1,) * freq.n))
     coeffs *= np.exp(-decay * qp.k1_norms(K, freq.n))
-    return symmetrized(ShellFunction(freq, coeffs, width))
+    return symmetrized(ShellFunction(freq, coeffs))
 
 
 def random_strip(rng, freq, domain, K, J, scale=1.0, decay=0.5):
@@ -46,7 +46,7 @@ def test_eval_constant():
 
 
 def test_eval_cosine_at_zero():
-    f = ShellFunction.from_modes(FREQ2, {(1, 0): 0.5}, K=1, width=1.0)
+    f = ShellFunction.from_modes(FREQ2, {(1, 0): 0.5}, K=1)
     assert f.eval(0.0).real == pytest.approx(1.0, abs=1e-14)
 
 
@@ -62,7 +62,7 @@ def test_from_modes_rejects_modes_outside_the_box():
 
 def test_eval_mixed_mode_oracle():
     # direct scalar oracle: f(t) = cos((1+sqrt(2)) t) at t = 1
-    f = ShellFunction.from_modes(FREQ2, {(1, 1): 0.5}, K=1, width=1.0)
+    f = ShellFunction.from_modes(FREQ2, {(1, 1): 0.5}, K=1)
     expected = math.cos(1.0 + math.sqrt(2.0))   # -0.746920 (frozen from oracle)
     assert expected == pytest.approx(-0.7469196454668814, abs=1e-12)
     assert f.eval(1.0).real == pytest.approx(expected, abs=1e-13)
@@ -70,7 +70,7 @@ def test_eval_mixed_mode_oracle():
 
 def test_eval_real_output():
     rng = np.random.default_rng(7)
-    f = random_shell(rng, FREQ2, K=4, width=0.5)
+    f = random_shell(rng, FREQ2, K=4)
     vals = f.eval(np.linspace(0, 10, 50))
     assert np.max(np.abs(vals.imag)) < 1e-12
 
@@ -92,7 +92,7 @@ def test_sup_norm_constant():
 
 
 def test_sup_norm_cosine():
-    f = ShellFunction.from_modes(FREQ2, {(1, 0): 0.5}, K=1, width=2.0)
+    f = ShellFunction.from_modes(FREQ2, {(1, 0): 0.5}, K=1)
     lo, hi = sup_norm(f, 0.0)
     assert lo == pytest.approx(1.0, abs=1e-12)
     assert hi == pytest.approx(1.0, abs=1e-12)
@@ -106,7 +106,7 @@ def test_sup_norm_cosine():
 def test_sup_norm_upper_dominates_lower():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        f = random_shell(rng, FREQ2, K=5, width=0.8)
+        f = random_shell(rng, FREQ2, K=5)
         rho = rng.uniform(0, 0.8)
         lo, hi = sup_norm(f, rho)
         assert hi >= lo - 1e-12
@@ -162,14 +162,14 @@ def test_mean_value_birkhoff_oracle():
 
 def test_compose_identity_displacement():
     rng = np.random.default_rng(3)
-    g = random_shell(rng, FREQ2, K=4, width=1.0)
+    g = random_shell(rng, FREQ2, K=4)
     f = ShellFunction.zeros(FREQ2, K=4)
     h = compose_angle(g, f, K_out=4)
     assert np.max(np.abs(h.coeffs - g.coeffs)) < 1e-12
 
 
 def test_compose_constant_g():
-    g = ShellFunction.constant(FREQ2, 4.2, K=3, width=2.0)
+    g = ShellFunction.constant(FREQ2, 4.2, K=3)
     rng = np.random.default_rng(4)
     f = random_shell(rng, FREQ2, K=3, scale=0.1)
     h = compose_angle(g, f, K_out=3)
@@ -180,23 +180,12 @@ def test_compose_constant_g():
 def test_compose_translation_by_pi():
     # g = cos(omega_1 t), f = pi: g(t + pi) = -cos on the omega_1 harmonic? No:
     # cos(omega_1 (t + pi)) = cos(omega_1 t + pi) only if omega_1 = 1 -- it is.
-    g = ShellFunction.from_modes(FREQ2, {(1, 0): 0.5}, K=1, width=10.0)
-    f = ShellFunction.constant(FREQ2, math.pi, K=1, width=10.0)
+    g = ShellFunction.from_modes(FREQ2, {(1, 0): 0.5}, K=1)
+    f = ShellFunction.constant(FREQ2, math.pi, K=1)
     h = compose_angle(g, f, K_out=1)
     xs = np.linspace(0, 7, 40)
     oracle = np.cos(xs + math.pi)
     assert np.max(np.abs(h.eval(xs).real - oracle)) < 1e-12
-
-
-def test_compose_width_exceeded():
-    # the displacement pi moves the strip out of g's width 0.2: no width is certified
-    g = ShellFunction.from_modes(FREQ2, {(1, 0): 0.5}, K=1, width=0.2)
-    f = ShellFunction.constant(FREQ2, math.pi, K=1, width=10.0)
-    assert compose_angle(g, f, K_out=1).width == 0.0
-    # a small displacement leaves w with w + max|omega|*|f|_w = 0.2
-    small = ShellFunction.constant(FREQ2, 0.05, K=1, width=10.0)
-    w = compose_angle(g, small, K_out=1).width
-    assert w == pytest.approx(0.2 - math.sqrt(2.0) * 0.05, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +199,14 @@ def test_invert_zero():
 
 
 def test_invert_constant():
-    h = ShellFunction.constant(FREQ2, 0.37, K=2, width=1.0)
+    h = ShellFunction.constant(FREQ2, 0.37, K=2)
     h1 = invert_angle_map(h, K_out=2)
     assert h1.mean() == pytest.approx(-0.37, abs=1e-12)
 
 
 def test_invert_sine_residual():
     # h = 0.1 sin(omega_1 t); oracle is the forward-inverse residual
-    h = ShellFunction.from_modes(FREQ2, {(1, 0): -0.05j}, K=8, width=1.0)
+    h = ShellFunction.from_modes(FREQ2, {(1, 0): -0.05j}, K=8)
     h1 = invert_angle_map(h, K_out=12)
     taus = np.linspace(0, 20, 300)
     t = taus + h1.eval(taus).real
@@ -226,7 +215,7 @@ def test_invert_sine_residual():
 
 
 def test_invert_not_monotone():
-    h = ShellFunction.from_modes(FREQ2, {(1, 0): -0.9j}, K=2, width=1.0)  # 1.8 sin
+    h = ShellFunction.from_modes(FREQ2, {(1, 0): -0.9j}, K=2)  # 1.8 sin
     with pytest.raises(NotMonotone):
         invert_angle_map(h, K_out=2)
 
@@ -234,7 +223,7 @@ def test_invert_not_monotone():
 def test_compose_then_invert_round_trip():
     rng = np.random.default_rng(5)
     for _ in range(5):
-        h = random_shell(rng, FREQ2, K=3, scale=1.0, width=1.0)
+        h = random_shell(rng, FREQ2, K=3, scale=1.0)
         # |h|_0 <= 0.2 per the invariant; the derivative cap keeps the
         # inverse's spectral tail below the 1e-9 budget at K_out = 24
         h = h * min(0.15 / h.norm_upper(0.0), 0.25 / h.derivative().norm_upper(0.0))
@@ -298,7 +287,7 @@ def test_bessel_lemma_check():
     rng = np.random.default_rng(13)
     n = FREQ2.n
     for _ in range(20):
-        f = random_shell(rng, FREQ2, K=6, width=0.7)
+        f = random_shell(rng, FREQ2, K=6)
         r = rng.uniform(0.0, 0.7)
         lhs = float(np.sum(np.abs(f.coeffs) ** 2 * np.exp(2 * r * qp.k1_norms(f.K, n))))
         assert lhs <= 2**n * f.norm_upper(r) ** 2 * (1 + 1e-12)
@@ -338,7 +327,7 @@ def test_reality_enforcement_fails_fast():
 
 
 def test_derivative_and_shift():
-    f = ShellFunction.from_modes(FREQ2, {(1, 0): 0.5}, K=1, width=1.0)  # cos(t)
+    f = ShellFunction.from_modes(FREQ2, {(1, 0): 0.5}, K=1)  # cos(t)
     xs = np.linspace(0, 5, 30)
     assert np.max(np.abs(f.derivative().eval(xs).real + np.sin(xs))) < 1e-12
     shifted = compose_angle(f, ShellFunction.constant(FREQ2, 0.7, K=1), K_out=1)  # f(t + 0.7)
@@ -346,8 +335,8 @@ def test_derivative_and_shift():
 
 
 def test_shell_product():
-    f = ShellFunction.from_modes(FREQ2, {(1, 0): 0.5}, K=1, width=1.0)
-    g = ShellFunction.from_modes(FREQ2, {(0, 1): 0.5}, K=1, width=1.0)
+    f = ShellFunction.from_modes(FREQ2, {(1, 0): 0.5}, K=1)
+    g = ShellFunction.from_modes(FREQ2, {(0, 1): 0.5}, K=1)
     h = shell_product(f, g)
     xs = np.linspace(0, 5, 30)
     oracle = np.cos(xs) * np.cos(math.sqrt(2.0) * xs)
@@ -369,7 +358,10 @@ def test_serialization_round_trip():
     from qpkam.serialize import shell_from_dict, shell_to_dict
 
     rng = np.random.default_rng(17)
-    f = random_shell(rng, FREQ2, K=3, width=0.4)
-    g = shell_from_dict(shell_to_dict(f))
+    f = random_shell(rng, FREQ2, K=3)
+    doc = shell_to_dict(f)
+    assert sorted(doc) == ["coeffs", "omega"]
+    g = shell_from_dict(doc)
     assert np.max(np.abs(g.coeffs - f.coeffs)) == 0.0
-    assert g.width == f.width
+    # curve.json files that still carry a "width" key load the same
+    assert np.array_equal(shell_from_dict({**doc, "width": 0.0}).coeffs, f.coeffs)

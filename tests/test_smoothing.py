@@ -4,17 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from conftest import build_family, eval_xy, sample_line
+from conftest import SampledCpFunction, build_family, eval_xy, sample_line
 
 from qpkam.errors import SamplerNotFinite
 from qpkam.qpfourier import Frequency, ShellFunction, eval_modes
-from qpkam.smoothing import (
-    FROZEN_CONSTANTS,
-    SampledCpFunction,
-    lowpass_symbol,
-    q_bound,
-    smooth,
-)
+from qpkam.smoothing import FROZEN_CONSTANTS, lowpass_symbol, q_bound, smooth
 
 FREQ = Frequency((1.0, math.sqrt(2.0)))
 NU = 1.0 + math.sqrt(2.0)
@@ -73,24 +67,21 @@ def test_lowpass_symbol_edges():
 def test_smooth_reproduces_trig_polynomial():
     # all modes |k|_1 <= 2 pass exactly once 1/(2 delta) >= 2
     modes = {(1, 0): 0.3, (0, 1): 0.2 - 0.1j, (1, 1): 0.05}
-    f = ShellFunction.from_modes(FREQ, modes, K=2, width=1.0)
-    h = SampledCpFunction(lambda th, y: eval_modes(f.coeffs, th.reshape(2, -1)).real.reshape(th.shape[1:]),
-                          6.0, 10.0, FREQ)
-    hd = smooth(h, 0.25, K_trunc=4, J=0, domain_s=0.25)
+    f = ShellFunction.from_modes(FREQ, modes, K=2)
+    hd = smooth(lambda th, y: eval_modes(f.coeffs, th.reshape(2, -1)).real.reshape(th.shape[1:]),
+                FREQ, 0.25, K_trunc=4, J=0, domain_s=0.25)
     xs = np.linspace(0, 20, 100)
     assert np.max(np.abs(eval_xy(hd, xs, 0.0).real - f.eval(xs).real)) < 1e-12
 
 
 def test_smooth_zero():
-    h = SampledCpFunction(lambda th, y: np.zeros(th.shape[1:]), 6.0, 0.0, FREQ)
-    hd = smooth(h, 0.5, K_trunc=4, J=2, domain_s=0.5)
+    hd = smooth(lambda th, y: np.zeros(th.shape[1:]), FREQ, 0.5, K_trunc=4, J=2, domain_s=0.5)
     assert float(np.max(np.abs(hd.coeffs))) == 0.0
 
 
 def test_smooth_rejects_nonfinite():
-    h = SampledCpFunction(lambda th, y: np.full(th.shape[1:], np.nan), 6.0, 1.0, FREQ)
     with pytest.raises(SamplerNotFinite):
-        smooth(h, 0.5, 4, 0, 0.5)
+        smooth(lambda th, y: np.full(th.shape[1:], np.nan), FREQ, 0.5, 4, 0, 0.5)
 
 
 def test_smoothing_order_slope():
@@ -101,7 +92,7 @@ def test_smoothing_order_slope():
     deltas = 2.0 ** -np.arange(3, 9)
     errs = []
     for d in deltas:
-        hd = smooth(h, d, K_trunc=130, J=0, domain_s=d)
+        hd = smooth(h.shell_sampler, FREQ, d, K_trunc=130, J=0, domain_s=d)
         errs.append(float(np.max(np.abs(h_line - eval_xy(hd, xs, 0.0).real))))
         # exact tail oracle: blocked coefficients sum
         tail = float(np.sum(cs[2.0**js >= 1.0 / d]))

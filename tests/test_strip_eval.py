@@ -264,7 +264,7 @@ def test_with_domain_is_exact_for_wider_chebyshev_order(seed, n, K, J, extra, ra
 def test_invert_then_compose_is_identity(seed, n, K):
     rng = np.random.default_rng(seed)
     box = random_box(rng, n, K, ()) * np.exp(-0.5 * qp.k1_norms(K, n))
-    h = symmetrized(ShellFunction(Frequency(OMEGAS[n]), box, 1.0))
+    h = symmetrized(ShellFunction(Frequency(OMEGAS[n]), box))
     # |h| <= 0.15 and |h'| <= 0.1 keep the inverse's tail at K_out 24 below
     # 1e-11 (n = 1) and 1e-13 (n = 2), far inside the 1e-9 budget
     h = h * min(0.15 / h.norm_upper(0.0), 0.1 / h.derivative().norm_upper(0.0))
