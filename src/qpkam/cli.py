@@ -135,8 +135,8 @@ class ExperimentConfig:
         cfg = ExperimentConfig(**raw)
         if cfg.K_trunc > cfg.K:
             raise ValueError(f"K_trunc = {cfg.K_trunc} exceeds the certified cutoff K = {cfg.K}")
-        for key in ("K_trunc", "J"):
-            if getattr(cfg, key) < 0:
+        for key in ("K_trunc", "J", "k_max", "tol"):
+            if not getattr(cfg, key) >= 0:
                 raise ValueError(f"{key} = {getattr(cfg, key)} must be >= 0")
         if not cfg.y_scale > 0:
             raise ValueError(f"y_scale = {cfg.y_scale} must be > 0")
@@ -155,15 +155,15 @@ def _metadata(out_dir: Path, command: str) -> None:
 
 
 def _certificates(cfg: ExperimentConfig):
+    """The frequency, the rotation number (or its RejectionReport) and the
+    admissible sample it was drawn from (None for a configured alpha)."""
     freq = certify_frequency(cfg.omega, cfg.K, cfg.sigma0)
     if cfg.alpha is not None:
         rot = certify_rotation(cfg.alpha, freq, cfg.gamma, cfg.tau, cfg.interval, cfg.K)
-        fraction = None
-    else:
-        sample = sample_admissible(freq, cfg.gamma, cfg.tau, cfg.interval, cfg.K,
-                                   cfg.sample_count, cfg.seed)
-        rot, fraction = sample.accepted[0], sample.fraction
-    return freq, rot, fraction
+        return freq, rot, None
+    sample = sample_admissible(freq, cfg.gamma, cfg.tau, cfg.interval, cfg.K,
+                               cfg.sample_count, cfg.seed)
+    return freq, sample.first, sample
 
 
 def _rejection_line(rot: RejectionReport) -> str:
@@ -176,7 +176,7 @@ def _rejection_line(rot: RejectionReport) -> str:
 
 def cmd_certify(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
     try:
-        freq, rot, fraction = _certificates(cfg)
+        freq, rot, sample = _certificates(cfg)
     except ResonantFrequency as exc:
         print(f"rejection: ResonantFrequency at k = {exc.k}", file=sys.stderr)
         _write(out_dir, "certify.json",
@@ -198,8 +198,8 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
         return 2
     report["rotation"] = {"alpha": rot.alpha, "gamma": rot.gamma, "tau": rot.tau,
                           "K": rot.cutoff, "margin": rot.margin}
-    if fraction is not None:
-        report["acceptance_fraction"] = fraction
+    if sample is not None:
+        report["acceptance_fraction"] = sample.fraction
     report["divisor_sums"] = [
         vars(divisor_sum_bound_check(freq, rot, m))
         for m in (5, 10, 20) if m <= rot.cutoff]
@@ -210,7 +210,8 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
 
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
-    freq, rot, _ = _certificates(cfg)
+    # the sample's lattice box is not kept alive through the run
+    freq, rot = _certificates(cfg)[:2]
     if isinstance(rot, RejectionReport):
         print(_rejection_line(rot), file=sys.stderr)
         return 2
@@ -327,7 +328,7 @@ def cmd_diophantine(args) -> int:
         _write(out_dir, "diophantine.json", report)
         print(f"rejection: {exc}", file=sys.stderr)
         return 2
-    rot = sample.accepted[0]
+    rot = sample.first
     report.update({
         "accepted": True,
         "acceptance_fraction": sample.fraction,
@@ -366,14 +367,19 @@ def main(argv=None) -> int:
     dp.add_argument("--verbose", action="store_true")
 
     args = parser.parse_args(argv)
-    if args.command != "diophantine":
-        try:
+    try:
+        if args.command == "diophantine":
+            seed = args.seed
+        else:
             cfg = ExperimentConfig.load(args.config)
-        except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        if args.seed is not None:
-            cfg.seed = args.seed
+            if args.seed is not None:
+                cfg.seed = args.seed
+            seed = cfg.seed
+        if seed < 0:
+            raise ValueError(f"seed = {seed} must be >= 0")
+    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
 
     out_dir = Path(args.out)
     try:

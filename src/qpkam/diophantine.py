@@ -8,8 +8,9 @@ are l1 norms.  Lattice scans run vectorized over the whole box.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .qpfourier import Frequency, mode_vectors
 
 RESONANCE_TOL = 1e-14
 TIE_TOL = 1e-15      # equality slack: closed inequalities in exact arithmetic
-# elements of one (lattice x alpha chunk) float temporary in _divisor_pass (4 MB)
+# elements of one (lattice x alpha chunk) float temporary in _chunk_pass (4 MB)
 ALPHA_CHUNK_ELEMS = 1 << 19
 
 
@@ -115,39 +116,76 @@ def certify_rotation(alpha: float, freq: Frequency, gamma: float, tau: float,
                           float(np.min(margins)))
 
 
-@dataclass
+def _chunk_pass(alphas: np.ndarray, kw: np.ndarray, bound: np.ndarray,
+                k1_tau: np.ndarray, gamma: float):
+    """Per alpha of one chunk: whether every divisor line of the box holds, and
+    the min margin dist*|k|^tau/gamma, with certify_rotation's elementwise
+    operations.  The (lattice x chunk) temporaries die when this returns."""
+    x = np.multiply.outer(kw, alphas) / (2.0 * math.pi)
+    dist = np.abs(x - np.round(x))
+    return np.all(dist >= bound, axis=0), np.min(dist * k1_tau / gamma, axis=0)
+
+
 class AdmissibleSample:
-    accepted: list
-    fraction: float
-    alphas: np.ndarray = field(repr=False, default=None)
-    mask: np.ndarray = field(repr=False, default=None)
+    """Draws certified in draw order, one chunk of ALPHA_CHUNK_ELEMS
+    (lattice x alpha) elements at a time.
 
-
-def _divisor_pass(alphas: np.ndarray, freq: Frequency, gamma: float, tau: float, K: int):
-    """Per alpha: whether every divisor line of the box holds, and the min
-    margin dist*|k|^tau/gamma, with certify_rotation's elementwise operations.
-
-    The alphas run in chunks so each (lattice x chunk) temporary stays near
-    ALPHA_CHUNK_ELEMS elements; the lattice box is built once.
+    Construction stops after the chunk that holds the first admissible draw,
+    `first` (None if no draw is admissible).  The first read of mask,
+    accepted or fraction certifies the remaining draws and drops the box.
     """
-    _, k1, kw = _box_k1_and_kw(freq.vec, K)
-    bound = (gamma / k1**tau)[:, None] - TIE_TOL
-    k1_tau = (k1**tau)[:, None]
-    ok = np.empty(len(alphas), dtype=bool)
-    margin = np.empty(len(alphas))
-    step = max(1, ALPHA_CHUNK_ELEMS // len(kw))
-    for i in range(0, len(alphas), step):
-        x = np.multiply.outer(kw, alphas[i:i + step]) / (2.0 * math.pi)
-        dist = np.abs(x - np.round(x))
-        ok[i:i + step] = np.all(dist >= bound, axis=0)
-        margin[i:i + step] = np.min(dist * k1_tau / gamma, axis=0)
-    return ok, margin
+
+    def __init__(self, alphas: np.ndarray, inside: np.ndarray, freq: Frequency,
+                 gamma: float, tau: float, K: int):
+        k1, self._kw = _box_k1_and_kw(freq.vec, K)[1:]   # the lattice vectors die here
+        self._bound = (gamma / k1**tau)[:, None] - TIE_TOL
+        self._k1_tau = (k1**tau)[:, None]
+        self._step = max(1, ALPHA_CHUNK_ELEMS // len(self._kw))
+        self._gamma = gamma
+        self._cert = (freq, float(gamma), float(tau), int(K))   # of each RotationNumber
+        self.alphas = alphas
+        self._ok = inside                 # drawn inside the padded interval; becomes mask
+        self._margin = np.empty(len(alphas))
+        self._done = 0
+        while self._done < len(alphas) and not self._ok[:self._done].any():
+            self._certify_chunk()
+        hits = np.flatnonzero(self._ok[:self._done])
+        self.first = self._rotation(hits[0]) if len(hits) else None
+
+    def _certify_chunk(self) -> None:
+        i = self._done
+        j = min(i + self._step, len(self.alphas))
+        ok, margin = _chunk_pass(self.alphas[i:j], self._kw, self._bound,
+                                 self._k1_tau, self._gamma)
+        self._ok[i:j] &= ok
+        self._margin[i:j] = margin
+        self._done = j
+        if j == len(self.alphas):
+            self._kw = self._bound = self._k1_tau = None
+
+    def _rotation(self, i: int) -> RotationNumber:
+        return RotationNumber(float(self.alphas[i]), *self._cert, float(self._margin[i]))
+
+    @property
+    def mask(self) -> np.ndarray:
+        while self._done < len(self.alphas):
+            self._certify_chunk()
+        return self._ok
+
+    @functools.cached_property
+    def accepted(self) -> list:
+        return [self._rotation(i) for i in np.flatnonzero(self.mask)]
+
+    @property
+    def fraction(self) -> float:
+        return float(self.mask.mean())
 
 
 def sample_admissible(freq: Frequency, gamma: float, tau: float, interval,
                       K: int, count: int, seed: int = 0) -> AdmissibleSample:
-    """Uniform draws from the padded interval, certified in a batch; each
-    accepted RotationNumber equals certify_rotation's for that alpha."""
+    """Uniform draws from the padded interval, certified in draw order up to
+    the first admissible one; each accepted RotationNumber equals
+    certify_rotation's for that alpha."""
     if count < 1:
         raise ConfigError("count >= 1 required")
     _check_gamma_tau(gamma, tau, interval, freq.n)
@@ -155,15 +193,12 @@ def sample_admissible(freq: Frequency, gamma: float, tau: float, interval,
     pad = gamma / 12.0**3
     rng = np.random.default_rng(seed)
     alphas = rng.uniform(a + pad, b - pad, count)
-    ok, margin = _divisor_pass(alphas, freq, gamma, tau, K)
-    mask = ok & (alphas >= a + pad) & (alphas <= b - pad)
-    accepted = [RotationNumber(float(al), freq, float(gamma), float(tau), int(K), float(m))
-                for al, m in zip(alphas[mask], margin[mask])]
-    frac = float(mask.mean())
-    if not accepted:
+    inside = (alphas >= a + pad) & (alphas <= b - pad)
+    sample = AdmissibleSample(alphas, inside, freq, gamma, tau, K)
+    if sample.first is None:
         raise NoneAdmissible(
             f"0/{count} admissible at gamma = {gamma:.3e}; decrease gamma")
-    return AdmissibleSample(accepted, frac, alphas, mask)
+    return sample
 
 
 # ---------------------------------------------------------------------------

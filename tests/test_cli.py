@@ -167,11 +167,22 @@ DIOPHANTINE_ARGS = ["--omega", "1.0", str(2.0**0.5), "--gamma", "1e-3", "--K", "
     ("solve", {"K_trunc": -1}),
     ("solve", {"y_scale": 0}),
     ("solve", {"y_scale": -16.0}),
+    # negative seeds, from the config and from the flags
+    ("solve", {"seed": -1}),
+    ("solve", ["--seed", "-2"]),
+    ("diophantine", ["--tau", "3.0", "--seed", "-1"]),
+    # a negative level count or tolerance
+    ("schedule", {"k_max": -1}),
+    ("solve", {"k_max": -1}),
+    ("solve", {"tol": -1.0}),
 ])
 def test_bad_parameters_exit_1(tmp_path, capsys, command, overrides):
+    # overrides: config fields (a dict) or flags (a list)
     out = str(tmp_path / "o")
     if command == "diophantine":
         argv = ["diophantine", *DIOPHANTINE_ARGS, *overrides, "--out", out]
+    elif isinstance(overrides, list):
+        argv = [command, "--config", str(write_cfg(tmp_path)), *overrides, "--out", out]
     else:
         argv = [command, "--config", str(write_cfg(tmp_path, **overrides)), "--out", out]
     assert main(argv) == 1
@@ -214,7 +225,8 @@ def test_malformed_config_exit_1(tmp_path):
 
 
 def test_solve_zero_perturbation(tmp_path):
-    cfg = write_cfg(tmp_path, map={"model": "pure_twist", "strip": [0.0, 1.7]})
+    # tol 0 is a valid tolerance: the unperturbed twist meets it exactly
+    cfg = write_cfg(tmp_path, tol=0.0, map={"model": "pure_twist", "strip": [0.0, 1.7]})
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
     curve = json.loads((out / "curve.json").read_text())

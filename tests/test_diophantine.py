@@ -1,10 +1,12 @@
 """Diophantine certification: exhaustive oracles, measure experiment, divisor sums."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qpkam import diophantine
 from qpkam.diophantine import (
     RejectionReport,
     RotationNumber,
@@ -140,12 +142,71 @@ def test_sample_admissible_matches_certify_rotation(omega, gamma, tau, count):
     freq = certify_frequency(omega, K=30)
     res = sample_admissible(freq, gamma, tau, (0.3, 1.1), K=30, count=count, seed=4)
     assert len(res.accepted) > 0
+    assert res.first == res.accepted[0]
     assert res.accepted == [certify_rotation(a, freq, gamma, tau, (0.3, 1.1), 30)
                             for a in res.alphas[res.mask]]
     # the rejections too: certify_rotation is the oracle for every drawn alpha
     np.testing.assert_array_equal(
         res.mask, [isinstance(certify_rotation(a, freq, gamma, tau, (0.3, 1.1), 30),
                               RotationNumber) for a in res.alphas])
+
+
+THREE_FREQ = (1.0, SQRT2, math.sqrt(3.0))
+
+
+def count_chunks(monkeypatch):
+    """Wrap the per-chunk divisor pass; the returned list grows by one a call."""
+    calls = []
+    chunk_pass = diophantine._chunk_pass
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return chunk_pass(*args)
+
+    monkeypatch.setattr(diophantine, "_chunk_pass", counted)
+    return calls
+
+
+@pytest.mark.parametrize("gamma, seed, chunks_to_first", [
+    (1e-2, 3, 1),      # the first draw is admissible
+    (0.15, 2, 5),      # draws 0-15 are not: four chunks hold no admissible draw
+])
+def test_sample_admissible_stops_at_first_admissible(monkeypatch, gamma, seed,
+                                                     chunks_to_first):
+    # three_freq lattice: 113,490 half-box vectors, so 4 draws a chunk
+    freq = certify_frequency(THREE_FREQ, K=30)
+    tau, interval, count = 3.5, (0.3, 1.1), 200
+    calls = count_chunks(monkeypatch)
+    res = sample_admissible(freq, gamma, tau, interval, K=30, count=count, seed=seed)
+    step = calls[0]
+    assert step == diophantine.ALPHA_CHUNK_ELEMS // 113490
+    assert len(calls) == chunks_to_first
+    # the full certification of every draw, by the single-alpha oracle
+    oracle = [certify_rotation(a, freq, gamma, tau, interval, 30) for a in res.alphas]
+    admissible = [isinstance(rot, RotationNumber) for rot in oracle]
+    first = admissible.index(True)
+    assert first // step == chunks_to_first - 1
+    assert res.first == oracle[first]
+    # reading fraction completes the scan; mask and accepted reuse it
+    assert res.fraction == np.mean(admissible)
+    assert len(calls) == math.ceil(count / step)
+    np.testing.assert_array_equal(res.mask, admissible)
+    assert res.accepted == [rot for rot in oracle if rot]
+    assert len(calls) == math.ceil(count / step)      # no draw certified twice
+
+
+def test_live_sample_holds_no_chunk_temporaries():
+    # n = 2, K = 30: one chunk of 1,860 x 200 floats (3 MB a temporary)
+    freq = certify_frequency((1.0, GOLDEN), K=30)
+    sample_admissible(freq, 1e-2, 3.0, (0.3, 1.1), K=30, count=200, seed=0)  # warm caches
+    tracemalloc.start()
+    try:
+        res = sample_admissible(freq, 1e-2, 3.0, (0.3, 1.1), K=30, count=200, seed=0)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.first is not None
+    assert held < 2 * 2**20
 
 
 def test_none_admissible():
