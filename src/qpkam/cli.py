@@ -9,6 +9,7 @@ rejection (ResonantFrequency, NoneAdmissible or a rejected rotation number),
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -52,7 +53,9 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float: JSON's NaN and Infinity are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _is_list_of(value, item_ok, length: int | None = None) -> bool:
@@ -72,9 +75,9 @@ def _check_fields(obj, where: str) -> None:
         if key in INT_FIELDS and not _is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if key in FLOAT_FIELDS and not _is_number(value):
-            raise ValueError(f"{name} must be a number, got {value!r}")
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
         if key in PAIR_FIELDS and not _is_list_of(value, _is_number, 2):
-            raise ValueError(f"{name} must be a list of two numbers, got {value!r}")
+            raise ValueError(f"{name} must be a list of two finite numbers, got {value!r}")
 
 
 @dataclass
@@ -114,7 +117,7 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if not (_is_list_of(raw["omega"], _is_number) and raw["omega"]):
-            raise ValueError("omega must be a nonempty list of numbers")
+            raise ValueError("omega must be a nonempty list of finite numbers")
         mp = raw.get("map", {})
         _check_fields(mp, "map")
         if not isinstance(mp.get("model", ""), str):
@@ -370,6 +373,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "diophantine":
             seed = args.seed
+            for flag in ("omega", "sigma0", "gamma", "tau", "interval"):
+                value = getattr(args, flag)
+                if value is not None and not np.all(np.isfinite(value)):
+                    raise ValueError(f"--{flag} = {value} must be finite")
         else:
             cfg = ExperimentConfig.load(args.config)
             if args.seed is not None:

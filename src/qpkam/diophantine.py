@@ -76,7 +76,7 @@ class RejectionReport:
     reason: str
     k: tuple | None = None
     j: int | None = None
-    margin: float = math.nan
+    margin: float | None = None     # None for an alpha outside the interval
 
     def __bool__(self):
         return False
@@ -99,7 +99,7 @@ def certify_rotation(alpha: float, freq: Frequency, gamma: float, tau: float,
     a, b = interval
     pad = gamma / 12.0**3
     if not (a + pad <= alpha <= b - pad):
-        return RejectionReport(alpha, "interval", margin=math.nan)
+        return RejectionReport(alpha, "interval")
     kvecs, k1, kw = _box_k1_and_kw(freq.vec, K)
     x = kw * alpha / (2.0 * math.pi)
     # gamma < 1/2 and |k| >= 1: only the nearest integer can violate the bound

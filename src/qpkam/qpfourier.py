@@ -174,7 +174,8 @@ def default_grid(K: int) -> int:
     """Oversampled grid size: twice the alias-free minimum.
 
     Its users: the shell algebra and strip sampling of this module
-    (shell_product, compose_angle, invert_angle_map, from_sampler),
+    (shell_product, from_sampler, and compose_angle and invert_angle_map,
+    whose shifted copies of this grid grid_shift_cheb synthesizes),
     smoothing, cohomology, the shell compositions in maps and
     NormalizedMap.defect_sup.  The KAM collocation grids use
     kam.collocation_grid instead.
@@ -285,6 +286,72 @@ def cheb_disc_bounds(J: int, t: float) -> np.ndarray:
     for j in range(1, J):
         out[j + 1] = 2 * t * out[j] + out[j - 1]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the uniform grid displaced along omega: Chebyshev interpolation in d
+# ---------------------------------------------------------------------------
+
+# orders of grid_shift_cheb: the smallest M whose interpolation bound meets
+# SHIFT_TOL, tried up to SHIFT_MAX_ORDER (about W*delta = 11 for a single
+# mode) before the callers' direct eval_modes fallback
+SHIFT_TOL = 2.0**-53
+SHIFT_MAX_ORDER = 40
+
+
+def shift_order(amps: np.ndarray, kw: np.ndarray, delta: float) -> int | None:
+    """Smallest M with sum_k a_k 2(|<k,omega>| delta/2)^(M+1)/(M+1)! <=
+    SHIFT_TOL sum_k a_k: the Chebyshev interpolation bound of
+    d -> e^{i<k,omega>d} on an interval of half-width delta (Trefethen, ATAP
+    ch. 7-8), weighted by the mode amplitudes a_k.  None when delta is not
+    finite or no M <= SHIFT_MAX_ORDER meets the bound."""
+    if not 0.0 <= delta < math.inf:
+        return None
+    half = 0.5 * delta * np.abs(kw)
+    term = 2.0 * amps
+    goal = SHIFT_TOL * float(np.sum(amps))
+    for M in range(SHIFT_MAX_ORDER + 1):
+        term = term * half / (M + 1)
+        if float(np.sum(term)) <= goal:
+            return M
+    return None
+
+
+def grid_shift_cheb(coeffs: np.ndarray, omega: np.ndarray, N: int, c: float,
+                    delta: float) -> np.ndarray | None:
+    """Chebyshev coefficients in d of a mode box (trailing axes kept) on
+    theta_grid(N, n) + omega*d, for d in [c - delta, c + delta].
+
+    The box is synthesized at the M+1 shifts c + delta*cheb_nodes(M) in one
+    batched synthesis and fitted across them; cheb_eval_rows evaluates the
+    result, shape (N^n,) + trailing + (M+1,), at (d - c)/delta.  M =
+    shift_order of the amplitudes summed over the trailing axes, so on real d
+    the error is below SHIFT_TOL * sum|f_k|.  None (evaluate directly) for a
+    non-finite c or delta or an order above SHIFT_MAX_ORDER.
+    """
+    n = len(omega)
+    K = (coeffs.shape[0] - 1) // 2
+    trailing = coeffs.shape[n:]
+    kw = k_dot_omega(K, omega)
+    amps = np.abs(coeffs).reshape(kw.shape + (-1,)).sum(axis=-1)
+    M = shift_order(amps, kw, delta) if math.isfinite(c) else None
+    if M is None:
+        return None
+    phase = np.exp(1j * np.multiply.outer(kw, c + delta * cheb_nodes(M)))
+    boxes = coeffs[..., None] * phase.reshape(kw.shape + (1,) * len(trailing) + (M + 1,))
+    values = synthesize_grid(boxes, n, N).reshape((N**n,) + trailing + (M + 1,))
+    return cheb_fit_last_axis(values, M)
+
+
+def _eval_shifted(coeffs, omega, N, d, cheb, c, delta) -> np.ndarray:
+    """Values of a mode box at theta_grid(N, n) + omega*d, shape (N^n,) +
+    trailing: Clenshaw of its grid_shift_cheb coefficients cheb, or direct
+    eval_modes when cheb is None."""
+    if cheb is None:
+        n = len(omega)
+        return eval_modes(coeffs, theta_grid(N, n).reshape(n, -1) + np.multiply.outer(omega, d))
+    t = (d - c) / delta if delta > 0 else np.zeros_like(d)
+    return cheb_eval_rows(cheb, t.reshape(t.shape + (1,) * (cheb.ndim - 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +481,22 @@ def shell_product(f: ShellFunction, g: ShellFunction, K_out: int | None = None) 
 
 
 def compose_angle(g: ShellFunction, f: ShellFunction, K_out: int) -> ShellFunction:
-    """Quasi-periodic composition t -> g(t + f(t)) by shell collocation."""
+    """Quasi-periodic composition t -> g(t + f(t)) by shell collocation.
+
+    g is interpolated in the displacement over the range of the sampled f
+    (grid_shift_cheb, c its midpoint and delta its half-spread) and the
+    interpolant is evaluated at the f values; direct eval_modes when the
+    interpolant needs an order above SHIFT_MAX_ORDER.
+    """
     if not f.freq.same_omega(g.freq):
         raise ValueError("frequency mismatch")
-    n = f.n
     N = default_grid(K_out)
-    fvals = f.sample(N)
-    theta = theta_grid(N, n).reshape(n, -1)
-    shifted = theta + np.multiply.outer(f.freq.vec, fvals.ravel())
-    gvals = eval_modes(g.coeffs, shifted).reshape((N,) * n)
-    return ShellFunction.from_grid(gvals, f.freq, K_out)
+    fvals = f.sample(N).ravel()
+    lo, hi = float(np.min(fvals)), float(np.max(fvals))
+    c, delta = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    cheb = grid_shift_cheb(g.coeffs, f.freq.vec, N, c, delta)
+    gvals = _eval_shifted(g.coeffs, f.freq.vec, N, fvals, cheb, c, delta)
+    return ShellFunction.from_grid(gvals.reshape((N,) * f.n), f.freq, K_out)
 
 
 def invert_angle_map(h: ShellFunction, K_out: int) -> ShellFunction:
@@ -432,7 +505,13 @@ def invert_angle_map(h: ShellFunction, K_out: int) -> ShellFunction:
     Safeguarded Newton iteration (bisection when a step leaves the bracket) on
     a collocation grid for the residual v + h(tau + v), to a residual below
     1e-13 in at most 60 iterations; the beta = 1 case of the quasi-periodic
-    inverse lemma.
+    inverse lemma.  The root lies in -range(h), inside the bracket
+    [c - delta, c + delta] with c = -[h] and delta = norm_upper(h - [h]) >=
+    sup|h - [h]|; Newton starts at v = c.  One grid_shift_cheb call on [h, h']
+    over that bracket serves every iteration as a Clenshaw evaluation.  Once
+    the interpolated residual is below 1e-13 a direct eval_modes call checks
+    it on the true h, and Newton goes on with direct values if the check
+    fails.
     """
     n = h.n
     N = default_grid(max(K_out, h.K))
@@ -440,19 +519,24 @@ def invert_angle_map(h: ShellFunction, K_out: int) -> ShellFunction:
     dvals = dh.sample(N)
     if float(np.min(1.0 + dvals)) <= 0.0:
         raise NotMonotone(f"min(1 + h') = {float(np.min(1.0 + dvals)):.3e}")
-    theta = theta_grid(N, n).reshape(n, -1)
     stacked = np.stack([h.coeffs, dh.coeffs], axis=-1)
     omega = h.freq.vec
     # per point the residual v + h(tau + v) is strictly increasing in v
-    # (1 + h' > 0), so the root is unique and bracketed by +-sup|h|
-    bound = h.norm_upper(0.0) + 1e-12
-    lo = np.full(theta.shape[1], -bound)
-    hi = np.full(theta.shape[1], bound)
-    v = np.zeros(theta.shape[1])
+    # (1 + h' > 0), so the root is unique; the pad keeps a root on the
+    # bracket's end inside it under roundoff
+    c = -h.mean()
+    delta = (h - h.mean()).norm_upper(0.0) + 1e-12
+    cheb = grid_shift_cheb(stacked, omega, N, c, delta)
+    lo = np.full(N**n, c - delta)
+    hi = np.full(N**n, c + delta)
+    v = np.full(N**n, c)
     for _ in range(60):
-        shifted = theta + np.multiply.outer(omega, v)
-        both = eval_modes(stacked, shifted).real
+        both = _eval_shifted(stacked, omega, N, v, cheb, c, delta).real
         res = v + both[:, 0]
+        if cheb is not None and float(np.max(np.abs(res))) < 1e-13:
+            cheb = None         # check on the true h, and go on with it
+            both = _eval_shifted(stacked, omega, N, v, cheb, c, delta).real
+            res = v + both[:, 0]
         hi = np.where(res > 0, np.minimum(hi, v), hi)
         lo = np.where(res <= 0, np.maximum(lo, v), lo)
         if float(np.max(np.abs(res))) < 1e-13:

@@ -38,7 +38,9 @@ def shell_from_dict(d: dict, K: int | None = None) -> ShellFunction:
 
 
 def dump_json(obj, path) -> None:
-    """Canonical JSON dump: sorted keys, no whitespace variance."""
+    """Canonical JSON dump: sorted keys, no whitespace variance.  Strict JSON:
+    NaN and infinities raise ValueError."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ": "), indent=1)
+        json.dump(obj, fh, sort_keys=True, separators=(",", ": "), indent=1,
+                  allow_nan=False)
         fh.write("\n")

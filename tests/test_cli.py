@@ -71,6 +71,18 @@ def test_certify_rejected_alpha_exit_2(tmp_path, capsys):
     assert "(k, j)" in err
 
 
+def test_certify_alpha_outside_interval_is_strict_json(tmp_path):
+    cfg = write_cfg(tmp_path, alpha=1.2)
+    out = tmp_path / "o"
+    assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 2
+    doc = json.loads((out / "certify.json").read_text(), parse_constant=_reject_constant)
+    assert doc["reason"] == "interval" and doc["margin"] is None
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 @pytest.mark.parametrize("overrides, reason", [
     ({"alpha": 1.2}, "interval"),                              # outside [0.3, 1.1]
     ({"alpha": 2 * math.pi, "interval": [0.0, 10.0]}, "divisor"),
@@ -175,6 +187,17 @@ DIOPHANTINE_ARGS = ["--omega", "1.0", str(2.0**0.5), "--gamma", "1e-3", "--K", "
     ("schedule", {"k_max": -1}),
     ("solve", {"k_max": -1}),
     ("solve", {"tol": -1.0}),
+    # NaN and infinities, in the config (json writes them as NaN/Infinity)
+    # and in the diophantine flags
+    ("certify", {"interval": [0.3, math.nan]}),
+    ("solve", {"interval": [-math.inf, 1.1]}),
+    ("certify", {"sigma0": math.nan}),
+    ("solve", {"tol": math.inf}),
+    ("solve", {"map": {**BASE["map"], "lambda": math.inf}}),
+    ("solve", {"map": {**BASE["map"], "modes": [{"k": [1, 0], "c": math.nan}]}}),
+    ("diagnose", {"curves": [{"r0": None, "amp": math.inf}]}),
+    ("diophantine", ["--tau", "3.0", "--sigma0", "nan"]),
+    ("diophantine", ["--tau", "3.0", "--interval", "0.4", "inf"]),
 ])
 def test_bad_parameters_exit_1(tmp_path, capsys, command, overrides):
     # overrides: config fields (a dict) or flags (a list)

@@ -234,17 +234,23 @@ def test_compose_then_invert_round_trip():
         assert comp.norm_upper(0.0) < 1e-9
 
 
-def test_invert_converges_at_newton_speed(monkeypatch):
-    # shaped like the angle displacement of a diagnose image curve: mean 0.7,
-    # oscillation about +-0.3, K 8; one eval_modes call per iteration
-    freq = Frequency((1.0, (1.0 + math.sqrt(5.0)) / 2.0))
-    h = ShellFunction.from_modes(freq, {(0, 0): 0.7, (1, 0): 0.08 - 0.05j, (0, 1): -0.06j,
-                                        (1, 1): 0.03, (2, -1): 0.01j}, K=8)
+def count_eval_modes(monkeypatch):
     calls = []
     eval_modes = qp.eval_modes
     monkeypatch.setattr(qp, "eval_modes", lambda c, t: calls.append(1) or eval_modes(c, t))
+    return calls
+
+
+def test_invert_converges_at_newton_speed(monkeypatch):
+    # shaped like the angle displacement of a diagnose image curve: mean 0.7,
+    # oscillation about +-0.3, K 8; the iterations evaluate the interpolant,
+    # and direct eval_modes only checks the final residual (twice at most)
+    freq = Frequency((1.0, (1.0 + math.sqrt(5.0)) / 2.0))
+    h = ShellFunction.from_modes(freq, {(0, 0): 0.7, (1, 0): 0.08 - 0.05j, (0, 1): -0.06j,
+                                        (1, 1): 0.03, (2, -1): 0.01j}, K=8)
+    calls = count_eval_modes(monkeypatch)
     h1 = invert_angle_map(h, K_out=24)
-    assert len(calls) <= 10
+    assert len(calls) <= 2
     taus = np.linspace(0, 20, 300)
     t = taus + h1.eval(taus).real
     assert np.max(np.abs(t + h.eval(t).real - taus)) < 1e-10
@@ -365,3 +371,20 @@ def test_serialization_round_trip():
     assert np.max(np.abs(g.coeffs - f.coeffs)) == 0.0
     # curve.json files that still carry a "width" key load the same
     assert np.array_equal(shell_from_dict({**doc, "width": 0.0}).coeffs, f.coeffs)
+
+
+def test_invert_then_compose_three_frequencies_wide_spread(monkeypatch):
+    # n = 3 with W*delta about 7 (W = max|<k,omega>| over the K 8 box): far
+    # beyond the about 2 that the Taylor order cap of eval_strip_stack serves
+    freq = Frequency((1.0, math.sqrt(2.0), math.sqrt(3.0)))
+    h = ShellFunction.from_modes(freq, {(0, 0, 0): 0.7, (0, 1, -1): 0.03 - 0.03j,
+                                        (1, -1, 0): 0.042j, (1, 0, 0): 0.01 + 0.005j,
+                                        (0, 0, 1): -0.004j}, K=8)
+    W = float(np.max(np.abs(qp.k_dot_omega(8, freq.vec))))
+    assert 6.5 <= W * (h - h.mean()).norm_upper(0.0) <= 7.5
+    calls = count_eval_modes(monkeypatch)
+    h1 = invert_angle_map(h, K_out=8)
+    inverted = len(calls)
+    comp = compose_angle(h1, h, K_out=8) + h
+    assert inverted <= 2 and len(calls) == inverted     # compose interpolates too
+    assert comp.norm_upper(0.0) < 1e-9

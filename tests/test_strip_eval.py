@@ -231,6 +231,63 @@ def test_taylor_order_rejects_non_finite_and_wide():
     assert qp.taylor_order(0.0) == 0
 
 
+@PROPS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(0, 4),
+       N=st.integers(2, 12), trailing=TRAILING, spread=st.floats(0.0, 8.0),
+       c=st.floats(-3.0, 3.0))
+def test_shift_interpolant_matches_direct_oracle(seed, n, K, N, trailing, spread, c):
+    # N ranges below 2K+1 as well: those boxes are synthesized on a multiple of N
+    if n == 3:
+        N = min(N, 8)
+    rng = np.random.default_rng(seed)
+    coeffs = random_box(rng, n, K, trailing)
+    omega = np.array(OMEGAS[n])
+    W = float(np.max(np.abs(qp.k_dot_omega(K, omega))))
+    delta = spread / W if W > 0 else spread          # W*delta = spread
+    cheb = qp.grid_shift_cheb(coeffs, omega, N, c, delta)
+    assert cheb is not None and cheb.shape[:-1] == (N**n,) + trailing
+    d = c + delta * rng.uniform(-1.0, 1.0, N**n)
+    t = (d - c) / delta if delta > 0 else np.zeros_like(d)
+    got = qp.cheb_eval_rows(cheb, t.reshape(t.shape + (1,) * len(trailing)))
+    want = qp.eval_modes(coeffs, qp.theta_grid(N, n).reshape(n, -1) + np.multiply.outer(omega, d))
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * (1.0 + np.sum(np.abs(coeffs)))
+
+
+def shift_remainder(amps, kw, delta, M):
+    """sum_k a_k 2(|<k,omega>| delta/2)^(M+1)/(M+1)!, the bound shift_order meets."""
+    return float(np.sum(amps * 2.0 * (0.5 * delta * np.abs(kw)) ** (M + 1))) / math.factorial(M + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), modes=st.integers(1, 30), spread=st.floats(0.0, 14.0),
+       decay=st.floats(0.0, 3.0))
+def test_shift_order_is_the_smallest_passing_order(seed, modes, spread, decay):
+    rng = np.random.default_rng(seed)
+    kw = rng.uniform(-1.0, 1.0, modes)
+    amps = rng.uniform(0.0, 1.0, modes) * np.exp(-decay * np.abs(kw))
+    delta = spread / np.max(np.abs(kw))
+    goal = qp.SHIFT_TOL * float(np.sum(amps))
+    M = qp.shift_order(amps, kw, delta)
+    if M is None:
+        assert all(shift_remainder(amps, kw, delta, m) > goal
+                   for m in range(qp.SHIFT_MAX_ORDER + 1))
+    else:
+        assert shift_remainder(amps, kw, delta, M) <= goal
+        assert M == 0 or shift_remainder(amps, kw, delta, M - 1) > goal
+
+
+def test_shift_order_cap_and_non_finite():
+    kw = np.array([0.0, 1.0, -2.0])
+    amps = np.array([1.0, 0.5, 0.25])
+    assert qp.shift_order(amps, kw, 0.0) == 0
+    assert qp.shift_order(np.zeros(3), kw, 5.0) == 0         # nothing to interpolate
+    for delta in (math.nan, math.inf, -1.0, 20.0):
+        assert qp.shift_order(amps, kw, delta) is None
+    box = np.ones((3, 3), dtype=complex)
+    for c, delta in ((math.nan, 0.1), (0.0, math.inf), (0.0, 20.0)):
+        assert qp.grid_shift_cheb(box, np.array(OMEGAS[2]), 6, c, delta) is None
+
+
 # ---------------------------------------------------------------------------
 # Fourier/Chebyshev algebra
 # ---------------------------------------------------------------------------
