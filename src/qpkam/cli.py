@@ -63,6 +63,14 @@ def _is_list_of(value, item_ok, length: int | None = None) -> bool:
             and all(map(item_ok, value)))
 
 
+def _check_sigma0(sigma0, n: int) -> None:
+    """By Dirichlet's theorem no omega in R^n has |<k,omega>| >= c/|k|_1^sigma0
+    for all k when sigma0 < n - 1: a certificate would only reflect the box."""
+    if sigma0 is not None and sigma0 < n - 1:
+        raise ValueError(f"sigma0 = {sigma0} is below n - 1 = {n - 1}: no frequency "
+                         "vector is Diophantine with it")
+
+
 def _check_fields(obj, where: str) -> None:
     """Type-check the INT_FIELDS, FLOAT_FIELDS and PAIR_FIELDS entries of one
     config object; where names the object in messages ("" for the top level)."""
@@ -143,6 +151,7 @@ class ExperimentConfig:
                 raise ValueError(f"{key} = {getattr(cfg, key)} must be >= 0")
         if not cfg.y_scale > 0:
             raise ValueError(f"y_scale = {cfg.y_scale} must be > 0")
+        _check_sigma0(cfg.sigma0, len(cfg.omega))
         cfg.interval = tuple(cfg.interval)
         return cfg
 
@@ -377,6 +386,7 @@ def main(argv=None) -> int:
                 value = getattr(args, flag)
                 if value is not None and not np.all(np.isfinite(value)):
                     raise ValueError(f"--{flag} = {value} must be finite")
+            _check_sigma0(args.sigma0, len(args.omega))
         else:
             cfg = ExperimentConfig.load(args.config)
             if args.seed is not None:
@@ -390,12 +400,14 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out)
     try:
-        if args.command == "diophantine":
-            code = cmd_diophantine(args)
-        else:
-            handler = {"certify": cmd_certify, "solve": cmd_solve,
-                       "diagnose": cmd_diagnose, "schedule": cmd_schedule}[args.command]
-            code = handler(cfg, out_dir, args.verbose)
+        # a numeric blow-up ends in its typed error alone, without numpy's warnings
+        with np.errstate(all="ignore"):
+            if args.command == "diophantine":
+                code = cmd_diophantine(args)
+            else:
+                handler = {"certify": cmd_certify, "solve": cmd_solve,
+                           "diagnose": cmd_diagnose, "schedule": cmd_schedule}[args.command]
+                code = handler(cfg, out_dir, args.verbose)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -408,7 +408,7 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, measured: float) -> StepR
 
     # F3 = h o (Theta + w) - h o Theta is z-independent
     gmean = H.fy.mean_value()
-    hstar2 = cheb_eval_rows(gmean.astype(complex), theta * ys / H.fy.domain.s).real
+    hstar2 = cheb_eval_rows(gmean, theta * ys / H.fy.domain.s)
     f3 = eval_strip_stack([H.fx, H.fy], N, theta * ys + flat(w_at_grid[..., 1]),
                           flat(w_at_grid[..., 0])).reshape(h_theta.shape) - h_theta
 

@@ -114,21 +114,26 @@ def extract_fft(grid_fft: np.ndarray, n: int, K: int) -> np.ndarray:
 
 
 def synthesize(coeffs: np.ndarray, n: int, N: int) -> np.ndarray:
-    """Values of sum_k c_k e^{i<k,theta>} on the uniform (N,)*n torus grid.
+    """Real values of sum_k c_k e^{i<k,theta>} on the uniform (N,)*n torus
+    grid, for a Hermitian box (c_{-k} = conj c_k along the torus axes).
 
-    One torus axis at a time, so each inverse FFT runs only over lines that
-    hold modes: (2K+1)^(n-1-d) * N^d lines on axis d.
+    Reads the half box k_n >= 0 only.  One torus axis at a time, so each
+    complex inverse FFT runs only over lines that hold modes: (2K+1)^(n-2-d)
+    * (K+1) * N^d lines on axis d < n-1; then one irfft on the last axis.
     """
     K = (coeffs.shape[0] - 1) // 2
     if N < 2 * K + 1:
         raise ValueError(f"grid N={N} cannot hold modes up to K={K}")
     idx = _fft_indices(K, N)
-    out = coeffs
-    for ax in range(n):
+    out = coeffs[(slice(None),) * (n - 1) + (slice(K, None),)]
+    for ax in range(n - 1):
         spread = np.zeros(out.shape[:ax] + (N,) + out.shape[ax + 1:], dtype=complex)
         spread[(slice(None),) * ax + (idx,)] = out
         out = np.fft.ifft(spread, axis=ax, norm="forward")
-    return out
+    # irfft's own zero fill of a short last axis is slower than this one
+    half = np.zeros(out.shape[:n - 1] + (N // 2 + 1,) + out.shape[n:], dtype=complex)
+    half[(slice(None),) * (n - 1) + (slice(0, K + 1),)] = out
+    return np.fft.irfft(half, n=N, axis=n - 1, norm="forward")
 
 
 def synthesize_grid(coeffs: np.ndarray, n: int, N: int) -> np.ndarray:
@@ -399,6 +404,8 @@ class ShellFunction:
             if any(ki != 0 for ki in k):
                 ridx = tuple(-int(ki) + K for ki in k)
                 coeffs[ridx] += np.conj(a)
+            elif np.imag(a) != 0:
+                raise ConfigError(f"the mean amplitude {a} of a real function must be real")
         return ShellFunction(freq, coeffs)
 
     @staticmethod
@@ -418,7 +425,7 @@ class ShellFunction:
 
     def sample(self, N: int) -> np.ndarray:
         """Real values on the uniform (N,)*n torus grid."""
-        return synthesize(self.coeffs, self.n, N).real
+        return synthesize(self.coeffs, self.n, N)
 
     # -- algebra -------------------------------------------------------------
 
@@ -639,7 +646,7 @@ class StripFunction:
         if np.any(shift):
             kw = k_dot_omega(self.K, self.freq.vec)[..., None]
             boxes = boxes * np.exp(1j * kw * shift)
-        return synthesize_grid(boxes, self.n, N).real
+        return synthesize_grid(boxes, self.n, N)
 
     # -- algebra -------------------------------------------------------------
 
@@ -761,7 +768,8 @@ def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:
     theta_pts is either scattered points of shape (n, P) or an int N, meaning
     the P = N^n points of theta_grid(N, n) in flattened order.  y_pts and disp
     broadcast to (P,) or to (P, nodes).  Returns shape (P,) + node shape +
-    (len(strips),).  Real inputs give real values.
+    (len(strips),).  Real inputs give real values, summed in float64 on the
+    grid path.
 
     Scattered points: each node slice is one eval_modes call on P points,
     which bounds the phase-tensor memory.  Grid: per node slice, with c the
@@ -786,7 +794,8 @@ def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:
     nodes = np.broadcast_shapes(t.shape[1:], disp.shape[1:])
     t = np.broadcast_to(t, (P,) + nodes)
     d = np.broadcast_to(disp, (P,) + nodes)
-    out = np.empty((P,) + nodes + (len(strips),), dtype=complex)
+    real = all(np.isrealobj(a) for a in (theta_pts, y_pts, disp))
+    out = np.empty((P,) + nodes + (len(strips),), dtype=float if real else complex)
     for j in np.ndindex(*nodes):
         sl = (slice(None),) + j
         M = None
@@ -814,8 +823,7 @@ def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:
             rows = derivs[:, M]
             for m in range(M - 1, -1, -1):          # Horner in d
                 rows = rows * dj[:, None, None] + derivs[:, m]
-        out[sl] = cheb_eval_rows(np.moveaxis(rows, -1, -2), t[sl][..., None])
+        vals = cheb_eval_rows(np.moveaxis(rows, -1, -2), t[sl][..., None])
+        out[sl] = vals.real if real else vals
         derivs = rows = None        # free this slice before the next synthesis
-    if all(np.isrealobj(a) for a in (theta_pts, y_pts, disp)):
-        return out.real
     return out

@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .qpfourier import Frequency, ShellFunction, mode_vectors
+from .qpfourier import Frequency, ShellFunction, mode_vectors, symmetrize
 
 
 def shell_to_dict(f: ShellFunction) -> dict:
@@ -34,7 +34,8 @@ def shell_from_dict(d: dict, K: int | None = None) -> ShellFunction:
     for e in entries:
         idx = tuple(int(v) + K for v in e["k"])
         coeffs[idx] = e["re"] + 1j * e["im"]
-    return ShellFunction(freq, coeffs)
+    # a real function lists c_{-k} = conj c_k: the synthesis reads half the box
+    return ShellFunction(freq, symmetrize(coeffs, freq.n))
 
 
 def dump_json(obj, path) -> None:

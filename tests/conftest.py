@@ -114,7 +114,16 @@ def corner_sheet_sup(coeffs, n, N, rho):
         sheets += [rho * (2 * np.array(sg) - 1) for sg in np.ndindex(*([2] * n))]
     box = coeffs.shape[:n] + (1,) * (coeffs.ndim - n)
     damps = [np.exp(-np.tensordot(v, kstack, axes=1)).reshape(box) for v in sheets]
-    return max(qp.sheet_sup(coeffs * damp, n, N) for damp in damps)
+    return max(grid_sup(coeffs * damp, n, N) for damp in damps)
+
+
+def grid_sup(coeffs, n, N):
+    """Grid max of |f| on the real torus for any mode box, Hermitian or not
+    (trailing axes kept): f = A + iB with A and B Hermitian boxes, each
+    synthesized by the real qp.synthesize."""
+    vals = (qp.synthesize(symmetric_box(coeffs, n), n, N)
+            + 1j * qp.synthesize(symmetric_box(-1j * coeffs, n), n, N))
+    return float(np.max(np.abs(vals)))
 
 
 def shell_norm_lower(f, rho=0.0):

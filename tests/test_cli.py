@@ -7,9 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qpkam.cli import main
+from qpkam import qpfourier as qp
+from qpkam.cli import ExperimentConfig, main
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -198,6 +200,10 @@ DIOPHANTINE_ARGS = ["--omega", "1.0", str(2.0**0.5), "--gamma", "1e-3", "--K", "
     ("diagnose", {"curves": [{"r0": None, "amp": math.inf}]}),
     ("diophantine", ["--tau", "3.0", "--sigma0", "nan"]),
     ("diophantine", ["--tau", "3.0", "--interval", "0.4", "inf"]),
+    # sigma0 below n - 1: no frequency vector is Diophantine (Dirichlet)
+    ("certify", {"sigma0": -1.0}),
+    ("solve", {"sigma0": 0.5}),
+    ("diophantine", ["--tau", "3.0", "--sigma0", "0.5"]),
 ])
 def test_bad_parameters_exit_1(tmp_path, capsys, command, overrides):
     # overrides: config fields (a dict) or flags (a list)
@@ -213,6 +219,24 @@ def test_bad_parameters_exit_1(tmp_path, capsys, command, overrides):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:")
     assert "Traceback" not in err
+
+
+def test_sigma0_at_the_dirichlet_bound_is_valid(tmp_path):
+    cfg = write_cfg(tmp_path, omega=[1.0], sigma0=0.0, map={"model": "pure_twist"})
+    assert ExperimentConfig.load(cfg).sigma0 == 0.0
+    assert main(["diophantine", "--omega", "1.0", "--sigma0", "0", "--gamma", "1e-3",
+                 "--tau", "3.0", "--interval", "0.4", "1.2", "--count", "20",
+                 "--out", str(tmp_path / "d")]) == 0
+
+
+def test_numeric_blow_up_is_one_stderr_line(tmp_path):
+    # overflow inside the level's Chebyshev sums: the typed failure alone
+    cfg = write_cfg(tmp_path, map={**BASE["map"], "lambda": 1e300})
+    proc = run_cli(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert proc.returncode == 3
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("not converged:")
+    assert "Warning" not in proc.stderr
 
 
 def test_numerical_failure_exit_3(tmp_path, capsys):
@@ -350,15 +374,16 @@ def test_diophantine_subcommand_resonant(tmp_path):
     assert code == 2
 
 
-def run_with_threads(threads, argv):
-    """Run the CLI in a fresh process with QPKAM_THREADS set."""
+def run_cli(argv, threads="1", check=False):
+    """Run the CLI in a fresh process with QPKAM_THREADS set, capturing its output."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     # the BLAS variables would take precedence over QPKAM_THREADS
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     env.update(QPKAM_THREADS=threads,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    subprocess.run([sys.executable, "-m", "qpkam.cli", *argv], env=env, check=True)
+    return subprocess.run([sys.executable, "-m", "qpkam.cli", *argv], env=env, check=check,
+                          capture_output=True, text=True)
 
 
 def test_curve_json_identical_across_thread_counts(tmp_path):
@@ -366,7 +391,7 @@ def test_curve_json_identical_across_thread_counts(tmp_path):
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}"
-        run_with_threads(threads, ["solve", "--config", str(cfg), "--out", str(out)])
+        run_cli(["solve", "--config", str(cfg), "--out", str(out)], threads, check=True)
         outputs.append([(out / name).read_bytes()
                         for name in ("curve.json", "trace.json", "samples.csv")])
     assert outputs[0] == outputs[1]
@@ -382,7 +407,31 @@ def test_diagnose_json_identical_across_thread_counts(tmp_path):
     reports = []
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}"
-        run_with_threads(threads, ["diagnose", "--config", str(cfg), "--out", str(out)])
+        run_cli(["diagnose", "--config", str(cfg), "--out", str(out)], threads, check=True)
         reports.append((out / "diagnose.json").read_bytes())
     assert reports[0] == reports[1]
     assert all(row["witness_found"] for row in json.loads(reports[0])["curves"])
+
+
+def test_every_synthesized_box_is_hermitian(tmp_path, monkeypatch):
+    # qp.synthesize reads the half box k_n >= 0 of c_{-k} = conj c_k; every
+    # production call site must hand it such a box
+    real_synthesize = qp.synthesize
+    defects = []
+
+    def checked(coeffs, n, N):
+        flipped = np.flip(coeffs, axis=tuple(range(n))).conj()
+        scale = 1.0 + np.max(np.abs(coeffs), initial=0.0)
+        defects.append(np.max(np.abs(coeffs - flipped), initial=0.0) / scale)
+        return real_synthesize(coeffs, n, N)
+
+    monkeypatch.setattr(qp, "synthesize", checked)
+    assert main(["solve", "--config", str(write_cfg(tmp_path)),
+                 "--out", str(tmp_path / "s")]) == 0
+    solve_calls = len(defects)
+    cfg = write_cfg(tmp_path, "diag.json", alpha=0.7,
+                    map={**BASE["map"], "lambda": 0.03, "strip": [-1.0, 3.0]},
+                    curves=[{"r0": None, "amp": 0.0}, {"r0": None, "amp": 0.05, "K": 3}])
+    assert main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+    assert 0 < solve_calls < len(defects)
+    assert max(defects) <= 1e-12

@@ -60,6 +60,14 @@ def test_from_modes_rejects_modes_outside_the_box():
         ShellFunction.from_modes(FREQ2, {(2, 0): 0.5}, K=1)
 
 
+def test_from_modes_rejects_a_complex_mean():
+    # the real synthesis would drop the imaginary part of a k = 0 amplitude
+    with pytest.raises(ConfigError, match="must be real"):
+        ShellFunction.from_modes(FREQ2, {(0, 0): 0.5 + 0.1j}, K=1)
+    f = ShellFunction.from_modes(FREQ2, {(0, 0): 0.5 + 0j, (1, 0): 0.2j}, K=1)
+    assert f.mean() == 0.5
+
+
 def test_eval_mixed_mode_oracle():
     # direct scalar oracle: f(t) = cos((1+sqrt(2)) t) at t = 1
     f = ShellFunction.from_modes(FREQ2, {(1, 1): 0.5}, K=1)
@@ -371,6 +379,9 @@ def test_serialization_round_trip():
     assert np.max(np.abs(g.coeffs - f.coeffs)) == 0.0
     # curve.json files that still carry a "width" key load the same
     assert np.array_equal(shell_from_dict({**doc, "width": 0.0}).coeffs, f.coeffs)
+    # a file that lists k without -k is no real function
+    with pytest.raises(RealityDefect):
+        shell_from_dict({"omega": doc["omega"], "coeffs": [{"k": [0, 1], "re": 0.5, "im": 0.0}]})
 
 
 def test_invert_then_compose_three_frequencies_wide_spread(monkeypatch):

@@ -39,6 +39,11 @@ def random_box(rng, n, K, trailing):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def hermitian_box(rng, n, K, trailing):
+    """random_box with c_{-k} = conj c_k: the boxes qp.synthesize takes."""
+    return symmetric_box(random_box(rng, n, K, trailing), n)
+
+
 TRAILING = st.sampled_from([(), (1,), (3,), (2, 3)])
 
 
@@ -46,13 +51,33 @@ TRAILING = st.sampled_from([(), (1,), (3,), (2, 3)])
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(0, 4),
        extra=st.integers(0, 3), trailing=TRAILING)
 def test_eval_modes_matches_synthesize_on_grid(seed, n, K, extra, trailing):
+    # extra covers even and odd N
     rng = np.random.default_rng(seed)
-    coeffs = random_box(rng, n, K, trailing)
+    coeffs = hermitian_box(rng, n, K, trailing)
     N = 2 * K + 1 + extra
     got = qp.eval_modes(coeffs, qp.theta_grid(N, n).reshape(n, -1))
-    want = qp.synthesize(coeffs, n, N).reshape((N**n,) + trailing)
-    assert got.shape == want.shape
+    want = qp.synthesize(coeffs, n, N)
+    assert want.shape == (N,) * n + trailing and np.isrealobj(want)
+    want = want.reshape((N**n,) + trailing)
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * np.sum(np.abs(coeffs))
+    # only the half box k_n >= 0 is read
+    lower = (slice(None),) * (n - 1) + (slice(0, K),)
+    coeffs[lower] = np.nan
+    np.testing.assert_array_equal(qp.synthesize(coeffs, n, N).reshape(want.shape), want)
+
+
+@PROPS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(1, 4),
+       N=st.integers(1, 8), trailing=TRAILING)
+def test_synthesize_grid_matches_eval_modes_below_the_box(seed, n, K, N, trailing):
+    N = min(N, 2 * K)                   # a grid too small for the box
+    rng = np.random.default_rng(seed)
+    coeffs = hermitian_box(rng, n, K, trailing)
+    got = qp.synthesize_grid(coeffs, n, N)
+    assert got.shape == (N,) * n + trailing and np.isrealobj(got)
+    want = qp.eval_modes(coeffs, qp.theta_grid(N, n).reshape(n, -1))
+    err = np.max(np.abs(got.reshape(want.shape) - want), initial=0.0)
+    assert err <= 1e-13 * np.sum(np.abs(coeffs))
 
 
 @PROPS
@@ -83,7 +108,7 @@ def test_sample_matches_per_node_synthesis(seed, n, K, J, nodes, per_node):
     got = f.sample(N, ys, shift)
     kw = qp.k_dot_omega(K, f.freq.vec)
     for j, a in enumerate(np.broadcast_to(shift, ys.shape)):
-        want = qp.synthesize(f.modes_at_y(ys[j]) * np.exp(1j * kw * a), n, N).real
+        want = qp.synthesize(f.modes_at_y(ys[j]) * np.exp(1j * kw * a), n, N)
         assert np.max(np.abs(got[..., j] - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
 
 
@@ -112,8 +137,7 @@ def test_node_sliced_evaluator_matches_eval_xy(seed, n, K, J, P, nodes):
        batch=st.integers(1, 3), rho=st.sampled_from([0.0, 0.05, 0.3, 1.0]))
 def test_sheet_sup_matches_brute_force_sheets(seed, n, K, batch, rho):
     rng = np.random.default_rng(seed)
-    shape = (2 * K + 1,) * n + (batch,)
-    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeffs = hermitian_box(rng, n, K, (batch,))
     N = qp.default_grid(K)
     grid = qp.theta_grid(N, n).reshape(n, -1)
     sheets = [np.zeros(n)]
@@ -240,7 +264,7 @@ def test_shift_interpolant_matches_direct_oracle(seed, n, K, N, trailing, spread
     if n == 3:
         N = min(N, 8)
     rng = np.random.default_rng(seed)
-    coeffs = random_box(rng, n, K, trailing)
+    coeffs = hermitian_box(rng, n, K, trailing)
     omega = np.array(OMEGAS[n])
     W = float(np.max(np.abs(qp.k_dot_omega(K, omega))))
     delta = spread / W if W > 0 else spread          # W*delta = spread
