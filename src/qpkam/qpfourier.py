@@ -306,18 +306,20 @@ SHIFT_MAX_ORDER = 40
 
 def shift_order(amps: np.ndarray, kw: np.ndarray, delta: float) -> int | None:
     """Smallest M with sum_k a_k 2(|<k,omega>| delta/2)^(M+1)/(M+1)! <=
-    SHIFT_TOL sum_k a_k: the Chebyshev interpolation bound of
-    d -> e^{i<k,omega>d} on an interval of half-width delta (Trefethen, ATAP
-    ch. 7-8), weighted by the mode amplitudes a_k.  None when delta is not
-    finite or no M <= SHIFT_MAX_ORDER meets the bound."""
+    SHIFT_TOL sum_k a_k for every column of amps (shape kw.shape + columns):
+    the Chebyshev interpolation bound of d -> e^{i<k,omega>d} on an interval
+    of half-width delta (Trefethen, ATAP ch. 7-8), weighted by each column's
+    mode amplitudes a_k.  None when delta is not finite or no M <=
+    SHIFT_MAX_ORDER meets the bound."""
     if not 0.0 <= delta < math.inf:
         return None
-    half = 0.5 * delta * np.abs(kw)
+    k_axes = tuple(range(kw.ndim))
+    half = 0.5 * delta * np.abs(kw).reshape(kw.shape + (1,) * (amps.ndim - kw.ndim))
     term = 2.0 * amps
-    goal = SHIFT_TOL * float(np.sum(amps))
+    goal = SHIFT_TOL * np.sum(amps, axis=k_axes)
     for M in range(SHIFT_MAX_ORDER + 1):
         term = term * half / (M + 1)
-        if float(np.sum(term)) <= goal:
+        if np.all(np.sum(term, axis=k_axes) <= goal):
             return M
     return None
 
@@ -330,15 +332,18 @@ def grid_shift_cheb(coeffs: np.ndarray, omega: np.ndarray, N: int, c: float,
     The box is synthesized at the M+1 shifts c + delta*cheb_nodes(M) in one
     batched synthesis and fitted across them; cheb_eval_rows evaluates the
     result, shape (N^n,) + trailing + (M+1,), at (d - c)/delta.  M =
-    shift_order of the amplitudes summed over the trailing axes, so on real d
-    the error is below SHIFT_TOL * sum|f_k|.  None (evaluate directly) for a
-    non-finite c or delta or an order above SHIFT_MAX_ORDER.
+    shift_order with one column per entry of the last trailing axis (a strip
+    of a stack), amplitudes summed over the other trailing axes, so on real d
+    each column's error is below SHIFT_TOL * its own sum|f_k|.  None
+    (evaluate directly) for a non-finite c or delta or an order above
+    SHIFT_MAX_ORDER.
     """
     n = len(omega)
     K = (coeffs.shape[0] - 1) // 2
     trailing = coeffs.shape[n:]
     kw = k_dot_omega(K, omega)
-    amps = np.abs(coeffs).reshape(kw.shape + (-1,)).sum(axis=-1)
+    columns = trailing[-1] if trailing else 1
+    amps = np.abs(coeffs).reshape(kw.shape + (-1, columns)).sum(axis=-2)
     M = shift_order(amps, kw, delta) if math.isfinite(c) else None
     if M is None:
         return None
@@ -348,13 +353,18 @@ def grid_shift_cheb(coeffs: np.ndarray, omega: np.ndarray, N: int, c: float,
     return cheb_fit_last_axis(values, M)
 
 
-def _eval_shifted(coeffs, omega, N, d, cheb, c, delta) -> np.ndarray:
-    """Values of a mode box at theta_grid(N, n) + omega*d, shape (N^n,) +
-    trailing: Clenshaw of its grid_shift_cheb coefficients cheb, or direct
-    eval_modes when cheb is None."""
+def _eval_shifted(coeffs, omega, theta, d, cheb, c, delta) -> np.ndarray:
+    """Values of a mode box at theta + omega*d, shape (P,) + trailing.
+
+    theta is scattered points (n, P) or an int N, meaning the P = N^n points
+    of theta_grid(N, n).  On the grid: Clenshaw in (d - c)/delta of the box's
+    grid_shift_cheb coefficients cheb; direct eval_modes when cheb is None.
+    """
     if cheb is None:
         n = len(omega)
-        return eval_modes(coeffs, theta_grid(N, n).reshape(n, -1) + np.multiply.outer(omega, d))
+        if isinstance(theta, (int, np.integer)):
+            theta = theta_grid(int(theta), n).reshape(n, -1)
+        return eval_modes(coeffs, theta + np.multiply.outer(omega, d))
     t = (d - c) / delta if delta > 0 else np.zeros_like(d)
     return cheb_eval_rows(cheb, t.reshape(t.shape + (1,) * (cheb.ndim - 2)))
 
@@ -725,11 +735,6 @@ class StripFunction:
         return _pairwise_upper(amps, self.n, np.exp(rho * k1), np.exp(-rho * k1))
 
 
-# Taylor orders of the grid path: the smallest M whose remainder bound meets
-# TAYLOR_TOL, tried up to TAYLOR_MAX_ORDER before the direct fallback
-TAYLOR_TOL = 2.0**-53
-TAYLOR_MAX_ORDER = 24
-
 # active grid_eval_log records; eval_strip_stack's grid path and analyze update them
 _grid_logs: list = []
 
@@ -737,29 +742,15 @@ _grid_logs: list = []
 @contextmanager
 def grid_eval_log():
     """Collect, over the block, the node slices evaluated on the grid path of
-    eval_strip_stack, the largest Taylor order used, the direct fallbacks and
-    the largest discarded band of analyze."""
+    eval_strip_stack, the largest Chebyshev order in the displacement d that
+    its grid_shift_cheb calls used, the node slices evaluated directly
+    instead (fallbacks) and the largest discarded band of analyze."""
     log = {"nodes": 0, "max_order": 0, "fallbacks": 0, "band": 0.0}
     _grid_logs.append(log)
     try:
         yield log
     finally:
         _grid_logs.remove(log)
-
-
-def taylor_order(x: float) -> int | None:
-    """Smallest M with x^(M+1)/(M+1)! * e^x <= TAYLOR_TOL, where x = W*delta
-    bounds |<k,omega>| times the displacement spread; None when x is not
-    finite or no M <= TAYLOR_MAX_ORDER meets the bound."""
-    # for M + 1 <= x the term x^(M+1)/(M+1)! is >= 1: no order can pass
-    if not 0.0 <= x < TAYLOR_MAX_ORDER + 1:
-        return None
-    term = math.exp(x)
-    for M in range(TAYLOR_MAX_ORDER + 1):
-        term *= x / (M + 1)
-        if term <= TAYLOR_TOL:
-            return M
-    return None
 
 
 def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:
@@ -772,58 +763,48 @@ def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:
     grid path.
 
     Scattered points: each node slice is one eval_modes call on P points,
-    which bounds the phase-tensor memory.  Grid: per node slice, with c the
-    midpoint of its real displacements and delta = max|d - c|,
-    f(theta + omega*(c + d)) = sum_{m <= M} d^m/m! IFFT[(i<k,omega>)^m
-    e^{i<k,omega>c} f_k], with M = taylor_order(W*delta) and W = max|<k,omega>|
-    (a relative remainder below TAYLOR_TOL of sum|f_k|).  A slice with no such
-    M falls back to the direct eval_modes slice.
+    which bounds the phase-tensor memory, then a sum over the Chebyshev rows
+    at y/s.  Grid: one grid_shift_cheb call on the stacked strips (one
+    synthesis, whatever the number of nodes) interpolates in d over
+    [c - delta, c + delta], the midpoint and half-width of every displacement
+    of the call, at an order that bounds each strip's error by SHIFT_TOL
+    times its own sum|f_kj|; each node slice then sums the rows at y/s and
+    runs Clenshaw in (d - c)/delta.  Complex or non-finite displacements, or
+    an order above SHIFT_MAX_ORDER, evaluate every node slice directly with
+    eval_modes; grid_eval_log counts those slices as fallbacks.
     """
     coeffs = np.stack([f.coeffs for f in strips], axis=-1)
     omega = strips[0].freq.vec
     grid = isinstance(theta_pts, (int, np.integer))
-    if grid:
-        N, n = int(theta_pts), len(omega)
-        P = N**n
-        kw = k_dot_omega(strips[0].K, omega)
-        W = float(np.max(np.abs(kw)))
-    else:
-        P = theta_pts.shape[1]
+    P = int(theta_pts) ** len(omega) if grid else theta_pts.shape[1]
     t = np.asarray(y_pts) / strips[0].domain.s
     disp = np.asarray(disp)
     nodes = np.broadcast_shapes(t.shape[1:], disp.shape[1:])
     t = np.broadcast_to(t, (P,) + nodes)
     d = np.broadcast_to(disp, (P,) + nodes)
     real = all(np.isrealobj(a) for a in (theta_pts, y_pts, disp))
+    cheb = c = delta = None
+    if grid:
+        if np.isrealobj(d):
+            lo, hi = float(np.min(d)), float(np.max(d))
+            c, delta = 0.5 * (hi + lo), 0.5 * (hi - lo)
+            cheb = grid_shift_cheb(coeffs, omega, int(theta_pts), c, delta)
+        slices = math.prod(nodes)
+        for log in _grid_logs:
+            log["nodes"] += slices
+            if cheb is None:
+                log["fallbacks"] += slices
+            else:
+                log["max_order"] = max(log["max_order"], cheb.shape[-1] - 1)
+    ty = npcheb.chebvander(t, strips[0].J)                  # (P,) + nodes + (J+1,)
     out = np.empty((P,) + nodes + (len(strips),), dtype=float if real else complex)
     for j in np.ndindex(*nodes):
         sl = (slice(None),) + j
-        M = None
-        if grid:
-            dj = d[sl]
-            c = 0.5 * (np.max(dj.real) + np.min(dj.real))
-            dj = dj - c
-            M = taylor_order(W * float(np.max(np.abs(dj))))
-            for log in _grid_logs:
-                log["nodes"] += 1
-                if M is None:
-                    log["fallbacks"] += 1
-                else:
-                    log["max_order"] = max(log["max_order"], M)
-        if M is None:
-            th = theta_grid(N, n).reshape(n, -1) if grid else theta_pts
-            rows = eval_modes(coeffs, th + np.multiply.outer(omega, d[sl]))  # (P, J+1, m)
-        else:
-            # derivative boxes (i<k,omega>)^m/m! e^{i<k,omega>c} f_k, m = 0..M
-            ms = np.arange(M + 1)
-            fac = (1j * kw[..., None]) ** ms / np.array([math.factorial(m) for m in ms])
-            fac = fac * np.exp(1j * kw * c)[..., None]
-            derivs = synthesize_grid(coeffs[..., None, :, :] * fac[..., None, None], n, N)
-            derivs = derivs.reshape((P, M + 1) + coeffs.shape[n:])
-            rows = derivs[:, M]
-            for m in range(M - 1, -1, -1):          # Horner in d
-                rows = rows * dj[:, None, None] + derivs[:, m]
-        vals = cheb_eval_rows(np.moveaxis(rows, -1, -2), t[sl][..., None])
+        if cheb is None:            # direct values (P, J+1, m), then the sum in y
+            rows = _eval_shifted(coeffs, omega, theta_pts, d[sl], None, c, delta)
+            vals = np.einsum("pjs,pj->ps", rows, ty[sl])
+        else:                       # the sum in y first: Clenshaw in d on (P, m, M+1)
+            cheb_y = np.einsum("pjsm,pj->psm", cheb, ty[sl])
+            vals = _eval_shifted(coeffs, omega, theta_pts, d[sl], cheb_y, c, delta)
         out[sl] = vals.real if real else vals
-        derivs = rows = None        # free this slice before the next synthesis
     return out

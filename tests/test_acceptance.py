@@ -313,3 +313,36 @@ def test_criterion_8_determinism(tmp_path):
     identical = (out1 / "curve.json").read_bytes() == (out2 / "curve.json").read_bytes()
     _report(8, "cmd_solve byte-identical curve JSON across two runs",
             code1 == 0 and code2 == 0 and identical, "")
+
+
+def test_three_frequencies_end_to_end():
+    # the three_freq map of the benchmark (omega = (1, sqrt 2, sqrt 3)) at
+    # K_trunc 8, J 4: the n = 3 KAM grid path at a real cutoff; the test
+    # takes about 3 s on 2 vCPU, and its 20 s budget leaves room for slower
+    # hosts
+    t0 = time.monotonic()
+    freq = certify_frequency((1.0, SQRT2, math.sqrt(3.0)), 30)
+    alpha = sample_admissible(freq, 1e-2, 3.5, (0.3, 1.1), K=30, count=200, seed=0).first
+    mp = kicked_twist(freq, 1e-4, [((1, 0, 0), 0.55), ((0, 1, 0), 0.45), ((0, 0, 1), 0.15)],
+                      strip=(0.0, 1.7))
+    sched = build_schedule(p=9.0, n=3, tau=3.5, gamma=1e-2, k_max=8)
+    out = run(mp, alpha, sched, tol=1e-8, k_max=8, K_trunc=8, J=4, y_scale=16.0)
+    defect = out.trace[-1]["defect"]
+    rng = np.random.default_rng(3)
+    resid = out.curve.conjugacy_residual(mp, rng.uniform(0.0, 100.0, 64))
+    # a map orbit from a curve point stays within 10*sqrt(tol) of the curve's
+    # graph r = r_hat(theta)
+    inv = invert_angle_map(out.curve.phi, K_out=8)
+    r_hat = compose_angle(out.curve.psi, inv, K_out=8)
+    th, r = out.curve.points(np.array([0.35]))
+    pt = (float(th[0]), float(r[0]))
+    worst = 0.0
+    for _ in range(2_000):
+        pt = mp.apply(pt)
+        worst = max(worst, abs(pt[1] - float(r_hat.eval(pt[0]).real)))
+    elapsed = time.monotonic() - t0
+    _report("n3", "three-frequency kicked twist",
+            defect <= 1e-8 and resid <= 1e-8 and worst <= 10.0 * math.sqrt(1e-8)
+            and elapsed <= 20.0,
+            f"(defect {defect:.1e}, residual {resid:.1e}, orbit {worst:.1e}, "
+            f"levels {len(out.trace)}, {elapsed:.1f}s)")

@@ -386,7 +386,7 @@ def test_serialization_round_trip():
 
 def test_invert_then_compose_three_frequencies_wide_spread(monkeypatch):
     # n = 3 with W*delta about 7 (W = max|<k,omega>| over the K 8 box): far
-    # beyond the about 2 that the Taylor order cap of eval_strip_stack serves
+    # wider than the displacement spreads that eval_strip_stack interpolates
     freq = Frequency((1.0, math.sqrt(2.0), math.sqrt(3.0)))
     h = ShellFunction.from_modes(freq, {(0, 0, 0): 0.7, (0, 1, -1): 0.03 - 0.03j,
                                         (1, -1, 0): 0.042j, (1, 0, 0): 0.01 + 0.005j,

@@ -156,12 +156,22 @@ def coeff_scale(strips, tmax):
     return sum(float(np.sum(np.abs(f.coeffs) @ Mj)) for f in strips)
 
 
-def order_threshold(M):
-    """Largest x with taylor_order(x) <= M (bisection on the remainder bound)."""
-    lo, hi = 0.0, qp.TAYLOR_MAX_ORDER + 1.0
+def stack_remainders(strips, delta, M):
+    """Per strip, the interpolation bound of order M over a displacement
+    half-width delta, against SHIFT_TOL * sum|f_kj|: the order rule of
+    eval_strip_stack's grid path, one strip at a time."""
+    kw = qp.k_dot_omega(strips[0].K, strips[0].freq.vec)
+    amps = [np.abs(f.coeffs).sum(axis=-1) for f in strips]
+    return [(shift_remainder(a, kw, delta, M), qp.SHIFT_TOL * float(np.sum(a))) for a in amps]
+
+
+def order_threshold(strips, M):
+    """Largest half-width delta at which order M meets the bound for every
+    strip (bisection)."""
+    lo, hi = 0.0, 100.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid ** (M + 1) / math.factorial(M + 1) * math.exp(mid) <= qp.TAYLOR_TOL:
+        if all(rem <= goal for rem, goal in stack_remainders(strips, mid, M)):
             lo = mid
         else:
             hi = mid
@@ -199,60 +209,79 @@ def test_grid_path_matches_direct_oracle(seed, n, K, J, m, nodes, N, spread, com
     assert np.max(np.abs(got - want)) <= 1e-14 * coeff_scale(strips, tmax)
 
 
-@pytest.mark.parametrize("M", range(qp.TAYLOR_MAX_ORDER + 1))
+@pytest.mark.parametrize("M", range(qp.SHIFT_MAX_ORDER + 1))
 def test_grid_path_runs_every_taylor_order(M):
+    """The grid path at every order M of its polynomial in d (a Chebyshev
+    interpolant), 0..SHIFT_MAX_ORDER."""
     rng = np.random.default_rng(M)
     n, K, N = 2, 3, 10
     strips = [random_strip(rng, n, K, 3) for _ in range(2)]
-    W = float(np.max(np.abs(qp.k_dot_omega(K, strips[0].freq.vec))))
-    lo = order_threshold(M - 1) if M > 0 else 0.0
-    x = 0.5 * (lo + order_threshold(M))
-    # displacements spread exactly +-x/W around 0.7
-    disp = 0.7 + x / W * np.linspace(-1.0, 1.0, N**n)[rng.permutation(N**n)]
-    y = rng.uniform(-0.4, 0.4, N**n)
-    got, want, log = grid_vs_direct(strips, N, y, disp)
-    assert log == {"nodes": 1, "max_order": M, "fallbacks": 0, "band": 0.0}
+    lo = order_threshold(strips, M - 1) if M > 0 else 0.0
+    delta = 0.5 * (lo + order_threshold(strips, M))
+    # displacements spread exactly +-delta around 0.7, over two nodes
+    disp = 0.7 + delta * np.linspace(-1.0, 1.0, 2 * N**n)[rng.permutation(2 * N**n)]
+    y = rng.uniform(-0.4, 0.4, (N**n, 2))
+    got, want, log = grid_vs_direct(strips, N, y, disp.reshape(N**n, 2))
+    assert log == {"nodes": 2, "max_order": M, "fallbacks": 0, "band": 0.0}
     assert np.max(np.abs(got - want)) <= 1e-14 * coeff_scale(strips, 1.0)
 
 
-@pytest.mark.parametrize("bad", ["wide", "nan", "inf"])
+@pytest.mark.parametrize("bad", ["wide", "nan", "inf", "complex"])
 def test_grid_path_falls_back_to_direct_slice(bad):
     rng = np.random.default_rng(1)
     n, K, N = 2, 3, 10
     strips = [random_strip(rng, n, K, 2)]
-    W = float(np.max(np.abs(qp.k_dot_omega(K, strips[0].freq.vec))))
     disp = rng.uniform(-1.0, 1.0, (N**n, 2)) * np.array([1e-3, 1.0])
     if bad == "wide":
-        disp[:, 1] *= 2.0 * order_threshold(qp.TAYLOR_MAX_ORDER) / W + 1.0
+        disp[:, 1] *= 2.0 * order_threshold(strips, qp.SHIFT_MAX_ORDER) + 1.0
+    elif bad == "complex":
+        disp = disp + 1e-3j
     else:
         disp[3, 1] = float(bad)
     y = rng.uniform(-0.4, 0.4, (N**n, 2))
     with np.errstate(invalid="ignore"):
         got, want, log = grid_vs_direct(strips, N, y, disp)
-    assert log["nodes"] == 2 and log["fallbacks"] == 1
-    # the fallback node is the direct slice itself
-    np.testing.assert_array_equal(got[:, 1], want[:, 1])
-    assert np.max(np.abs(got[:, 0] - want[:, 0])) <= 1e-14 * coeff_scale(strips, 1.0)
+    # one bad displacement sends every node of the call to the direct slice
+    assert log["nodes"] == 2 and log["fallbacks"] == 2 and log["max_order"] == 0
+    np.testing.assert_array_equal(got, want)
 
 
-@settings(max_examples=200, deadline=None)
-@given(x=st.floats(0.0, 3.0))
-def test_taylor_order_is_the_smallest_passing_order(x):
-    def remainder(M):
-        return x ** (M + 1) / math.factorial(M + 1) * math.exp(x)
+@pytest.mark.parametrize("n,nodes", itertools.product((1, 2, 3), (1, 2, 3)))
+def test_grid_path_synthesizes_once_per_call(n, nodes, monkeypatch):
+    rng = np.random.default_rng(10 * n + nodes)
+    K, N = 3, 8
+    strips = [random_strip(rng, n, K, 2) for _ in range(2)]
+    calls = []
+    synthesize = qp.synthesize
+    monkeypatch.setattr(qp, "synthesize", lambda c, n, N: calls.append(1) or synthesize(c, n, N))
+    # the nodes' displacements differ by far more than each node's own spread
+    disp = 0.1 * np.arange(nodes) + 1e-4 * rng.uniform(-1.0, 1.0, (N**n, nodes))
+    y = rng.uniform(-0.4, 0.4, (N**n, nodes))
+    with qp.grid_eval_log() as log:
+        eval_strip_stack(strips, N, y, disp)
+    assert len(calls) == 1 and log["nodes"] == nodes and log["fallbacks"] == 0
 
-    M = qp.taylor_order(x)
-    if M is None:
-        assert all(remainder(m) > qp.TAYLOR_TOL for m in range(qp.TAYLOR_MAX_ORDER + 1))
-    else:
-        assert remainder(M) <= qp.TAYLOR_TOL
-        assert M == 0 or remainder(M - 1) > qp.TAYLOR_TOL
 
-
-def test_taylor_order_rejects_non_finite_and_wide():
-    for x in (math.nan, math.inf, -1.0, 25.0, 1e300):
-        assert qp.taylor_order(x) is None
-    assert qp.taylor_order(0.0) == 0
+def test_grid_path_bounds_each_strip():
+    # a strip 1e-12 times smaller than its neighbour, whose modes are all at
+    # k = 0: an order that only met the bound of the stack's summed
+    # amplitudes (9 here) leaves the small strip's error at about 5e-7 of
+    # its own scale
+    rng = np.random.default_rng(7)
+    n, K, N = 2, 4, 12
+    small = random_strip(rng, n, K, 3) * 1e-12
+    center = (K,) * n
+    flat = np.zeros_like(small.coeffs)
+    flat[center] = random_strip(rng, n, K, 3).coeffs[center]
+    big = StripFunction(small.freq, small.domain, flat)
+    strips = [big, small]
+    W = float(np.max(np.abs(qp.k_dot_omega(K, small.freq.vec))))
+    disp = 0.3 + 4.0 / W * rng.uniform(-1.0, 1.0, (N**n, 2))       # W*delta about 4
+    y = rng.uniform(-0.4, 0.4, (N**n, 2))
+    got, want, log = grid_vs_direct(strips, N, y, disp)
+    assert log["fallbacks"] == 0
+    for m, f in enumerate(strips):
+        assert np.max(np.abs(got[..., m] - want[..., m])) <= 1e-14 * coeff_scale([f], 1.0)
 
 
 @PROPS
