@@ -178,6 +178,12 @@ def _certificates(cfg: ExperimentConfig):
     return freq, sample.first, sample
 
 
+def _margin(rot) -> float | None:
+    """The rotation margin for JSON: None (null) for an alpha outside the
+    interval, and for a margin that overflows a double."""
+    return rot.margin if rot.margin is not None and math.isfinite(rot.margin) else None
+
+
 def _rejection_line(rot: RejectionReport) -> str:
     """The one stderr line of a rejected rotation number."""
     line = f"rejection: alpha = {rot.alpha} violates the {rot.reason} condition"
@@ -205,11 +211,11 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
         print(_rejection_line(rot), file=sys.stderr)
         report.update({"accepted": False, "reason": rot.reason,
                        "k": list(rot.k) if rot.k else None, "j": rot.j,
-                       "margin": rot.margin})
+                       "margin": _margin(rot)})
         _write(out_dir, "certify.json", report)
         return 2
     report["rotation"] = {"alpha": rot.alpha, "gamma": rot.gamma, "tau": rot.tau,
-                          "K": rot.cutoff, "margin": rot.margin}
+                          "K": rot.cutoff, "margin": _margin(rot)}
     if sample is not None:
         report["acceptance_fraction"] = sample.fraction
     report["divisor_sums"] = [
@@ -228,12 +234,11 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
         print(_rejection_line(rot), file=sys.stderr)
         return 2
     mp = model_from_config(cfg.map, freq)
-    schedule = build_schedule(cfg.p, freq.n, cfg.tau, cfg.gamma, cfg.q,
-                              k_max=max(cfg.k_max, 2))
+    schedule = build_schedule(cfg.p, freq.n, cfg.tau, cfg.gamma, cfg.q, k_max=cfg.k_max)
     small = smallness_check(mp.sup_norm_fg, mp.cp_norm, schedule)
     try:
-        result = run(mp, rot, schedule, tol=cfg.tol, k_max=cfg.k_max,
-                     K_trunc=cfg.K_trunc, J=cfg.J, y_scale=cfg.y_scale)
+        result = run(mp, rot, schedule, tol=cfg.tol, K_trunc=cfg.K_trunc, J=cfg.J,
+                     y_scale=cfg.y_scale)
     except NotConverged as exc:
         _write(out_dir, "trace.json", {"converged": False, "smallness": small,
                                        "levels": exc.trace})
@@ -344,7 +349,7 @@ def cmd_diophantine(args) -> int:
     report.update({
         "accepted": True,
         "acceptance_fraction": sample.fraction,
-        "first_admissible": {"alpha": rot.alpha, "margin": rot.margin},
+        "first_admissible": {"alpha": rot.alpha, "margin": _margin(rot)},
         "divisor_sums": [vars(divisor_sum_bound_check(freq, rot, m))
                          for m in (5, 10, 20) if m <= rot.cutoff],
     })

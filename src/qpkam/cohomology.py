@@ -19,7 +19,7 @@ import numpy as np
 
 from .diophantine import RotationNumber
 from .errors import ResidualDefect, UncertifiedDivisor
-from .qpfourier import StripFunction, default_grid, k_dot_omega, symmetrize
+from .qpfourier import StripFunction, default_grid, k_dot_omega, sample_strip_stack, symmetrize
 
 RESIDUAL_TOL = 1e-9    # scaled by (1 + input norm)
 
@@ -36,8 +36,7 @@ def _divisors_for(f: StripFunction, alpha: RotationNumber) -> np.ndarray:
 def _grid_residual(u: StripFunction, rhs: StripFunction, alpha: float) -> float:
     """sup over collocation grid of u(x+alpha,y) - u(x,y) - rhs(x,y)."""
     res = u.shift_x(alpha) - u - rhs
-    N = default_grid(u.K)
-    return float(np.max(np.abs(res.sample(N))))
+    return float(np.max(np.abs(sample_strip_stack([res], default_grid(u.K)))))
 
 
 def _check_residuals(residuals: dict, scale: float) -> None:

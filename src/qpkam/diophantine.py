@@ -209,14 +209,15 @@ def sample_admissible(freq: Frequency, gamma: float, tau: float, interval,
 class DivisorSumReport:
     m: int
     lhs: float
-    rhs: float
+    rhs: float | None     # None where the bound overflows a double
     passed: bool
 
 
 def divisor_sum_bound_check(freq: Frequency, alpha: RotationNumber, m: int) -> DivisorSumReport:
     """Direct sum of |e^{i<k,omega>alpha}-1|^{-2} over 0 < |k|_1 <= m against
     the bound (3^{n+3}/8) gamma^{-2} m^{2 tau}; m may not exceed the
-    certified cutoff."""
+    certified cutoff.  A bound beyond the largest double holds for every
+    finite lhs."""
     if m > alpha.cutoff:
         raise ValueError(f"m = {m} exceeds certified cutoff {alpha.cutoff}")
     n = freq.n
@@ -224,5 +225,9 @@ def divisor_sum_bound_check(freq: Frequency, alpha: RotationNumber, m: int) -> D
     k1 = np.abs(kvecs).sum(axis=0)
     kw = kvecs[:, (k1 > 0) & (k1 <= m)].T @ freq.vec
     lhs = float(np.sum(np.abs(np.exp(1j * kw * alpha.alpha) - 1.0) ** -2.0))
-    rhs = 3.0 ** (n + 3) / 8.0 * alpha.gamma**-2.0 * float(m) ** (2.0 * alpha.tau)
-    return DivisorSumReport(int(m), lhs, rhs, bool(lhs <= rhs))
+    try:
+        rhs = 3.0 ** (n + 3) / 8.0 * alpha.gamma**-2.0 * float(m) ** (2.0 * alpha.tau)
+    except OverflowError:
+        rhs = math.inf
+    return DivisorSumReport(int(m), lhs, rhs if math.isfinite(rhs) else None,
+                            bool(lhs <= rhs))

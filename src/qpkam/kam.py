@@ -41,6 +41,7 @@ from .qpfourier import (
     eval_modes,  # noqa: F401  (bound here for the layer tracer in benchmarks/)
     eval_strip_stack,
     grid_eval_log,
+    sample_strip_stack,
     synthesize,  # noqa: F401  (bound here for the layer tracer in benchmarks/)
 )
 from .smoothing import FROZEN_CONSTANTS, member_gap, q_bound, smooth
@@ -117,8 +118,9 @@ def build_schedule(p: float, n: int, tau: float, gamma: float,
     theta = 2.0**-tau
     if q > (theta / 10.0) ** 2 + 1e-15:
         raise ConfigError(f"q = {q}: q <= (theta/10)^2 violated")
-    # condition (1+q)^p/(1-q) <= 2^(p-1-2 tau), checked directly
-    if (1 + q) ** p / (1 - q) > 2.0 ** (p - 1 - 2 * tau):
+    # condition (1+q)^p/(1-q) <= 2^(p-1-2 tau), compared in logarithms: no
+    # power of a large p overflows
+    if p * math.log1p(q) - math.log1p(-q) > (p - 1 - 2 * tau) * math.log(2.0):
         raise ConfigError("geometric condition (1+q)^p/(1-q) <= 2^(p-1-2tau) fails")
     s0 = 2.0**-tau / 300.0
     eps0 = 6.0 ** -(tau + (n + 1) / 2.0) * gamma / math.gamma(tau + 1.0)
@@ -165,9 +167,8 @@ class NormalizedMap:
     def defect_sup(self) -> float:
         """Grid sup of |fx| and |fy| at the Chebyshev nodes.  A sup measurement,
         not a collocation: it stays on the oversampled default_grid."""
-        N = default_grid(self.fx.K)
-        return max(float(np.max(np.abs(self.fx.sample(N)))),
-                   float(np.max(np.abs(self.fy.sample(N)))))
+        vals = sample_strip_stack([self.fx, self.fy], default_grid(self.fx.K))
+        return float(np.max(np.abs(vals)))
 
     def gap(self, other: "NormalizedMap") -> float:
         """Grid sup of |self - other| at the Chebyshev nodes of the narrower strip."""
@@ -388,42 +389,38 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, measured: float) -> StepR
     u, v = solve_coupled(fT, gT, lc.alpha, rho=lc.rho, epsilon=lc.eps)
     w_scale = u.domain.s     # = s / theta
 
-    # collocation grid on D_plus: (N,)*n torus points x J+1 nodes
+    # collocation grid on D_plus: N^n torus points x J+1 nodes, and values
+    # in the (points, nodes, pair) layout of sample_strip_stack
     N = collocation_grid(K)
     ys = lc.s_plus * cheb_nodes(J)
-    shape = (N,) * n
 
-    def pair(a, b, y, shift=0.0):
-        return np.stack([a.sample(N, y, shift), b.sample(N, y, shift)], axis=-1)
-
-    def flat(grid):                    # (N,)*n + (J+1,) -> (points, J+1)
-        return grid.reshape(-1, J + 1)
-
-    # fixed ingredients of the contraction
+    # fixed ingredients of the contraction: w = (u, v) at the shifts
+    # shifts_plus, alpha and 0 in one call, and h = (fx, fy) at Theta y
     shifts_plus = lc.alpha.alpha + lc.eps_plus * ys
-    w_omega_plus = pair(u, v, ys, shifts_plus)
-    h_theta = pair(H.fx, H.fy, theta * ys)
-    w_at_grid = pair(u, v, ys)
-    f2 = pair(u, v, ys, lc.alpha.alpha) - w_omega_plus
+    shifts = np.concatenate([shifts_plus, np.full(J + 1, lc.alpha.alpha), np.zeros(J + 1)])
+    w_omega_plus, w_alpha, w_at_grid = np.split(
+        sample_strip_stack([u, v], N, np.tile(ys, 3), shifts), 3, axis=1)
+    f2 = w_alpha - w_omega_plus
+    h_theta = sample_strip_stack([H.fx, H.fy], N, theta * ys)
 
     # F3 = h o (Theta + w) - h o Theta is z-independent
     gmean = H.fy.mean_value()
     hstar2 = cheb_eval_rows(gmean, theta * ys / H.fy.domain.s)
-    f3 = eval_strip_stack([H.fx, H.fy], N, theta * ys + flat(w_at_grid[..., 1]),
-                          flat(w_at_grid[..., 0])).reshape(h_theta.shape) - h_theta
+    f3 = eval_strip_stack([H.fx, H.fy], N, theta * ys + w_at_grid[..., 1],
+                          w_at_grid[..., 0]) - h_theta
 
     # (b) Picard contraction for z
     tol = max(1e-13 * theta**2 * M_work, 5e-16 * (1.0 + float(np.max(np.abs(w_at_grid)))))
-    z = np.zeros(shape + (J + 1, 2))
+    z = np.zeros(h_theta.shape)
     guard = 1e6 * (theta**2 * M_work + 1e-300)
     iters = 0
     ratios = []
     deltas = []
     prev_delta = None
     for iters in range(1, PICARD_MAX_ITER + 1):
-        phi2 = (flat(z[..., 1]) + hstar2) / theta
-        moved = eval_strip_stack([u, v], N, ys + phi2, shifts_plus + flat(z[..., 0]))
-        z_new = (w_omega_plus - moved.reshape(z.shape)) + f2 + f3
+        phi2 = (z[..., 1] + hstar2) / theta
+        moved = eval_strip_stack([u, v], N, ys + phi2, shifts_plus + z[..., 0])
+        z_new = (w_omega_plus - moved) + f2 + f3
         delta = float(np.max(np.abs(z_new - z)))
         z = z_new
         deltas.append(delta)
@@ -441,6 +438,7 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, measured: float) -> StepR
 
     # (c) phi = Theta^{-1}(z + h* o Theta), Phi_plus = Omega_plus + phi
     dom_plus = StripDomain(lc.r_plus, lc.s_plus)
+    z = z.reshape((N,) * n + (J + 1, 2))
     phi1_vals = z[..., 0]
     phi2_vals = (z[..., 1] + hstar2) / theta
     phi1 = StripFunction.from_grid(phi1_vals, freq, dom_plus, K, J)
@@ -457,9 +455,8 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, measured: float) -> StepR
 
     # verification reports (theorems in the proof regime, advisory otherwise)
     N_sup = default_grid(K)
-    w_sup_dprime = max(
-        float(np.max(np.abs(u.sample(N_sup, lc.sp_plus * cheb_nodes(J))))),
-        float(np.max(np.abs(v.sample(N_sup, lc.sp_plus * cheb_nodes(J))))))
+    w_sup_dprime = float(np.max(np.abs(
+        sample_strip_stack([u, v], N_sup, lc.sp_plus * cheb_nodes(J)))))
     phi_minus_q = np.abs(phi1_vals).max()
     q_at_ys = Q.eval(ys)
     phi_minus_q = max(phi_minus_q, float(np.max(np.abs(phi2_vals - q_at_ys))))
@@ -534,18 +531,17 @@ def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
     ys = dom.s * cheb_nodes(J)
     nodes = ys[None, :]                       # broadcasts to (points, J+1)
 
-    def at_nodes(f):                          # grid values at the nodes, (points, J+1)
-        return f.sample(N, ys).reshape(-1, J + 1)
-
     # target: A_next(Z(x, y))
-    P, Zy = at_nodes(Z.P), Z.L * nodes + at_nodes(Z.S)
+    PS = sample_strip_stack([Z.P, Z.S], N, ys)
+    P, Zy = PS[..., 0], Z.L * nodes + PS[..., 1]
     fx = eval_strip_stack([A_next.fx, A_next.fy], N, Zy, P)
     dx = A_next.alpha + A_next.twist * Zy + fx[..., 0]
     t_disp = P + dx                           # x-displacement of A(Z) vs x
     t_y = Zy + fx[..., 1]
     # seed: Phi_plus(x, y)
-    a = A_next.alpha + twist_next * nodes + at_nodes(phi_plus.fx)
-    yv = nodes + at_nodes(phi_plus.fy)
+    seed = sample_strip_stack([phi_plus.fx, phi_plus.fy], N, ys)
+    a = A_next.alpha + twist_next * nodes + seed[..., 0]
+    yv = nodes + seed[..., 1]
     a, yv, iters, res = _pullback_grid(Z, N, t_disp, t_y, a, yv,
                                        1e-12 * (1.0 + abs(A_next.alpha)))
     grid = (N,) * n + (J + 1,)
@@ -660,24 +656,24 @@ def _curve_from_Z(Z: ConjugacyMap, exact: ExactNormalizedMap,
 
 
 def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
-        tol: float = 1e-8, k_max: int | None = None, K_trunc: int = 8, J: int = 6,
+        tol: float = 1e-8, K_trunc: int = 8, J: int = 6,
         y_scale: float = 1.0) -> RunResult:
     """Construct the invariant curve with rotation number alpha.
 
     Iterates inductive_step + solve_back + intersection_bound from the first
     level whose mollified family member differs from the twist; the trace
     records per level the curve's conjugacy_residual on DEFECT_XIS, in
-    original (theta, r) units.  A run that stops above tol (k_max reached, or
-    a step failed with ContractionDiverged, ResidualDefect or RootFindFailed,
-    recorded as the level's failure) raises NotConverged with the trace.
+    original (theta, r) units.  A run that stops above tol (schedule.k_max
+    reached, or a step failed with ContractionDiverged, ResidualDefect or
+    RootFindFailed, recorded as the level's failure) raises NotConverged with
+    the trace.
     """
-    k_max = schedule.k_max if k_max is None else min(k_max, schedule.k_max)
     exact, member = normalize(mp, alpha, schedule, K_trunc, J, y_scale=y_scale)
     sigma = exact.y_scale
     freq = mp.freq
 
     base_scale = mp.sup_norm_fg / sigma + 1e-300
-    k0 = next((k for k in range(k_max + 1)
+    k0 = next((k for k in range(schedule.k_max + 1)
                if member(k).defect_sup() > 1e-13 * base_scale), 0)
 
     dom_k0 = StripDomain(float(schedule.r[k0]), float(schedule.s[k0]))
@@ -688,7 +684,6 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
 
     trace = []
     k = k0
-    cycle = 0
     while True:
         with grid_eval_log() as evaluator:
             curve = _curve_from_Z(Z, exact, alpha)
@@ -701,12 +696,12 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
             trace.append(rec)
             if curve.defect <= tol:
                 return RunResult(curve, trace, Z, sigma)
-            if k >= k_max:
+            if k >= schedule.k_max:
                 break
 
             lc = LevelContext(r=float(schedule.r[k]), s=float(schedule.s[k]),
                               theta=schedule.theta, q=schedule.q,
-                              eps=sigma * schedule.theta**cycle,
+                              eps=sigma * schedule.theta**(k - k0),
                               M_paper=float(schedule.M[k]), alpha=alpha)
             try:
                 step = inductive_step(H, lc, measured)
@@ -735,7 +730,6 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
             except NoIntersectionWitness as exc:
                 rec["intersection"] = {"pass": False, "error": str(exc)}
             k += 1
-            cycle += 1
 
     raise NotConverged(f"defect {trace[-1]['defect']:.3e} > tol {tol:.3e} "
                        f"after level {k}", trace=trace)
@@ -752,8 +746,8 @@ def compose_conjugacy(Z: ConjugacyMap, w_u: StripFunction, w_v: StripFunction,
     ys = lc.sp_plus * cheb_nodes(J)
     grid = (N,) * n + (J + 1,)
     theta_c = lc.theta
-    u_val = w_u.sample(N, ys).reshape(-1, J + 1)
-    v_val = w_v.sample(N, ys).reshape(-1, J + 1)
+    uv = sample_strip_stack([w_u, w_v], N, ys)
+    u_val, v_val = uv[..., 0], uv[..., 1]
     vals = eval_strip_stack([Z.P, Z.S], N, theta_c * ys + v_val, u_val)
     P_new = (u_val + vals[..., 0]).reshape(grid)
     S_new = (Z.L * v_val + vals[..., 1]).reshape(grid)

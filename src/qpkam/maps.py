@@ -21,7 +21,6 @@ from .qpfourier import (
     compose_angle,
     default_grid,
     invert_angle_map,
-    shell_product,
     theta_grid,
 )
 
@@ -79,7 +78,8 @@ def kicked_twist(freq: Frequency, lam: float, modes, flux: float = 0.0,
     flux = 0 is exact symplectic (generating function H = D^2/2 + lam*V);
     flux != 0 stays area preserving but breaks exactness by the flux constant.
     """
-    ks = np.array([k for k, _ in modes], dtype=float)     # (n_modes, n)
+    # (n_modes, n); no modes is the zero kick
+    ks = np.array([k for k, _ in modes], dtype=float).reshape(-1, freq.n)
     cs = np.array([c for _, c in modes], dtype=float)
 
     def s_of(theta):
@@ -284,15 +284,21 @@ def _area_functional_signs(r_orig: ShellFunction, r_img: ShellFunction):
     return float(np.min(delta)), float(np.max(delta))
 
 
-def exactness_defect(mp: QpPlanarMap, curve: CurveGraph, K_out: int | None = None) -> float:
+def exactness_defect(mp: QpPlanarMap, curve: CurveGraph) -> float:
     """Difference of the Birkhoff averages of r dtheta along the image and the
     original curve, via shell-average quadrature in the original parameter
     (parameterization invariant, exact on the mode box; no inversion).
 
-    Zero certifies exactness on this curve; a radial flux c shows up as +c.
+    Each average is the grid mean of a product of two shells, on a grid
+    that holds the product's modes without aliasing.  Zero certifies
+    exactness on this curve; a radial flux c shows up as +c.
     """
-    K_out = K_out if K_out is not None else max(4 * curve.phi.K, 16)
-    u, r1 = forward_shells(mp, curve, K_out)
-    avg_img = shell_product(r1, u.derivative() + 1.0).mean()
-    avg_orig = shell_product(curve.psi, curve.phi.derivative() + 1.0).mean()
+    u, r1 = forward_shells(mp, curve, max(4 * curve.phi.K, 16))
+
+    def average(f: ShellFunction, g: ShellFunction) -> float:
+        N = default_grid(f.K + g.K)
+        return float(np.mean(f.sample(N) * g.sample(N)))
+
+    avg_img = average(r1, u.derivative() + 1.0)
+    avg_orig = average(curve.psi, curve.phi.derivative() + 1.0)
     return avg_img - avg_orig

@@ -179,11 +179,11 @@ def default_grid(K: int) -> int:
     """Oversampled grid size: twice the alias-free minimum.
 
     Its users: the shell algebra and strip sampling of this module
-    (shell_product, from_sampler, and compose_angle and invert_angle_map,
-    whose shifted copies of this grid grid_shift_cheb synthesizes),
-    smoothing, cohomology, the shell compositions in maps and
-    NormalizedMap.defect_sup.  The KAM collocation grids use
-    kam.collocation_grid instead.
+    (from_sampler, and compose_angle and invert_angle_map, whose shifted
+    copies of this grid grid_shift_cheb synthesizes), smoothing, cohomology,
+    the shell compositions and Birkhoff averages in maps, and the sups of
+    NormalizedMap.defect_sup and inductive_step.  The KAM collocation grids
+    use kam.collocation_grid instead.
     """
     return max(2 * (2 * K + 1), 8)
 
@@ -229,17 +229,6 @@ def _pairwise_upper(amps: np.ndarray, n: int, weight_plus: np.ndarray,
     big = np.maximum(amps, flipped)
     small = np.minimum(amps, flipped)
     return float(0.5 * np.sum(big * weight_plus + small * weight_minus))
-
-
-def sheet_sup(coeffs: np.ndarray, n: int, N: int) -> float:
-    """Grid max of |f| on the real torus, over every mode box stacked on
-    trailing axes.
-
-    Boxes are synthesized one at a time: large grids stay cache-sized.
-    """
-    boxes = coeffs.reshape(coeffs.shape[:n] + (-1,))
-    return max(float(np.max(np.abs(synthesize(boxes[..., b], n, N))))
-               for b in range(boxes.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +476,6 @@ class ShellFunction:
                                np.exp(rho * k1), np.exp(-rho * k1))
 
 
-def shell_product(f: ShellFunction, g: ShellFunction, K_out: int | None = None) -> ShellFunction:
-    """Pointwise product computed on an alias-safe grid."""
-    if not f.freq.same_omega(g.freq):
-        raise ValueError("frequency mismatch")
-    K_out = K_out if K_out is not None else f.K + g.K
-    N = default_grid(max(K_out, f.K + g.K))
-    vals = synthesize(f.coeffs, f.n, N) * synthesize(g.coeffs, g.n, N)
-    return ShellFunction.from_grid(vals, f.freq, K_out)
-
-
 def compose_angle(g: ShellFunction, f: ShellFunction, K_out: int) -> ShellFunction:
     """Quasi-periodic composition t -> g(t + f(t)) by shell collocation.
 
@@ -646,18 +625,6 @@ class StripFunction:
         rows = self.coeffs.reshape(self.coeffs.shape[:-1] + (1,) * y.ndim + (self.J + 1,))
         return cheb_eval_rows(rows, y / self.domain.s)
 
-    def sample(self, N: int | None = None, ys: np.ndarray | None = None,
-               shift=0.0) -> np.ndarray:
-        """Real values at (x + shift_j, y_j) on the torus grid, shape
-        (N,)*n + (len(ys),); ys defaults to the Chebyshev nodes and shift is a
-        scalar or one value per y.  One FFT synthesis covers all y."""
-        N = N or default_grid(self.K)
-        boxes = self.modes_at_y(self.y_nodes() if ys is None else np.asarray(ys))
-        if np.any(shift):
-            kw = k_dot_omega(self.K, self.freq.vec)[..., None]
-            boxes = boxes * np.exp(1j * kw * shift)
-        return synthesize_grid(boxes, self.n, N)
-
     # -- algebra -------------------------------------------------------------
 
     def _check_compatible(self, other: "StripFunction"):
@@ -751,6 +718,21 @@ def grid_eval_log():
         yield log
     finally:
         _grid_logs.remove(log)
+
+
+def sample_strip_stack(strips, N: int, ys=None, shift=0.0) -> np.ndarray:
+    """Real values of same-shape strips at (x + shift_j, y_j) on
+    theta_grid(N, n), shape (N^n, len(ys), len(strips)): eval_strip_stack's
+    layout.  ys defaults to the strips' own Chebyshev nodes; shift is a
+    scalar or one value per y.  One synthesis covers every strip and every y.
+    """
+    f = strips[0]
+    ys = f.y_nodes() if ys is None else np.asarray(ys)
+    boxes = np.stack([g.modes_at_y(ys) for g in strips], axis=-1)
+    if np.any(shift):
+        kw = k_dot_omega(f.K, f.freq.vec)[..., None]
+        boxes = boxes * np.exp(1j * kw * shift)[..., None]
+    return synthesize(boxes, f.n, N).reshape(N**f.n, len(ys), len(strips))
 
 
 def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:

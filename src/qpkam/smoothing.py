@@ -19,8 +19,8 @@ from .qpfourier import (
     StripFunction,
     default_grid,
     k1_norms,
-    sheet_sup,
     symmetrize,
+    synthesize,
 )
 
 
@@ -69,8 +69,9 @@ FROZEN_CONSTANTS = {"c0": 2.0, "c1": 2.0, "c2": 2.0}
 
 
 def member_gap(f: StripFunction, g: StripFunction, ys) -> float:
-    """Grid sup of |f - g| on the real torus at the y points ys; f and g
-    share K."""
+    """Grid sup of |f - g| on the real torus at the y points ys, in one
+    synthesis; f and g share K."""
     if f.K != g.K:
         raise ValueError(f"mode boxes differ: K = {f.K} and {g.K}")
-    return sheet_sup(f.modes_at_y(ys) - g.modes_at_y(ys), f.n, default_grid(f.K))
+    diff = f.modes_at_y(ys) - g.modes_at_y(ys)
+    return float(np.max(np.abs(synthesize(diff, f.n, default_grid(f.K)))))

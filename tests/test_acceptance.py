@@ -224,9 +224,9 @@ def test_criterion_4_measure_estimate():
 
 
 def _acceptance_run(lam=1e-4, **kw):
-    sched = build_schedule(p=8.0, n=2, tau=2.5, gamma=0.1, k_max=10)
+    sched = build_schedule(p=8.0, n=2, tau=2.5, gamma=0.1, k_max=8)
     mp = kicked_twist(FREQ_G, lam, MODES, strip=STRIP)
-    args = dict(tol=1e-8, k_max=8, K_trunc=8, J=6, y_scale=16.0)
+    args = dict(tol=1e-8, K_trunc=8, J=6, y_scale=16.0)
     args.update(kw)
     return mp, run(mp, ALPHA_G, sched, **args)
 
@@ -326,7 +326,7 @@ def test_three_frequencies_end_to_end():
     mp = kicked_twist(freq, 1e-4, [((1, 0, 0), 0.55), ((0, 1, 0), 0.45), ((0, 0, 1), 0.15)],
                       strip=(0.0, 1.7))
     sched = build_schedule(p=9.0, n=3, tau=3.5, gamma=1e-2, k_max=8)
-    out = run(mp, alpha, sched, tol=1e-8, k_max=8, K_trunc=8, J=4, y_scale=16.0)
+    out = run(mp, alpha, sched, tol=1e-8, K_trunc=8, J=4, y_scale=16.0)
     defect = out.trace[-1]["defect"]
     rng = np.random.default_rng(3)
     resid = out.curve.conjugacy_residual(mp, rng.uniform(0.0, 100.0, 64))

@@ -239,6 +239,44 @@ def test_numeric_blow_up_is_one_stderr_line(tmp_path):
     assert "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["solve", "schedule"])
+def test_huge_p_does_not_overflow(tmp_path, capsys, command):
+    # the geometric condition (1+q)^p/(1-q) <= 2^(p-1-2tau) holds at p = 1e300
+    cfg = write_cfg(tmp_path, p=1e300)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["certify", "diophantine"])
+@pytest.mark.parametrize("gamma, tau, margin_null", [
+    (1e-300, 2.5, False),       # gamma^-2 overflows the divisor-sum bound
+    (0.1, 1e6, False),          # so does m^(2 tau)
+    (1e-320, 2.5, True),        # and every margin dist*|k|^tau/gamma
+])
+def test_overflowing_bounds_are_null(tmp_path, command, gamma, tau, margin_null):
+    out = tmp_path / "o"
+    if command == "diophantine":
+        argv = ["diophantine", "--omega", "1.0", str(GOLDEN), "--gamma", str(gamma),
+                "--tau", str(tau), "--interval", "0.3", "1.1", "--count", "50"]
+    else:
+        argv = ["certify", "--config", str(write_cfg(tmp_path, gamma=gamma, tau=tau))]
+    assert main([*argv, "--out", str(out)]) == 0
+    doc = json.loads((out / f"{command}.json").read_text(), parse_constant=_reject_constant)
+    rows = doc["divisor_sums"]
+    assert doc["accepted"] and rows and all(row["passed"] for row in rows)
+    assert all(row["rhs"] is None for row in rows)
+    margin = doc["rotation" if command == "certify" else "first_admissible"]["margin"]
+    assert (margin is None) == margin_null
+
+
+def test_kicked_twist_without_modes_solves(tmp_path):
+    # an empty modes list is the zero kick, as for pure_twist
+    cfg = write_cfg(tmp_path, map={**BASE["map"], "modes": []})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "curve.json").read_text())["defect"] == 0.0
+
+
 def test_numerical_failure_exit_3(tmp_path, capsys):
     # a curve this wavy has an image that folds over: NotAGraph, not a rejection
     cfg = write_cfg(tmp_path, alpha=0.7, curves=[{"r0": 0.7, "amp": 2.0}])

@@ -538,8 +538,8 @@ def acceptance_map(lam=1e-4, flux=0.0):
 
 
 def test_run_zero_perturbation():
-    sched = make_schedule()
-    out = run(pure_twist(FREQ, STRIP), ALPHA, sched, tol=1e-8, k_max=6,
+    sched = make_schedule(k_max=6)
+    out = run(pure_twist(FREQ, STRIP), ALPHA, sched, tol=1e-8,
               K_trunc=6, J=4, y_scale=8.0)
     assert len(out.trace) == 1             # converged before any step
     assert out.trace[-1]["defect"] == 0.0
@@ -548,8 +548,8 @@ def test_run_zero_perturbation():
 
 
 def test_run_acceptance_instance():
-    sched = make_schedule()
-    out = run(acceptance_map(), ALPHA, sched, tol=1e-8, k_max=8,
+    sched = make_schedule(k_max=8)
+    out = run(acceptance_map(), ALPHA, sched, tol=1e-8,
               K_trunc=8, J=6, y_scale=16.0)
     defects = [r["defect"] for r in out.trace]
     assert defects[-1] <= 1e-8
@@ -574,7 +574,7 @@ def test_run_stress_collocation_grid_matches_oversampled_grid():
     mp = kicked_twist(FREQ, 3e-3, STRESS_MODES, strip=STRIP)
     # k_max 6 stops this run above tol 1e-10: its trace comes with NotConverged
     with pytest.raises(NotConverged) as info:
-        run(mp, ALPHA, make_schedule(), tol=1e-10, k_max=6, K_trunc=12, J=6,
+        run(mp, ALPHA, make_schedule(k_max=6), tol=1e-10, K_trunc=12, J=6,
             y_scale=16.0)
     elapsed = time.monotonic() - t0
     trace = info.value.trace
@@ -589,11 +589,11 @@ def test_run_stress_collocation_grid_matches_oversampled_grid():
 
 
 def test_run_level1_defect_scales_linearly():
-    sched = make_schedule()
+    sched = make_schedule(k_max=8)
     lams = [1e-3, 1e-4, 1e-5]
     d1 = []
     for lam in lams:
-        out = run(acceptance_map(lam), ALPHA, sched, tol=1e-8, k_max=8,
+        out = run(acceptance_map(lam), ALPHA, sched, tol=1e-8,
                   K_trunc=8, J=6, y_scale=16.0)
         d1.append([r for r in out.trace if r["k"] == 1][0]["defect"])
     slope = np.polyfit(np.log(lams), np.log(d1), 1)[0]
@@ -601,9 +601,9 @@ def test_run_level1_defect_scales_linearly():
 
 
 def test_run_large_perturbation_not_converged():
-    sched = make_schedule()
+    sched = make_schedule(k_max=6)
     with pytest.raises(NotConverged) as exc:
-        run(acceptance_map(0.5), ALPHA, sched, tol=1e-8, k_max=6,
+        run(acceptance_map(0.5), ALPHA, sched, tol=1e-8,
             K_trunc=8, J=6, y_scale=16.0)
     assert len(exc.value.trace) >= 1
 
@@ -613,7 +613,7 @@ def test_run_checks_the_coupled_residuals(monkeypatch):
     # tolerance ends the run in NotConverged, recorded as the level's failure
     monkeypatch.setattr(cohomology, "_grid_residual", lambda u, rhs, alpha: 1.0)
     with pytest.raises(NotConverged) as info:
-        run(acceptance_map(), ALPHA, make_schedule(), tol=1e-8, k_max=8,
+        run(acceptance_map(), ALPHA, make_schedule(k_max=8), tol=1e-8,
             K_trunc=8, J=6, y_scale=16.0)
     trace = info.value.trace
     assert len(trace) == 1
@@ -621,9 +621,9 @@ def test_run_checks_the_coupled_residuals(monkeypatch):
 
 
 def test_run_curve_quality_and_orbit():
-    sched = make_schedule()
+    sched = make_schedule(k_max=8)
     mp = acceptance_map()
-    out = run(mp, ALPHA, sched, tol=1e-8, k_max=8, K_trunc=8, J=6, y_scale=16.0)
+    out = run(mp, ALPHA, sched, tol=1e-8, K_trunc=8, J=6, y_scale=16.0)
     rng = np.random.default_rng(0)
     xis = rng.uniform(0, 100, 1000)
     assert out.curve.conjugacy_residual(mp, xis) <= 1e-8
@@ -647,7 +647,7 @@ def test_run_measures_each_level_once(monkeypatch):
     monkeypatch.setattr(NormalizedMap, "defect_sup",
                         lambda self: calls.append(1) or defect_sup(self))
     mp = acceptance_map()
-    out = run(mp, ALPHA, make_schedule(), tol=1e-8, k_max=8, K_trunc=8, J=6,
+    out = run(mp, ALPHA, make_schedule(k_max=8), tol=1e-8, K_trunc=8, J=6,
               y_scale=16.0)
     k0 = out.trace[0]["k"]
     # one per trace record and k0 + 1 in the start-level scan
@@ -660,8 +660,8 @@ def test_run_measures_each_level_once(monkeypatch):
 
 
 def test_trace_BM_trend_and_containment():
-    sched = make_schedule()
-    out = run(acceptance_map(), ALPHA, sched, tol=1e-8, k_max=8,
+    sched = make_schedule(k_max=8)
+    out = run(acceptance_map(), ALPHA, sched, tol=1e-8,
               K_trunc=8, J=6, y_scale=16.0)
     bms = [r["BM_k"] for r in out.trace]
     for a, b in zip(bms, bms[1:]):
@@ -685,7 +685,7 @@ def test_family_estimates_report():
     m1 = family(1)
     N = qp.default_grid(m1.fx.K)
     ys = m1.fx.y_nodes()
-    th = qp.theta_grid(N, FREQ.n)[..., None]
+    th = qp.theta_grid(N, FREQ.n).reshape(FREQ.n, -1, 1)
     f_exact = mp.f_shell(th, exact.alpha + exact.y_scale * ys)
-    gap = float(np.max(np.abs(f_exact - m1.fx.sample(N, ys))))
+    gap = float(np.max(np.abs(f_exact - qp.sample_strip_stack([m1.fx], N, ys)[..., 0])))
     assert gap == pytest.approx(1e-4 * 0.15, rel=2e-2)

@@ -15,7 +15,6 @@ from qpkam.qpfourier import (
     StripFunction,
     compose_angle,
     invert_angle_map,
-    shell_product,
 )
 
 FREQ2 = Frequency((1.0, math.sqrt(2.0)))
@@ -311,7 +310,8 @@ def test_strip_round_trip():
     rng = np.random.default_rng(14)
     dom = StripDomain(0.8, 0.3)
     f = random_strip(rng, FREQ2, dom, K=5, J=6)
-    vals = f.sample()
+    N = qp.default_grid(f.K)
+    vals = qp.sample_strip_stack([f], N)[..., 0].reshape((N, N, f.J + 1))
     g = StripFunction.from_grid(vals, FREQ2, dom, K=5, J=6)
     assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-12
 
@@ -346,15 +346,6 @@ def test_derivative_and_shift():
     assert np.max(np.abs(f.derivative().eval(xs).real + np.sin(xs))) < 1e-12
     shifted = compose_angle(f, ShellFunction.constant(FREQ2, 0.7, K=1), K_out=1)  # f(t + 0.7)
     assert np.max(np.abs(shifted.eval(xs).real - np.cos(xs + 0.7))) < 1e-12
-
-
-def test_shell_product():
-    f = ShellFunction.from_modes(FREQ2, {(1, 0): 0.5}, K=1)
-    g = ShellFunction.from_modes(FREQ2, {(0, 1): 0.5}, K=1)
-    h = shell_product(f, g)
-    xs = np.linspace(0, 5, 30)
-    oracle = np.cos(xs) * np.cos(math.sqrt(2.0) * xs)
-    assert np.max(np.abs(h.eval(xs).real - oracle)) < 1e-12
 
 
 def test_strip_scale_y_is_theta_composition():

@@ -21,7 +21,9 @@ from qpkam.qpfourier import (
     compose_angle,
     eval_strip_stack,
     invert_angle_map,
+    sample_strip_stack,
 )
+from qpkam.smoothing import member_gap
 
 OMEGAS = {1: (1.0,), 2: (1.0, math.sqrt(2.0)), 3: (1.0, math.sqrt(2.0), math.sqrt(3.0))}
 PROPS = settings(max_examples=40, deadline=None)
@@ -98,18 +100,30 @@ def test_eval_modes_matches_explicit_sum(seed, n, K, P, trailing, imag):
 
 @PROPS
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(0, 4),
-       J=st.integers(0, 5), nodes=st.integers(1, 6), per_node=st.booleans())
-def test_sample_matches_per_node_synthesis(seed, n, K, J, nodes, per_node):
+       J=st.integers(0, 5), m=st.integers(1, 3), nodes=st.integers(1, 6),
+       per_node=st.booleans())
+def test_sample_strip_stack_matches_per_node_synthesis(seed, n, K, J, m, nodes, per_node):
     rng = np.random.default_rng(seed)
-    f = random_strip(rng, n, K, J)
-    ys = rng.uniform(-f.domain.s, f.domain.s, nodes)
+    strips = [random_strip(rng, n, K, J) for _ in range(m)]
+    ys = rng.uniform(-strips[0].domain.s, strips[0].domain.s, nodes)
     shift = rng.uniform(-3.0, 3.0, nodes) if per_node else float(rng.uniform(-3.0, 3.0))
     N = qp.default_grid(K)
-    got = f.sample(N, ys, shift)
-    kw = qp.k_dot_omega(K, f.freq.vec)
-    for j, a in enumerate(np.broadcast_to(shift, ys.shape)):
-        want = qp.synthesize(f.modes_at_y(ys[j]) * np.exp(1j * kw * a), n, N)
-        assert np.max(np.abs(got[..., j] - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+    calls = []
+    synthesize = qp.synthesize
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp, "synthesize", lambda c, n, N: calls.append(1) or synthesize(c, n, N))
+        got = sample_strip_stack(strips, N, ys, shift)
+    assert len(calls) == 1
+    assert got.shape == (N**n, nodes, m) and np.isrealobj(got)
+    kw = qp.k_dot_omega(K, strips[0].freq.vec)
+    scale = coeff_scale(strips, 1.0)
+    for s, f in enumerate(strips):
+        for j, a in enumerate(np.broadcast_to(shift, ys.shape)):
+            want = synthesize(f.modes_at_y(ys[j]) * np.exp(1j * kw * a), n, N)
+            assert np.max(np.abs(got[:, j, s] - want.ravel())) <= 1e-15 * scale
+    # without ys: the strips' own Chebyshev nodes
+    own = sample_strip_stack(strips, N)
+    np.testing.assert_array_equal(own, sample_strip_stack(strips, N, strips[0].y_nodes()))
 
 
 @PROPS
@@ -146,8 +160,13 @@ def test_sheet_sup_matches_brute_force_sheets(seed, n, K, batch, rho):
     brute = max(float(np.max(np.abs(qp.eval_modes(coeffs[..., b], grid + 1j * v[:, None]))))
                 for v in sheets for b in range(batch))
     assert abs(corner_sheet_sup(coeffs, n, N, rho) - brute) <= 1e-12 * brute
-    if rho == 0:                        # the real torus alone: qp.sheet_sup
-        assert abs(qp.sheet_sup(coeffs, n, N) - brute) <= 1e-12 * brute
+    if rho == 0:
+        # the real torus alone: member_gap of a strip whose mode boxes at its
+        # batch Chebyshev nodes are the batch boxes, against the zero strip
+        dom = StripDomain(0.7, 0.4)
+        f = StripFunction(Frequency(OMEGAS[n]), dom, qp.cheb_fit_last_axis(coeffs, batch - 1))
+        zero = StripFunction.zeros(f.freq, dom, K, batch - 1)
+        assert abs(member_gap(f, zero, f.y_nodes()) - brute) <= 1e-12 * brute
 
 
 def coeff_scale(strips, tmax):
