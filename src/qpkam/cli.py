@@ -84,8 +84,8 @@ def _check_fields(obj, where: str) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if key in FLOAT_FIELDS and not _is_number(value):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if key in PAIR_FIELDS and not _is_list_of(value, _is_number, 2):
-            raise ValueError(f"{name} must be a list of two finite numbers, got {value!r}")
+        if key in PAIR_FIELDS and not (_is_list_of(value, _is_number, 2) and value[0] < value[1]):
+            raise ValueError(f"{name} must be two finite numbers [a, b] with a < b, got {value!r}")
 
 
 @dataclass
@@ -391,6 +391,8 @@ def main(argv=None) -> int:
                 value = getattr(args, flag)
                 if value is not None and not np.all(np.isfinite(value)):
                     raise ValueError(f"--{flag} = {value} must be finite")
+            if not args.interval[0] < args.interval[1]:
+                raise ValueError(f"--interval {args.interval} must be two numbers a < b")
             _check_sigma0(args.sigma0, len(args.omega))
         else:
             cfg = ExperimentConfig.load(args.config)

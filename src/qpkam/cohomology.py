@@ -33,10 +33,11 @@ def _divisors_for(f: StripFunction, alpha: RotationNumber) -> np.ndarray:
     return np.exp(1j * kw * alpha.alpha) - 1.0
 
 
-def _grid_residual(u: StripFunction, rhs: StripFunction, alpha: float) -> float:
-    """sup over collocation grid of u(x+alpha,y) - u(x,y) - rhs(x,y)."""
-    res = u.shift_x(alpha) - u - rhs
-    return float(np.max(np.abs(sample_strip_stack([res], default_grid(u.K)))))
+def _grid_residual(us, rhss, alpha: float) -> list:
+    """Per pair of the lists us and rhss, the sup over the collocation grid
+    of u(x+alpha,y) - u(x,y) - rhs(x,y), from one synthesis."""
+    res = [u.shift_x(alpha) - u - rhs for u, rhs in zip(us, rhss)]
+    return np.max(np.abs(sample_strip_stack(res, default_grid(us[0].K))), axis=(0, 1)).tolist()
 
 
 def _check_residuals(residuals: dict, scale: float) -> None:
@@ -68,7 +69,7 @@ def solve_single(f: StripFunction, alpha: RotationNumber, rho: float) -> StripFu
         raise ValueError("need 0 < rho < r")
     u = _solve(f, alpha, rho)
     mean_part = StripFunction(f.freq, f.domain, _mean_only(f))
-    _check_residuals({"single": _grid_residual(u, f - mean_part, alpha.alpha)},
+    _check_residuals({"single": _grid_residual([u], [f - mean_part], alpha.alpha)[0]},
                      1.0 + f.norm_upper(0.0, f.domain.s))
     return u
 
@@ -99,6 +100,6 @@ def solve_coupled(f: StripFunction, g: StripFunction, alpha: RotationNumber,
 
     scale = 1.0 + max(f.norm_upper(0.0, dom.s), g.norm_upper(0.0, dom.s))
     g_mean = StripFunction(f.freq, dom, _mean_only(g))
-    _check_residuals({"first": _grid_residual(u, eps * v + f, alpha.alpha),
-                      "second": _grid_residual(v, g - g_mean, alpha.alpha)}, scale)
+    first, second = _grid_residual([u, v], [eps * v + f, g - g_mean], alpha.alpha)
+    _check_residuals({"first": first, "second": second}, scale)
     return u, v

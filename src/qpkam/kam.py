@@ -173,7 +173,7 @@ class NormalizedMap:
     def gap(self, other: "NormalizedMap") -> float:
         """Grid sup of |self - other| at the Chebyshev nodes of the narrower strip."""
         ys = min(self.domain.s, other.domain.s) * cheb_nodes(self.fx.J)
-        return max(member_gap(self.fx, other.fx, ys), member_gap(self.fy, other.fy, ys))
+        return member_gap([self.fx, self.fy], [other.fx, other.fy], ys)
 
     def restricted(self, domain: StripDomain) -> "NormalizedMap":
         return NormalizedMap(self.alpha, self.twist,

@@ -192,8 +192,9 @@ def eval_modes(coeffs: np.ndarray, theta_pts: np.ndarray) -> np.ndarray:
     """Evaluate a centered mode box at scattered torus points.
 
     theta_pts has shape (n, P); returns shape (P,) + trailing axes of coeffs.
-    Contracts one torus axis at a time to keep memory O(P * (2K+1)): the
-    first as one matrix product, the later ones as a product per point.
+    Contracts one torus axis at a time: the first as one matrix product,
+    whose result holds P * (2K+1)^(n-1) * prod(trailing) values, the later
+    ones as a product per point.
     """
     n, P = theta_pts.shape
     K = (coeffs.shape[0] - 1) // 2
@@ -258,28 +259,19 @@ def cheb_fit_last_axis(values: np.ndarray, J: int) -> np.ndarray:
 
 
 def cheb_eval_rows(coeffs: np.ndarray, t) -> np.ndarray:
-    """Clenshaw evaluation of per-row Chebyshev series at per-row points t.
+    """Per-row Chebyshev series at per-row points t: the last axis of coeffs,
+    shape (..., J+1), contracted with chebvander(t, J).
 
-    coeffs has shape (..., J+1); t broadcasts against the leading shape.
+    t broadcasts against the leading shape.
     """
-    t = np.asarray(t)
     J = coeffs.shape[-1] - 1
-    b1 = np.zeros(np.broadcast_shapes(coeffs.shape[:-1], t.shape), dtype=coeffs.dtype)
-    b2 = np.zeros_like(b1)
-    for j in range(J, 0, -1):
-        b1, b2 = 2 * t * b1 - b2 + coeffs[..., j], b1
-    return t * b1 - b2 + coeffs[..., 0]
+    basis = npcheb.chebvander(t, J).reshape(np.shape(t) + (J + 1,))
+    return np.einsum("...j,...j->...", coeffs, basis)
 
 
 def cheb_disc_bounds(J: int, t: float) -> np.ndarray:
     """M_j(t) = max_{|z|<=t} |T_j(z)| for j = 0..J (attained at z = i t)."""
-    out = np.empty(J + 1)
-    out[0] = 1.0
-    if J >= 1:
-        out[1] = t
-    for j in range(1, J):
-        out[j + 1] = 2 * t * out[j] + out[j - 1]
-    return out
+    return np.abs(npcheb.chebvander(1j * t, J)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +311,7 @@ def grid_shift_cheb(coeffs: np.ndarray, omega: np.ndarray, N: int, c: float,
     theta_grid(N, n) + omega*d, for d in [c - delta, c + delta].
 
     The box is synthesized at the M+1 shifts c + delta*cheb_nodes(M) in one
-    batched synthesis and fitted across them; cheb_eval_rows evaluates the
+    batched synthesis and fitted across them; the callers evaluate the
     result, shape (N^n,) + trailing + (M+1,), at (d - c)/delta.  M =
     shift_order with one column per entry of the last trailing axis (a strip
     of a stack), amplitudes summed over the other trailing axes, so on real d
@@ -342,17 +334,13 @@ def grid_shift_cheb(coeffs: np.ndarray, omega: np.ndarray, N: int, c: float,
     return cheb_fit_last_axis(values, M)
 
 
-def _eval_shifted(coeffs, omega, theta, d, cheb, c, delta) -> np.ndarray:
-    """Values of a mode box at theta + omega*d, shape (P,) + trailing.
-
-    theta is scattered points (n, P) or an int N, meaning the P = N^n points
-    of theta_grid(N, n).  On the grid: Clenshaw in (d - c)/delta of the box's
-    grid_shift_cheb coefficients cheb; direct eval_modes when cheb is None.
+def _eval_shifted(coeffs, omega, N, d, cheb, c, delta) -> np.ndarray:
+    """Values of a mode box at theta_grid(N, n) + omega*d, shape (N^n,) +
+    trailing: cheb_eval_rows at (d - c)/delta of the box's grid_shift_cheb
+    coefficients cheb, or eval_modes when cheb is None.
     """
     if cheb is None:
-        n = len(omega)
-        if isinstance(theta, (int, np.integer)):
-            theta = theta_grid(int(theta), n).reshape(n, -1)
+        theta = theta_grid(N, len(omega)).reshape(len(omega), -1)
         return eval_modes(coeffs, theta + np.multiply.outer(omega, d))
     t = (d - c) / delta if delta > 0 else np.zeros_like(d)
     return cheb_eval_rows(cheb, t.reshape(t.shape + (1,) * (cheb.ndim - 2)))
@@ -504,7 +492,7 @@ def invert_angle_map(h: ShellFunction, K_out: int) -> ShellFunction:
     inverse lemma.  The root lies in -range(h), inside the bracket
     [c - delta, c + delta] with c = -[h] and delta = norm_upper(h - [h]) >=
     sup|h - [h]|; Newton starts at v = c.  One grid_shift_cheb call on [h, h']
-    over that bracket serves every iteration as a Clenshaw evaluation.  Once
+    over that bracket serves every iteration as a cheb_eval_rows call.  Once
     the interpolated residual is below 1e-13 a direct eval_modes call checks
     it on the true h, and Newton goes on with direct values if the check
     fails.
@@ -605,11 +593,12 @@ class StripFunction:
     @staticmethod
     def from_sampler(sampler, freq: Frequency, domain: StripDomain, K: int,
                      J: int) -> "StripFunction":
-        """Sample sampler(theta_stack, y), one y node per call, on the
-        collocation grid and project."""
-        th = theta_grid(default_grid(K), freq.n)
-        vals = np.stack([np.broadcast_to(sampler(th, y), th.shape[1:])
-                         for y in domain.s * cheb_nodes(J)], axis=-1)
+        """Sample sampler(theta_stack, y) on the collocation grid and project,
+        in one call: theta_stack has shape (n,) + (N,)*n + (1,), y holds the
+        J+1 Chebyshev nodes and broadcasts against the point axes."""
+        th = theta_grid(default_grid(K), freq.n)[..., None]
+        vals = np.broadcast_to(sampler(th, domain.s * cheb_nodes(J)),
+                               th.shape[1:-1] + (J + 1,))
         if not np.all(np.isfinite(vals)):
             raise SamplerNotFinite("sampler produced non-finite values")
         return StripFunction.from_grid(vals, freq, domain, K, J)
@@ -675,10 +664,9 @@ class StripFunction:
     def with_domain(self, domain: StripDomain, J_new: int | None = None) -> "StripFunction":
         """Re-expand on a new Chebyshev scale (exact for J_new >= J)."""
         J_new = self.J if J_new is None else J_new
-        t_new = domain.s * cheb_nodes(J_new) / self.domain.s
-        rows = cheb_eval_rows(self.coeffs[..., None, :],
-                              np.broadcast_to(t_new, self.coeffs.shape[:-1] + (J_new + 1,)))
-        return StripFunction(self.freq, domain, cheb_fit_last_axis(rows, J_new))
+        basis = npcheb.chebvander(domain.s * cheb_nodes(J_new) / self.domain.s, self.J)
+        return StripFunction(self.freq, domain,
+                             self.coeffs @ (cheb_analysis_matrix(J_new) @ basis).T)
 
     def mean_value(self) -> np.ndarray:
         """Chebyshev coefficients (real) of [f](y), the k = 0 slice."""
@@ -744,49 +732,52 @@ def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:
     (len(strips),).  Real inputs give real values, summed in float64 on the
     grid path.
 
-    Scattered points: each node slice is one eval_modes call on P points,
-    which bounds the phase-tensor memory, then a sum over the Chebyshev rows
-    at y/s.  Grid: one grid_shift_cheb call on the stacked strips (one
-    synthesis, whatever the number of nodes) interpolates in d over
-    [c - delta, c + delta], the midpoint and half-width of every displacement
-    of the call, at an order that bounds each strip's error by SHIFT_TOL
-    times its own sum|f_kj|; each node slice then sums the rows at y/s and
-    runs Clenshaw in (d - c)/delta.  Complex or non-finite displacements, or
-    an order above SHIFT_MAX_ORDER, evaluate every node slice directly with
-    eval_modes; grid_eval_log counts those slices as fallbacks.
+    Grid: one grid_shift_cheb call on the stacked strips (one synthesis,
+    whatever the number of nodes) interpolates in d over [c - delta, c +
+    delta], the midpoint and half-width of every displacement of the call, at
+    an order that bounds each strip's error by SHIFT_TOL times its own
+    sum|f_kj|; two batched products then evaluate every node slice at once,
+    chebvander(y/s) against the interpolant's y axis and chebvander((d -
+    c)/delta) against its d axis.  Scattered points, complex or non-finite
+    displacements, or an order above SHIFT_MAX_ORDER evaluate each node slice
+    directly: one eval_modes call on P points, then the sum over the
+    Chebyshev rows at y/s.  That loop bounds the memory to one slice's
+    eval_modes contraction, P * (2K+1)^(n-1) * (J+1) * len(strips) complex
+    values; grid_eval_log counts the slices of a grid call evaluated this way
+    as fallbacks.
     """
     coeffs = np.stack([f.coeffs for f in strips], axis=-1)
-    omega = strips[0].freq.vec
+    omega, J, m = strips[0].freq.vec, strips[0].J, len(strips)
     grid = isinstance(theta_pts, (int, np.integer))
     P = int(theta_pts) ** len(omega) if grid else theta_pts.shape[1]
     t = np.asarray(y_pts) / strips[0].domain.s
     disp = np.asarray(disp)
     nodes = np.broadcast_shapes(t.shape[1:], disp.shape[1:])
-    t = np.broadcast_to(t, (P,) + nodes)
-    d = np.broadcast_to(disp, (P,) + nodes)
+    Q = math.prod(nodes)
+    d = np.broadcast_to(disp, (P,) + nodes).reshape(P, Q)
     real = all(np.isrealobj(a) for a in (theta_pts, y_pts, disp))
-    cheb = c = delta = None
+    cheb = None
     if grid:
         if np.isrealobj(d):
             lo, hi = float(np.min(d)), float(np.max(d))
             c, delta = 0.5 * (hi + lo), 0.5 * (hi - lo)
             cheb = grid_shift_cheb(coeffs, omega, int(theta_pts), c, delta)
-        slices = math.prod(nodes)
         for log in _grid_logs:
-            log["nodes"] += slices
+            log["nodes"] += Q
             if cheb is None:
-                log["fallbacks"] += slices
+                log["fallbacks"] += Q
             else:
                 log["max_order"] = max(log["max_order"], cheb.shape[-1] - 1)
-    ty = npcheb.chebvander(t, strips[0].J)                  # (P,) + nodes + (J+1,)
-    out = np.empty((P,) + nodes + (len(strips),), dtype=float if real else complex)
-    for j in np.ndindex(*nodes):
-        sl = (slice(None),) + j
-        if cheb is None:            # direct values (P, J+1, m), then the sum in y
-            rows = _eval_shifted(coeffs, omega, theta_pts, d[sl], None, c, delta)
-            vals = np.einsum("pjs,pj->ps", rows, ty[sl])
-        else:                       # the sum in y first: Clenshaw in d on (P, m, M+1)
-            cheb_y = np.einsum("pjsm,pj->psm", cheb, ty[sl])
-            vals = _eval_shifted(coeffs, omega, theta_pts, d[sl], cheb_y, c, delta)
-        out[sl] = vals.real if real else vals
-    return out
+    ty = npcheb.chebvander(np.broadcast_to(t, (P,) + nodes), J).reshape(P, Q, J + 1)
+    if cheb is not None:        # the sum in y on (P, Q, m, M+1), then the sum in d
+        M = cheb.shape[-1] - 1
+        cheb_y = (ty @ cheb.reshape(P, J + 1, m * (M + 1))).reshape(P, Q, m, M + 1)
+        td = npcheb.chebvander((d - c) / delta if delta > 0 else np.zeros_like(d), M)
+        return (cheb_y @ td[..., None]).reshape((P,) + nodes + (m,))
+    if grid:
+        theta_pts = theta_grid(int(theta_pts), len(omega)).reshape(len(omega), P)
+    out = np.empty((P, Q, m), dtype=complex)
+    for j in range(Q):          # direct values (P, J+1, m), then the sum in y
+        rows = eval_modes(coeffs, theta_pts + np.multiply.outer(omega, d[:, j]))
+        out[:, j] = np.einsum("pjs,pj->ps", rows, ty[:, j])
+    return (out.real if real else out).reshape((P,) + nodes + (m,))

@@ -47,7 +47,8 @@ def smooth(sampler, freq: Frequency, delta: float, K_trunc: int, J: int,
     holomorphic (as a truncated series) on E_delta.
 
     sampler(theta_stack, y) evaluates the shell function F(theta, y) on
-    stacked torus coordinates of shape (n, ...).  Quasi-periodicity and
+    stacked torus coordinates of shape (n, ...), once, with every Chebyshev
+    node in a y that broadcasts against the point axes.  Quasi-periodicity and
     reality are preserved; the member is represented on D(delta, domain_s)
     with domain_s <= delta covering the disc in y.
     """
@@ -68,10 +69,10 @@ def smooth(sampler, freq: Frequency, delta: float, K_trunc: int, J: int,
 FROZEN_CONSTANTS = {"c0": 2.0, "c1": 2.0, "c2": 2.0}
 
 
-def member_gap(f: StripFunction, g: StripFunction, ys) -> float:
-    """Grid sup of |f - g| on the real torus at the y points ys, in one
-    synthesis; f and g share K."""
-    if f.K != g.K:
-        raise ValueError(f"mode boxes differ: K = {f.K} and {g.K}")
-    diff = f.modes_at_y(ys) - g.modes_at_y(ys)
-    return float(np.max(np.abs(synthesize(diff, f.n, default_grid(f.K)))))
+def member_gap(fs, gs, ys) -> float:
+    """Grid sup of |f - g| on the real torus at the y points ys over the
+    pairs of the lists fs and gs, in one synthesis; every strip shares K."""
+    if len({f.K for f in (*fs, *gs)}) > 1:
+        raise ValueError("mode boxes differ in K")
+    diff = np.stack([f.modes_at_y(ys) - g.modes_at_y(ys) for f, g in zip(fs, gs)], axis=-1)
+    return float(np.max(np.abs(synthesize(diff, fs[0].n, default_grid(fs[0].K)))))

@@ -63,14 +63,13 @@ def epsilon_of(rho, gamma, tau, n):
 def single_residual(f, u, alpha):
     """Grid sup of u(x+alpha, y) - u(x, y) - (f - [f]), as solve_single checks it."""
     mean = qp.StripFunction(f.freq, f.domain, cohomology._mean_only(f))
-    return cohomology._grid_residual(u, f - mean, alpha.alpha)
+    return cohomology._grid_residual([u], [f - mean], alpha.alpha)[0]
 
 
 def coupled_residuals(f, g, u, v, alpha, eps):
     """Grid sups of both coupled equations' residuals, as solve_coupled checks them."""
     g_mean = qp.StripFunction(f.freq, f.domain, cohomology._mean_only(g))
-    return (cohomology._grid_residual(u, eps * v + f, alpha.alpha),
-            cohomology._grid_residual(v, g - g_mean, alpha.alpha))
+    return tuple(cohomology._grid_residual([u, v], [eps * v + f, g - g_mean], alpha.alpha))
 
 
 def coefnorm_at_y_samples(f, width):
@@ -190,7 +189,7 @@ def build_family(h, q, depth, K_trunc, J=0):
         for jj in range(i + 1, len(members)):   # delta = deltas[jj] < delta'
             small, big = members[jj], members[i]
             ys = np.linspace(-small.domain.s, small.domain.s, 5)
-            gap = max(member_gap(small, big, ys),
+            gap = max(member_gap([small], [big], ys),
                       corner_sheet_sup(small.modes_at_y(0.0) - big.modes_at_y(0.0),
                                        small.n, qp.default_grid(small.K), deltas[jj]))
             fit["cauchy_pairs"].append(gap / max(h.cp_norm * deltas[i]**h.p, 1e-300))

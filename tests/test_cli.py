@@ -204,6 +204,15 @@ DIOPHANTINE_ARGS = ["--omega", "1.0", str(2.0**0.5), "--gamma", "1e-3", "--K", "
     ("certify", {"sigma0": -1.0}),
     ("solve", {"sigma0": 0.5}),
     ("diophantine", ["--tau", "3.0", "--sigma0", "0.5"]),
+    # reversed or empty intervals and strips, also where the command never
+    # draws a rotation number
+    ("diagnose", {"interval": [1.1, 0.3]}),
+    ("schedule", {"interval": [1.1, 0.3]}),
+    ("certify", {"interval": [1.1, 0.3]}),
+    ("solve", {"interval": [0.7, 0.7]}),
+    ("diagnose", {"map": {**BASE["map"], "strip": [1.7, 0.0]}}),
+    ("solve", {"map": {**BASE["map"], "strip": [1.0, 1.0]}}),
+    ("diophantine", ["--tau", "3.0", "--interval", "1.2", "0.4"]),
 ])
 def test_bad_parameters_exit_1(tmp_path, capsys, command, overrides):
     # overrides: config fields (a dict) or flags (a list)
@@ -219,6 +228,9 @@ def test_bad_parameters_exit_1(tmp_path, capsys, command, overrides):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:")
     assert "Traceback" not in err
+    # a bad interval is named, not reported as the gamma bound it breaks
+    if "interval" in overrides or "--interval" in overrides:
+        assert "interval" in lines[0]
 
 
 def test_sigma0_at_the_dirichlet_bound_is_valid(tmp_path):

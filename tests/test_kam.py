@@ -611,7 +611,7 @@ def test_run_large_perturbation_not_converged():
 def test_run_checks_the_coupled_residuals(monkeypatch):
     # every stepped level verifies the coupled equations: a residual above
     # tolerance ends the run in NotConverged, recorded as the level's failure
-    monkeypatch.setattr(cohomology, "_grid_residual", lambda u, rhs, alpha: 1.0)
+    monkeypatch.setattr(cohomology, "_grid_residual", lambda us, rhss, alpha: [1.0] * len(us))
     with pytest.raises(NotConverged) as info:
         run(acceptance_map(), ALPHA, make_schedule(k_max=8), tol=1e-8,
             K_trunc=8, J=6, y_scale=16.0)

@@ -316,6 +316,31 @@ def test_strip_round_trip():
     assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-12
 
 
+@pytest.mark.parametrize("uses_y", [True, False])
+def test_from_sampler_calls_its_sampler_once(uses_y):
+    dom = StripDomain(0.7, 0.4)
+    K, J = 3, 4
+
+    def shell(theta, y):
+        base = np.sin(theta[0]) + 0.3 * np.cos(theta[0] - 2.0 * theta[1])
+        return base * (1.0 + y - 2.0 * y**3) if uses_y else base
+
+    calls = []
+
+    def counted(theta, y):
+        calls.append(np.shape(y))
+        return shell(theta, y)
+
+    f = StripFunction.from_sampler(counted, FREQ2, dom, K, J)
+    assert calls == [(J + 1,)]
+    # the oracle: one y node per call, stacked on a last axis
+    th = qp.theta_grid(qp.default_grid(K), 2)
+    vals = np.stack([np.broadcast_to(shell(th, y), th.shape[1:])
+                     for y in dom.s * qp.cheb_nodes(J)], axis=-1)
+    want = StripFunction.from_grid(vals, FREQ2, dom, K, J)
+    assert np.max(np.abs(f.coeffs - want.coeffs)) <= 1e-15
+
+
 def test_strip_eval_matches_series():
     rng = np.random.default_rng(15)
     dom = StripDomain(0.8, 0.3)

@@ -11,6 +11,7 @@ import pytest
 from conftest import corner_sheet_sup, eval_xy, symmetric_box, symmetrized
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as npcheb
 
 from qpkam import qpfourier as qp
 from qpkam.qpfourier import (
@@ -166,7 +167,7 @@ def test_sheet_sup_matches_brute_force_sheets(seed, n, K, batch, rho):
         dom = StripDomain(0.7, 0.4)
         f = StripFunction(Frequency(OMEGAS[n]), dom, qp.cheb_fit_last_axis(coeffs, batch - 1))
         zero = StripFunction.zeros(f.freq, dom, K, batch - 1)
-        assert abs(member_gap(f, zero, f.y_nodes()) - brute) <= 1e-12 * brute
+        assert abs(member_gap([f], [zero], f.y_nodes()) - brute) <= 1e-12 * brute
 
 
 def coeff_scale(strips, tmax):
@@ -358,6 +359,48 @@ def test_shift_order_cap_and_non_finite():
     box = np.ones((3, 3), dtype=complex)
     for c, delta in ((math.nan, 0.1), (0.0, math.inf), (0.0, 20.0)):
         assert qp.grid_shift_cheb(box, np.array(OMEGAS[2]), 6, c, delta) is None
+
+
+# ---------------------------------------------------------------------------
+# the Chebyshev evaluator
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), leading=st.sampled_from([(), (1,), (5,), (3, 4)]),
+       J=st.integers(0, 12), points=st.sampled_from(["scalar", "rows", "broadcast"]),
+       is_complex=st.booleans())
+def test_cheb_eval_rows_matches_chebval(seed, leading, J, points, is_complex):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(leading + (J + 1,))
+    if is_complex:
+        coeffs = coeffs + 1j * rng.standard_normal(coeffs.shape)
+    # one t, one t per row, or one t per row of the leading axes but the last
+    t_shape = {"scalar": (), "rows": leading, "broadcast": leading[:-1] + (1,) * bool(leading)}
+    t = rng.uniform(-1.0, 1.0, t_shape[points])
+    got = qp.cheb_eval_rows(coeffs, t)
+    assert got.shape == leading
+    rows_t = np.broadcast_to(t, leading)
+    for i in np.ndindex(*leading):
+        want = npcheb.chebval(rows_t[i], coeffs[i])
+        assert abs(got[i] - want) <= 1e-14 * np.sum(np.abs(coeffs[i]))
+
+
+def disc_bound_recurrence(J, t):
+    """M_0 = 1, M_1 = t, M_{j+1} = 2t M_j + M_{j-1}: |T_j(i t)| by the
+    three-term recurrence."""
+    out = np.empty(J + 1)
+    out[0] = 1.0
+    if J >= 1:
+        out[1] = t
+    for j in range(1, J):
+        out[j + 1] = 2 * t * out[j] + out[j - 1]
+    return out
+
+
+def test_cheb_disc_bounds_equal_the_recurrence():
+    for J in range(31):
+        for t in np.linspace(0.0, 10.0, 501):
+            np.testing.assert_array_equal(qp.cheb_disc_bounds(J, t), disc_bound_recurrence(J, t))
 
 
 # ---------------------------------------------------------------------------
