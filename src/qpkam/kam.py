@@ -577,7 +577,8 @@ def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: Truncation
     and the |Q| <= 3N bound extracted from the measured N.
 
     Psi is the pullback of the exact map A through Z on the reals, sampled at
-    7 values of eta in [-0.9, 0.9] s_plus and 128 of xi in [0, 150).
+    7 values of eta in [-0.9, 0.9] s_plus and 128 of xi in [0, 150); the
+    report keeps the pullback Newton's steps and final max residual.
     """
     freq = Z.P.freq
     n_eta, n_xi = 7, 128
@@ -589,8 +590,8 @@ def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: Truncation
     P, Zy = Z.values_at(th, eta_cols)
     zt = th[..., None] + np.multiply.outer(freq.vec, P)
     dx, dy = exact.displacement(zt, Zy)
-    a, yv, _, _ = _pullback_grid(Z, th, P + dx, Zy + dy, alpha + eps_plus * eta_cols,
-                                 eta_cols, 1e-12 * (1 + abs(alpha)))
+    a, yv, iters, res = _pullback_grid(Z, th, P + dx, Zy + dy, alpha + eps_plus * eta_cols,
+                                       eta_cols, 1e-12 * (1 + abs(alpha)))
     d = yv - etas                             # Psi^(2) - eta along each curve
     psi1_dev = a - alpha - eps_plus * etas    # Psi^(1) - (xi + alpha + eps+ eta)
     N_glob = max(float(np.max(np.abs(d - Q.eval(etas)))), float(np.max(np.abs(psi1_dev))))
@@ -615,7 +616,7 @@ def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: Truncation
                   and abs(Q.a1) * s_plus + abs(Q.a2) * s_plus**2 <= 2 * N_glob + slack
                   and q_sup <= 3 * N_glob + slack)
     return {"witnesses": witnesses, "N_measured": N_glob, "Q_sup": q_sup,
-            "pass": passed}
+            "pass": passed, "newton_iters": iters, "newton_residual": res}
 
 
 # ---------------------------------------------------------------------------

@@ -188,24 +188,36 @@ def default_grid(K: int) -> int:
     return max(2 * (2 * K + 1), 8)
 
 
+# complex values of one eval_modes chunk's first product (512 KB)
+EVAL_CHUNK = 2**15
+
+
 def eval_modes(coeffs: np.ndarray, theta_pts: np.ndarray) -> np.ndarray:
     """Evaluate a centered mode box at scattered torus points.
 
     theta_pts has shape (n, P); returns shape (P,) + trailing axes of coeffs.
-    Contracts one torus axis at a time: the first as one matrix product,
-    whose result holds P * (2K+1)^(n-1) * prod(trailing) values, the later
-    ones as a product per point.
+    The points go in chunks whose first product (the first torus axis)
+    holds at most EVAL_CHUNK complex values; later axes contract per point.
+    Real points take exp for k >= 0 only and its conjugate for k < 0; complex
+    points, where e^{-ik theta} != conj(e^{ik theta}), take the full table.
     """
     n, P = theta_pts.shape
     K = (coeffs.shape[0] - 1) // 2
-    ks = np.arange(-K, K + 1)
-    phase = np.exp(1j * np.multiply.outer(theta_pts[0], ks))     # (P, 2K+1)
-    res = phase @ coeffs.reshape(2 * K + 1, -1)
-    for d in range(1, n):
-        phase = np.exp(1j * np.multiply.outer(theta_pts[d], ks))
-        res = res.reshape(P, 2 * K + 1, res.shape[1] // (2 * K + 1))
-        res = (phase[:, None, :] @ res)[:, 0]
-    return res.reshape((P,) + coeffs.shape[n:])
+    rows = coeffs.reshape(2 * K + 1, -1)
+    step = max(1, EVAL_CHUNK // max(rows.shape[1], 1))
+    out = np.empty((P, math.prod(coeffs.shape[n:])), dtype=complex)
+    for lo in range(0, P, step):
+        th = theta_pts[:, lo:lo + step]
+        if np.iscomplexobj(th):
+            phase = np.exp(1j * np.multiply.outer(th, np.arange(-K, K + 1)))
+        else:
+            half = np.exp(1j * np.multiply.outer(th, np.arange(K + 1)))
+            phase = np.concatenate([half[..., :0:-1].conj(), half], axis=-1)
+        res = phase[0] @ rows
+        for d in range(1, n):
+            res = (phase[d][:, None, :] @ res.reshape(th.shape[1], 2 * K + 1, -1))[:, 0]
+        out[lo:lo + step] = res
+    return out.reshape((P,) + coeffs.shape[n:])
 
 
 def symmetrize(coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -310,9 +322,10 @@ def grid_shift_cheb(coeffs: np.ndarray, omega: np.ndarray, N: int, c: float,
     """Chebyshev coefficients in d of a mode box (trailing axes kept) on
     theta_grid(N, n) + omega*d, for d in [c - delta, c + delta].
 
-    The box is synthesized at the M+1 shifts c + delta*cheb_nodes(M) in one
-    batched synthesis and fitted across them; the callers evaluate the
-    result, shape (N^n,) + trailing + (M+1,), at (d - c)/delta.  M =
+    Each mode's phase e^{i<k,omega>(c + delta t)} is fitted at t =
+    cheb_nodes(M) on the mode box, and one batched synthesis of the box times
+    those fits gives the result, shape (N^n,) + trailing + (M+1,), which the
+    callers evaluate at (d - c)/delta.  M =
     shift_order with one column per entry of the last trailing axis (a strip
     of a stack), amplitudes summed over the other trailing axes, so on real d
     each column's error is below SHIFT_TOL * its own sum|f_k|.  None
@@ -328,10 +341,9 @@ def grid_shift_cheb(coeffs: np.ndarray, omega: np.ndarray, N: int, c: float,
     M = shift_order(amps, kw, delta) if math.isfinite(c) else None
     if M is None:
         return None
-    phase = np.exp(1j * np.multiply.outer(kw, c + delta * cheb_nodes(M)))
+    phase = cheb_fit_last_axis(np.exp(1j * np.multiply.outer(kw, c + delta * cheb_nodes(M))), M)
     boxes = coeffs[..., None] * phase.reshape(kw.shape + (1,) * len(trailing) + (M + 1,))
-    values = synthesize_grid(boxes, n, N).reshape((N**n,) + trailing + (M + 1,))
-    return cheb_fit_last_axis(values, M)
+    return synthesize_grid(boxes, n, N).reshape((N**n,) + trailing + (M + 1,))
 
 
 def _eval_shifted(coeffs, omega, N, d, cheb, c, delta) -> np.ndarray:
@@ -404,7 +416,7 @@ class ShellFunction:
 
     def eval(self, x) -> np.ndarray | complex:
         """Evaluate f(x) = sum_k f_k e^{i<k,omega>x}; x scalar or array."""
-        x_arr = np.asarray(x, dtype=complex)
+        x_arr = np.asarray(x)
         theta = np.multiply.outer(self.freq.vec, x_arr.ravel())
         vals = eval_modes(self.coeffs, theta)
         vals = vals.reshape(x_arr.shape)
@@ -739,12 +751,11 @@ def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:
     sum|f_kj|; two batched products then evaluate every node slice at once,
     chebvander(y/s) against the interpolant's y axis and chebvander((d -
     c)/delta) against its d axis.  Scattered points, complex or non-finite
-    displacements, or an order above SHIFT_MAX_ORDER evaluate each node slice
-    directly: one eval_modes call on P points, then the sum over the
-    Chebyshev rows at y/s.  That loop bounds the memory to one slice's
-    eval_modes contraction, P * (2K+1)^(n-1) * (J+1) * len(strips) complex
-    values; grid_eval_log counts the slices of a grid call evaluated this way
-    as fallbacks.
+    displacements, or an order above SHIFT_MAX_ORDER evaluate directly: one
+    eval_modes call (memory bounded by its chunks) on all P*Q points, or on
+    the P points alone when one disp column serves every node, then the sum
+    over the Chebyshev rows at y/s; grid_eval_log counts the node slices of a
+    grid call evaluated this way as fallbacks.
     """
     coeffs = np.stack([f.coeffs for f in strips], axis=-1)
     omega, J, m = strips[0].freq.vec, strips[0].J, len(strips)
@@ -764,10 +775,8 @@ def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:
             cheb = grid_shift_cheb(coeffs, omega, int(theta_pts), c, delta)
         for log in _grid_logs:
             log["nodes"] += Q
-            if cheb is None:
-                log["fallbacks"] += Q
-            else:
-                log["max_order"] = max(log["max_order"], cheb.shape[-1] - 1)
+            log["fallbacks"] += Q if cheb is None else 0
+            log["max_order"] = max(log["max_order"], 0 if cheb is None else cheb.shape[-1] - 1)
     ty = npcheb.chebvander(np.broadcast_to(t, (P,) + nodes), J).reshape(P, Q, J + 1)
     if cheb is not None:        # the sum in y on (P, Q, m, M+1), then the sum in d
         M = cheb.shape[-1] - 1
@@ -776,8 +785,8 @@ def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:
         return (cheb_y @ td[..., None]).reshape((P,) + nodes + (m,))
     if grid:
         theta_pts = theta_grid(int(theta_pts), len(omega)).reshape(len(omega), P)
-    out = np.empty((P, Q, m), dtype=complex)
-    for j in range(Q):          # direct values (P, J+1, m), then the sum in y
-        rows = eval_modes(coeffs, theta_pts + np.multiply.outer(omega, d[:, j]))
-        out[:, j] = np.einsum("pjs,pj->ps", rows, ty[:, j])
+    cols = 1 if math.prod(disp.shape[1:]) == 1 else Q
+    pts = theta_pts[..., None] + np.multiply.outer(omega, d[:, :cols])
+    rows = eval_modes(coeffs, pts.reshape(len(omega), P * cols)).reshape(P, cols, J + 1, m)
+    out = np.einsum("pqjs,pqj->pqs", np.broadcast_to(rows, (P, Q, J + 1, m)), ty)
     return (out.real if real else out).reshape((P,) + nodes + (m,))

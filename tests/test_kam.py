@@ -558,6 +558,9 @@ def test_run_acceptance_instance():
         assert b <= a / 4.0
     for rec in out.trace[:-1]:
         assert rec["intersection"]["pass"]
+        # the pullback Newton of the bound: at most 40 steps, to its tolerance
+        assert 0 <= rec["intersection"]["newton_iters"] < 40
+        assert rec["intersection"]["newton_residual"] < 1e-12 * (1.0 + ALPHA.alpha)
     # the collocation grid drops no resolved mass here: no aliasing to guard
     assert all(rec["evaluator"]["band"] <= 1e-12 for rec in out.trace)
 

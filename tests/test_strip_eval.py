@@ -5,6 +5,7 @@ algebra: symmetrize, with_domain, and invert_angle_map with compose_angle."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,18 +86,105 @@ def test_synthesize_grid_matches_eval_modes_below_the_box(seed, n, K, N, trailin
 
 @PROPS
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(0, 4),
-       P=st.integers(1, 20), trailing=TRAILING, imag=st.sampled_from([0.0, 0.3]))
-def test_eval_modes_matches_explicit_sum(seed, n, K, P, trailing, imag):
+       P=st.integers(1, 20), trailing=TRAILING, imag=st.sampled_from([0.0, 0.3]),
+       chunk=st.sampled_from([1, 50, 2**15]))
+def test_eval_modes_matches_explicit_sum(seed, n, K, P, trailing, imag, chunk):
     rng = np.random.default_rng(seed)
     coeffs = random_box(rng, n, K, trailing)
     theta = rng.uniform(-qp.TWO_PI, qp.TWO_PI, (n, P)) + 1j * imag * rng.uniform(-1.0, 1.0, (n, P))
     # sum over every k of c_k e^{i<k, theta_p>}
     phase = np.exp(1j * qp.mode_vectors(K, n).T @ theta)          # ((2K+1)^n, P)
     want = np.tensordot(phase, coeffs.reshape((-1,) + trailing), axes=([0], [0]))
-    got = qp.eval_modes(coeffs, theta)
+    # EVAL_CHUNK from one point per chunk up to every point in one chunk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp, "EVAL_CHUNK", chunk)
+        got = qp.eval_modes(coeffs, theta)
     assert got.shape == (P,) + trailing
     bound = np.sum(np.abs(coeffs)) * math.exp(imag * n * K)
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * bound
+
+
+def full_table_eval(coeffs, theta):
+    """eval_modes with e^{ik theta} from exp for every k = -K..K, in one chunk."""
+    n, P = theta.shape
+    K = (coeffs.shape[0] - 1) // 2
+    phase = np.exp(1j * np.multiply.outer(theta, np.arange(-K, K + 1)))
+    res = phase[0] @ coeffs.reshape(2 * K + 1, -1)
+    for d in range(1, n):
+        res = (phase[d][:, None, :] @ res.reshape(P, 2 * K + 1, -1))[:, 0]
+    return res.reshape((P,) + coeffs.shape[n:])
+
+
+@PROPS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(0, 6),
+       P=st.integers(1, 40), trailing=TRAILING, scale=st.sampled_from([1.0, 1e3, 1e6]))
+def test_eval_modes_half_table_is_bitwise_the_full_table(seed, n, K, P, trailing, scale):
+    # on real points k < 0 is the conjugate of k > 0; P stays within one chunk,
+    # so the products are the same as the oracle's
+    rng = np.random.default_rng(seed)
+    coeffs = random_box(rng, n, K, trailing)
+    P = min(P, qp.EVAL_CHUNK // coeffs[0].size)
+    theta = scale * rng.uniform(-qp.TWO_PI, qp.TWO_PI, (n, P))
+    np.testing.assert_array_equal(qp.eval_modes(coeffs, theta), full_table_eval(coeffs, theta))
+
+
+@PROPS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(0, 5),
+       shape=st.sampled_from([(), (1,), (7,), (3, 4)]))
+def test_shell_eval_on_real_x_matches_complex_x(seed, n, K, shape):
+    rng = np.random.default_rng(seed)
+    f = ShellFunction(Frequency(OMEGAS[n]),
+                      hermitian_box(rng, n, K, ()) * np.exp(-qp.k1_norms(K, n)) / 4.0)
+    x = rng.uniform(-50.0, 50.0, shape)
+    got, want = f.eval(x), f.eval(np.asarray(x, dtype=complex))
+    assert np.shape(got) == shape
+    assert np.max(np.abs(np.asarray(got) - want)) <= 1e-15
+
+
+@PROPS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(0, 3),
+       J=st.integers(0, 3), P=st.integers(1, 30), nodes=st.integers(1, 5),
+       is_complex=st.booleans())
+def test_direct_path_shared_displacement_matches_general_form(seed, n, K, J, P, nodes,
+                                                              is_complex):
+    # disp of shape (P, 1) takes eval_modes on the P points once, for every
+    # node column; the same values repeated per column take it on all P * nodes
+    rng = np.random.default_rng(seed)
+    f, g = random_strip(rng, n, K, J), random_strip(rng, n, K, J)
+    theta = np.multiply.outer(f.freq.vec, rng.uniform(0.0, 40.0, P))
+    y = rng.uniform(-f.domain.s, f.domain.s, (P, nodes))
+    disp = rng.uniform(-0.5, 0.5, (P, 1))
+    if is_complex:
+        disp = disp + 1j * rng.uniform(-0.1, 0.1, (P, 1))
+    shared = eval_strip_stack([f, g], theta, y, disp)
+    general = eval_strip_stack([f, g], theta, y, np.repeat(disp, nodes, axis=1))
+    assert shared.shape == general.shape == (P, nodes, 2)
+    assert np.iscomplexobj(shared) == np.iscomplexobj(general) == is_complex
+    tmax = float(np.max(np.abs(y))) / f.domain.s
+    bound = coeff_scale([f, g], tmax) * math.exp(0.1 * float(np.sum(np.abs(f.freq.vec))) * K)
+    assert np.max(np.abs(shared - general)) <= 1e-14 * bound
+
+
+def test_direct_path_memory_is_bounded_at_n3():
+    # n = 3, K 4, J 4, two strips on 14^3 grid points: a complex displacement
+    # forces the direct path; one contraction of all points over the first
+    # torus axis would hold 14^3 * 9^2 * 5 * 2 complex values (36 MB)
+    rng = np.random.default_rng(3)
+    strips = [random_strip(rng, 3, 4, 4) for _ in range(2)]
+    N = 14
+    y = rng.uniform(-0.4, 0.4, N**3)
+    disp = rng.uniform(-0.5, 0.5, N**3) + 0.01j
+    eval_strip_stack(strips, N, y, disp)                  # warm caches
+    tracemalloc.start()
+    try:
+        with qp.grid_eval_log() as log:
+            out = eval_strip_stack(strips, N, y, disp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert log["fallbacks"] == log["nodes"] == 1
+    assert out.shape == (N**3, 2)
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 @PROPS
