@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev as npcheb
 
 from .cohomology import solve_coupled
 from .diophantine import RotationNumber
@@ -38,11 +39,14 @@ from .qpfourier import (
     cheb_eval_rows,
     cheb_nodes,
     default_grid,
-    eval_modes,  # noqa: F401  (bound here for the layer tracer in benchmarks/)
+    eval_modes,
     eval_strip_stack,
     grid_eval_log,
+    grid_shift_cheb,
+    log_shift_build,
     sample_strip_stack,
     synthesize,  # noqa: F401  (bound here for the layer tracer in benchmarks/)
+    theta_grid,
 )
 from .smoothing import FROZEN_CONSTANTS, member_gap, q_bound, smooth
 
@@ -200,7 +204,8 @@ class ExactNormalizedMap:
 @dataclass
 class ConjugacyMap:
     """Z(x, y) = (x + P(x,y), L y + S(x,y)); P, S quasi-periodic strips on
-    Z's domain."""
+    Z's domain.  values_at evaluates Z at displaced points; _pullback_grid
+    inverts it by Newton on one interpolant of the stacked [P, S]."""
 
     P: StripFunction
     S: StripFunction
@@ -218,13 +223,6 @@ class ConjugacyMap:
         theta_pts is scattered shell points or a grid size (eval_strip_stack)."""
         vals = eval_strip_stack([self.P, self.S], theta_pts, y_pts, disp)
         return vals[..., 0], self.L * y_pts + vals[..., 1]
-
-    def jacobian_at(self, theta_pts, y_pts: np.ndarray, disp=0.0):
-        """Rows of dZ = [[1+Px, Py], [Sx, L+Sy]] at the points of values_at."""
-        strips = [self.P.dx(), self.P.dy(), self.S.dx(), self.S.dy()]
-        vals = eval_strip_stack(strips, theta_pts, y_pts, disp)
-        return (1.0 + vals[..., 0], vals[..., 1],
-                vals[..., 2], self.L + vals[..., 3])
 
     def range_containment(self, domain: StripDomain, target: StripDomain) -> bool:
         """Z(domain) inside target, checked on a boundary grid: |Im Z_x| and
@@ -479,28 +477,81 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, measured: float) -> StepR
 # solve-back
 # ---------------------------------------------------------------------------
 
+# the pullback interpolant's half-width is at least this times 1 + |c|
+PULLBACK_MIN_HALF_WIDTH = 2.0**-26
+
+
 def _pullback_grid(Z: ConjugacyMap, thf, targets_theta_disp: np.ndarray,
                    targets_y: np.ndarray, seeds_disp: np.ndarray, seeds_y: np.ndarray,
                    tol: float):
     """Solve Z(w) = target per point x by Newton (full steps, at most 40), seeded;
-    returns the solution, the Newton steps taken and the final max residual.
+    returns the solution and a report: the steps taken (newton_iters), the
+    final max residual (newton_residual) and the interpolants built
+    (newton_builds).
 
     thf is scattered shell points (n, P) or a grid size N (eval_strip_stack);
     targets and seeds have shape (P,) or (P, nodes), one column per node, and
     all nodes iterate until the largest residual meets tol.  Unknowns are the
     x-displacement a (w_x = x + a) and w_y; targets are the x-displacement of
     the target and its y value.
+
+    Along omega the x-derivative of Z is its derivative in a, so one
+    grid_shift_cheb interpolant of the stacked [P, S] over a in [c - delta,
+    c + delta] gives the values (chebvander in a and in y/s) and, only when
+    a step is taken, the Jacobian (the chebder derivatives of those bases).
+    The interval is the range of the seeds' a with its half-width doubled,
+    and is built again the same way when an iterate leaves it.  Equal seeds
+    get the half-width PULLBACK_MIN_HALF_WIDTH * (1 + |c|): the nodes c +
+    delta t_m stay distinct in floating point, and the order is at least 1
+    wherever Z depends on x above roundoff, so d/da keeps about half its
+    digits.  Above SHIFT_MAX_ORDER a step evaluates [P, S, P.dx, S.dx]
+    directly, in one eval_modes call.  The values alone fix the root (to
+    SHIFT_TOL * sum|f_k| per strip); the Jacobian only sets the rate.
+    grid_eval_log counts every build and every direct step.
     """
-    a = seeds_disp.copy()
-    yv = seeds_y.copy()
+    omega, s, J = Z.P.freq.vec, Z.P.domain.s, Z.P.J
+    stack = np.stack([Z.P.coeffs, Z.S.coeffs], axis=-1)
+    P = seeds_disp.shape[0]
+    Q = seeds_disp.size // P
+    a = seeds_disp.reshape(P, Q).copy()
+    yv = seeds_y.reshape(P, Q).copy()
+    t_disp = targets_theta_disp.reshape(P, Q)
+    t_y = targets_y.reshape(P, Q)
+    dJ = npcheb.chebder(np.eye(J + 1))        # T_j' = sum_l dJ[l, j] T_l
+    cheb, c, delta, builds = None, 0.0, -1.0, 0
     for it in range(40):
-        P, Zy = Z.values_at(thf, yv, a)
-        r1 = (a + P) - targets_theta_disp
-        r2 = Zy - targets_y
+        if cheb is None or not np.all(np.abs(a - c) <= delta):
+            lo, hi = float(np.min(a)), float(np.max(a))
+            c = 0.5 * (lo + hi)
+            delta = max(hi - lo, PULLBACK_MIN_HALF_WIDTH * (1.0 + abs(c)))
+            cheb = grid_shift_cheb(stack, omega, thf, c, delta)
+            log_shift_build(Q, cheb)
+            builds += cheb is not None
+        ty = npcheb.chebvander(yv / s, J)                     # (P, Q, J+1)
+        if cheb is None:
+            theta = thf if np.ndim(thf) else theta_grid(thf, len(omega)).reshape(len(omega), P)
+            pts = (theta[..., None] + np.multiply.outer(omega, a)).reshape(len(omega), P * Q)
+            both = np.stack([Z.P.coeffs, Z.S.coeffs, Z.P.dx().coeffs, Z.S.dx().coeffs], axis=-1)
+            rows = eval_modes(both, pts).real.reshape(P, Q, J + 1, 4)
+            rows, rows_da = rows[..., :2], rows[..., 2:]
+        else:
+            M = cheb.shape[-1] - 1
+            td = npcheb.chebvander((a - c) / delta, M)        # (P, Q, M+1)
+            box = cheb.reshape(P, 2 * (J + 1), M + 1).transpose(0, 2, 1)
+            rows = (td @ box).reshape(P, Q, J + 1, 2)
+        vals = np.einsum("pqjs,pqj->pqs", rows, ty)
+        r1 = (a + vals[..., 0]) - t_disp
+        r2 = (Z.L * yv + vals[..., 1]) - t_y
         res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
         if res < tol:
             break
-        j11, j12, j21, j22 = Z.jacobian_at(thf, yv, a)
+        if cheb is not None:
+            dM = npcheb.chebder(np.eye(M + 1))
+            rows_da = ((td[..., :dM.shape[0]] @ dM) @ box).reshape(P, Q, J + 1, 2) / delta
+        d_da = np.einsum("pqjs,pqj->pqs", rows_da, ty)
+        d_dy = np.einsum("pqjs,pqj->pqs", rows, ty[..., :dJ.shape[0]] @ dJ) / s
+        j11, j12 = 1.0 + d_da[..., 0], d_dy[..., 0]
+        j21, j22 = d_da[..., 1], Z.L + d_dy[..., 1]
         det = j11 * j22 - j12 * j21
         singular = np.abs(det) < 1e-14
         if np.any(singular):
@@ -511,14 +562,16 @@ def _pullback_grid(Z: ConjugacyMap, thf, targets_theta_disp: np.ndarray,
     else:
         i = int(np.argmax(np.abs(r1) + np.abs(r2)))
         raise RootFindFailed((float(a.flat[i]), float(yv.flat[i])), res)
-    return a, yv, it, res
+    report = {"newton_iters": it, "newton_residual": res, "newton_builds": builds}
+    return a.reshape(seeds_disp.shape), yv.reshape(seeds_disp.shape), report
 
 
 def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
                dom: StripDomain, A_prev: NormalizedMap) -> tuple[NormalizedMap, dict]:
     """H with Z o H = A_next o Z on dom = D_{k+1}, seeded at Phi_plus.
 
-    Reports the pullback Newton's steps and final residual, the (3.19)-type
+    Reports the pullback Newton's steps, final residual and interpolant
+    builds (_pullback_grid), the (3.19)-type
     smallness |A_next - A_prev|_E <= b*(s_k/7) of the replaced member A_prev,
     with b = Z.b, and the contraction of H around the seed.
     """
@@ -542,8 +595,7 @@ def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
     seed = sample_strip_stack([phi_plus.fx, phi_plus.fy], N, ys)
     a = A_next.alpha + twist_next * nodes + seed[..., 0]
     yv = nodes + seed[..., 1]
-    a, yv, iters, res = _pullback_grid(Z, N, t_disp, t_y, a, yv,
-                                       1e-12 * (1.0 + abs(A_next.alpha)))
+    a, yv, newton = _pullback_grid(Z, N, t_disp, t_y, a, yv, 1e-12 * (1.0 + abs(A_next.alpha)))
     grid = (N,) * n + (J + 1,)
     a_out = (a - A_next.alpha - twist_next * nodes).reshape(grid)
     y_out = (yv - nodes).reshape(grid)
@@ -556,8 +608,7 @@ def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
     bound = Z.b * (2.0 * dom.s) / 7.0             # b_{k+1} * s_k / 7
     shift = max(float(np.max(np.abs(hx.coeffs - phi_plus.fx.coeffs))),
                 float(np.max(np.abs(hy.coeffs - phi_plus.fy.coeffs))))
-    report = {"newton_iters": iters, "newton_residual": res,
-              "family_gap": diff, "family_gap_bound": bound,
+    report = {**newton, "family_gap": diff, "family_gap_bound": bound,
               "family_gap_ok": bool(diff <= bound),
               "H_minus_phi": shift, "H_minus_phi_bound": diff / max(Z.b, 1e-300)}
     return H_next, report
@@ -578,7 +629,8 @@ def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: Truncation
 
     Psi is the pullback of the exact map A through Z on the reals, sampled at
     7 values of eta in [-0.9, 0.9] s_plus and 128 of xi in [0, 150); the
-    report keeps the pullback Newton's steps and final max residual.
+    report keeps the pullback Newton's steps, final max residual and
+    interpolant builds (_pullback_grid).
     """
     freq = Z.P.freq
     n_eta, n_xi = 7, 128
@@ -590,8 +642,8 @@ def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: Truncation
     P, Zy = Z.values_at(th, eta_cols)
     zt = th[..., None] + np.multiply.outer(freq.vec, P)
     dx, dy = exact.displacement(zt, Zy)
-    a, yv, iters, res = _pullback_grid(Z, th, P + dx, Zy + dy, alpha + eps_plus * eta_cols,
-                                       eta_cols, 1e-12 * (1 + abs(alpha)))
+    a, yv, newton = _pullback_grid(Z, th, P + dx, Zy + dy, alpha + eps_plus * eta_cols,
+                                   eta_cols, 1e-12 * (1 + abs(alpha)))
     d = yv - etas                             # Psi^(2) - eta along each curve
     psi1_dev = a - alpha - eps_plus * etas    # Psi^(1) - (xi + alpha + eps+ eta)
     N_glob = max(float(np.max(np.abs(d - Q.eval(etas)))), float(np.max(np.abs(psi1_dev))))
@@ -616,7 +668,7 @@ def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: Truncation
                   and abs(Q.a1) * s_plus + abs(Q.a2) * s_plus**2 <= 2 * N_glob + slack
                   and q_sup <= 3 * N_glob + slack)
     return {"witnesses": witnesses, "N_measured": N_glob, "Q_sup": q_sup,
-            "pass": passed, "newton_iters": iters, "newton_residual": res}
+            "pass": passed, **newton}
 
 
 # ---------------------------------------------------------------------------

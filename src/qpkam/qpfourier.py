@@ -317,18 +317,21 @@ def shift_order(amps: np.ndarray, kw: np.ndarray, delta: float) -> int | None:
     return None
 
 
-def grid_shift_cheb(coeffs: np.ndarray, omega: np.ndarray, N: int, c: float,
+def grid_shift_cheb(coeffs: np.ndarray, omega: np.ndarray, theta, c: float,
                     delta: float) -> np.ndarray | None:
-    """Chebyshev coefficients in d of a mode box (trailing axes kept) on
-    theta_grid(N, n) + omega*d, for d in [c - delta, c + delta].
+    """Chebyshev coefficients in d of a mode box (trailing axes kept) at
+    theta + omega*d, for d in [c - delta, c + delta].
 
-    Each mode's phase e^{i<k,omega>(c + delta t)} is fitted at t =
-    cheb_nodes(M) on the mode box, and one batched synthesis of the box times
-    those fits gives the result, shape (N^n,) + trailing + (M+1,), which the
-    callers evaluate at (d - c)/delta.  M =
-    shift_order with one column per entry of the last trailing axis (a strip
-    of a stack), amplitudes summed over the other trailing axes, so on real d
-    each column's error is below SHIFT_TOL * its own sum|f_k|.  None
+    theta is an int N, meaning the P = N^n points of theta_grid(N, n) in
+    flattened order, or real scattered points of shape (n, P), as in
+    eval_strip_stack.  Each mode's phase e^{i<k,omega>(c + delta t)} is
+    fitted at t = cheb_nodes(M) on the mode box, and one batched synthesis
+    (grid) or one eval_modes call (scattered) of the box times those fits
+    gives the result, shape (P,) + trailing + (M+1,), which the callers
+    evaluate at (d - c)/delta.  M = shift_order with one column per entry of
+    the last trailing axis (a strip of a stack), amplitudes summed over the
+    other trailing axes; the bound holds mode by mode, so at every point and
+    real d each column's error is below SHIFT_TOL * its own sum|f_k|.  None
     (evaluate directly) for a non-finite c or delta or an order above
     SHIFT_MAX_ORDER.
     """
@@ -343,7 +346,9 @@ def grid_shift_cheb(coeffs: np.ndarray, omega: np.ndarray, N: int, c: float,
         return None
     phase = cheb_fit_last_axis(np.exp(1j * np.multiply.outer(kw, c + delta * cheb_nodes(M))), M)
     boxes = coeffs[..., None] * phase.reshape(kw.shape + (1,) * len(trailing) + (M + 1,))
-    return synthesize_grid(boxes, n, N).reshape((N**n,) + trailing + (M + 1,))
+    if isinstance(theta, (int, np.integer)):
+        return synthesize_grid(boxes, n, theta).reshape((theta**n,) + trailing + (M + 1,))
+    return eval_modes(boxes, theta).real
 
 
 def _eval_shifted(coeffs, omega, N, d, cheb, c, delta) -> np.ndarray:
@@ -657,12 +662,6 @@ class StripFunction:
         kw = k_dot_omega(self.K, self.freq.vec)
         return StripFunction(self.freq, self.domain, self.coeffs * (1j * kw[..., None]))
 
-    def dy(self) -> "StripFunction":
-        der = npcheb.chebder(np.moveaxis(self.coeffs, -1, 0), axis=0) / self.domain.s
-        out = np.zeros_like(self.coeffs)
-        out[..., : der.shape[0]] = np.moveaxis(der, 0, -1)
-        return StripFunction(self.freq, self.domain, out)
-
     def shift_x(self, a: float) -> "StripFunction":
         kw = k_dot_omega(self.K, self.freq.vec)
         return StripFunction(self.freq, self.domain,
@@ -708,9 +707,10 @@ _grid_logs: list = []
 
 @contextmanager
 def grid_eval_log():
-    """Collect, over the block, the node slices evaluated on the grid path of
-    eval_strip_stack, the largest Chebyshev order in the displacement d that
-    its grid_shift_cheb calls used, the node slices evaluated directly
+    """Collect, over the block, the node slices served by the grid_shift_cheb
+    calls of eval_strip_stack's grid path and of kam's pullback Newton (each
+    reported through log_shift_build), the largest Chebyshev order in the
+    displacement d that those calls used, the node slices evaluated directly
     instead (fallbacks) and the largest discarded band of analyze."""
     log = {"nodes": 0, "max_order": 0, "fallbacks": 0, "band": 0.0}
     _grid_logs.append(log)
@@ -718,6 +718,16 @@ def grid_eval_log():
         yield log
     finally:
         _grid_logs.remove(log)
+
+
+def log_shift_build(nodes: int, cheb: np.ndarray | None) -> None:
+    """Count one grid_shift_cheb result serving `nodes` node slices in every
+    active grid_eval_log; a None result (direct evaluation) counts them as
+    fallbacks."""
+    for log in _grid_logs:
+        log["nodes"] += nodes
+        log["fallbacks"] += nodes if cheb is None else 0
+        log["max_order"] = max(log["max_order"], 0 if cheb is None else cheb.shape[-1] - 1)
 
 
 def sample_strip_stack(strips, N: int, ys=None, shift=0.0) -> np.ndarray:
@@ -740,9 +750,10 @@ def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:
 
     theta_pts is either scattered points of shape (n, P) or an int N, meaning
     the P = N^n points of theta_grid(N, n) in flattened order.  y_pts and disp
-    broadcast to (P,) or to (P, nodes).  Returns shape (P,) + node shape +
-    (len(strips),).  Real inputs give real values, summed in float64 on the
-    grid path.
+    are each a scalar, a (P,) array (one value per point, the same in every
+    node column) or a (P,) + node shape array; the first axis is always the
+    points.  Returns shape (P,) + node shape + (len(strips),).  Real inputs
+    give real values, summed in float64 on the grid path.
 
     Grid: one grid_shift_cheb call on the stacked strips (one synthesis,
     whatever the number of nodes) interpolates in d over [c - delta, c +
@@ -765,6 +776,9 @@ def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:
     disp = np.asarray(disp)
     nodes = np.broadcast_shapes(t.shape[1:], disp.shape[1:])
     Q = math.prod(nodes)
+    # a (P,) array keeps its values on the points axis, not the node axis
+    t, disp = (x.reshape(x.shape + (1,) * (len(nodes) + 1 - x.ndim)) if x.ndim else x
+               for x in (t, disp))
     d = np.broadcast_to(disp, (P,) + nodes).reshape(P, Q)
     real = all(np.isrealobj(a) for a in (theta_pts, y_pts, disp))
     cheb = None
@@ -773,10 +787,7 @@ def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:
             lo, hi = float(np.min(d)), float(np.max(d))
             c, delta = 0.5 * (hi + lo), 0.5 * (hi - lo)
             cheb = grid_shift_cheb(coeffs, omega, int(theta_pts), c, delta)
-        for log in _grid_logs:
-            log["nodes"] += Q
-            log["fallbacks"] += Q if cheb is None else 0
-            log["max_order"] = max(log["max_order"], 0 if cheb is None else cheb.shape[-1] - 1)
+        log_shift_build(Q, cheb)
     ty = npcheb.chebvander(np.broadcast_to(t, (P,) + nodes), J).reshape(P, Q, J + 1)
     if cheb is not None:        # the sum in y on (P, Q, m, M+1), then the sum in d
         M = cheb.shape[-1] - 1

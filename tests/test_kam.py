@@ -6,8 +6,9 @@ import time
 import numpy as np
 import pytest
 from conftest import eval_xy, symmetrized
+from numpy.polynomial import chebyshev as npcheb
 
-from qpkam import cohomology
+from qpkam import cohomology, kam
 from qpkam import qpfourier as qp
 from qpkam.diophantine import certify_frequency, sample_admissible
 from qpkam.errors import NoIntersectionWitness, NotConverged, RootFindFailed, SmoothnessTooLow
@@ -17,6 +18,7 @@ from qpkam.kam import (
     LevelContext,
     NormalizedMap,
     TruncationPolynomial,
+    _pullback_grid,
     build_schedule,
     compose_conjugacy,
     inductive_step,
@@ -36,6 +38,7 @@ FREQ = certify_frequency((1.0, GOLDEN), 30, 2.0)
 ALPHA = sample_admissible(FREQ, 0.1, 2.5, (0.3, 1.1), K=30, count=200, seed=2).accepted[3]
 MODES = [((1, 0), 0.55), ((0, 1), 0.45), ((1, 1), 0.15)]
 STRIP = (ALPHA.alpha - 0.8, ALPHA.alpha + 0.8)
+OMEGAS = {1: (1.0,), 2: (1.0, GOLDEN), 3: (1.0, math.sqrt(2.0), math.sqrt(3.0))}
 
 
 def make_schedule(**kw):
@@ -281,13 +284,13 @@ def test_step_bilipschitz_sample():
 # solve-back
 # ---------------------------------------------------------------------------
 
-def small_conjugacy(dom, K=4, J=3, amp=2e-4, L=1.0, seed=0):
+def small_conjugacy(dom, K=4, J=3, amp=2e-4, L=1.0, seed=0, freq=FREQ):
     rng = np.random.default_rng(seed)
-    shape = (2 * K + 1,) * 2 + (J + 1,)
+    shape = (2 * K + 1,) * freq.n + (J + 1,)
     mk = lambda: symmetrized(StripFunction(
-        FREQ, dom,
+        freq, dom,
         (amp * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-         * np.exp(-qp.k1_norms(K, 2))[..., None] * 0.3 ** np.arange(J + 1))
+         * np.exp(-qp.k1_norms(K, freq.n))[..., None] * 0.3 ** np.arange(J + 1))
     ))
     return ConjugacyMap(mk(), mk(), L, 1.0 - 1e-3)
 
@@ -330,8 +333,6 @@ def test_solve_back_identity_conjugacy():
 def push_forward(Z: ConjugacyMap, H: NormalizedMap, dom: StripDomain,
                  K: int | None = None, J: int | None = None) -> NormalizedMap:
     """A = Z o H o Z^{-1} assembled on the collocation grid (forward oracle)."""
-    from qpkam.kam import _pullback_grid
-
     freq = H.fx.freq
     K = 3 * H.fx.K if K is None else K
     J = 2 * H.fx.J if J is None else J
@@ -343,10 +344,10 @@ def push_forward(Z: ConjugacyMap, H: NormalizedMap, dom: StripDomain,
     fy_vals = np.empty((N, N, J + 1))
     for j, y in enumerate(ys):
         # eta = Z^{-1}(grid point)
-        a, ey, _, _ = _pullback_grid(Z, thf, np.zeros(thf.shape[1]),
-                                     np.full(thf.shape[1], y),
-                                     np.zeros(thf.shape[1]), np.full(thf.shape[1], y),
-                                     1e-14)
+        a, ey, _ = _pullback_grid(Z, thf, np.zeros(thf.shape[1]),
+                                  np.full(thf.shape[1], y),
+                                  np.zeros(thf.shape[1]), np.full(thf.shape[1], y),
+                                  1e-14)
         th_eta = thf + np.multiply.outer(freq.vec, a)
         hv = eval_strip_stack([H.fx, H.fy], th_eta, ey)
         h_disp = H.alpha + H.twist * ey + hv[..., 0]
@@ -362,11 +363,125 @@ def push_forward(Z: ConjugacyMap, H: NormalizedMap, dom: StripDomain,
     return NormalizedMap(H.alpha, H.twist, fx, fy, dom)
 
 
+def pullback_oracle(Z, thf, targets_theta_disp, targets_y, seeds_disp, seeds_y, tol):
+    """kam._pullback_grid by direct evaluation at every step: the values of Z
+    by Z.values_at and its Jacobian [[1+Px, Py], [Sx, L+Sy]] from the four
+    derivative strips, on scattered points thf (n, P); returns the solution
+    and the Newton steps taken."""
+    def dy(f):
+        der = npcheb.chebder(f.coeffs, axis=-1) / f.domain.s
+        out = np.zeros_like(f.coeffs)
+        out[..., :der.shape[-1]] = der
+        return StripFunction(f.freq, f.domain, out)
+
+    strips = [Z.P.dx(), dy(Z.P), Z.S.dx(), dy(Z.S)]
+    a, yv = seeds_disp.copy(), seeds_y.copy()
+    for it in range(40):
+        P, Zy = Z.values_at(thf, yv, a)
+        r1 = (a + P) - targets_theta_disp
+        r2 = Zy - targets_y
+        if max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))) < tol:
+            return a, yv, it
+        jac = eval_strip_stack(strips, thf, yv, a)
+        j11, j12, j21, j22 = 1.0 + jac[..., 0], jac[..., 1], jac[..., 2], Z.L + jac[..., 3]
+        det = j11 * j22 - j12 * j21
+        a = a - (j22 * r1 - j12 * r2) / det
+        yv = yv - (-j21 * r1 + j11 * r2) / det
+    raise AssertionError("the oracle's Newton did not converge")
+
+
+def pullback_case(n, grid, seeds="spread", K=3, J=3, amp=1e-4, seed=0):
+    """A near-identity Z on n frequencies with targets near the seeds: the
+    seeds spread over 0.3 + 0.02 * (node index), or all equal 0.3."""
+    freq = qp.Frequency(OMEGAS[n])
+    dom = StripDomain(0.5, 0.01)
+    Z = small_conjugacy(dom, K=K, J=J, amp=amp, seed=seed, freq=freq)
+    N = qp.default_grid(K) if n < 3 else 8
+    thf = N if grid else qp.theta_grid(N, n).reshape(n, -1)[:, ::5]
+    P = N**n if grid else thf.shape[1]
+    ys = dom.s * qp.cheb_nodes(J)
+    rng = np.random.default_rng(seed + 1)
+    spread = 0.02 * np.arange(J + 1) if seeds == "spread" else np.zeros(J + 1)
+    seed_disp = np.broadcast_to(0.3 + spread, (P, J + 1)).copy()
+    seed_y = np.broadcast_to(ys, (P, J + 1)).copy()
+    t_disp = seed_disp + 1e-4 * rng.standard_normal((P, J + 1))
+    t_y = seed_y + 1e-4 * rng.standard_normal((P, J + 1))
+    points = qp.theta_grid(N, n).reshape(n, -1) if grid else thf
+    return Z, thf, points, (t_disp, t_y, seed_disp, seed_y)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seeds", ["spread", "equal"])
+@pytest.mark.parametrize("grid", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pullback_matches_direct_oracle(n, grid, seeds):
+    # one interpolant per solve (values and Jacobian) against direct
+    # evaluation at every step; equal seeds are the zero-width case
+    Z, thf, points, args = pullback_case(n, grid, seeds)
+    a, yv, newton = _pullback_grid(Z, thf, *args, 1e-13)
+    a_ref, yv_ref, iters_ref = pullback_oracle(Z, points, *args, 1e-13)
+    assert newton["newton_iters"] == iters_ref > 0
+    assert newton["newton_residual"] < 1e-13
+    assert np.max(np.abs(a - a_ref)) <= 1e-13 and np.max(np.abs(yv - yv_ref)) <= 1e-13
+    if seeds == "spread":
+        assert newton["newton_builds"] == 1
+
+
+def counted(monkeypatch, name):
+    """Record the results of kam's binding of a qpfourier function."""
+    results = []
+    fn = getattr(kam, name)
+    monkeypatch.setattr(kam, name, lambda *args: results.append(fn(*args)) or results[-1])
+    return results
+
+
+def test_pullback_builds_once(monkeypatch):
+    builds = counted(monkeypatch, "grid_shift_cheb")
+    Z, thf, _, args = pullback_case(2, True)
+    with qp.grid_eval_log() as log:
+        _, _, newton = _pullback_grid(Z, thf, *args, 1e-13)
+    assert newton["newton_iters"] > 0
+    assert len(builds) == newton["newton_builds"] == 1
+    M = builds[0].shape[-1] - 1
+    assert log == {"nodes": 4, "max_order": M, "fallbacks": 0, "band": 0.0}
+
+
+def test_pullback_rebuilds_outside_the_doubled_interval(monkeypatch):
+    # the targets sit 0.5 beyond seeds spread over 0.06: the first step
+    # leaves [c - delta, c + delta] and the interpolant is built again
+    builds = counted(monkeypatch, "grid_shift_cheb")
+    Z, thf, points, (t_disp, t_y, seed_disp, seed_y) = pullback_case(2, False)
+    args = (t_disp + 0.5, t_y, seed_disp, seed_y)
+    a, yv, newton = _pullback_grid(Z, thf, *args, 1e-13)
+    assert len(builds) == newton["newton_builds"] == 2
+    assert builds[1].shape == builds[0].shape[:-1] + builds[1].shape[-1:]
+    a_ref, yv_ref, iters_ref = pullback_oracle(Z, points, *args, 1e-13)
+    assert newton["newton_iters"] == iters_ref
+    assert np.max(np.abs(a - a_ref)) <= 1e-13 and np.max(np.abs(yv - yv_ref)) <= 1e-13
+
+
+def test_pullback_evaluates_directly_above_the_order_cap(monkeypatch):
+    # seeds spread over W * delta of about 60: no order up to SHIFT_MAX_ORDER
+    # meets the bound, so each step is one eval_modes call on [P, S, P.dx, S.dx]
+    builds = counted(monkeypatch, "grid_shift_cheb")
+    evals = counted(monkeypatch, "eval_modes")
+    Z, thf, points, (t_disp, t_y, seed_disp, seed_y) = pullback_case(2, False)
+    widen = 2.0 * np.arange(seed_disp.shape[1])
+    args = (t_disp + widen, t_y, seed_disp + widen, seed_y)
+    with qp.grid_eval_log() as log:
+        a, yv, newton = _pullback_grid(Z, thf, *args, 1e-13)
+    steps = newton["newton_iters"] + 1
+    assert newton["newton_builds"] == 0 and builds == [None] * steps
+    assert len(evals) == steps and all(v.shape[-1] == 4 for v in evals)
+    assert log["fallbacks"] == log["nodes"] == 4 * steps and log["max_order"] == 0
+    a_ref, yv_ref, iters_ref = pullback_oracle(Z, points, *args, 1e-13)
+    assert newton["newton_iters"] == iters_ref > 0
+    assert np.max(np.abs(a - a_ref)) <= 1e-13 and np.max(np.abs(yv - yv_ref)) <= 1e-13
+
+
 def test_pullback_singular_jacobian_raises():
     # Z(x, y) = (x, y - y (1 + cos x) / 2): d(Z_y)/dy = (1 - cos x) / 2 vanishes
     # at the grid point x = 0 and nowhere else on the grid
-    from qpkam.kam import _pullback_grid
-
     freq = qp.Frequency((1.0,))
     dom = StripDomain(0.5, 1.0)
     S = np.zeros((3, 2), dtype=complex)
@@ -375,7 +490,9 @@ def test_pullback_singular_jacobian_raises():
                      1.0, 1.0)
     thf = qp.theta_grid(8, 1).reshape(1, -1)
     zeros = np.zeros(thf.shape[1])
-    _, _, _, j22 = Z.jacobian_at(thf, zeros)
+    j22 = (1.0 - np.cos(thf[0])) / 2.0
+    _, Zy = Z.values_at(thf, zeros + 1.0)     # Z_y is linear in y: Z_y(x, 1) = j22
+    np.testing.assert_allclose(Zy, j22, rtol=0.0, atol=1e-15)
     assert abs(j22[0]) < 1e-14 and np.min(np.abs(j22[1:])) > 0.1
     with pytest.raises(RootFindFailed) as info:
         _pullback_grid(Z, thf, zeros, zeros + 0.1, zeros, zeros, 1e-12)
@@ -385,8 +502,6 @@ def test_pullback_singular_jacobian_raises():
 @pytest.mark.parametrize("grid", [True, False])
 def test_pullback_grid_node_axis_matches_per_node_calls(grid):
     # a (P, nodes) solve agrees with one (P,) solve per node column
-    from qpkam.kam import _pullback_grid
-
     dom = StripDomain(0.5, 0.01)
     Z = small_conjugacy(dom, seed=3, amp=1e-4)
     N = qp.default_grid(Z.P.K)
@@ -398,13 +513,13 @@ def test_pullback_grid_node_axis_matches_per_node_calls(grid):
     t_y = ys + 1e-4 * rng.standard_normal((P, ys.size))
     seed_disp = np.full((P, ys.size), 0.3)
     seed_y = np.broadcast_to(ys, (P, ys.size))
-    a, yv, iters, res = _pullback_grid(Z, thf, t_disp, t_y, seed_disp, seed_y, 1e-13)
+    a, yv, newton = _pullback_grid(Z, thf, t_disp, t_y, seed_disp, seed_y, 1e-13)
     assert a.shape == yv.shape == (P, ys.size)
-    assert 0 < iters < 40 and res < 1e-13
+    assert 0 < newton["newton_iters"] < 40 and newton["newton_residual"] < 1e-13
     for j in range(ys.size):
-        aj, yj, iters_j, _ = _pullback_grid(Z, thf, t_disp[:, j], t_y[:, j],
-                                            seed_disp[:, j], seed_y[:, j], 1e-13)
-        assert iters_j <= iters
+        aj, yj, newton_j = _pullback_grid(Z, thf, t_disp[:, j], t_y[:, j],
+                                          seed_disp[:, j], seed_y[:, j], 1e-13)
+        assert newton_j["newton_iters"] <= newton["newton_iters"]
         assert np.max(np.abs(a[:, j] - aj)) <= 1e-13
         assert np.max(np.abs(yv[:, j] - yj)) <= 1e-13
 
@@ -561,6 +676,8 @@ def test_run_acceptance_instance():
         # the pullback Newton of the bound: at most 40 steps, to its tolerance
         assert 0 <= rec["intersection"]["newton_iters"] < 40
         assert rec["intersection"]["newton_residual"] < 1e-12 * (1.0 + ALPHA.alpha)
+        # each pullback Newton solves on one interpolant
+        assert rec["intersection"]["newton_builds"] == rec["solve_back"]["newton_builds"] == 1
     # the collocation grid drops no resolved mass here: no aliasing to guard
     assert all(rec["evaluator"]["band"] <= 1e-12 for rec in out.trace)
 

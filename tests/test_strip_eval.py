@@ -235,6 +235,30 @@ def test_node_sliced_evaluator_matches_eval_xy(seed, n, K, J, P, nodes):
     assert err <= 1e-11 * (1.0 + np.max(np.abs(flat)))
 
 
+@pytest.mark.parametrize("per_point", ["disp", "y"])
+@pytest.mark.parametrize("P,nodes", [(5, 3), (4, 4)])
+def test_points_axis_array_matches_per_point_oracle(P, nodes, per_point):
+    # a (P,) disp or y_pts next to a (P, nodes) array holds one value per
+    # point, the same in every node column; P = nodes must not align it with
+    # the node axis instead
+    rng = np.random.default_rng(P + nodes)
+    f, g = random_strip(rng, 2, 3, 3), random_strip(rng, 2, 3, 3)
+    x = rng.uniform(0.0, 40.0, P)
+    disp = rng.uniform(-0.5, 0.5, (P, nodes))
+    y = rng.uniform(-f.domain.s, f.domain.s, (P, nodes))
+    if per_point == "disp":
+        disp = disp[:, 0]
+    else:
+        y = y[:, 0]
+    got = eval_strip_stack([f, g], np.multiply.outer(f.freq.vec, x), y, disp)
+    assert got.shape == (P, nodes, 2)
+    disp_pq, y_pq = (np.broadcast_to(v.reshape(P, -1), (P, nodes)) for v in (disp, y))
+    for p, q in itertools.product(range(P), range(nodes)):
+        for m, h in enumerate((f, g)):
+            want = eval_xy(h, np.array([x[p] + disp_pq[p, q]]), y_pq[p, q])[0].real
+            assert abs(got[p, q, m] - want) <= 1e-12 * (1.0 + abs(want))
+
+
 @PROPS
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2), K=st.integers(0, 4),
        batch=st.integers(1, 3), rho=st.sampled_from([0.0, 0.05, 0.3, 1.0]))
@@ -395,9 +419,10 @@ def test_grid_path_bounds_each_strip():
 @PROPS
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(0, 4),
        N=st.integers(2, 12), trailing=TRAILING, spread=st.floats(0.0, 8.0),
-       c=st.floats(-3.0, 3.0))
-def test_shift_interpolant_matches_direct_oracle(seed, n, K, N, trailing, spread, c):
-    # N ranges below 2K+1 as well: those boxes are synthesized on a multiple of N
+       c=st.floats(-3.0, 3.0), scattered=st.booleans())
+def test_shift_interpolant_matches_direct_oracle(seed, n, K, N, trailing, spread, c, scattered):
+    # N ranges below 2K+1 as well: those boxes are synthesized on a multiple
+    # of N; scattered points go through eval_modes instead of the synthesis
     if n == 3:
         N = min(N, 8)
     rng = np.random.default_rng(seed)
@@ -405,12 +430,13 @@ def test_shift_interpolant_matches_direct_oracle(seed, n, K, N, trailing, spread
     omega = np.array(OMEGAS[n])
     W = float(np.max(np.abs(qp.k_dot_omega(K, omega))))
     delta = spread / W if W > 0 else spread          # W*delta = spread
-    cheb = qp.grid_shift_cheb(coeffs, omega, N, c, delta)
-    assert cheb is not None and cheb.shape[:-1] == (N**n,) + trailing
+    theta = rng.uniform(0.0, 40.0, (n, N**n)) if scattered else qp.theta_grid(N, n).reshape(n, -1)
+    cheb = qp.grid_shift_cheb(coeffs, omega, theta if scattered else N, c, delta)
+    assert cheb is not None and cheb.shape[:-1] == (N**n,) + trailing and np.isrealobj(cheb)
     d = c + delta * rng.uniform(-1.0, 1.0, N**n)
     t = (d - c) / delta if delta > 0 else np.zeros_like(d)
     got = qp.cheb_eval_rows(cheb, t.reshape(t.shape + (1,) * len(trailing)))
-    want = qp.eval_modes(coeffs, qp.theta_grid(N, n).reshape(n, -1) + np.multiply.outer(omega, d))
+    want = qp.eval_modes(coeffs, theta + np.multiply.outer(omega, d))
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * (1.0 + np.sum(np.abs(coeffs)))
 
 
