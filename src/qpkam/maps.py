@@ -215,8 +215,13 @@ def image_curve(mp: QpPlanarMap, curve: CurveGraph, K_out: int | None = None) ->
 
 # d is scanned at 256 points of [0, 200); the witness bracket (200/256 wide)
 # shrinks by (BISECT_POINTS + 1)^BISECT_ROUNDS = 2^48: to 3e-15
+SCAN_POINTS = np.linspace(0.0, 200.0, 256, endpoint=False)
 BISECT_POINTS = 255
 BISECT_ROUNDS = 6
+# the area functional's quadrature points; AREA_GRID of them, evenly
+# spread, are the t and T nodes of its (t, T) grid
+AREA_POINTS = np.linspace(0.0, 120.0, 512)
+AREA_GRID = 64
 
 
 @dataclass
@@ -234,15 +239,21 @@ def intersection_witness(mp: QpPlanarMap, curve: CurveGraph) -> WitnessReport:
     |d| <= 1e-11 (1 + |psi|) everywhere counts as the trivial witness;
     otherwise the first sign change of d along increasing xi is reported.
     For declared exact symplectic maps the area functional Delta(t, T) is
-    evaluated on a grid and both signs are reported.
+    the integral of the same d; one d.eval call serves the scan points and
+    the area functional's quadrature points, and both signs are reported.
     """
     img = image_curve(mp, curve)
     r_orig = curve.r_of_theta()
     K = max(img.psi.K, r_orig.K)
+    # img.psi is already the image's radius over the angle; img.r_of_theta()
+    # would invert phi1, which is only the inversion's truncation residual
     d = img.psi.pad_to(K) - r_orig.pad_to(K)
+    exact = bool(mp.declared.get("exact_symplectic"))
+    xs = SCAN_POINTS
+    dv = d.eval(np.concatenate([xs, AREA_POINTS]) if exact else xs).real
+    area = _area_functional_signs(dv[xs.size:]) if exact else None
+    dv = dv[:xs.size]
     scale = 1.0 + curve.psi.norm_upper(0.0)
-    xs = np.linspace(0.0, 200.0, 256, endpoint=False)
-    dv = d.eval(xs).real
     found, xi_star, sign_change = False, None, False
     if float(np.max(np.abs(dv))) <= 1e-11 * scale:
         found, xi_star = True, float(xs[0])
@@ -259,29 +270,30 @@ def intersection_witness(mp: QpPlanarMap, curve: CurveGraph) -> WitnessReport:
                 j = int(flip[0]) + 1 if flip.size else BISECT_POINTS + 1
                 lo, hi = grid[j - 1], grid[j]
             found, xi_star, sign_change = True, float(0.5 * (lo + hi)), True
-    area = None
-    if mp.declared.get("exact_symplectic"):
-        # img.psi is already the image's radius over the angle (the same
-        # operand as in d); img.r_of_theta() would invert phi1, which is only
-        # the inversion's truncation residual
-        area = _area_functional_signs(r_orig, img.psi)
     return WitnessReport(found, xi_star, sign_change, area)
 
 
-def _area_functional_signs(r_orig: ShellFunction, r_img: ShellFunction):
-    """Range of Delta(t, T) = int_t^T (r1 dtheta1 - r dtheta) over a 64 x 64
-    grid of (t, T) in [0, 120].
+def _area_functional_signs(diff: np.ndarray):
+    """Range of Delta(t, T) = int_t^T (r1 dtheta1 - r dtheta) over the
+    AREA_GRID x AREA_GRID grid of (t, T) in [0, 120].
 
-    Evaluated through cumulative quadrature of the angle-parameterized radii
-    r_orig and r_img of the curve and its image, on 512 points.
+    diff holds the radial displacement d = r_img - r_orig between the image
+    and the curve, both parameterized by the angle, at AREA_POINTS; Delta is
+    its cumulative trapezoid quadrature there.
     """
-    n_grid = 64
-    ts = np.linspace(0.0, 120.0, n_grid * 8)
-    diff = r_img.eval(ts).real - r_orig.eval(ts).real
+    ts = AREA_POINTS
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (diff[1:] + diff[:-1]) * np.diff(ts))])
-    idx = np.linspace(0, len(ts) - 1, n_grid, dtype=int)
+    idx = np.linspace(0, len(ts) - 1, AREA_GRID, dtype=int)
     delta = cum[idx][None, :] - cum[idx][:, None]     # Delta(t_i, T_j)
     return float(np.min(delta)), float(np.max(delta))
+
+
+def _birkhoff_average(f: ShellFunction, g: ShellFunction) -> float:
+    """Mean of the product f g of two real shells: by Parseval, the sum of
+    f_k g_{-k} over the aligned mode boxes, which the grid mean of the
+    product on an alias-free grid equals up to roundoff."""
+    K = max(f.K, g.K)
+    return float(np.sum(f.pad_to(K).coeffs * np.flip(g.pad_to(K).coeffs)).real)
 
 
 def exactness_defect(mp: QpPlanarMap, curve: CurveGraph) -> float:
@@ -289,16 +301,11 @@ def exactness_defect(mp: QpPlanarMap, curve: CurveGraph) -> float:
     original curve, via shell-average quadrature in the original parameter
     (parameterization invariant, exact on the mode box; no inversion).
 
-    Each average is the grid mean of a product of two shells, on a grid
-    that holds the product's modes without aliasing.  Zero certifies
-    exactness on this curve; a radial flux c shows up as +c.
+    Each average is the mean of a product of two shells, the Parseval sum
+    of their coefficients (_birkhoff_average): no synthesis.  Zero
+    certifies exactness on this curve; a radial flux c shows up as +c.
     """
     u, r1 = forward_shells(mp, curve, max(4 * curve.phi.K, 16))
-
-    def average(f: ShellFunction, g: ShellFunction) -> float:
-        N = default_grid(f.K + g.K)
-        return float(np.mean(f.sample(N) * g.sample(N)))
-
-    avg_img = average(r1, u.derivative() + 1.0)
-    avg_orig = average(curve.psi, curve.phi.derivative() + 1.0)
+    avg_img = _birkhoff_average(r1, u.derivative() + 1.0)
+    avg_orig = _birkhoff_average(curve.psi, curve.phi.derivative() + 1.0)
     return avg_img - avg_orig

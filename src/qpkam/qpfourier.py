@@ -181,7 +181,7 @@ def default_grid(K: int) -> int:
     Its users: the shell algebra and strip sampling of this module
     (from_sampler, and compose_angle and invert_angle_map, whose shifted
     copies of this grid grid_shift_cheb synthesizes), smoothing, cohomology,
-    the shell compositions and Birkhoff averages in maps, and the sups of
+    the shell compositions in maps, and the sups of
     NormalizedMap.defect_sup and inductive_step.  The KAM collocation grids
     use kam.collocation_grid instead.
     """
@@ -192,14 +192,36 @@ def default_grid(K: int) -> int:
 EVAL_CHUNK = 2**15
 
 
+def _powers(z: np.ndarray, out: np.ndarray) -> None:
+    """out[k] = z^k for k = 0..len(out) - 1, by repeated multiplication: the
+    error of z^k grows like k ulps of |z|^k, where exp(1j * k * theta) first
+    rounds k * theta (an absolute error of k |theta| ulps)."""
+    out[0] = 1.0
+    for k in range(1, len(out)):
+        np.multiply(out[k - 1], z, out=out[k])
+
+
+def _phases(theta: np.ndarray, K: int) -> np.ndarray:
+    """e^{ik theta} for k = -K..K on a new first axis, from one exp per entry:
+    _powers of e^{i theta}, conjugated for k < 0 on real theta; complex theta,
+    where e^{-ik theta} != conj(e^{ik theta}), takes _powers of e^{-i theta}."""
+    out = np.empty((2 * K + 1,) + theta.shape, dtype=complex)
+    _powers(np.exp(1j * theta), out[K:])
+    if np.iscomplexobj(theta):
+        _powers(np.exp(-1j * theta), out[K::-1])
+    else:
+        np.conjugate(out[:K:-1], out=out[:K])
+    return out
+
+
 def eval_modes(coeffs: np.ndarray, theta_pts: np.ndarray) -> np.ndarray:
     """Evaluate a centered mode box at scattered torus points.
 
     theta_pts has shape (n, P); returns shape (P,) + trailing axes of coeffs.
     The points go in chunks whose first product (the first torus axis)
     holds at most EVAL_CHUNK complex values; later axes contract per point.
-    Real points take exp for k >= 0 only and its conjugate for k < 0; complex
-    points, where e^{-ik theta} != conj(e^{ik theta}), take the full table.
+    Each axis's phase table is _phases: one exp per point and axis (two on
+    complex points), its powers for |k| <= K.
     """
     n, P = theta_pts.shape
     K = (coeffs.shape[0] - 1) // 2
@@ -208,14 +230,10 @@ def eval_modes(coeffs: np.ndarray, theta_pts: np.ndarray) -> np.ndarray:
     out = np.empty((P, math.prod(coeffs.shape[n:])), dtype=complex)
     for lo in range(0, P, step):
         th = theta_pts[:, lo:lo + step]
-        if np.iscomplexobj(th):
-            phase = np.exp(1j * np.multiply.outer(th, np.arange(-K, K + 1)))
-        else:
-            half = np.exp(1j * np.multiply.outer(th, np.arange(K + 1)))
-            phase = np.concatenate([half[..., :0:-1].conj(), half], axis=-1)
-        res = phase[0] @ rows
+        phase = _phases(th, K)                 # (2K+1, n, points)
+        res = phase[:, 0].T @ rows
         for d in range(1, n):
-            res = (phase[d][:, None, :] @ res.reshape(th.shape[1], 2 * K + 1, -1))[:, 0]
+            res = (phase[:, d].T[:, None, :] @ res.reshape(th.shape[1], 2 * K + 1, -1))[:, 0]
         out[lo:lo + step] = res
     return out.reshape((P,) + coeffs.shape[n:])
 
@@ -317,6 +335,18 @@ def shift_order(amps: np.ndarray, kw: np.ndarray, delta: float) -> int | None:
     return None
 
 
+def _shift_phases(omega: np.ndarray, K: int, s: np.ndarray) -> np.ndarray:
+    """e^{i<k,omega>s} on the mode box |k|_inf <= K for real s, shape (2K+1,)*n
+    + s.shape: the product over the torus axes of the per-axis _phases of
+    omega_d * s, n * s.size exp calls instead of one per mode and entry."""
+    n = len(omega)
+    table = 1.0
+    for d in range(n):
+        axis = _phases(omega[d] * s, K)                # (2K+1,) + s.shape
+        table = table * axis.reshape((1,) * d + (2 * K + 1,) + (1,) * (n - 1 - d) + s.shape)
+    return table
+
+
 def grid_shift_cheb(coeffs: np.ndarray, omega: np.ndarray, theta, c: float,
                     delta: float) -> np.ndarray | None:
     """Chebyshev coefficients in d of a mode box (trailing axes kept) at
@@ -324,8 +354,9 @@ def grid_shift_cheb(coeffs: np.ndarray, omega: np.ndarray, theta, c: float,
 
     theta is an int N, meaning the P = N^n points of theta_grid(N, n) in
     flattened order, or real scattered points of shape (n, P), as in
-    eval_strip_stack.  Each mode's phase e^{i<k,omega>(c + delta t)} is
-    fitted at t = cheb_nodes(M) on the mode box, and one batched synthesis
+    eval_strip_stack.  Each mode's phase e^{i<k,omega>(c + delta t)}, taken
+    as the product of per-axis power tables (_shift_phases), is fitted at
+    t = cheb_nodes(M) on the mode box, and one batched synthesis
     (grid) or one eval_modes call (scattered) of the box times those fits
     gives the result, shape (P,) + trailing + (M+1,), which the callers
     evaluate at (d - c)/delta.  M = shift_order with one column per entry of
@@ -344,7 +375,7 @@ def grid_shift_cheb(coeffs: np.ndarray, omega: np.ndarray, theta, c: float,
     M = shift_order(amps, kw, delta) if math.isfinite(c) else None
     if M is None:
         return None
-    phase = cheb_fit_last_axis(np.exp(1j * np.multiply.outer(kw, c + delta * cheb_nodes(M))), M)
+    phase = cheb_fit_last_axis(_shift_phases(omega, K, c + delta * cheb_nodes(M)), M)
     boxes = coeffs[..., None] * phase.reshape(kw.shape + (1,) * len(trailing) + (M + 1,))
     if isinstance(theta, (int, np.integer)):
         return synthesize_grid(boxes, n, theta).reshape((theta**n,) + trailing + (M + 1,))

@@ -25,11 +25,15 @@ def shell_to_dict(f: ShellFunction) -> dict:
     return {"omega": list(f.freq.omega), "coeffs": entries}
 
 
-def shell_from_dict(d: dict, K: int | None = None) -> ShellFunction:
+def shell_from_dict(d: dict) -> ShellFunction:
+    """The shell of a shell_to_dict document, on the smallest box that holds
+    its entries; ValueError for an entry whose k has not n components."""
     freq = Frequency(tuple(d["omega"]))
     entries = d.get("coeffs", [])
-    if K is None:
-        K = max((max(abs(int(v)) for v in e["k"]) for e in entries), default=0)
+    for e in entries:
+        if len(e["k"]) != freq.n:
+            raise ValueError(f"coefficient k = {e['k']} needs {freq.n} components")
+    K = max((max(abs(int(v)) for v in e["k"]) for e in entries), default=0)
     coeffs = np.zeros((2 * K + 1,) * freq.n, dtype=complex)
     for e in entries:
         idx = tuple(int(v) + K for v in e["k"])

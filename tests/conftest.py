@@ -1,5 +1,5 @@
-"""Hypothesis profiles, and the helpers that only the tests use: fixtures and
-scattered strip evaluation, the paper's norm estimates for the cohomology solves, lower
+"""Hypothesis profiles, and the helpers that only the tests use: fixtures,
+scattered strip evaluation and the grid Birkhoff average, the paper's norm estimates for the cohomology solves, lower
 sup estimates on corner sheets, and C^p data with the smoothing-family fit.  Test modules
 import them with `from conftest import ...`.
 
@@ -47,6 +47,14 @@ def eval_xy(f, x, y):
     theta = np.multiply.outer(f.freq.vec, x_arr.ravel())
     y_arr = np.broadcast_to(np.asarray(y, dtype=complex), x_arr.shape).ravel()
     return qp.eval_strip_stack([f], theta, y_arr)[..., 0].reshape(x_arr.shape)
+
+
+def grid_average(f, g):
+    """Grid mean of the product of two real ShellFunctions on default_grid(f.K
+    + g.K), a grid that holds the product's modes without aliasing: the
+    Birkhoff average by synthesis."""
+    N = qp.default_grid(f.K + g.K)
+    return float(np.mean(f.sample(N) * g.sample(N)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from conftest import grid_average, symmetrized
 
+from qpkam import maps
 from qpkam.errors import NotAGraph
 from qpkam.maps import (
+    AREA_POINTS,
     CurveGraph,
     QpPlanarMap,
     exactness_defect,
     flat_curve,
+    forward_shells,
     image_curve,
     intersection_witness,
     kicked_twist,
@@ -153,6 +157,50 @@ def test_witness_and_area_signs_for_exact_map():
     assert rep.found and rep.sign_change
     lo, hi = rep.area_signs
     assert lo < 0 < hi
+
+
+def two_eval_area_signs(r_orig, r_img):
+    """The area functional's range from separate evaluations of the two radii."""
+    diff = r_img.eval(AREA_POINTS).real - r_orig.eval(AREA_POINTS).real
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (diff[1:] + diff[:-1]) * np.diff(AREA_POINTS))])
+    idx = np.linspace(0, len(AREA_POINTS) - 1, 64, dtype=int)
+    delta = cum[idx][None, :] - cum[idx][:, None]
+    return float(np.min(delta)), float(np.max(delta))
+
+
+def test_area_signs_from_the_scan_evaluation_match_two_evaluations():
+    # the witness integrates its one evaluation of d = r_img - r_orig
+    rng = np.random.default_rng(7)
+    cases = [(kicked_twist(FREQ, 0.05, MODES), flat_curve(FREQ, 0.53))]
+    cases += [(kicked_twist(FREQ, 0.03, MODES + [((1, 1), 0.2)]), random_curve(rng))
+              for _ in range(4)]
+    for mp, curve in cases:
+        rep = intersection_witness(mp, curve)
+        want = two_eval_area_signs(curve.r_of_theta(), image_curve(mp, curve).psi)
+        assert rep.area_signs is not None
+        assert np.max(np.abs(np.subtract(rep.area_signs, want))) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_parseval_average_matches_the_grid_mean(n):
+    freq = Frequency((1.0, math.sqrt(2.0), math.sqrt(3.0))[:n])
+    rng = np.random.default_rng(n)
+    for Kf, Kg in ((0, 3), (4, 2), (5, 5)):
+        f, g = (symmetrized(ShellFunction(freq, rng.standard_normal((2 * K + 1,) * n)
+                                          + 1j * rng.standard_normal((2 * K + 1,) * n)))
+                for K in (Kf, Kg))
+        bound = 1e-15 * np.sum(np.abs(f.coeffs)) * np.sum(np.abs(g.coeffs))
+        assert abs(maps._birkhoff_average(f, g) - grid_average(f, g)) <= bound
+
+
+def test_exactness_defect_matches_the_grid_averages():
+    mp = kicked_twist(FREQ, 0.02, MODES, flux=3.7e-3)
+    rng = np.random.default_rng(9)
+    for curve in (flat_curve(FREQ, 0.6), random_curve(rng)):
+        u, r1 = forward_shells(mp, curve, max(4 * curve.phi.K, 16))
+        want = (grid_average(r1, u.derivative() + 1.0)
+                - grid_average(curve.psi, curve.phi.derivative() + 1.0))
+        assert exactness_defect(mp, curve) == pytest.approx(want, abs=1e-15)
 
 
 def test_exact_maps_always_witness_random_curves():

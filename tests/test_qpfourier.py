@@ -400,6 +400,28 @@ def test_serialization_round_trip():
         shell_from_dict({"omega": doc["omega"], "coeffs": [{"k": [0, 1], "re": 0.5, "im": 0.0}]})
 
 
+def test_serialization_box_holds_every_entry():
+    # the box comes from the entries alone: no K argument can wrap k = -3
+    # into the k = +2 slot of a K = 2 box or drop k = +3 with an IndexError
+    from qpkam.serialize import shell_from_dict, shell_to_dict
+
+    f = ShellFunction.from_modes(FREQ2, {(3, -1): 0.25 - 0.5j, (0, 2): 0.125}, K=3)
+    doc = shell_to_dict(f)
+    assert np.array_equal(shell_from_dict(doc).coeffs, f.coeffs)
+    with pytest.raises(TypeError):
+        shell_from_dict(doc, K=2)
+
+
+@pytest.mark.parametrize("k", [[0], [0, 0, 0], []])
+def test_serialization_rejects_k_of_the_wrong_length(k):
+    # at n = 2 a one-component k = [0] would fill the whole k_1 = 0 row
+    from qpkam.serialize import shell_from_dict
+
+    doc = {"omega": list(FREQ2.omega), "coeffs": [{"k": k, "re": 0.25, "im": 0.0}]}
+    with pytest.raises(ValueError, match="needs 2 components"):
+        shell_from_dict(doc)
+
+
 def test_invert_then_compose_three_frequencies_wide_spread(monkeypatch):
     # n = 3 with W*delta about 7 (W = max|<k,omega>| over the K 8 box): far
     # wider than the displacement spreads that eval_strip_stack interpolates

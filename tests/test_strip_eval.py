@@ -104,12 +104,14 @@ def test_eval_modes_matches_explicit_sum(seed, n, K, P, trailing, imag, chunk):
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * bound
 
 
-def full_table_eval(coeffs, theta):
-    """eval_modes with e^{ik theta} from exp for every k = -K..K, in one chunk."""
+def extended_eval(coeffs, theta):
+    """The mode sum with e^{ik theta} in np.clongdouble from the same float64
+    theta: k * theta (53 + 3 bits for |k| <= 6) is exact in the 64-bit
+    mantissa, so only the extended exp and sums round."""
     n, P = theta.shape
     K = (coeffs.shape[0] - 1) // 2
-    phase = np.exp(1j * np.multiply.outer(theta, np.arange(-K, K + 1)))
-    res = phase[0] @ coeffs.reshape(2 * K + 1, -1)
+    phase = np.exp(1j * np.multiply.outer(theta.astype(np.longdouble), np.arange(-K, K + 1)))
+    res = phase[0] @ coeffs.astype(np.clongdouble).reshape(2 * K + 1, -1)
     for d in range(1, n):
         res = (phase[d][:, None, :] @ res.reshape(P, 2 * K + 1, -1))[:, 0]
     return res.reshape((P,) + coeffs.shape[n:])
@@ -118,14 +120,38 @@ def full_table_eval(coeffs, theta):
 @PROPS
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(0, 6),
        P=st.integers(1, 40), trailing=TRAILING, scale=st.sampled_from([1.0, 1e3, 1e6]))
-def test_eval_modes_half_table_is_bitwise_the_full_table(seed, n, K, P, trailing, scale):
-    # on real points k < 0 is the conjugate of k > 0; P stays within one chunk,
-    # so the products are the same as the oracle's
+def test_eval_modes_power_table_meets_the_extended_oracle(seed, n, K, P, trailing, scale):
+    # powers of one exp per point and axis lose about k ulps at mode k,
+    # whatever |theta| is; an exp of the rounded k * theta loses k |theta| ulps
     rng = np.random.default_rng(seed)
     coeffs = random_box(rng, n, K, trailing)
-    P = min(P, qp.EVAL_CHUNK // coeffs[0].size)
     theta = scale * rng.uniform(-qp.TWO_PI, qp.TWO_PI, (n, P))
-    np.testing.assert_array_equal(qp.eval_modes(coeffs, theta), full_table_eval(coeffs, theta))
+    err = np.max(np.abs(qp.eval_modes(coeffs, theta) - extended_eval(coeffs, theta)),
+                 initial=0.0)
+    assert err <= (K + 1) * n * 2.0**-52 * np.sum(np.abs(coeffs))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_shift_phases_match_the_mode_phase_exp(n):
+    # grid_shift_cheb's separable table against exp(1j * <k,omega> * s), and
+    # the interpolant built on each table
+    rng = np.random.default_rng(n)
+    K, omega = 5, np.array(OMEGAS[n])
+    kw = qp.k_dot_omega(K, omega)
+    s = rng.uniform(-4.0, 4.0, 9)
+    want = np.exp(1j * np.multiply.outer(kw, s))
+    got = qp._shift_phases(omega, K, s)
+    assert got.shape == want.shape
+    scale = 1.0 + float(np.max(np.abs(np.multiply.outer(kw, s))))
+    assert np.max(np.abs(got - want)) <= 4 * (K + 1) * n * 2.0**-52 * scale
+    coeffs = hermitian_box(rng, n, K, (2,))
+    cheb = qp.grid_shift_cheb(coeffs, omega, 6, 0.5, 0.4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp, "_shift_phases",
+                   lambda om, K, s: np.exp(1j * np.multiply.outer(qp.k_dot_omega(K, om), s)))
+        oracle = qp.grid_shift_cheb(coeffs, omega, 6, 0.5, 0.4)
+    assert cheb is not None and cheb.shape == oracle.shape
+    assert np.max(np.abs(cheb - oracle)) <= 1e-14 * np.sum(np.abs(coeffs))
 
 
 @PROPS
