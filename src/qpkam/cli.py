@@ -1,10 +1,14 @@
-"""Command-line front end: certify | solve | diagnose | schedule.
+"""Command-line front end: certify | solve | diagnose | schedule | diophantine.
 
-All reports are JSON (CSV only for plot-ready curve samples); identical
-config + seed reproduce byte-identical outputs, with timestamps kept in a
-separate metadata file.  Exit codes: 0 ok, 1 config/parse error, 2 Diophantine
-rejection (ResonantFrequency, NoneAdmissible or a rejected rotation number),
-3 not converged or another numerical failure (NotAGraph, NoConvergence, ...).
+The input is a JSON config file, or the diophantine flags.  One walk, _check,
+checks it against one Schema per config object (CONFIG, MAP, MODE, CURVE)
+and raises one ValueError naming the field; the rules that join fields are
+in ExperimentConfig.load and maps.check_model_config.  All reports are JSON
+(CSV only for plot-ready curve samples); identical config + seed reproduce
+byte-identical outputs, with timestamps kept in a separate metadata file.
+Exit codes: 0 ok, 1 config/parse error, 2 Diophantine rejection
+(ResonantFrequency, NoneAdmissible or a rejected rotation number), 3 not
+converged or another numerical failure (NotAGraph, NoConvergence, ...).
 """
 
 import argparse
@@ -37,15 +41,15 @@ from .maps import (
 )
 from .qpfourier import Frequency, ShellFunction
 
-# fields checked for type by ExperimentConfig.load in the config and in its
-# map, map.modes and curves objects (bools are not numbers)
-INT_FIELDS = ("K", "K_trunc", "J", "k_max", "seed", "sample_count")
-FLOAT_FIELDS = ("gamma", "tau", "sigma0", "alpha", "p", "q", "tol", "y_scale",
-                "lambda", "flux", "c", "r0", "amp")
-PAIR_FIELDS = ("interval", "strip")
-NULLABLE_FIELDS = ("sigma0", "alpha", "q", "r0")
-# the keys of one curves entry (the map keys are maps.MODEL_KEYS)
-CURVE_KEYS = ("r0", "amp", "K")
+
+@dataclass(frozen=True)
+class Schema:
+    """The keys one config object may hold, each with its kind, and the keys
+    it must hold.  A kind is a (description, test) pair, a Schema for a
+    nested object, or [Schema] for a list of such objects."""
+
+    kinds: dict
+    required: tuple = ()
 
 
 def _is_int(value) -> bool:
@@ -53,14 +57,63 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """A finite int or float: JSON's NaN and Infinity are not numbers here."""
+    """An int or float that converts to a finite double: JSON's NaN and
+    Infinity, and an int beyond the largest double, are not numbers here."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
-def _is_list_of(value, item_ok, length: int | None = None) -> bool:
-    return (isinstance(value, list) and length in (None, len(value))
-            and all(map(item_ok, value)))
+INT = ("an integer", _is_int)
+COUNT = ("an integer >= 0", lambda v: _is_int(v) and v >= 0)
+NUMBER = ("a finite number", _is_number)
+NUMBER_OR_NULL = ("a finite number or null", lambda v: v is None or _is_number(v))
+PAIR = ("two finite numbers [a, b] with a < b",
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
+        and v[0] < v[1])
+MODE = Schema({"k": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+               "c": NUMBER}, required=("k",))
+# the union of the keys of maps.MODELS; check_model_config rejects those the
+# chosen model does not read
+MAP = Schema({"model": ("a string", lambda v: isinstance(v, str)), "lambda": NUMBER,
+              "flux": NUMBER, "c": NUMBER, "strip": PAIR, "modes": [MODE]})
+CURVE = Schema({"r0": NUMBER_OR_NULL, "amp": NUMBER, "K": INT})
+# the fields of ExperimentConfig; the diophantine flags are checked by it too
+CONFIG = Schema({
+    "omega": ("a nonempty list of finite numbers",
+              lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_number, v))),
+    "gamma": NUMBER, "tau": NUMBER, "interval": PAIR, "map": MAP,
+    "sigma0": NUMBER_OR_NULL, "K": INT, "alpha": NUMBER_OR_NULL, "sample_count": INT,
+    "p": NUMBER, "q": NUMBER_OR_NULL, "K_trunc": COUNT, "J": COUNT, "k_max": COUNT,
+    "tol": ("a finite number >= 0", lambda v: _is_number(v) and v >= 0),
+    "y_scale": ("a finite number > 0", lambda v: _is_number(v) and v > 0),
+    "seed": COUNT, "curves": [CURVE],
+}, required=("omega", "gamma", "tau", "interval"))
+
+
+def _check(obj, schema: Schema, where: str) -> None:
+    """Raise ValueError naming the first field of obj that schema rejects: a
+    missing or unknown key, or a value of the wrong kind.  where prefixes
+    the field names ("", "map.", "--" for flags)."""
+    name = where.rstrip(".") or "config"
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} must be an object, got {obj!r}")
+    missing = [key for key in schema.required if key not in obj]
+    if missing:
+        raise ValueError(f"{name} misses required keys {missing}")
+    unknown = set(obj) - set(schema.kinds)
+    if unknown:
+        raise ValueError(f"{name} has unknown keys {sorted(unknown)}")
+    for key, value in obj.items():
+        kind = schema.kinds[key]
+        if isinstance(kind, Schema):
+            _check(value, kind, f"{where}{key}.")
+        elif isinstance(kind, list):
+            if not isinstance(value, list):
+                raise ValueError(f"{where}{key} must be a list, got {value!r}")
+            for i, item in enumerate(value):
+                _check(item, kind[0], f"{where}{key}[{i}].")
+        elif not kind[1](value):
+            raise ValueError(f"{where}{key} must be {kind[0]}, got {value!r}")
 
 
 def _check_sigma0(sigma0, n: int) -> None:
@@ -71,23 +124,6 @@ def _check_sigma0(sigma0, n: int) -> None:
                          "vector is Diophantine with it")
 
 
-def _check_fields(obj, where: str) -> None:
-    """Type-check the INT_FIELDS, FLOAT_FIELDS and PAIR_FIELDS entries of one
-    config object; where names the object in messages ("" for the top level)."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where or 'config'} must be an object, got {obj!r}")
-    for key, value in obj.items():
-        name = f"{where}.{key}" if where else key
-        if value is None and key in NULLABLE_FIELDS:
-            continue
-        if key in INT_FIELDS and not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if key in FLOAT_FIELDS and not _is_number(value):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if key in PAIR_FIELDS and not (_is_list_of(value, _is_number, 2) and value[0] < value[1]):
-            raise ValueError(f"{name} must be two finite numbers [a, b] with a < b, got {value!r}")
-
-
 @dataclass
 class ExperimentConfig:
     """Parsed configuration; constraint relations are delegated to
@@ -96,7 +132,7 @@ class ExperimentConfig:
     omega: list
     gamma: float
     tau: float
-    interval: tuple
+    interval: list
     map: dict = field(default_factory=dict)
     sigma0: float | None = None
     K: int = 30
@@ -113,46 +149,19 @@ class ExperimentConfig:
     curves: list = field(default_factory=lambda: [{"r0": None, "amp": 0.0}])
 
     @staticmethod
-    def load(path: str) -> "ExperimentConfig":
+    def load(path: str, seed: int | None = None) -> "ExperimentConfig":
+        """The config of a JSON file, checked against CONFIG; seed, when
+        given, overrides the file's seed."""
         with open(path) as fh:
             raw = json.load(fh)
-        _check_fields(raw, "")
-        required = ["omega", "gamma", "tau", "interval"]
-        missing = [key for key in required if key not in raw]
-        if missing:
-            raise ValueError(f"config missing required keys: {missing}")
-        unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if not (_is_list_of(raw["omega"], _is_number) and raw["omega"]):
-            raise ValueError("omega must be a nonempty list of finite numbers")
-        mp = raw.get("map", {})
-        _check_fields(mp, "map")
-        if not isinstance(mp.get("model", ""), str):
-            raise ValueError(f"map.model must be a string, got {mp['model']!r}")
-        for where, items in (("map.modes", mp.get("modes", [])),
-                             ("curves", raw.get("curves", []))):
-            if not isinstance(items, list):
-                raise ValueError(f"{where} must be a list, got {items!r}")
-            for i, item in enumerate(items):
-                _check_fields(item, f"{where}[{i}]")
-        if not all(_is_list_of(mode.get("k"), _is_int) for mode in mp.get("modes", [])):
-            raise ValueError("every map.modes k must be a list of integers")
-        check_model_config(mp, len(raw["omega"]))
-        for i, curve in enumerate(raw.get("curves", [])):
-            unknown = set(curve) - set(CURVE_KEYS)
-            if unknown:
-                raise ValueError(f"curves[{i}] has unknown keys {sorted(unknown)}")
+        if seed is not None and isinstance(raw, dict):
+            raw["seed"] = seed
+        _check(raw, CONFIG, "")
+        check_model_config(raw.get("map", {}), len(raw["omega"]))
         cfg = ExperimentConfig(**raw)
         if cfg.K_trunc > cfg.K:
             raise ValueError(f"K_trunc = {cfg.K_trunc} exceeds the certified cutoff K = {cfg.K}")
-        for key in ("K_trunc", "J", "k_max", "tol"):
-            if not getattr(cfg, key) >= 0:
-                raise ValueError(f"{key} = {getattr(cfg, key)} must be >= 0")
-        if not cfg.y_scale > 0:
-            raise ValueError(f"y_scale = {cfg.y_scale} must be > 0")
         _check_sigma0(cfg.sigma0, len(cfg.omega))
-        cfg.interval = tuple(cfg.interval)
         return cfg
 
 
@@ -184,55 +193,66 @@ def _margin(rot) -> float | None:
     return rot.margin if rot.margin is not None and math.isfinite(rot.margin) else None
 
 
-def _rejection_line(rot: RejectionReport) -> str:
-    """The one stderr line of a rejected rotation number."""
-    line = f"rejection: alpha = {rot.alpha} violates the {rot.reason} condition"
-    if rot.k is not None:
-        line += f" at (k, j) = ({rot.k}, {rot.j}), margin {rot.margin}"
-    return line
+def _reject(out_dir: Path, name: str | None, why, report: dict) -> int:
+    """Exit 2 for a Diophantine rejection: print its one stderr line and,
+    unless name is None, write report with accepted false and the reason as
+    out_dir/name.  why is a ResonantFrequency, a NoneAdmissible, or the
+    RejectionReport of a rotation number, which names (k, j) for a divisor
+    violation."""
+    if isinstance(why, ResonantFrequency):
+        line = f"ResonantFrequency at k = {why.k}"
+        fields = {"reason": "ResonantFrequency", "k": list(why.k)}
+    elif isinstance(why, NoneAdmissible):
+        line, fields = str(why), {"reason": "NoneAdmissible"}
+    else:
+        line = f"alpha = {why.alpha} violates the {why.reason} condition"
+        if why.k is not None:
+            line += f" at (k, j) = ({why.k}, {why.j}), margin {why.margin}"
+        fields = {"reason": why.reason, "k": list(why.k) if why.k else None, "j": why.j,
+                  "margin": _margin(why)}
+    print(f"rejection: {line}", file=sys.stderr)
+    if name is not None:
+        _write(out_dir, name, {**report, **fields, "accepted": False})
+    return 2
+
+
+def _report(out_dir: Path, name: str, report: dict, verbose: bool) -> int:
+    """Exit 0: write report as out_dir/name, and print it when verbose."""
+    _write(out_dir, name, report)
+    if verbose:
+        print(json.dumps(report, indent=1, sort_keys=True))
+    return 0
+
+
+def _frequency(freq: Frequency) -> dict:
+    return {"omega": list(freq.omega), "c": freq.c, "sigma0": freq.sigma0, "K": freq.cutoff}
+
+
+def _divisor_sums(freq: Frequency, rot) -> list:
+    return [vars(divisor_sum_bound_check(freq, rot, m)) for m in (5, 10, 20) if m <= rot.cutoff]
 
 
 def cmd_certify(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
     try:
         freq, rot, sample = _certificates(cfg)
-    except ResonantFrequency as exc:
-        print(f"rejection: ResonantFrequency at k = {exc.k}", file=sys.stderr)
-        _write(out_dir, "certify.json",
-               {"accepted": False, "reason": "ResonantFrequency", "k": list(exc.k)})
-        return 2
-    except NoneAdmissible as exc:
-        print(f"rejection: {exc}", file=sys.stderr)
-        _write(out_dir, "certify.json", {"accepted": False, "reason": "NoneAdmissible"})
-        return 2
-    report = {"accepted": True,
-              "frequency": {"omega": list(freq.omega), "c": freq.c,
-                            "sigma0": freq.sigma0, "K": freq.cutoff}}
+    except (ResonantFrequency, NoneAdmissible) as exc:
+        return _reject(out_dir, "certify.json", exc, {})
+    report = {"accepted": True, "frequency": _frequency(freq)}
     if isinstance(rot, RejectionReport):
-        print(_rejection_line(rot), file=sys.stderr)
-        report.update({"accepted": False, "reason": rot.reason,
-                       "k": list(rot.k) if rot.k else None, "j": rot.j,
-                       "margin": _margin(rot)})
-        _write(out_dir, "certify.json", report)
-        return 2
+        return _reject(out_dir, "certify.json", rot, report)
     report["rotation"] = {"alpha": rot.alpha, "gamma": rot.gamma, "tau": rot.tau,
                           "K": rot.cutoff, "margin": _margin(rot)}
     if sample is not None:
         report["acceptance_fraction"] = sample.fraction
-    report["divisor_sums"] = [
-        vars(divisor_sum_bound_check(freq, rot, m))
-        for m in (5, 10, 20) if m <= rot.cutoff]
-    _write(out_dir, "certify.json", report)
-    if verbose:
-        print(json.dumps(report, indent=1, sort_keys=True))
-    return 0
+    report["divisor_sums"] = _divisor_sums(freq, rot)
+    return _report(out_dir, "certify.json", report, verbose)
 
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
     # the sample's lattice box is not kept alive through the run
     freq, rot = _certificates(cfg)[:2]
     if isinstance(rot, RejectionReport):
-        print(_rejection_line(rot), file=sys.stderr)
-        return 2
+        return _reject(out_dir, None, rot, {})
     mp = model_from_config(cfg.map, freq)
     schedule = build_schedule(cfg.p, freq.n, cfg.tau, cfg.gamma, cfg.q, k_max=cfg.k_max)
     small = smallness_check(mp.sup_norm_fg, mp.cp_norm, schedule)
@@ -302,10 +322,7 @@ def cmd_diagnose(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
             "exactness_defect": defect,
         })
     report = {"model": mp.label, "declared": mp.declared, "curves": results}
-    _write(out_dir, "diagnose.json", report)
-    if verbose:
-        print(json.dumps(report, indent=1, sort_keys=True))
-    return 0
+    return _report(out_dir, "diagnose.json", report, verbose)
 
 
 def cmd_schedule(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
@@ -324,39 +341,27 @@ def cmd_schedule(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
     return 0
 
 
-def cmd_diophantine(args) -> int:
+def cmd_diophantine(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
     """Flag-driven Diophantine reports: frequency certificate, admissible
     sample fractions and divisor sums, emitted as JSON."""
-    out_dir = Path(args.out)
     try:
-        freq = certify_frequency(args.omega, args.K, args.sigma0)
+        freq = certify_frequency(cfg.omega, cfg.K, cfg.sigma0)
     except ResonantFrequency as exc:
-        print(f"rejection: ResonantFrequency at k = {exc.k}", file=sys.stderr)
-        _write(out_dir, "diophantine.json",
-               {"accepted": False, "reason": "ResonantFrequency", "k": list(exc.k)})
-        return 2
-    report = {"frequency": {"omega": list(freq.omega), "c": freq.c,
-                            "sigma0": freq.sigma0, "K": freq.cutoff}}
+        return _reject(out_dir, "diophantine.json", exc, {})
+    report = {"frequency": _frequency(freq)}
     try:
-        sample = sample_admissible(freq, args.gamma, args.tau, tuple(args.interval),
-                                   args.K, args.count, args.seed)
+        sample = sample_admissible(freq, cfg.gamma, cfg.tau, cfg.interval, cfg.K,
+                                   cfg.sample_count, cfg.seed)
     except NoneAdmissible as exc:
-        report.update({"accepted": False, "reason": "NoneAdmissible"})
-        _write(out_dir, "diophantine.json", report)
-        print(f"rejection: {exc}", file=sys.stderr)
-        return 2
+        return _reject(out_dir, "diophantine.json", exc, report)
     rot = sample.first
     report.update({
         "accepted": True,
         "acceptance_fraction": sample.fraction,
         "first_admissible": {"alpha": rot.alpha, "margin": _margin(rot)},
-        "divisor_sums": [vars(divisor_sum_bound_check(freq, rot, m))
-                         for m in (5, 10, 20) if m <= rot.cutoff],
+        "divisor_sums": _divisor_sums(freq, rot),
     })
-    _write(out_dir, "diophantine.json", report)
-    if args.verbose:
-        print(json.dumps(report, indent=1, sort_keys=True))
-    return 0
+    return _report(out_dir, "diophantine.json", report, verbose)
 
 
 def main(argv=None) -> int:
@@ -378,7 +383,7 @@ def main(argv=None) -> int:
     dp.add_argument("--tau", type=float, required=True)
     dp.add_argument("--K", type=int, default=30)
     dp.add_argument("--interval", type=float, nargs=2, required=True)
-    dp.add_argument("--count", type=int, default=1000)
+    dp.add_argument("--count", dest="sample_count", type=int, default=1000)
     dp.add_argument("--seed", type=int, default=0)
     dp.add_argument("--out", default="qpkam_out")
     dp.add_argument("--verbose", action="store_true")
@@ -386,35 +391,24 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "diophantine":
-            seed = args.seed
-            for flag in ("omega", "sigma0", "gamma", "tau", "interval"):
-                value = getattr(args, flag)
-                if value is not None and not np.all(np.isfinite(value)):
-                    raise ValueError(f"--{flag} = {value} must be finite")
-            if not args.interval[0] < args.interval[1]:
-                raise ValueError(f"--interval {args.interval} must be two numbers a < b")
+            # the flags are config fields: the same schema checks them
+            flags = {key: value for key, value in vars(args).items() if key in CONFIG.kinds}
+            _check(flags, CONFIG, "--")
             _check_sigma0(args.sigma0, len(args.omega))
+            cfg = ExperimentConfig(**flags)
         else:
-            cfg = ExperimentConfig.load(args.config)
-            if args.seed is not None:
-                cfg.seed = args.seed
-            seed = cfg.seed
-        if seed < 0:
-            raise ValueError(f"seed = {seed} must be >= 0")
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
+            cfg = ExperimentConfig.load(args.config, args.seed)
+    except (OSError, ValueError, RecursionError) as exc:     # json.load of deep nesting
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
     out_dir = Path(args.out)
+    handler = {"certify": cmd_certify, "solve": cmd_solve, "diagnose": cmd_diagnose,
+               "schedule": cmd_schedule, "diophantine": cmd_diophantine}[args.command]
     try:
         # a numeric blow-up ends in its typed error alone, without numpy's warnings
         with np.errstate(all="ignore"):
-            if args.command == "diophantine":
-                code = cmd_diophantine(args)
-            else:
-                handler = {"certify": cmd_certify, "solve": cmd_solve,
-                           "diagnose": cmd_diagnose, "schedule": cmd_schedule}[args.command]
-                code = handler(cfg, out_dir, args.verbose)
+            code = handler(cfg, out_dir, args.verbose)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -107,12 +107,17 @@ def rigid_shift(freq: Frequency, c: float, strip=(-math.inf, math.inf)) -> QpPla
                        label="rigid_shift")
 
 
-# the config keys each catalog model reads besides "model", and those of one
-# kicked_twist mode
-MODEL_KEYS = {"pure_twist": ("strip",),
-              "kicked_twist": ("lambda", "modes", "flux", "strip"),
-              "rigid_shift": ("c", "strip")}
-MODE_KEYS = ("k", "c")
+# each catalog model: the map keys it reads besides "model", and its builder
+# from the frequency, the config dict and the strip
+MODELS = {
+    "pure_twist": (("strip",), lambda freq, cfg, strip: pure_twist(freq, strip)),
+    "kicked_twist": (("lambda", "modes", "flux", "strip"), lambda freq, cfg, strip: kicked_twist(
+        freq, float(cfg.get("lambda", 0.0)),
+        [(tuple(m["k"]), float(m.get("c", 1.0))) for m in cfg.get("modes", [])],
+        flux=float(cfg.get("flux", 0.0)), strip=strip)),
+    "rigid_shift": (("c", "strip"),
+                    lambda freq, cfg, strip: rigid_shift(freq, float(cfg.get("c", 0.0)), strip)),
+}
 
 
 def check_model_config(cfg: dict, n: int) -> None:
@@ -120,33 +125,24 @@ def check_model_config(cfg: dict, n: int) -> None:
     JSON-style dict of type-checked values: an unknown model, a key the
     model does not read, or a mode k without n components."""
     name = cfg.get("model", "kicked_twist")
-    if name not in MODEL_KEYS:
+    if name not in MODELS:
         raise ConfigError(f"unknown model {name!r}")
-    unknown = set(cfg) - {"model", *MODEL_KEYS[name]}
+    reads = ("model",) + MODELS[name][0]
+    unknown = set(cfg) - set(reads)
     if unknown:
         raise ConfigError(f"model {name!r} reads no map keys {sorted(unknown)}; "
-                          f"it reads {sorted(('model',) + MODEL_KEYS[name])}")
+                          f"it reads {sorted(reads)}")
     for i, mode in enumerate(cfg.get("modes", [])):
-        unknown = set(mode) - set(MODE_KEYS)
-        if unknown:
-            raise ConfigError(f"map.modes[{i}] has unknown keys {sorted(unknown)}")
         if len(mode["k"]) != n:
-            raise ConfigError(f"mode k = {mode['k']} needs {n} components")
+            raise ConfigError(f"map.modes[{i}].k = {mode['k']} needs {n} components")
 
 
 def model_from_config(cfg: dict, freq: Frequency) -> QpPlanarMap:
-    """Catalog lookup from a JSON-style dict: {"model": .., parameters}."""
-    name = cfg.get("model", "kicked_twist")
-    strip = tuple(cfg.get("strip", (-math.inf, math.inf)))
-    if name == "pure_twist":
-        return pure_twist(freq, strip)
-    if name == "kicked_twist":
-        modes = [(tuple(m["k"]), float(m.get("c", 1.0))) for m in cfg.get("modes", [])]
-        return kicked_twist(freq, float(cfg.get("lambda", 0.0)), modes,
-                            flux=float(cfg.get("flux", 0.0)), strip=strip)
-    if name == "rigid_shift":
-        return rigid_shift(freq, float(cfg.get("c", 0.0)), strip)
-    raise ConfigError(f"unknown model {name!r}")
+    """Catalog lookup from a JSON-style dict: {"model": .., parameters},
+    checked by check_model_config."""
+    check_model_config(cfg, freq.n)
+    build = MODELS[cfg.get("model", "kicked_twist")][1]
+    return build(freq, cfg, tuple(cfg.get("strip", (-math.inf, math.inf))))
 
 
 # ---------------------------------------------------------------------------

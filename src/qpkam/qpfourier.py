@@ -243,12 +243,12 @@ def symmetrize(coeffs: np.ndarray, n: int) -> np.ndarray:
 
     Enforces f_{-k} = conj(f_k) along the torus axes (reality class) on
     coefficients recovered from real data, where only roundoff breaks it: a
-    defect above REALITY_TOL*(1 + scale) fails fast.
+    defect above REALITY_TOL*(1 + scale), or a NaN one, fails fast.
     """
     flipped = np.flip(coeffs, axis=tuple(range(n))).conj()
     defect = float(np.max(np.abs(coeffs - flipped))) * 0.5 if coeffs.size else 0.0
     scale = 1.0 + float(np.max(np.abs(coeffs))) if coeffs.size else 1.0
-    if defect > REALITY_TOL * scale:
+    if not defect <= REALITY_TOL * scale:
         raise RealityDefect(f"symmetrization defect {defect:.3e} (scale {scale:.3e})")
     return 0.5 * (coeffs + flipped)
 
@@ -329,8 +329,9 @@ def shift_order(amps: np.ndarray, kw: np.ndarray, delta: float) -> int | None:
     term = 2.0 * amps
     goal = SHIFT_TOL * np.sum(amps, axis=k_axes)
     for M in range(SHIFT_MAX_ORDER + 1):
-        term = term * half / (M + 1)
-        if np.all(np.sum(term, axis=k_axes) <= goal):
+        term *= half
+        term /= M + 1
+        if (term.sum(axis=k_axes) <= goal).all():
             return M
     return None
 

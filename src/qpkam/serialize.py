@@ -44,8 +44,8 @@ def shell_from_dict(d: dict) -> ShellFunction:
 
 def dump_json(obj, path) -> None:
     """Canonical JSON dump: sorted keys, no whitespace variance.  Strict JSON:
-    NaN and infinities raise ValueError."""
+    NaN and infinities raise ValueError, before the file is opened, so a
+    failed dump leaves no partial file."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ": "), indent=1,
-                  allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")

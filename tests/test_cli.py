@@ -1,17 +1,25 @@
 """CLI contract: exit codes, report files, byte-level determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from test_readme import code_block
 
 from qpkam import qpfourier as qp
-from qpkam.cli import ExperimentConfig, main
+from qpkam import serialize
+from qpkam.cli import CONFIG, MAP, ExperimentConfig, main
+from qpkam.maps import MODELS
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -213,6 +221,12 @@ DIOPHANTINE_ARGS = ["--omega", "1.0", str(2.0**0.5), "--gamma", "1e-3", "--K", "
     ("diagnose", {"map": {**BASE["map"], "strip": [1.7, 0.0]}}),
     ("solve", {"map": {**BASE["map"], "strip": [1.0, 1.0]}}),
     ("diophantine", ["--tau", "3.0", "--interval", "1.2", "0.4"]),
+    # a map.modes entry without its k
+    ("solve", {"map": {**BASE["map"], "modes": [{"c": 0.55}]}}),
+    # integers beyond the largest double in number fields
+    ("schedule", {"p": 10**400}),
+    ("solve", {"map": {**BASE["map"], "lambda": 10**400}}),
+    ("diagnose", {"curves": [{"r0": None, "amp": 10**400}]}),
 ])
 def test_bad_parameters_exit_1(tmp_path, capsys, command, overrides):
     # overrides: config fields (a dict) or flags (a list)
@@ -231,6 +245,29 @@ def test_bad_parameters_exit_1(tmp_path, capsys, command, overrides):
     # a bad interval is named, not reported as the gamma bound it breaks
     if "interval" in overrides or "--interval" in overrides:
         assert "interval" in lines[0]
+
+
+def test_schemas_cover_the_config_fields_and_the_models():
+    assert set(CONFIG.kinds) == set(ExperimentConfig.__dataclass_fields__)
+    assert set(MAP.kinds) == {"model"}.union(*(keys for keys, _ in MODELS.values()))
+
+
+def test_nan_map_data_is_one_line_and_no_report(tmp_path, capsys):
+    # flux 1e308 overflows the image radius: NaN coefficients fail the
+    # reality check before diagnose.json is written
+    cfg = write_cfg(tmp_path, map={**BASE["map"], "flux": 1e308})
+    out = tmp_path / "o"
+    assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("RealityDefect:")
+    assert not (out / "diagnose.json").exists()
+
+
+def test_dump_json_refuses_nan_without_writing(tmp_path):
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError):
+        serialize.dump_json({"a": 1.0, "b": math.nan}, path)
+    assert not path.exists()
 
 
 def test_sigma0_at_the_dirichlet_bound_is_valid(tmp_path):
@@ -319,6 +356,10 @@ def test_malformed_config_exit_1(tmp_path):
     path2 = tmp_path / "missing.json"
     path2.write_text(json.dumps({"omega": [1.0, GOLDEN]}))
     assert main(["certify", "--config", str(path2), "--out", str(tmp_path / "o")]) == 1
+    # nesting deeper than the interpreter's recursion limit
+    path3 = tmp_path / "deep.json"
+    path3.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["certify", "--config", str(path3), "--out", str(tmp_path / "o")]) == 1
 
 
 def test_solve_zero_perturbation(tmp_path):
@@ -485,3 +526,108 @@ def test_every_synthesized_box_is_hermitian(tmp_path, monkeypatch):
     assert main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
     assert 0 < solve_calls < len(defects)
     assert max(defects) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# fuzzed failure contract: one field of the README config changed at a time
+# ---------------------------------------------------------------------------
+
+HUGE = 10**400
+FUZZ_CONFIG = {**json.loads(code_block("CLI", "json")),
+               "curves": [{"r0": None, "amp": 0.05, "K": 3}]}
+FUZZ_PATHS = ([(key,) for key in [*FUZZ_CONFIG, "alpha", "q", "sample_count"]]
+              + [("map", key) for key in ("model", "lambda", "modes", "strip", "flux")]
+              + [("map", "modes", 0), ("map", "modes", 0, "k"), ("map", "modes", 0, "c"),
+                 ("curves", 0), ("curves", 0, "r0"), ("curves", 0, "amp"), ("curves", 0, "K")])
+FUZZ_VALUES = ["8", True, None, [1.0], {}, math.nan, math.inf, -math.inf, 0, -1,
+               1e308, -1e308, HUGE]
+# these fields size lattices, so they get no HUGE
+SIZE_FIELDS = ("K", "K_trunc", "J", "k_max", "sample_count")
+FUZZ = settings(settings.get_profile("ci"), max_examples=400)
+
+
+def mutated(path, mutation):
+    """FUZZ_CONFIG with one change at path: ("set", value), ("delete",),
+    ("reverse",) of a list, or ("extra",), an unknown key beside the field
+    (inside the entry for a list entry); None where the change does not
+    apply."""
+    cfg = json.loads(json.dumps(FUZZ_CONFIG))
+    *head, last = path
+    obj = cfg
+    for key in head:
+        obj = obj[key]
+    current = obj[last] if isinstance(obj, list) else obj.get(last)
+    op, *value = mutation
+    if op == "set":
+        obj[last] = value[0]
+    elif op == "delete":
+        obj.pop(last) if isinstance(obj, list) else obj.pop(last, None)
+    elif op == "extra":
+        (obj if isinstance(obj, dict) else current)["extra"] = 1
+    elif isinstance(current, list):
+        obj[last] = current[::-1]
+    else:
+        return None
+    return cfg
+
+
+def assert_contract(argv, out: Path) -> None:
+    """main in-process (an exception fails the test): an exit code in
+    {0, 1, 2, 3}, at most one stderr line, and strict JSON outputs."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([*argv, "--out", str(out)])
+    assert code in (0, 1, 2, 3)
+    assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+# budget: at most 20 s for both fuzz tests (about 5 s on a 2-vCPU machine)
+@FUZZ
+@example(command="schedule", path=("p",), mutation=("set", HUGE))
+@example(command="diagnose", path=("map", "flux"), mutation=("set", 1e308))
+@example(command="solve", path=("map", "modes", 0, "k"), mutation=("delete",))
+@given(command=st.sampled_from(["certify", "solve", "schedule", "diagnose"]),
+       path=st.sampled_from(FUZZ_PATHS),
+       mutation=st.one_of(st.sampled_from(FUZZ_VALUES).map(lambda v: ("set", v)),
+                          st.sampled_from([("delete",), ("reverse",), ("extra",)])))
+def test_fuzzed_config_keeps_the_failure_contract(command, path, mutation):
+    assume(not (mutation == ("set", HUGE) and path[-1] in SIZE_FIELDS))
+    cfg = mutated(path, mutation)
+    assume(cfg is not None)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        assert_contract([command, "--config", str(config)], Path(tmp) / "out")
+
+
+DIOPHANTINE_FLAGS = {"--omega": ["1.0", "1.4142135623730951"], "--sigma0": ["1.0"],
+                     "--gamma": ["1e-3"], "--tau": ["3.0"], "--K": ["30"],
+                     "--interval": ["0.4", "1.2"], "--count": ["50"], "--seed": ["0"]}
+
+
+@FUZZ
+@given(flag=st.sampled_from(sorted(DIOPHANTINE_FLAGS)),
+       change=st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e308", "-1e308", str(HUGE),
+                               "reverse", "delete"]))
+def test_fuzzed_diophantine_flags_keep_the_failure_contract(flag, change):
+    flags = dict(DIOPHANTINE_FLAGS)
+    if change == "delete":
+        # argparse's usage error for a required flag is not a config error
+        assume(flag in ("--sigma0", "--K", "--count", "--seed"))
+        del flags[flag]
+    elif change == "reverse":
+        flags[flag] = flags[flag][::-1]
+    else:
+        # integer flags take integers; --K and --count size lattices
+        assume(flag not in ("--K", "--count", "--seed")
+               or change in ("0", "-1") or (flag == "--seed" and change == str(HUGE)))
+        # argparse reads "-inf" after a flag of several values as a flag
+        assume(len(flags[flag]) == 1 or not change.startswith("-") or change == "-1")
+        flags[flag] = [change, *flags[flag][1:]]
+    argv = ["diophantine"]
+    for name, values in flags.items():
+        argv += [f"{name}={values[0]}"] if len(values) == 1 else [name, *values]
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_contract(argv, Path(tmp) / "out")
