@@ -364,9 +364,16 @@ def cmd_diophantine(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
     return _report(out_dir, "diophantine.json", report, verbose)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (a missing, unknown or unparsable flag) raise ValueError:
+    main reports them as config errors, exit 1 with one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="qpkam",
-                                     description="invariant curves of quasi-periodic maps")
+    parser = _Parser(prog="qpkam", description="invariant curves of quasi-periodic maps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in ("certify", "solve", "diagnose", "schedule"):
@@ -388,8 +395,8 @@ def main(argv=None) -> int:
     dp.add_argument("--out", default="qpkam_out")
     dp.add_argument("--verbose", action="store_true")
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "diophantine":
             # the flags are config fields: the same schema checks them
             flags = {key: value for key, value in vars(args).items() if key in CONFIG.kinds}

@@ -15,29 +15,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NoneAdmissible, ResonantFrequency
-from .qpfourier import Frequency, mode_vectors
+from .qpfourier import Frequency, k1_norms, mode_vectors
 
 RESONANCE_TOL = 1e-14
 TIE_TOL = 1e-15      # equality slack: closed inequalities in exact arithmetic
-# elements of one (lattice x alpha chunk) float temporary in _chunk_pass (4 MB)
+# elements of one (alpha chunk x lattice) float temporary in _chunk_pass (4 MB)
 ALPHA_CHUNK_ELEMS = 1 << 19
 
 
-def _box_k1_and_kw(omega: np.ndarray, K: int):
-    """l1 norms and <k,omega> for the box 0 < |k|_inf <= K (dedup k ~ -k)."""
-    n = len(omega)
+@functools.lru_cache(maxsize=16)
+def _half_box(K: int, n: int) -> np.ndarray:
+    """Flat mask of the box 0 < |k|_inf <= K that keeps one of each +-k pair:
+    the k whose first nonzero component is positive."""
     kvecs = mode_vectors(K, n)                    # (n, (2K+1)^n)
-    k1 = np.abs(kvecs).sum(axis=0)
-    keep = k1 > 0
-    # keep one of each +-k pair: first nonzero component positive
     lead = np.zeros(kvecs.shape[1], dtype=bool)
     undecided = np.ones(kvecs.shape[1], dtype=bool)
     for d in range(n):
         lead |= undecided & (kvecs[d] > 0)
         undecided &= kvecs[d] == 0
-    keep &= lead
-    kvecs = kvecs[:, keep]
-    return kvecs, k1[keep], kvecs.T @ omega
+    return lead
+
+
+def _box_k1_and_kw(omega: np.ndarray, K: int):
+    """l1 norms and <k,omega> on the half box, in its flat order."""
+    n = len(omega)
+    keep = _half_box(K, n)
+    kw = (mode_vectors(K, n).T @ omega)[keep]
+    return k1_norms(K, n).ravel()[keep], kw
+
+
+def _half_box_vector(K: int, n: int, i: int) -> tuple:
+    """The i-th lattice vector of the half box, for a report."""
+    return tuple(int(v) for v in mode_vectors(K, n)[:, np.flatnonzero(_half_box(K, n))[i]])
 
 
 def certify_frequency(omega, K: int, sigma0: float | None = None) -> Frequency:
@@ -49,11 +58,11 @@ def certify_frequency(omega, K: int, sigma0: float | None = None) -> Frequency:
         raise ConfigError("frequencies must be finite and nonzero")
     if sigma0 is None:
         sigma0 = float(len(om))
-    kvecs, k1, kw = _box_k1_and_kw(om, K)
+    k1, kw = _box_k1_and_kw(om, K)
     akw = np.abs(kw)
     worst = int(np.argmin(akw))
     if akw[worst] <= RESONANCE_TOL:
-        raise ResonantFrequency(kvecs[:, worst], akw[worst])
+        raise ResonantFrequency(_half_box_vector(K, len(om), worst), akw[worst])
     c = float(np.min(akw * k1**sigma0))
     return Frequency(tuple(om), c=c, sigma0=float(sigma0), cutoff=int(K))
 
@@ -100,17 +109,18 @@ def certify_rotation(alpha: float, freq: Frequency, gamma: float, tau: float,
     pad = gamma / 12.0**3
     if not (a + pad <= alpha <= b - pad):
         return RejectionReport(alpha, "interval")
-    kvecs, k1, kw = _box_k1_and_kw(freq.vec, K)
+    k1, kw = _box_k1_and_kw(freq.vec, K)
     x = kw * alpha / (2.0 * math.pi)
     # gamma < 1/2 and |k| >= 1: only the nearest integer can violate the bound
     j = np.round(x)
     dist = np.abs(x - j)
-    bound = gamma / k1**tau
-    margins = dist * k1**tau / gamma
+    k1_tau = k1**tau
+    bound = gamma / k1_tau
+    margins = dist * k1_tau / gamma
     bad = dist < bound - TIE_TOL
     if np.any(bad):
         worst = int(np.argmin(np.where(bad, margins, np.inf)))
-        return RejectionReport(alpha, "divisor", k=tuple(int(v) for v in kvecs[:, worst]),
+        return RejectionReport(alpha, "divisor", k=_half_box_vector(K, freq.n, worst),
                                j=int(j[worst]), margin=float(margins[worst]))
     return RotationNumber(float(alpha), freq, float(gamma), float(tau), int(K),
                           float(np.min(margins)))
@@ -120,15 +130,16 @@ def _chunk_pass(alphas: np.ndarray, kw: np.ndarray, bound: np.ndarray,
                 k1_tau: np.ndarray, gamma: float):
     """Per alpha of one chunk: whether every divisor line of the box holds, and
     the min margin dist*|k|^tau/gamma, with certify_rotation's elementwise
-    operations.  The (lattice x chunk) temporaries die when this returns."""
-    x = np.multiply.outer(kw, alphas) / (2.0 * math.pi)
+    operations.  The (chunk x lattice) temporaries reduce along contiguous
+    rows and die when this returns."""
+    x = np.multiply.outer(alphas, kw) / (2.0 * math.pi)
     dist = np.abs(x - np.round(x))
-    return np.all(dist >= bound, axis=0), np.min(dist * k1_tau / gamma, axis=0)
+    return np.all(dist >= bound, axis=1), np.min(dist * k1_tau / gamma, axis=1)
 
 
 class AdmissibleSample:
-    """Draws certified in draw order, one chunk of ALPHA_CHUNK_ELEMS
-    (lattice x alpha) elements at a time.
+    """Draws certified in draw order, in chunks of 1, 1, 2, 4, ... draws, up
+    to ALPHA_CHUNK_ELEMS (alpha x lattice) elements a chunk.
 
     Construction stops after the chunk that holds the first admissible draw,
     `first` (None if no draw is admissible).  The first read of mask,
@@ -137,9 +148,9 @@ class AdmissibleSample:
 
     def __init__(self, alphas: np.ndarray, inside: np.ndarray, freq: Frequency,
                  gamma: float, tau: float, K: int):
-        k1, self._kw = _box_k1_and_kw(freq.vec, K)[1:]   # the lattice vectors die here
-        self._bound = (gamma / k1**tau)[:, None] - TIE_TOL
-        self._k1_tau = (k1**tau)[:, None]
+        k1, self._kw = _box_k1_and_kw(freq.vec, K)
+        self._k1_tau = k1**tau
+        self._bound = gamma / self._k1_tau - TIE_TOL
         self._step = max(1, ALPHA_CHUNK_ELEMS // len(self._kw))
         self._gamma = gamma
         self._cert = (freq, float(gamma), float(tau), int(K))   # of each RotationNumber
@@ -154,7 +165,7 @@ class AdmissibleSample:
 
     def _certify_chunk(self) -> None:
         i = self._done
-        j = min(i + self._step, len(self.alphas))
+        j = min(i + min(self._step, max(1, i)), len(self.alphas))
         ok, margin = _chunk_pass(self.alphas[i:j], self._kw, self._bound,
                                  self._k1_tau, self._gamma)
         self._ok[i:j] &= ok

@@ -13,6 +13,7 @@ The driver monitors the invariance defect on the real curve in original
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -284,12 +285,18 @@ def normalize(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
 
     members: dict[int, NormalizedMap] = {}
 
+    # the levels ask in increasing k, and s_box = min(delta_k, y_strip) stays
+    # fixed until delta_k drops below y_strip: one projection serves that run
+    @functools.lru_cache(maxsize=1)
+    def projections(s_box: float) -> list[StripFunction]:
+        return [StripFunction.from_sampler(h, mp.freq, StripDomain(s_box, s_box), K_trunc, J)
+                for h in (hx, hy)]
+
     def member(k: int) -> NormalizedMap:
         if k not in members:
             d = float(schedule.delta[k])
             s_box = min(d, y_strip)
-            fx = smooth(hx, mp.freq, d, K_trunc, J, s_box)
-            fy = smooth(hy, mp.freq, d, K_trunc, J, s_box)
+            fx, fy = (smooth(f, d) for f in projections(s_box))
             members[k] = NormalizedMap(alpha.alpha, sigma, fx, fy,
                                        StripDomain(d, s_box))
         return members[k]

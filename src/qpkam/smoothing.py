@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from .qpfourier import (
-    Frequency,
     StripDomain,
     StripFunction,
     default_grid,
@@ -40,27 +39,25 @@ def q_bound(p: float, tau: float) -> tuple[float, float]:
     return (p - 2.0 * tau - 1.0) / (p + 1.0) * math.log(2.0), 1e-2 * 4.0**-tau
 
 
-def smooth(sampler, freq: Frequency, delta: float, K_trunc: int, J: int,
-           domain_s: float) -> StripFunction:
-    """Analytic approximant h_delta of the map data h(x, y) = F(omega*x, y)
-    as a Fourier x Chebyshev projection with coefficient mollification;
-    holomorphic (as a truncated series) on E_delta.
+def smooth(projection: StripFunction, delta: float) -> StripFunction:
+    """Analytic approximant h_delta of the map data h(x, y) = F(omega*x, y):
+    the coefficient mollification of its Fourier x Chebyshev projection
+    (StripFunction.from_sampler), holomorphic (as a truncated series) on
+    E_delta.
 
-    sampler(theta_stack, y) evaluates the shell function F(theta, y) on
-    stacked torus coordinates of shape (n, ...), once, with every Chebyshev
-    node in a y that broadcasts against the point axes.  Quasi-periodicity and
-    reality are preserved; the member is represented on D(delta, domain_s)
-    with domain_s <= delta covering the disc in y.
+    The projection does not depend on delta, so one serves every delta with
+    the same Chebyshev scale s.  Quasi-periodicity and reality are preserved;
+    the member is represented on D(delta, s) with s <= delta covering the
+    disc in y.
     """
     if delta > 1.0:
         raise ValueError("delta <= 1 required")
-    n = freq.n
-    dom = StripDomain(delta, float(domain_s))
-    f = StripFunction.from_sampler(sampler, freq, dom, K_trunc, J)
-    sym_x = lowpass_symbol(k1_norms(K_trunc, n), delta)
-    sym_y = lowpass_symbol(np.arange(J + 1), delta)
-    coeffs = f.coeffs * sym_x[..., None] * sym_y
-    return StripFunction(freq, dom, symmetrize(coeffs, n))
+    n = projection.n
+    sym_x = lowpass_symbol(k1_norms(projection.K, n), delta)
+    sym_y = lowpass_symbol(np.arange(projection.J + 1), delta)
+    coeffs = projection.coeffs * sym_x[..., None] * sym_y
+    return StripFunction(projection.freq, StripDomain(delta, projection.domain.s),
+                         symmetrize(coeffs, n))
 
 
 # constants of the Lemma-2.9-type smoothing inequalities, used by

@@ -183,7 +183,9 @@ def build_family(h, q, depth, K_trunc, J=0):
     with the sups estimated from below on grids and corner sheets.
     """
     deltas = ((1.0 + q) / 2.0) ** np.arange(depth + 1)
-    members = [smooth(h.shell_sampler, h.freq, d, K_trunc, J, d) for d in deltas]
+    members = [smooth(qp.StripFunction.from_sampler(h.shell_sampler, h.freq,
+                                                   qp.StripDomain(d, d), K_trunc, J), d)
+               for d in deltas]
     sup_h = float(np.max(np.abs(sample_line(h, np.linspace(0.0, 200.0, 2048), 0.0))))
     xs = np.linspace(0.0, 200.0, 1024)
     h_line = sample_line(h, xs, 0.0)

@@ -191,8 +191,9 @@ def test_criterion_3_smoothing_order():
     xs = np.linspace(0.0, 40.0, 4001)
     h_line = sample_line(h, xs, 0.0)
     deltas = 2.0 ** -np.arange(3, 9)
-    errs = [float(np.max(np.abs(h_line - eval_xy(smooth(shell, FREQ_S, d, 130, 0, d),
-                                                 xs, 0.0).real))) for d in deltas]
+    members = [smooth(StripFunction.from_sampler(shell, FREQ_S, StripDomain(d, d), 130, 0), d)
+               for d in deltas]
+    errs = [float(np.max(np.abs(h_line - eval_xy(hd, xs, 0.0).real))) for hd in members]
     slope = float(np.polyfit(np.log(deltas), np.log(errs), 1)[0])
 
     # the fitted Lemma-2.9 constants stay below the ones smallness_check uses

@@ -607,27 +607,55 @@ DIOPHANTINE_FLAGS = {"--omega": ["1.0", "1.4142135623730951"], "--sigma0": ["1.0
                      "--interval": ["0.4", "1.2"], "--count": ["50"], "--seed": ["0"]}
 
 
-@FUZZ
-@given(flag=st.sampled_from(sorted(DIOPHANTINE_FLAGS)),
-       change=st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e308", "-1e308", str(HUGE),
-                               "reverse", "delete"]))
-def test_fuzzed_diophantine_flags_keep_the_failure_contract(flag, change):
-    flags = dict(DIOPHANTINE_FLAGS)
-    if change == "delete":
-        # argparse's usage error for a required flag is not a config error
-        assume(flag in ("--sigma0", "--K", "--count", "--seed"))
-        del flags[flag]
-    elif change == "reverse":
-        flags[flag] = flags[flag][::-1]
-    else:
-        # integer flags take integers; --K and --count size lattices
-        assume(flag not in ("--K", "--count", "--seed")
-               or change in ("0", "-1") or (flag == "--seed" and change == str(HUGE)))
-        # argparse reads "-inf" after a flag of several values as a flag
-        assume(len(flags[flag]) == 1 or not change.startswith("-") or change == "-1")
-        flags[flag] = [change, *flags[flag][1:]]
+def diophantine_argv(flags: dict) -> list:
     argv = ["diophantine"]
     for name, values in flags.items():
         argv += [f"{name}={values[0]}"] if len(values) == 1 else [name, *values]
+    return argv
+
+
+@FUZZ
+@given(flag=st.sampled_from(sorted(DIOPHANTINE_FLAGS)),
+       change=st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e308", "-1e308", str(HUGE),
+                               "x", "reverse", "delete", "unknown"]))
+def test_fuzzed_diophantine_flags_keep_the_failure_contract(flag, change):
+    # argparse's usage errors (a missing required flag, an unparsable value,
+    # an unknown flag, "-inf" read as a flag) are inside the contract too
+    flags = dict(DIOPHANTINE_FLAGS)
+    if change == "delete":
+        del flags[flag]
+    elif change == "reverse":
+        flags[flag] = flags[flag][::-1]
+    elif change == "unknown":
+        flags["--unknown"] = ["1"]
+    else:
+        # --K and --count size lattices
+        assume(flag not in ("--K", "--count") or change != str(HUGE))
+        flags[flag] = [change, *flags[flag][1:]]
     with tempfile.TemporaryDirectory() as tmp:
-        assert_contract(argv, Path(tmp) / "out")
+        assert_contract(diophantine_argv(flags), Path(tmp) / "out")
+
+
+@pytest.mark.parametrize("flag, values", [
+    ("--gamma", None),                 # a missing required flag
+    ("--gamma", ["x"]),
+    ("--unknown", ["1"]),
+    ("--interval", ["-inf", "1.2"]),   # argparse reads "-inf" as a flag
+])
+def test_usage_errors_are_config_errors(tmp_path, capsys, flag, values):
+    flags = dict(DIOPHANTINE_FLAGS)
+    if values is None:
+        del flags[flag]
+    else:
+        flags[flag] = values
+    assert main([*diophantine_argv(flags), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--help"])
+    assert info.value.code == 0
+    assert "--config" in capsys.readouterr().out

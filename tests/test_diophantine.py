@@ -169,44 +169,75 @@ def count_chunks(monkeypatch):
 
 @pytest.mark.parametrize("gamma, seed, chunks_to_first", [
     (1e-2, 3, 1),      # the first draw is admissible
-    (0.15, 2, 5),      # draws 0-15 are not: four chunks hold no admissible draw
+    (0.15, 2, 7),      # draws 0-15 are not: six chunks hold no admissible draw
 ])
 def test_sample_admissible_stops_at_first_admissible(monkeypatch, gamma, seed,
                                                      chunks_to_first):
-    # three_freq lattice: 113,490 half-box vectors, so 4 draws a chunk
+    # three_freq lattice: 113,490 half-box vectors, so at most 4 draws a chunk
     freq = certify_frequency(THREE_FREQ, K=30)
     tau, interval, count = 3.5, (0.3, 1.1), 200
+    step = diophantine.ALPHA_CHUNK_ELEMS // 113490
+    assert step == 4
     calls = count_chunks(monkeypatch)
     res = sample_admissible(freq, gamma, tau, interval, K=30, count=count, seed=seed)
-    step = calls[0]
-    assert step == diophantine.ALPHA_CHUNK_ELEMS // 113490
     assert len(calls) == chunks_to_first
     # the full certification of every draw, by the single-alpha oracle
     oracle = [certify_rotation(a, freq, gamma, tau, interval, 30) for a in res.alphas]
     admissible = [isinstance(rot, RotationNumber) for rot in oracle]
     first = admissible.index(True)
-    assert first // step == chunks_to_first - 1
+    assert sum(calls[:-1]) <= first < sum(calls)      # in the last chunk certified
     assert res.first == oracle[first]
-    # reading fraction completes the scan; mask and accepted reuse it
+    # reading fraction completes the scan in chunks of 1, 1, 2, then 4 draws
     assert res.fraction == np.mean(admissible)
-    assert len(calls) == math.ceil(count / step)
+    assert calls == [1, 1, 2] + [step] * 49
     np.testing.assert_array_equal(res.mask, admissible)
     assert res.accepted == [rot for rot in oracle if rot]
-    assert len(calls) == math.ceil(count / step)      # no draw certified twice
+    assert len(calls) == 52                           # no draw certified twice
 
 
-def test_live_sample_holds_no_chunk_temporaries():
-    # n = 2, K = 30: one chunk of 1,860 x 200 floats (3 MB a temporary)
-    freq = certify_frequency((1.0, GOLDEN), K=30)
-    sample_admissible(freq, 1e-2, 3.0, (0.3, 1.1), K=30, count=200, seed=0)  # warm caches
+@pytest.mark.parametrize("omega, tau, K", [((1.0, GOLDEN), 3.0, 30), (THREE_FREQ, 3.5, 12)])
+@pytest.mark.parametrize("elems", [1, 5_000, 3 * 7_812, 1 << 19, 1 << 30])
+def test_sample_admissible_independent_of_chunk_size(monkeypatch, omega, tau, K, elems):
+    # chunks of 1 draw, a few draws, or the whole sample (the n = 3, K = 12
+    # half box holds 7,812 vectors): the same certificates for every draw
+    monkeypatch.setattr(diophantine, "ALPHA_CHUNK_ELEMS", elems)
+    freq = certify_frequency(omega, K=K)
+    gamma, interval = 0.15, (0.3, 1.1)
+    res = sample_admissible(freq, gamma, tau, interval, K=K, count=60, seed=3)
+    oracle = [certify_rotation(a, freq, gamma, tau, interval, K) for a in res.alphas]
+    admissible = [isinstance(rot, RotationNumber) for rot in oracle]
+    assert res.first == oracle[admissible.index(True)] == oracle[15]
+    np.testing.assert_array_equal(res.mask, admissible)
+    # a rejected draw's margin is its worst violated divisor line's
+    np.testing.assert_array_equal(res._margin, [rot.margin for rot in oracle])
+    assert res.fraction == np.mean(admissible)
+    assert res.accepted == [rot for rot in oracle if rot]
+
+
+def first_only_peak(freq, tau):
+    """tracemalloc peak of a sample_admissible that stops at its first draw."""
+    args = (freq, 1e-2, tau, (0.3, 1.1), 30, 200, 0)
+    sample_admissible(*args)                                      # warm caches
     tracemalloc.start()
     try:
-        res = sample_admissible(freq, 1e-2, 3.0, (0.3, 1.1), K=30, count=200, seed=0)
-        held, _ = tracemalloc.get_traced_memory()
+        res = sample_admissible(*args)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert res.first is not None
+    return held, peak
+
+
+def test_live_sample_holds_no_chunk_temporaries():
+    # n = 2, K = 30: 1,860 half-box vectors, about 15 kB a box array
+    held, _ = first_only_peak(certify_frequency((1.0, GOLDEN), K=30), 3.0)
     assert held < 2 * 2**20
+
+
+def test_first_only_sample_peak_at_three_frequencies():
+    # n = 3, K = 30: one float array over the 226,981-vector box is 1.8 MB
+    _, peak = first_only_peak(certify_frequency(THREE_FREQ, K=30), 3.5)
+    assert peak < 8 * 2**20
 
 
 def test_none_admissible():

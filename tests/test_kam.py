@@ -31,7 +31,7 @@ from qpkam.kam import (
 )
 from qpkam.maps import CurveGraph, kicked_twist, pure_twist, rigid_shift
 from qpkam.qpfourier import StripDomain, StripFunction, eval_strip_stack
-from qpkam.smoothing import FROZEN_CONSTANTS
+from qpkam.smoothing import FROZEN_CONSTANTS, smooth
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 FREQ = certify_frequency((1.0, GOLDEN), 30, 2.0)
@@ -777,6 +777,45 @@ def test_run_measures_each_level_once(monkeypatch):
     assert isinstance(out.curve, CurveGraph)
     assert out.curve.defect == out.trace[-1]["defect"]
     assert out.curve.defect == out.curve.conjugacy_residual(mp, DEFECT_XIS)
+
+
+# y_strip = 0.8/sigma: at sigma 16 levels 0-4 share one s_box, at sigma 2
+# levels 0 and 1 share the first of several
+@pytest.mark.parametrize("sigma", [16.0, 2.0])
+def test_run_projects_the_map_data_once_per_chebyshev_scale(monkeypatch, sigma):
+    # smoothing is a multiplier on the projection of the map data, which
+    # depends on the level only through s_box = min(delta_k, y_strip)
+    scales = []
+    from_sampler = StripFunction.from_sampler
+
+    def counted(sampler, freq, domain, K, J):
+        scales.append(domain.s)
+        return from_sampler(sampler, freq, domain, K, J)
+
+    monkeypatch.setattr(StripFunction, "from_sampler", staticmethod(counted))
+    members = {}
+    normalize_ = kam.normalize
+
+    def recorded(*args, **kwargs):
+        exact, member = normalize_(*args, **kwargs)
+        return exact, lambda k: members.setdefault(k, member(k))
+
+    monkeypatch.setattr(kam, "normalize", recorded)
+    mp, sched = acceptance_map(), make_schedule(k_max=8)
+    run(mp, ALPHA, sched, tol=1e-8, K_trunc=8, J=6, y_scale=sigma)
+    s_boxes = {A.domain.s for A in members.values()}
+    assert sorted(scales) == sorted(2 * list(s_boxes))
+    assert len(members) > len(s_boxes)             # a projection serves several levels
+    # each member equals the one smoothed from its own level's projection
+    for k, A in members.items():
+        d = float(sched.delta[k])
+        dom = StripDomain(d, A.domain.s)
+        fx = from_sampler(lambda th, y: mp.f_shell(th, ALPHA.alpha + sigma * y), FREQ, dom, 8, 6)
+        fy = from_sampler(lambda th, y: mp.g_shell(th, ALPHA.alpha + sigma * y) / sigma,
+                          FREQ, dom, 8, 6)
+        for got, want in ((A.fx, smooth(fx, d)), (A.fy, smooth(fy, d))):
+            assert got.domain == want.domain == dom
+            np.testing.assert_array_equal(got.coeffs, want.coeffs)
 
 
 def test_trace_BM_trend_and_containment():

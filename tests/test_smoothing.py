@@ -7,7 +7,7 @@ import pytest
 from conftest import SampledCpFunction, build_family, eval_xy, sample_line
 
 from qpkam.errors import SamplerNotFinite
-from qpkam.qpfourier import Frequency, ShellFunction, eval_modes
+from qpkam.qpfourier import Frequency, ShellFunction, StripDomain, StripFunction, eval_modes
 from qpkam.smoothing import FROZEN_CONSTANTS, lowpass_symbol, q_bound, smooth
 
 FREQ = Frequency((1.0, math.sqrt(2.0)))
@@ -68,20 +68,25 @@ def test_smooth_reproduces_trig_polynomial():
     # all modes |k|_1 <= 2 pass exactly once 1/(2 delta) >= 2
     modes = {(1, 0): 0.3, (0, 1): 0.2 - 0.1j, (1, 1): 0.05}
     f = ShellFunction.from_modes(FREQ, modes, K=2)
-    hd = smooth(lambda th, y: eval_modes(f.coeffs, th.reshape(2, -1)).real.reshape(th.shape[1:]),
-                FREQ, 0.25, K_trunc=4, J=0, domain_s=0.25)
+    proj = StripFunction.from_sampler(
+        lambda th, y: eval_modes(f.coeffs, th.reshape(2, -1)).real.reshape(th.shape[1:]),
+        FREQ, StripDomain(0.25, 0.25), K=4, J=0)
+    hd = smooth(proj, 0.25)
     xs = np.linspace(0, 20, 100)
     assert np.max(np.abs(eval_xy(hd, xs, 0.0).real - f.eval(xs).real)) < 1e-12
 
 
 def test_smooth_zero():
-    hd = smooth(lambda th, y: np.zeros(th.shape[1:]), FREQ, 0.5, K_trunc=4, J=2, domain_s=0.5)
+    proj = StripFunction.from_sampler(lambda th, y: np.zeros(th.shape[1:]), FREQ,
+                                      StripDomain(0.5, 0.5), K=4, J=2)
+    hd = smooth(proj, 0.5)
     assert float(np.max(np.abs(hd.coeffs))) == 0.0
 
 
 def test_smooth_rejects_nonfinite():
     with pytest.raises(SamplerNotFinite):
-        smooth(lambda th, y: np.full(th.shape[1:], np.nan), FREQ, 0.5, 4, 0, 0.5)
+        smooth(StripFunction.from_sampler(lambda th, y: np.full(th.shape[1:], np.nan), FREQ,
+                                          StripDomain(0.5, 0.5), 4, 0), 0.5)
 
 
 def test_smoothing_order_slope():
@@ -92,7 +97,8 @@ def test_smoothing_order_slope():
     deltas = 2.0 ** -np.arange(3, 9)
     errs = []
     for d in deltas:
-        hd = smooth(h.shell_sampler, FREQ, d, K_trunc=130, J=0, domain_s=d)
+        hd = smooth(StripFunction.from_sampler(h.shell_sampler, FREQ, StripDomain(d, d),
+                                               K=130, J=0), d)
         errs.append(float(np.max(np.abs(h_line - eval_xy(hd, xs, 0.0).real))))
         # exact tail oracle: blocked coefficients sum
         tail = float(np.sum(cs[2.0**js >= 1.0 / d]))
