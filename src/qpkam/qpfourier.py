@@ -103,16 +103,6 @@ def _fft_indices(K: int, N: int) -> np.ndarray:
     return np.arange(-K, K + 1) % N
 
 
-def extract_fft(grid_fft: np.ndarray, n: int, K: int) -> np.ndarray:
-    """Centered mode box |k|_inf <= K of an (N,)*n FFT-layout array, divided
-    by N^n."""
-    N = grid_fft.shape[0]
-    if N < 2 * K + 1:
-        raise ValueError(f"grid N={N} cannot hold modes up to K={K}")
-    idx = [_fft_indices(K, N)] * n
-    return grid_fft[np.ix_(*idx)] / N**n
-
-
 def synthesize(coeffs: np.ndarray, n: int, N: int) -> np.ndarray:
     """Real values of sum_k c_k e^{i<k,theta>} on the uniform (N,)*n torus
     grid, for a Hermitian box (c_{-k} = conj c_k along the torus axes).
@@ -145,27 +135,41 @@ def synthesize_grid(coeffs: np.ndarray, n: int, N: int) -> np.ndarray:
 
 
 def analyze(values: np.ndarray, n: int, K: int) -> np.ndarray:
-    """Centered mode box from values on a uniform torus grid (extra axes kept).
+    """Centered mode box of real values on a uniform torus grid (extra axes
+    kept): one rfftn over the torus axes gives the half box k_n >= 0, and
+    c_{-k} = conj c_k the rest.  RealityDefect for complex values.
 
     Under an active grid_eval_log, also records the largest discarded band:
     sum |c_k| over the shells K < |k|_inf <= (N-1)//2 that the grid resolves
     but the projection drops, summed over the extra axes.
     """
-    grid_fft = np.fft.fftn(values, axes=tuple(range(n)))
+    N = np.shape(values)[0]
+    if N < 2 * K + 1:
+        raise ValueError(f"grid N={N} cannot hold modes up to K={K}")
+    if np.iscomplexobj(values):
+        raise RealityDefect("complex values given to the real analysis")
+    spectrum = np.fft.rfftn(values, axes=tuple(range(n)))
     if _grid_logs:
-        band = _band_mass(grid_fft, n, K)
+        band = _band_mass(spectrum, N, n, K)
         for log in _grid_logs:
             log["band"] = max(log["band"], band)
-    return extract_fft(grid_fft, n, K)
+    half = spectrum[np.ix_(*[_fft_indices(K, N)] * (n - 1), np.arange(K + 1))] / N**n
+    lower = np.flip(half[(slice(None),) * (n - 1) + (slice(1, None),)], axis=tuple(range(n)))
+    return np.concatenate([lower.conj(), half], axis=n - 1)
 
 
-def _band_mass(grid_fft: np.ndarray, n: int, K: int) -> float:
-    B = (grid_fft.shape[0] - 1) // 2
+def _band_mass(spectrum: np.ndarray, N: int, n: int, K: int) -> float:
+    B = (N - 1) // 2
     if B <= K:
         return 0.0
-    mass = np.abs(extract_fft(grid_fft, n, B)).reshape((2 * B + 1,) * n + (-1,)).sum(axis=-1)
-    mass[(slice(B - K, B + K + 1),) * n] = 0.0
-    return float(mass.sum())
+    mass = np.abs(spectrum[(slice(None),) * (n - 1) + (slice(0, B + 1),)])
+    mass = mass.reshape(mass.shape[:n] + (-1,)).sum(axis=-1)
+    # drop the projected box and, on an even grid, the Nyquist planes
+    mass[np.ix_(*[_fft_indices(K, N)] * (n - 1), np.arange(K + 1))] = 0.0
+    for d in range(n - 1) if N % 2 == 0 else ():
+        mass[(slice(None),) * d + (N // 2,)] = 0.0
+    # each k_n > 0 stands for itself and its conjugate -k
+    return float(mass.sum() + mass[..., 1:].sum()) / N**n
 
 
 def theta_grid(N: int, n: int) -> np.ndarray:
@@ -446,8 +450,9 @@ class ShellFunction:
 
     @staticmethod
     def from_grid(values: np.ndarray, freq: Frequency, K: int) -> "ShellFunction":
-        coeffs = symmetrize(analyze(np.asarray(values, dtype=complex), freq.n, K), freq.n)
-        return ShellFunction(freq, coeffs)
+        """Real values on the uniform (N,)*n torus grid; RealityDefect for
+        complex ones."""
+        return ShellFunction(freq, symmetrize(analyze(values, freq.n, K), freq.n))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -528,7 +533,7 @@ def compose_angle(g: ShellFunction, f: ShellFunction, K_out: int) -> ShellFuncti
     lo, hi = float(np.min(fvals)), float(np.max(fvals))
     c, delta = 0.5 * (hi + lo), 0.5 * (hi - lo)
     cheb = grid_shift_cheb(g.coeffs, f.freq.vec, N, c, delta)
-    gvals = _eval_shifted(g.coeffs, f.freq.vec, N, fvals, cheb, c, delta)
+    gvals = _eval_shifted(g.coeffs, f.freq.vec, N, fvals, cheb, c, delta).real
     return ShellFunction.from_grid(gvals.reshape((N,) * f.n), f.freq, K_out)
 
 
@@ -635,8 +640,9 @@ class StripFunction:
     @staticmethod
     def from_grid(values: np.ndarray, freq: Frequency, domain: StripDomain,
                   K: int, J: int) -> "StripFunction":
-        """Values on (theta grid)^n x cheb_nodes(J)*s, last axis the y nodes."""
-        cheb = cheb_fit_last_axis(np.asarray(values, dtype=complex), J)
+        """Real values on (theta grid)^n x cheb_nodes(J)*s, last axis the y
+        nodes; RealityDefect for complex ones."""
+        cheb = cheb_fit_last_axis(np.asarray(values), J)
         return StripFunction(freq, domain, symmetrize(analyze(cheb, freq.n, K), freq.n))
 
     @staticmethod
@@ -660,8 +666,8 @@ class StripFunction:
     def modes_at_y(self, y) -> np.ndarray:
         """Fourier mode boxes at fixed y values, shape (2K+1,)*n + np.shape(y)."""
         y = np.asarray(y)
-        rows = self.coeffs.reshape(self.coeffs.shape[:-1] + (1,) * y.ndim + (self.J + 1,))
-        return cheb_eval_rows(rows, y / self.domain.s)
+        basis = npcheb.chebvander(y / self.domain.s, self.J).reshape(-1, self.J + 1)
+        return (self.coeffs @ basis.T).reshape(self.coeffs.shape[:-1] + y.shape)
 
     # -- algebra -------------------------------------------------------------
 
@@ -785,7 +791,7 @@ def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:
     are each a scalar, a (P,) array (one value per point, the same in every
     node column) or a (P,) + node shape array; the first axis is always the
     points.  Returns shape (P,) + node shape + (len(strips),).  Real inputs
-    give real values, summed in float64 on the grid path.
+    give real values, summed in float64.
 
     Grid: one grid_shift_cheb call on the stacked strips (one synthesis,
     whatever the number of nodes) interpolates in d over [c - delta, c +
@@ -797,8 +803,9 @@ def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:
     displacements, or an order above SHIFT_MAX_ORDER evaluate directly: one
     eval_modes call (memory bounded by its chunks) on all P*Q points, or on
     the P points alone when one disp column serves every node, then the sum
-    over the Chebyshev rows at y/s; grid_eval_log counts the node slices of a
-    grid call evaluated this way as fallbacks.
+    over the Chebyshev rows at y/s as one batched matrix product;
+    grid_eval_log counts the node slices of a grid call evaluated this way as
+    fallbacks.
     """
     coeffs = np.stack([f.coeffs for f in strips], axis=-1)
     omega, J, m = strips[0].freq.vec, strips[0].J, len(strips)
@@ -831,5 +838,5 @@ def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:
     cols = 1 if math.prod(disp.shape[1:]) == 1 else Q
     pts = theta_pts[..., None] + np.multiply.outer(omega, d[:, :cols])
     rows = eval_modes(coeffs, pts.reshape(len(omega), P * cols)).reshape(P, cols, J + 1, m)
-    out = np.einsum("pqjs,pqj->pqs", np.broadcast_to(rows, (P, Q, J + 1, m)), ty)
-    return (out.real if real else out).reshape((P,) + nodes + (m,))
+    out = ty.reshape(P, cols, Q // cols, J + 1) @ (rows.real if real else rows)
+    return out.reshape((P,) + nodes + (m,))

@@ -1,9 +1,11 @@
 """JSON serialization of shell functions (the phi and psi of curve.json).
 
-Schema: {"omega": [...], "coeffs": [{"k": [k1..kn], "re": .., "im": ..}]}
-Zero coefficients are omitted; entries are emitted in lexicographic order so
-dumps are byte-stable for identical inputs.  shell_from_dict ignores other
-keys, such as the "width" that older files carry.
+Schema: {"omega": [...], "K": K, "re": [...], "im": [...]}: the real and
+imaginary parts of the Hermitian half of the (2K+1)^n mode box, the c_k
+with k up to and including k = 0 in lexicographic order; c_{-k} = conj c_k
+gives the rest.  shell_from_dict also reads the older form {"omega": [...],
+"coeffs": [{"k": [k1..kn], "re": .., "im": ..}]}, which lists every nonzero
+c_k, and ignores other keys, such as the "width" that older files carry.
 """
 
 from __future__ import annotations
@@ -12,24 +14,37 @@ import json
 
 import numpy as np
 
-from .qpfourier import Frequency, ShellFunction, mode_vectors, symmetrize
+from .errors import RealityDefect
+from .qpfourier import Frequency, ShellFunction, symmetrize
 
 
 def shell_to_dict(f: ShellFunction) -> dict:
-    kvecs = mode_vectors(f.K, f.n).T
-    flat = f.coeffs.reshape(-1)
-    entries = []
-    for k, c in zip(kvecs, flat):
-        if c != 0:
-            entries.append({"k": [int(v) for v in k], "re": float(c.real), "im": float(c.imag)})
-    return {"omega": list(f.freq.omega), "coeffs": entries}
+    half = f.coeffs.reshape(-1)[:f.coeffs.size // 2 + 1]
+    return {"omega": list(f.freq.omega), "K": f.K,
+            "re": half.real.tolist(), "im": half.imag.tolist()}
 
 
 def shell_from_dict(d: dict) -> ShellFunction:
-    """The shell of a shell_to_dict document, on the smallest box that holds
-    its entries; ValueError for an entry whose k has not n components."""
+    """The shell of a document in either form.  Compact form: ValueError
+    for re or im arrays of the wrong length, RealityDefect for a nonzero
+    imaginary part at k = 0.  Older form: the smallest box that holds the
+    entries; ValueError for an entry whose k has not n components."""
     freq = Frequency(tuple(d["omega"]))
-    entries = d.get("coeffs", [])
+    if "coeffs" not in d:
+        K, size = d["K"], None
+        if isinstance(K, int) and K >= 0:
+            size = (2 * K + 1) ** freq.n // 2 + 1
+        re, im = np.asarray(d["re"], dtype=float), np.asarray(d["im"], dtype=float)
+        if size is None or re.shape != (size,) or im.shape != (size,):
+            raise ValueError(f"K = {K!r} at n = {freq.n} needs re and im arrays of "
+                             f"{size} values, got shapes {re.shape} and {im.shape}")
+        if im[-1] != 0.0:
+            raise RealityDefect(f"the mean c_0 = {re[-1]} + {im[-1]}j of a real function "
+                                "must be real")
+        half = re + 1j * im
+        box = np.concatenate([half, half[-2::-1].conj()])
+        return ShellFunction(freq, box.reshape((2 * K + 1,) * freq.n))
+    entries = d["coeffs"]
     for e in entries:
         if len(e["k"]) != freq.n:
             raise ValueError(f"coefficient k = {e['k']} needs {freq.n} components")

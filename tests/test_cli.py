@@ -369,7 +369,8 @@ def test_solve_zero_perturbation(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
     curve = json.loads((out / "curve.json").read_text())
     assert curve["defect"] == 0.0
-    assert curve["phi"]["coeffs"] == []
+    assert curve["phi"]["K"] == 8
+    assert not any(curve["phi"]["re"]) and not any(curve["phi"]["im"])
     trace = json.loads((out / "trace.json").read_text())
     assert trace["converged"]
     header, *rows = (out / "samples.csv").read_text().splitlines()

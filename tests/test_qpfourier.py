@@ -384,13 +384,24 @@ def test_strip_scale_y_is_theta_composition():
     assert np.max(np.abs(eval_xy(g, xs, ys) - eval_xy(f, xs, theta * ys))) < 1e-11
 
 
+def _listed(f):
+    """The older curve.json form of a shell: one entry per nonzero c_k."""
+    kvecs = qp.mode_vectors(f.K, f.n).T
+    return {"omega": list(f.freq.omega),
+            "coeffs": [{"k": [int(v) for v in k], "re": float(c.real), "im": float(c.imag)}
+                       for k, c in zip(kvecs, f.coeffs.reshape(-1)) if c != 0]}
+
+
 def test_serialization_round_trip():
     from qpkam.serialize import shell_from_dict, shell_to_dict
 
     rng = np.random.default_rng(17)
     f = random_shell(rng, FREQ2, K=3)
     doc = shell_to_dict(f)
-    assert sorted(doc) == ["coeffs", "omega"]
+    assert sorted(doc) == ["K", "im", "omega", "re"]
+    # the Hermitian half box up to and including k = 0
+    assert doc["K"] == 3 and len(doc["re"]) == len(doc["im"]) == 49 // 2 + 1
+    assert doc["im"][-1] == 0.0
     g = shell_from_dict(doc)
     assert np.max(np.abs(g.coeffs - f.coeffs)) == 0.0
     # curve.json files that still carry a "width" key load the same
@@ -400,13 +411,39 @@ def test_serialization_round_trip():
         shell_from_dict({"omega": doc["omega"], "coeffs": [{"k": [0, 1], "re": 0.5, "im": 0.0}]})
 
 
-def test_serialization_box_holds_every_entry():
-    # the box comes from the entries alone: no K argument can wrap k = -3
-    # into the k = +2 slot of a K = 2 box or drop k = +3 with an IndexError
+@pytest.mark.parametrize("n, K", [(1, 0), (1, 4), (2, 3), (3, 2)])
+def test_serialization_both_forms_read_the_same_shell(n, K):
     from qpkam.serialize import shell_from_dict, shell_to_dict
 
+    freq = Frequency(tuple(math.sqrt(p) for p in (1.0, 2.0, 3.0)[:n]))
+    f = random_shell(np.random.default_rng(K + 10 * n), freq, K=K)
+    compact, listed = shell_from_dict(shell_to_dict(f)), shell_from_dict(_listed(f))
+    assert compact.K == listed.K == K
+    assert np.array_equal(compact.coeffs, f.coeffs)
+    assert np.array_equal(listed.coeffs, f.coeffs)
+
+
+def test_serialization_compact_form_rejects_bad_arrays():
+    from qpkam.serialize import shell_from_dict, shell_to_dict
+
+    doc = shell_to_dict(random_shell(np.random.default_rng(18), FREQ2, K=2))
+    # a complex mean is no real function
+    with pytest.raises(RealityDefect, match="must be real"):
+        shell_from_dict({**doc, "im": doc["im"][:-1] + [0.25]})
+    for bad in ({"re": doc["re"][:-1]}, {"im": doc["im"] + [0.0]}, {"K": 3},
+                {"K": -1}, {"K": 2.0}, {"re": [doc["re"]]}):
+        with pytest.raises(ValueError, match="needs re and im arrays"):
+            shell_from_dict({**doc, **bad})
+
+
+def test_serialization_box_holds_every_entry():
+    # the box of the older form comes from its entries alone: no K argument
+    # can wrap k = -3 into the k = +2 slot of a K = 2 box or drop k = +3
+    # with an IndexError
+    from qpkam.serialize import shell_from_dict
+
     f = ShellFunction.from_modes(FREQ2, {(3, -1): 0.25 - 0.5j, (0, 2): 0.125}, K=3)
-    doc = shell_to_dict(f)
+    doc = _listed(f)
     assert np.array_equal(shell_from_dict(doc).coeffs, f.coeffs)
     with pytest.raises(TypeError):
         shell_from_dict(doc, K=2)

@@ -1,7 +1,8 @@
 """Property tests of the evaluation primitives: eval_modes against FFT
 synthesis and the explicit mode sum, and the strip evaluators against
 per-node and direct scattered-evaluation oracles; and of the Fourier/Chebyshev
-algebra: symmetrize, with_domain, and invert_angle_map with compose_angle."""
+algebra: analyze against synthesize and the full FFT, symmetrize,
+with_domain, and invert_angle_map with compose_angle."""
 
 import itertools
 import math
@@ -10,11 +11,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import corner_sheet_sup, eval_xy, symmetric_box, symmetrized
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 
 from qpkam import qpfourier as qp
+from qpkam.errors import RealityDefect
 from qpkam.qpfourier import (
     Frequency,
     ShellFunction,
@@ -102,6 +104,59 @@ def test_eval_modes_matches_explicit_sum(seed, n, K, P, trailing, imag, chunk):
     assert got.shape == (P,) + trailing
     bound = np.sum(np.abs(coeffs)) * math.exp(imag * n * K)
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * bound
+
+
+# grid sizes N >= 2K+1 past the box: odd, even and prime offsets
+GRID_EXTRA = st.integers(0, 9)
+
+
+@PROPS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(0, 4),
+       extra=GRID_EXTRA, trailing=TRAILING)
+@example(seed=0, n=3, K=3, extra=6, trailing=(2,))          # N = 13, prime
+@example(seed=1, n=2, K=4, extra=2, trailing=())            # N = 11, prime
+@example(seed=2, n=1, K=2, extra=3, trailing=(3,))          # N = 8, even
+def test_analyze_inverts_synthesize(seed, n, K, extra, trailing):
+    rng = np.random.default_rng(seed)
+    coeffs = hermitian_box(rng, n, K, trailing)
+    N = 2 * K + 1 + extra
+    got = qp.analyze(qp.synthesize(coeffs, n, N), n, K)
+    assert got.shape == coeffs.shape
+    assert np.max(np.abs(got - coeffs)) <= 1e-14 * np.sum(np.abs(coeffs))
+
+
+@PROPS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(0, 4),
+       extra=GRID_EXTRA, trailing=TRAILING)
+@example(seed=0, n=3, K=1, extra=8, trailing=(2,))          # N = 11, prime
+@example(seed=1, n=2, K=2, extra=5, trailing=())            # N = 10, even
+def test_band_mass_of_the_half_spectrum_matches_the_full_fft(seed, n, K, extra, trailing):
+    # grid values with every resolved mode present, so the band is not zero
+    rng = np.random.default_rng(seed)
+    N = 2 * K + 1 + extra
+    values = rng.standard_normal((N,) * n + trailing)
+    B = (N - 1) // 2
+    full = np.fft.fftn(values, axes=tuple(range(n)))
+    box = full[np.ix_(*[np.arange(-B, B + 1) % N] * n)] / N**n
+    inner = np.zeros(box.shape[:n], dtype=bool)
+    inner[(slice(B - K, B + K + 1),) * n] = True
+    want = float(np.sum(np.abs(box[~inner])))
+    with qp.grid_eval_log() as log:
+        qp.analyze(values, n, K)
+    assert log["band"] == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_from_grid_refuses_complex_values(n):
+    # complex data are not cast to real: even a zero imaginary part is refused
+    freq, N, K, J = Frequency(OMEGAS[n]), 8, 2, 2
+    values = np.ones((N,) * n, dtype=complex)
+    with pytest.raises(RealityDefect, match="complex values"):
+        ShellFunction.from_grid(values, freq, K)
+    with pytest.raises(RealityDefect, match="complex values"):
+        StripFunction.from_grid(np.ones((N,) * n + (J + 1,), dtype=complex), freq,
+                                StripDomain(0.7, 0.4), K, J)
+    assert ShellFunction.from_grid(values.real, freq, K).mean() == 1.0
 
 
 def extended_eval(coeffs, theta):
