@@ -166,7 +166,6 @@ class ExperimentConfig:
 
 
 def _write(out_dir: Path, name: str, obj) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     serialize.dump_json(obj, out_dir / name)
 
 
@@ -405,11 +404,12 @@ def main(argv=None) -> int:
             cfg = ExperimentConfig(**flags)
         else:
             cfg = ExperimentConfig.load(args.config, args.seed)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError, RecursionError) as exc:     # json.load of deep nesting
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    out_dir = Path(args.out)
     handler = {"certify": cmd_certify, "solve": cmd_solve, "diagnose": cmd_diagnose,
                "schedule": cmd_schedule, "diophantine": cmd_diophantine}[args.command]
     try:

@@ -53,9 +53,7 @@ def certify_frequency(omega, K: int, sigma0: float | None = None) -> Frequency:
     """Largest c with |<k,omega>| >= c/|k|_1^sigma0 on the box 0 < |k|_inf <= K."""
     if K < 1:
         raise ConfigError("K >= 1 required")
-    om = np.asarray([float(w) for w in omega])
-    if not np.all(np.isfinite(om)) or np.any(om == 0):
-        raise ConfigError("frequencies must be finite and nonzero")
+    om = Frequency(tuple(omega)).vec
     if sigma0 is None:
         sigma0 = float(len(om))
     k1, kw = _box_k1_and_kw(om, K)
@@ -91,23 +89,25 @@ class RejectionReport:
         return False
 
 
-def _check_gamma_tau(gamma: float, tau: float, interval, n: int):
+def _admissible_interval(gamma: float, tau: float, interval, n: int, K: int):
+    """The interval shrunk by gamma/12^3 at each end, after checking K >= 1,
+    tau > n and 0 < gamma < min(1, 12^3(b-a))/2."""
     a, b = interval
+    if K < 1:
+        raise ConfigError("K >= 1 required")
     if not tau > n:
         raise ConfigError(f"tau = {tau} must exceed n = {n}")
     if not (0.0 < gamma < 0.5 * min(1.0, 12.0**3 * (b - a))):
         raise ConfigError(f"gamma = {gamma} outside (0, min(1, 12^3(b-a))/2)")
+    pad = gamma / 12.0**3
+    return a + pad, b - pad
 
 
 def certify_rotation(alpha: float, freq: Frequency, gamma: float, tau: float,
                      interval, K: int):
     """Accept alpha into the admissible class or return a RejectionReport."""
-    if K < 1:
-        raise ConfigError("K >= 1 required")
-    _check_gamma_tau(gamma, tau, interval, freq.n)
-    a, b = interval
-    pad = gamma / 12.0**3
-    if not (a + pad <= alpha <= b - pad):
+    lo, hi = _admissible_interval(gamma, tau, interval, freq.n, K)
+    if not (lo <= alpha <= hi):
         return RejectionReport(alpha, "interval")
     k1, kw = _box_k1_and_kw(freq.vec, K)
     x = kw * alpha / (2.0 * math.pi)
@@ -199,12 +199,9 @@ def sample_admissible(freq: Frequency, gamma: float, tau: float, interval,
     certify_rotation's for that alpha."""
     if count < 1:
         raise ConfigError("count >= 1 required")
-    _check_gamma_tau(gamma, tau, interval, freq.n)
-    a, b = interval
-    pad = gamma / 12.0**3
-    rng = np.random.default_rng(seed)
-    alphas = rng.uniform(a + pad, b - pad, count)
-    inside = (alphas >= a + pad) & (alphas <= b - pad)
+    lo, hi = _admissible_interval(gamma, tau, interval, freq.n, K)
+    alphas = np.random.default_rng(seed).uniform(lo, hi, count)
+    inside = (alphas >= lo) & (alphas <= hi)
     sample = AdmissibleSample(alphas, inside, freq, gamma, tau, K)
     if sample.first is None:
         raise NoneAdmissible(

@@ -198,12 +198,18 @@ class ExactNormalizedMap:
     alpha: float
     y_scale: float
 
+    def hx(self, theta, y):
+        """f at (theta, r = alpha + y_scale*y): the x-perturbation."""
+        return self.mp.f_shell(theta, self.alpha + self.y_scale * y)
+
+    def hy(self, theta, y):
+        """g/y_scale at (theta, r = alpha + y_scale*y): the y-perturbation."""
+        return self.mp.g_shell(theta, self.alpha + self.y_scale * y) / self.y_scale
+
     def displacement(self, theta_pts: np.ndarray, y_pts: np.ndarray):
         """(dx, dy) with x1 = x + dx, y1 = y + dy at shell points."""
-        r = self.alpha + self.y_scale * y_pts
-        f = self.mp.f_shell(theta_pts, r)
-        g = self.mp.g_shell(theta_pts, r)
-        return self.alpha + self.y_scale * y_pts + f, g / self.y_scale
+        return (self.alpha + self.y_scale * y_pts + self.hx(theta_pts, y_pts),
+                self.hy(theta_pts, y_pts))
 
 
 @dataclass
@@ -264,7 +270,9 @@ def normalize(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
               K_trunc: int, J: int, y_scale: float) -> tuple[ExactNormalizedMap, callable]:
     """Linear change theta = x, r = alpha + sigma*y and the smoothed family,
     with sigma = y_scale: the exact normalized map and the family, a function
-    level -> NormalizedMap that builds each member once, on first use.
+    level -> NormalizedMap that builds each member once, on first use, by
+    projecting the exact map's samplers hx and hy onto the strip and
+    smoothing them.
 
     The schedule's eps0 as sigma is the proof normalization; the numerical
     driver passes a moderate sigma instead, since eps0 amplifies the radial
@@ -281,29 +289,19 @@ def normalize(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
     exact = ExactNormalizedMap(mp, alpha.alpha, sigma)
     y_strip = min(1.0, margin / sigma)
 
-    def hx(th, y):
-        return mp.f_shell(th, alpha.alpha + sigma * y)
-
-    def hy(th, y):
-        return mp.g_shell(th, alpha.alpha + sigma * y) / sigma
-
-    members: dict[int, NormalizedMap] = {}
-
     # the levels ask in increasing k, and s_box = min(delta_k, y_strip) stays
     # fixed until delta_k drops below y_strip: one projection serves that run
     @functools.lru_cache(maxsize=1)
     def projections(s_box: float) -> list[StripFunction]:
         return [StripFunction.from_sampler(h, mp.freq, StripDomain(s_box, s_box), K_trunc, J)
-                for h in (hx, hy)]
+                for h in (exact.hx, exact.hy)]
 
+    @functools.cache
     def member(k: int) -> NormalizedMap:
-        if k not in members:
-            d = float(schedule.delta[k])
-            s_box = min(d, y_strip)
-            fx, fy = (smooth(f, d) for f in projections(s_box))
-            members[k] = NormalizedMap(alpha.alpha, sigma, fx, fy,
-                                       StripDomain(d, s_box))
-        return members[k]
+        d = float(schedule.delta[k])
+        s_box = min(d, y_strip)
+        fx, fy = (smooth(f, d) for f in projections(s_box))
+        return NormalizedMap(alpha.alpha, sigma, fx, fy, StripDomain(d, s_box))
 
     return exact, member
 
@@ -423,9 +421,7 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, measured: float) -> StepR
     z = np.zeros(h_theta.shape)
     guard = 1e6 * (theta**2 * M_work + 1e-300)
     iters = 0
-    ratios = []
     deltas = []
-    prev_delta = None
     for iters in range(1, PICARD_MAX_ITER + 1):
         phi2 = (z[..., 1] + hstar2) / theta
         moved = eval_strip_stack([u, v], N, ys + phi2, shifts_plus + z[..., 0])
@@ -433,9 +429,6 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, measured: float) -> StepR
         delta = float(np.max(np.abs(z_new - z)))
         z = z_new
         deltas.append(delta)
-        if prev_delta is not None and prev_delta > 0:
-            ratios.append(delta / prev_delta)
-        prev_delta = delta
         if delta < tol:
             break
         if float(np.max(np.abs(z))) > guard:
@@ -471,7 +464,8 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, measured: float) -> StepR
     phi_minus_q = max(phi_minus_q, float(np.max(np.abs(phi2_vals - q_at_ys))))
     report = {
         "measured_defect": measured, "M_paper": lc.M_paper,
-        "contraction_iters": iters, "contraction_ratios": ratios[:8],
+        "contraction_iters": iters,
+        "contraction_ratios": [b / a for a, b in zip(deltas, deltas[1:]) if a > 0][:8],
         "contraction_deltas": deltas[:9],
         "w_minus_theta": w_sup_dprime,
         "w_bound_paper": 2.0 / 3.0 * lc.q * lc.s,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NotAGraph
+from .errors import ConfigError, NotAGraph, NotMonotone
 from .qpfourier import (
     Frequency,
     ShellFunction,
@@ -43,20 +43,11 @@ class QpPlanarMap:
     declared: dict = field(default_factory=dict)
     label: str = "custom"
 
-    def f_line(self, theta, r):
-        th = np.multiply.outer(self.freq.vec, np.asarray(theta, dtype=float))
-        return self.f_shell(th, r)
-
-    def g_line(self, theta, r):
-        th = np.multiply.outer(self.freq.vec, np.asarray(theta, dtype=float))
-        return self.g_shell(th, r)
-
     def apply(self, point):
         """Image of (theta, r), also for r outside the declared strip."""
         theta, r = point
-        theta1 = theta + r + self.f_line(theta, r)
-        r1 = r + self.g_line(theta, r)
-        return theta1, r1
+        th = np.multiply.outer(self.freq.vec, np.asarray(theta, dtype=float))
+        return theta + r + self.f_shell(th, r), r + self.g_shell(th, r)
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +184,16 @@ def image_curve(mp: QpPlanarMap, curve: CurveGraph, K_out: int | None = None) ->
     """Image of a graph curve, reparameterized as a graph over the angle.
 
     The graph parameter is recovered with the quasi-periodic inverse of the
-    angle displacement (NotAGraph when the angle map folds); phi1 vanishes up
-    to the inversion's truncation residual, which the pair (phi1, psi1)
-    absorbs consistently.
+    angle displacement (NotAGraph, from the inversion's NotMonotone, when the
+    angle map folds); phi1 vanishes up to the inversion's truncation
+    residual, which the pair (phi1, psi1) absorbs consistently.
     """
     K_out = K_out if K_out is not None else max(2 * curve.phi.K, 8)
     u, r1 = forward_shells(mp, curve, K_out)
-    N = default_grid(K_out)
-    du = u.derivative().sample(N)
-    if float(np.min(1.0 + du)) <= 0.0:
-        raise NotAGraph(f"min(1 + u') = {float(np.min(1.0 + du)):.3e}")
-    inv = invert_angle_map(u, K_out=K_out)
+    try:
+        inv = invert_angle_map(u, K_out=K_out)
+    except NotMonotone as exc:
+        raise NotAGraph(str(exc)) from exc
     phi1 = compose_angle(u, inv, K_out=K_out) + inv
     psi1 = compose_angle(r1, inv, K_out=K_out)
     return CurveGraph(phi1, psi1)

@@ -54,9 +54,9 @@ class Frequency:
     def __post_init__(self):
         om = tuple(float(w) for w in self.omega)
         if len(om) < 1:
-            raise ValueError("empty frequency vector")
+            raise ConfigError("empty frequency vector")
         if not all(math.isfinite(w) and w != 0.0 for w in om):
-            raise ValueError("frequencies must be finite and nonzero")
+            raise ConfigError("frequencies must be finite and nonzero")
         object.__setattr__(self, "omega", om)
 
     @property
@@ -679,17 +679,13 @@ class StripFunction:
         if not math.isclose(self.domain.s, other.domain.s, rel_tol=1e-12):
             raise ValueError("Chebyshev scale mismatch")
 
-    def __add__(self, other):
-        if isinstance(other, StripFunction):
-            self._check_compatible(other)
-            dom = StripDomain(min(self.domain.r, other.domain.r), self.domain.s)
-            return StripFunction(self.freq, dom, self.coeffs + other.coeffs)
-        f = StripFunction(self.freq, self.domain, self.coeffs.copy())
-        f.coeffs[(self.K,) * self.n + (0,)] += other
-        return f
+    def __add__(self, other: "StripFunction"):
+        self._check_compatible(other)
+        dom = StripDomain(min(self.domain.r, other.domain.r), self.domain.s)
+        return StripFunction(self.freq, dom, self.coeffs + other.coeffs)
 
-    def __sub__(self, other):
-        return self + (other * -1.0 if isinstance(other, StripFunction) else -other)
+    def __sub__(self, other: "StripFunction"):
+        return self + other * -1.0
 
     def __mul__(self, scalar):
         return StripFunction(self.freq, self.domain, self.coeffs * scalar)

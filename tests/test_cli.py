@@ -263,6 +263,19 @@ def test_nan_map_data_is_one_line_and_no_report(tmp_path, capsys):
     assert not (out / "diagnose.json").exists()
 
 
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_out_that_cannot_be_a_directory_is_one_config_error(tmp_path, capsys, under):
+    # --out names an existing file, or a path below one
+    cfg = write_cfg(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken / under if under else taken
+    assert main(["schedule", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert taken.read_text() == "keep\n"
+
+
 def test_dump_json_refuses_nan_without_writing(tmp_path):
     path = tmp_path / "doc.json"
     with pytest.raises(ValueError):

@@ -15,8 +15,8 @@ from qpkam.diophantine import (
     divisor_sum_bound_check,
     sample_admissible,
 )
-from qpkam.errors import NoneAdmissible, ResonantFrequency
-from qpkam.qpfourier import mode_vectors
+from qpkam.errors import ConfigError, NoneAdmissible, ResonantFrequency
+from qpkam.qpfourier import Frequency, mode_vectors
 
 SQRT2 = math.sqrt(2.0)
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -243,6 +243,17 @@ def test_first_only_sample_peak_at_three_frequencies():
 def test_none_admissible():
     with pytest.raises(NoneAdmissible):
         sample_admissible(FREQ, 0.49, 3.0, (0.4, 1.2), K=30, count=50, seed=1)
+
+
+@pytest.mark.parametrize("K", [0, -1])
+def test_sampling_and_certifying_refuse_the_same_cutoff(K):
+    # one admissible-interval check: sample_admissible refuses K < 1 as
+    # certify_rotation does, before its chunk size divides by the box size
+    freq = Frequency((1.0, GOLDEN))
+    with pytest.raises(ConfigError, match="K >= 1 required"):
+        sample_admissible(freq, 0.1, 2.5, (0.3, 1.1), K, 10, 0)
+    with pytest.raises(ConfigError, match="K >= 1 required"):
+        certify_rotation(0.7, freq, 0.1, 2.5, (0.3, 1.1), K)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from conftest import grid_average, symmetrized
 
 from qpkam import maps
-from qpkam.errors import NotAGraph
+from qpkam.errors import NotAGraph, NotMonotone
 from qpkam.maps import (
     AREA_POINTS,
     CurveGraph,
@@ -128,8 +128,10 @@ def test_image_not_a_graph():
     mp = pure_twist(FREQ)
     psi = ShellFunction.from_modes(FREQ, {(1, 0): -0.9j}, K=2) + 0.5
     curve = CurveGraph(ShellFunction.zeros(FREQ, 2), psi)  # u' dips below -1
-    with pytest.raises(NotAGraph):
+    with pytest.raises(NotAGraph) as info:
         image_curve(mp, curve)
+    # the fold is found by the inversion's monotonicity test, the only one
+    assert isinstance(info.value.__cause__, NotMonotone)
 
 
 # ---------------------------------------------------------------------------

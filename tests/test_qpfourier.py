@@ -384,14 +384,6 @@ def test_strip_scale_y_is_theta_composition():
     assert np.max(np.abs(eval_xy(g, xs, ys) - eval_xy(f, xs, theta * ys))) < 1e-11
 
 
-def _listed(f):
-    """The older curve.json form of a shell: one entry per nonzero c_k."""
-    kvecs = qp.mode_vectors(f.K, f.n).T
-    return {"omega": list(f.freq.omega),
-            "coeffs": [{"k": [int(v) for v in k], "re": float(c.real), "im": float(c.imag)}
-                       for k, c in zip(kvecs, f.coeffs.reshape(-1)) if c != 0]}
-
-
 def test_serialization_round_trip():
     from qpkam.serialize import shell_from_dict, shell_to_dict
 
@@ -406,21 +398,6 @@ def test_serialization_round_trip():
     assert np.max(np.abs(g.coeffs - f.coeffs)) == 0.0
     # curve.json files that still carry a "width" key load the same
     assert np.array_equal(shell_from_dict({**doc, "width": 0.0}).coeffs, f.coeffs)
-    # a file that lists k without -k is no real function
-    with pytest.raises(RealityDefect):
-        shell_from_dict({"omega": doc["omega"], "coeffs": [{"k": [0, 1], "re": 0.5, "im": 0.0}]})
-
-
-@pytest.mark.parametrize("n, K", [(1, 0), (1, 4), (2, 3), (3, 2)])
-def test_serialization_both_forms_read_the_same_shell(n, K):
-    from qpkam.serialize import shell_from_dict, shell_to_dict
-
-    freq = Frequency(tuple(math.sqrt(p) for p in (1.0, 2.0, 3.0)[:n]))
-    f = random_shell(np.random.default_rng(K + 10 * n), freq, K=K)
-    compact, listed = shell_from_dict(shell_to_dict(f)), shell_from_dict(_listed(f))
-    assert compact.K == listed.K == K
-    assert np.array_equal(compact.coeffs, f.coeffs)
-    assert np.array_equal(listed.coeffs, f.coeffs)
 
 
 def test_serialization_compact_form_rejects_bad_arrays():
@@ -436,27 +413,28 @@ def test_serialization_compact_form_rejects_bad_arrays():
             shell_from_dict({**doc, **bad})
 
 
-def test_serialization_box_holds_every_entry():
-    # the box of the older form comes from its entries alone: no K argument
-    # can wrap k = -3 into the k = +2 slot of a K = 2 box or drop k = +3
-    # with an IndexError
-    from qpkam.serialize import shell_from_dict
+def test_serialization_needs_the_compact_keys():
+    # a document in the older {"omega", "coeffs"} form, or one that lacks any
+    # of K, re and im, is refused with one error that names all three
+    from qpkam.serialize import shell_from_dict, shell_to_dict
 
-    f = ShellFunction.from_modes(FREQ2, {(3, -1): 0.25 - 0.5j, (0, 2): 0.125}, K=3)
-    doc = _listed(f)
-    assert np.array_equal(shell_from_dict(doc).coeffs, f.coeffs)
-    with pytest.raises(TypeError):
-        shell_from_dict(doc, K=2)
+    doc = shell_to_dict(random_shell(np.random.default_rng(19), FREQ2, K=2))
+    older = {"omega": doc["omega"], "coeffs": [{"k": [0, 0], "re": 0.5, "im": 0.0}]}
+    for bad in [older] + [{k: v for k, v in doc.items() if k != key} for key in ("K", "re", "im")]:
+        with pytest.raises(ValueError, match="needs the keys K, re and im") as info:
+            shell_from_dict(bad)
+        assert type(info.value) is ValueError
 
 
-@pytest.mark.parametrize("k", [[0], [0, 0, 0], []])
-def test_serialization_rejects_k_of_the_wrong_length(k):
-    # at n = 2 a one-component k = [0] would fill the whole k_1 = 0 row
-    from qpkam.serialize import shell_from_dict
+@pytest.mark.parametrize("omega", [(1.0, 0.0), (1.0, math.nan), (math.inf,), ()])
+def test_frequency_and_certify_frequency_share_one_check(omega):
+    from qpkam.diophantine import certify_frequency
 
-    doc = {"omega": list(FREQ2.omega), "coeffs": [{"k": k, "re": 0.25, "im": 0.0}]}
-    with pytest.raises(ValueError, match="needs 2 components"):
-        shell_from_dict(doc)
+    with pytest.raises(ConfigError) as direct:
+        Frequency(omega)
+    with pytest.raises(ConfigError) as certified:
+        certify_frequency(omega, 5)
+    assert str(direct.value) == str(certified.value)
 
 
 def test_invert_then_compose_three_frequencies_wide_spread(monkeypatch):
