@@ -165,15 +165,6 @@ class ExperimentConfig:
         return cfg
 
 
-def _write(out_dir: Path, name: str, obj) -> None:
-    serialize.dump_json(obj, out_dir / name)
-
-
-def _metadata(out_dir: Path, command: str) -> None:
-    _write(out_dir, "metadata.json",
-           {"command": command, "timestamp": time.time()})
-
-
 def _certificates(cfg: ExperimentConfig):
     """The frequency, the rotation number (or its RejectionReport) and the
     admissible sample it was drawn from (None for a configured alpha)."""
@@ -211,13 +202,13 @@ def _reject(out_dir: Path, name: str | None, why, report: dict) -> int:
                   "margin": _margin(why)}
     print(f"rejection: {line}", file=sys.stderr)
     if name is not None:
-        _write(out_dir, name, {**report, **fields, "accepted": False})
+        serialize.dump_json({**report, **fields, "accepted": False}, out_dir / name)
     return 2
 
 
 def _report(out_dir: Path, name: str, report: dict, verbose: bool) -> int:
     """Exit 0: write report as out_dir/name, and print it when verbose."""
-    _write(out_dir, name, report)
+    serialize.dump_json(report, out_dir / name)
     if verbose:
         print(json.dumps(report, indent=1, sort_keys=True))
     return 0
@@ -259,8 +250,8 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
         result = run(mp, rot, schedule, tol=cfg.tol, K_trunc=cfg.K_trunc, J=cfg.J,
                      y_scale=cfg.y_scale)
     except NotConverged as exc:
-        _write(out_dir, "trace.json", {"converged": False, "smallness": small,
-                                       "levels": exc.trace})
+        serialize.dump_json({"converged": False, "smallness": small, "levels": exc.trace},
+                            out_dir / "trace.json")
         print(f"not converged: {exc}", file=sys.stderr)
         return 3
     curve = result.curve
@@ -268,10 +259,9 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
                  "defect": curve.defect,
                  "phi": serialize.shell_to_dict(curve.phi),
                  "psi": serialize.shell_to_dict(curve.psi)}
-    _write(out_dir, "curve.json", curve_doc)
-    _write(out_dir, "trace.json", {"converged": True, "smallness": small,
-                                   "y_scale": result.y_scale,
-                                   "levels": result.trace})
+    serialize.dump_json(curve_doc, out_dir / "curve.json")
+    serialize.dump_json({"converged": True, "smallness": small, "y_scale": result.y_scale,
+                         "levels": result.trace}, out_dir / "trace.json")
     xis = np.linspace(0.0, 100.0, 1001)
     th, r = curve.points(xis)
     lines = ["xi,theta,r"]
@@ -331,7 +321,7 @@ def cmd_schedule(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
     doc = {"p": schedule.p, "tau": schedule.tau, "gamma": schedule.gamma,
            "q": schedule.q, "theta": schedule.theta, "s0": schedule.s0,
            "eps0": schedule.eps0, "M0": schedule.M0, "levels": rows}
-    _write(out_dir, "schedule.json", doc)
+    serialize.dump_json(doc, out_dir / "schedule.json")
     header = f"{'k':>3} {'r_k':>12} {'s_k':>12} {'eps_k':>12} {'M_k':>12} {'b_k':>12} {'B_k':>10}"
     print(header)
     for row in rows:
@@ -416,13 +406,19 @@ def main(argv=None) -> int:
         # a numeric blow-up ends in its typed error alone, without numpy's warnings
         with np.errstate(all="ignore"):
             code = handler(cfg, out_dir, args.verbose)
-    except ConfigError as exc:
+    except (ValueError, MemoryError) as exc:
+        # a ConfigError, or numpy refusing an array that the config sizes past
+        # memory (MemoryError) or, before it allocates, past the address space
+        if not (isinstance(exc, (ConfigError, MemoryError))
+                or str(exc).startswith("array is too big")):
+            raise
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except QpKamError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ResonantFrequency, NoneAdmissible)) else 3
-    _metadata(out_dir, args.command)
+    serialize.dump_json({"command": args.command, "timestamp": time.time()},
+                        out_dir / "metadata.json")
     return code
 
 

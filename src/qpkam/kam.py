@@ -37,6 +37,7 @@ from .qpfourier import (
     ShellFunction,
     StripDomain,
     StripFunction,
+    _displaced_points,
     cheb_eval_rows,
     cheb_nodes,
     default_grid,
@@ -47,7 +48,6 @@ from .qpfourier import (
     log_shift_build,
     sample_strip_stack,
     synthesize,  # noqa: F401  (bound here for the layer tracer in benchmarks/)
-    theta_grid,
 )
 from .smoothing import FROZEN_CONSTANTS, member_gap, q_bound, smooth
 
@@ -534,10 +534,8 @@ def _pullback_grid(Z: ConjugacyMap, thf, targets_theta_disp: np.ndarray,
             builds += cheb is not None
         ty = npcheb.chebvander(yv / s, J)                     # (P, Q, J+1)
         if cheb is None:
-            theta = thf if np.ndim(thf) else theta_grid(thf, len(omega)).reshape(len(omega), P)
-            pts = (theta[..., None] + np.multiply.outer(omega, a)).reshape(len(omega), P * Q)
             both = np.stack([Z.P.coeffs, Z.S.coeffs, Z.P.dx().coeffs, Z.S.dx().coeffs], axis=-1)
-            rows = eval_modes(both, pts).real.reshape(P, Q, J + 1, 4)
+            rows = eval_modes(both, _displaced_points(omega, thf, a)).real.reshape(P, Q, J + 1, 4)
             rows, rows_da = rows[..., :2], rows[..., 2:]
         else:
             M = cheb.shape[-1] - 1

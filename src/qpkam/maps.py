@@ -185,8 +185,8 @@ def image_curve(mp: QpPlanarMap, curve: CurveGraph, K_out: int | None = None) ->
 
     The graph parameter is recovered with the quasi-periodic inverse of the
     angle displacement (NotAGraph, from the inversion's NotMonotone, when the
-    angle map folds); phi1 vanishes up to the inversion's truncation
-    residual, which the pair (phi1, psi1) absorbs consistently.
+    angle map folds).  Over the angle the image is a graph, so its angle
+    displacement phi1 is zero and psi1 = R1 o inv carries the curve.
     """
     K_out = K_out if K_out is not None else max(2 * curve.phi.K, 8)
     u, r1 = forward_shells(mp, curve, K_out)
@@ -194,9 +194,7 @@ def image_curve(mp: QpPlanarMap, curve: CurveGraph, K_out: int | None = None) ->
         inv = invert_angle_map(u, K_out=K_out)
     except NotMonotone as exc:
         raise NotAGraph(str(exc)) from exc
-    phi1 = compose_angle(u, inv, K_out=K_out) + inv
-    psi1 = compose_angle(r1, inv, K_out=K_out)
-    return CurveGraph(phi1, psi1)
+    return CurveGraph(ShellFunction.zeros(mp.freq, K_out), compose_angle(r1, inv, K_out=K_out))
 
 
 # d is scanned at 256 points of [0, 200); the witness bracket (200/256 wide)
@@ -229,11 +227,8 @@ def intersection_witness(mp: QpPlanarMap, curve: CurveGraph) -> WitnessReport:
     the area functional's quadrature points, and both signs are reported.
     """
     img = image_curve(mp, curve)
-    r_orig = curve.r_of_theta()
-    K = max(img.psi.K, r_orig.K)
-    # img.psi is already the image's radius over the angle; img.r_of_theta()
-    # would invert phi1, which is only the inversion's truncation residual
-    d = img.psi.pad_to(K) - r_orig.pad_to(K)
+    # img.psi is already the image's radius over the angle (its phi1 is zero)
+    d = img.psi - curve.r_of_theta()
     exact = bool(mp.declared.get("exact_symplectic"))
     xs = SCAN_POINTS
     dv = d.eval(np.concatenate([xs, AREA_POINTS]) if exact else xs).real
@@ -292,6 +287,6 @@ def exactness_defect(mp: QpPlanarMap, curve: CurveGraph) -> float:
     certifies exactness on this curve; a radial flux c shows up as +c.
     """
     u, r1 = forward_shells(mp, curve, max(4 * curve.phi.K, 16))
-    avg_img = _birkhoff_average(r1, u.derivative() + 1.0)
-    avg_orig = _birkhoff_average(curve.psi, curve.phi.derivative() + 1.0)
+    avg_img = _birkhoff_average(r1, u.dx() + 1.0)
+    avg_orig = _birkhoff_average(curve.psi, curve.phi.dx() + 1.0)
     return avg_img - avg_orig

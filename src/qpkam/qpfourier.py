@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -257,15 +257,6 @@ def symmetrize(coeffs: np.ndarray, n: int) -> np.ndarray:
     return 0.5 * (coeffs + flipped)
 
 
-def _pairwise_upper(amps: np.ndarray, n: int, weight_plus: np.ndarray,
-                    weight_minus: np.ndarray) -> float:
-    """Sum over conjugate pairs of max*e^{+} + min*e^{-} (each pair once)."""
-    flipped = np.flip(amps, axis=tuple(range(n)))
-    big = np.maximum(amps, flipped)
-    small = np.minimum(amps, flipped)
-    return float(0.5 * np.sum(big * weight_plus + small * weight_minus))
-
-
 # ---------------------------------------------------------------------------
 # Chebyshev helpers
 # ---------------------------------------------------------------------------
@@ -387,28 +378,37 @@ def grid_shift_cheb(coeffs: np.ndarray, omega: np.ndarray, theta, c: float,
     return eval_modes(boxes, theta).real
 
 
+def _displaced_points(omega: np.ndarray, theta, d: np.ndarray) -> np.ndarray:
+    """The points theta + omega*d of a direct displaced evaluation, flattened
+    to (n, d.size) in d's order.  theta is a grid size N (the P = N^n points
+    of theta_grid(N, n), flattened) or scattered points of shape (n, P); d
+    has shape (P,) or (P, Q), one displacement per point and column."""
+    n = len(omega)
+    if isinstance(theta, (int, np.integer)):
+        theta = theta_grid(theta, n).reshape(n, -1)
+    theta = theta.reshape(theta.shape + (1,) * (d.ndim - 1))
+    return (theta + np.multiply.outer(omega, d)).reshape(n, d.size)
+
+
 def _eval_shifted(coeffs, omega, N, d, cheb, c, delta) -> np.ndarray:
     """Values of a mode box at theta_grid(N, n) + omega*d, shape (N^n,) +
     trailing: cheb_eval_rows at (d - c)/delta of the box's grid_shift_cheb
     coefficients cheb, or eval_modes when cheb is None.
     """
     if cheb is None:
-        theta = theta_grid(N, len(omega)).reshape(len(omega), -1)
-        return eval_modes(coeffs, theta + np.multiply.outer(omega, d))
+        return eval_modes(coeffs, _displaced_points(omega, N, d))
     t = (d - c) / delta if delta > 0 else np.zeros_like(d)
     return cheb_eval_rows(cheb, t.reshape(t.shape + (1,) * (cheb.ndim - 2)))
 
 
 # ---------------------------------------------------------------------------
-# shell functions (quasi-periodic functions of one variable)
+# the mode box shared by shell and strip functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShellFunction:
-    """Truncated Fourier series on the n-torus shell of a quasi-periodic f(t)."""
-
-    freq: Frequency
-    coeffs: np.ndarray    # complex, shape (2K+1,)*n
+class _ModeBox:
+    """Operations on a centered mode box: coeffs holds c_k for |k|_inf <= K on
+    its first n axes, with any trailing axes (a strip's Chebyshev index) kept
+    along, and freq is its Frequency.  Each result has the caller's type."""
 
     @property
     def n(self) -> int:
@@ -417,6 +417,45 @@ class ShellFunction:
     @property
     def K(self) -> int:
         return (self.coeffs.shape[0] - 1) // 2
+
+    def __mul__(self, scalar):
+        return replace(self, coeffs=self.coeffs * scalar)
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return self + other * -1.0
+
+    def _times_box(self, table: np.ndarray):
+        """Mode k times table[k], table of shape (2K+1,)*n."""
+        trailing = (1,) * (self.coeffs.ndim - self.n)
+        return replace(self, coeffs=self.coeffs * table.reshape(table.shape + trailing))
+
+    def dx(self):
+        """d/dx along the shell: multiply mode k by i<k,omega>."""
+        return self._times_box(1j * k_dot_omega(self.K, self.freq.vec))
+
+    def _pair_bound(self, amps: np.ndarray, rho: float) -> float:
+        """Conjugate-pair coefficient bound for the sup over |Im theta_j| <=
+        rho, from the amplitudes amps on the box: each pair {k, -k} counts
+        once, as max * e^{rho|k|_1} + min * e^{-rho|k|_1}."""
+        k1 = k1_norms(self.K, self.n)
+        flipped = np.flip(amps, axis=tuple(range(self.n)))
+        big = np.maximum(amps, flipped)
+        small = np.minimum(amps, flipped)
+        return float(0.5 * np.sum(big * np.exp(rho * k1) + small * np.exp(-rho * k1)))
+
+
+# ---------------------------------------------------------------------------
+# shell functions (quasi-periodic functions of one variable)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ShellFunction(_ModeBox):
+    """Truncated Fourier series on the n-torus shell of a quasi-periodic f(t)."""
+
+    freq: Frequency
+    coeffs: np.ndarray    # complex, shape (2K+1,)*n
 
     # -- constructors -------------------------------------------------------
 
@@ -470,12 +509,6 @@ class ShellFunction:
 
     # -- algebra -------------------------------------------------------------
 
-    def _aligned(self, other: "ShellFunction"):
-        if not self.freq.same_omega(other.freq):
-            raise ValueError("frequency mismatch")
-        K = max(self.K, other.K)
-        return self.pad_to(K), other.pad_to(K), K
-
     def pad_to(self, K: int) -> "ShellFunction":
         if K == self.K:
             return self
@@ -487,24 +520,13 @@ class ShellFunction:
 
     def __add__(self, other):
         if isinstance(other, ShellFunction):
-            a, b, K = self._aligned(other)
-            return ShellFunction(self.freq, a.coeffs + b.coeffs)
+            if not self.freq.same_omega(other.freq):
+                raise ValueError("frequency mismatch")
+            K = max(self.K, other.K)
+            return ShellFunction(self.freq, self.pad_to(K).coeffs + other.pad_to(K).coeffs)
         f = ShellFunction(self.freq, self.coeffs.copy())
         f.coeffs[(self.K,) * self.n] += other
         return f
-
-    def __sub__(self, other):
-        return self + (other * -1.0 if isinstance(other, ShellFunction) else -other)
-
-    def __mul__(self, scalar):
-        return ShellFunction(self.freq, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "ShellFunction":
-        """d/dt of f(t): multiply mode k by i<k,omega>."""
-        kw = k_dot_omega(self.K, self.freq.vec)
-        return ShellFunction(self.freq, self.coeffs * (1j * kw))
 
     def mean(self) -> float:
         return float(self.coeffs[(self.K,) * self.n].real)
@@ -513,9 +535,7 @@ class ShellFunction:
 
     def norm_upper(self, rho: float = 0.0) -> float:
         """Conjugate-pair coefficient bound for sup over the strip |Im theta_j| <= rho."""
-        k1 = k1_norms(self.K, self.n)
-        return _pairwise_upper(np.abs(self.coeffs), self.n,
-                               np.exp(rho * k1), np.exp(-rho * k1))
+        return self._pair_bound(np.abs(self.coeffs), rho)
 
 
 def compose_angle(g: ShellFunction, f: ShellFunction, K_out: int) -> ShellFunction:
@@ -553,7 +573,7 @@ def invert_angle_map(h: ShellFunction, K_out: int) -> ShellFunction:
     """
     n = h.n
     N = default_grid(max(K_out, h.K))
-    dh = h.derivative()
+    dh = h.dx()
     dvals = dh.sample(N)
     if float(np.min(1.0 + dvals)) <= 0.0:
         raise NotMonotone(f"min(1 + h') = {float(np.min(1.0 + dvals)):.3e}")
@@ -608,7 +628,7 @@ class StripDomain:
 
 
 @dataclass(frozen=True)
-class StripFunction:
+class StripFunction(_ModeBox):
     """Fourier (torus shell) x Chebyshev (y on [-s, s]) representation.
 
     coeffs has shape (2K+1,)*n + (J+1,); the last axis multiplies T_j(y/s).
@@ -617,14 +637,6 @@ class StripFunction:
     freq: Frequency
     domain: StripDomain
     coeffs: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.freq.n
-
-    @property
-    def K(self) -> int:
-        return (self.coeffs.shape[0] - 1) // 2
 
     @property
     def J(self) -> int:
@@ -684,22 +696,8 @@ class StripFunction:
         dom = StripDomain(min(self.domain.r, other.domain.r), self.domain.s)
         return StripFunction(self.freq, dom, self.coeffs + other.coeffs)
 
-    def __sub__(self, other: "StripFunction"):
-        return self + other * -1.0
-
-    def __mul__(self, scalar):
-        return StripFunction(self.freq, self.domain, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def dx(self) -> "StripFunction":
-        kw = k_dot_omega(self.K, self.freq.vec)
-        return StripFunction(self.freq, self.domain, self.coeffs * (1j * kw[..., None]))
-
     def shift_x(self, a: float) -> "StripFunction":
-        kw = k_dot_omega(self.K, self.freq.vec)
-        return StripFunction(self.freq, self.domain,
-                             self.coeffs * np.exp(1j * kw * a)[..., None])
+        return self._times_box(np.exp(1j * k_dot_omega(self.K, self.freq.vec) * a))
 
     def scale_y(self, factor: float) -> "StripFunction":
         """Reinterpret f(x, factor*y): same coefficients on s -> s/factor."""
@@ -730,9 +728,7 @@ class StripFunction:
         rho = self.domain.r if rho is None else rho
         sigma = self.domain.s if sigma is None else sigma
         Mj = cheb_disc_bounds(self.J, sigma / self.domain.s)
-        amps = np.abs(self.coeffs) @ Mj
-        k1 = k1_norms(self.K, self.n)
-        return _pairwise_upper(amps, self.n, np.exp(rho * k1), np.exp(-rho * k1))
+        return self._pair_bound(np.abs(self.coeffs) @ Mj, rho)
 
 
 # active grid_eval_log records; eval_strip_stack's grid path and analyze update them
@@ -829,10 +825,8 @@ def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:
         cheb_y = (ty @ cheb.reshape(P, J + 1, m * (M + 1))).reshape(P, Q, m, M + 1)
         td = npcheb.chebvander((d - c) / delta if delta > 0 else np.zeros_like(d), M)
         return (cheb_y @ td[..., None]).reshape((P,) + nodes + (m,))
-    if grid:
-        theta_pts = theta_grid(int(theta_pts), len(omega)).reshape(len(omega), P)
     cols = 1 if math.prod(disp.shape[1:]) == 1 else Q
-    pts = theta_pts[..., None] + np.multiply.outer(omega, d[:, :cols])
-    rows = eval_modes(coeffs, pts.reshape(len(omega), P * cols)).reshape(P, cols, J + 1, m)
+    pts = _displaced_points(omega, theta_pts, d[:, :cols])
+    rows = eval_modes(coeffs, pts).reshape(P, cols, J + 1, m)
     out = ty.reshape(P, cols, Q // cols, J + 1) @ (rows.real if real else rows)
     return out.reshape((P,) + nodes + (m,))

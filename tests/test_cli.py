@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_readme import code_block
 
+from qpkam import cli
 from qpkam import qpfourier as qp
 from qpkam import serialize
 from qpkam.cli import CONFIG, MAP, ExperimentConfig, main
@@ -274,6 +275,34 @@ def test_out_that_cannot_be_a_directory_is_one_config_error(tmp_path, capsys, un
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:"), err
     assert taken.read_text() == "keep\n"
+
+
+def test_box_past_the_address_space_is_one_config_error(tmp_path, capsys):
+    # a curve box of (2^32 + 1)^2 modes: numpy refuses it before allocating
+    cfg = write_cfg(tmp_path, curves=[{"amp": 0.05, "K": 2**31}])
+    out = tmp_path / "o"
+    assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: array is too big"), err
+    assert not (out / "diagnose.json").exists()
+
+
+@pytest.mark.parametrize("key, value, sized_by", [
+    ("K", 10**6, "certify_frequency"),              # the lattice box, 29.1 TiB
+    ("sample_count", 10**13, "sample_admissible"),  # the draws, 72.8 TiB
+])
+def test_array_past_memory_is_one_config_error(tmp_path, capsys, monkeypatch, key, value,
+                                                sized_by):
+    # numpy's MemoryError for the array the field sizes, raised by a stand-in
+    # so that the test requests no memory
+    def refuse(*args, **kwargs):
+        raise MemoryError(f"Unable to allocate the array that {key} = {value} sizes")
+
+    monkeypatch.setattr(cli, sized_by, refuse)
+    cfg = write_cfg(tmp_path, **{key: value})
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: Unable to allocate the array that {key} = {value} sizes"]
 
 
 def test_dump_json_refuses_nan_without_writing(tmp_path):

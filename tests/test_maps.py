@@ -22,7 +22,7 @@ from qpkam.maps import (
     pure_twist,
     rigid_shift,
 )
-from qpkam.qpfourier import Frequency, ShellFunction
+from qpkam.qpfourier import Frequency, ShellFunction, compose_angle, invert_angle_map
 
 FREQ = Frequency((1.0, math.sqrt(2.0)))
 MODES = [((1, 0), 0.6), ((0, 1), 0.4)]
@@ -124,6 +124,17 @@ def test_image_round_trip_residual():
         assert abs(r_oracle - r_target) < 1e-9
 
 
+def test_image_is_a_graph_over_the_angle():
+    # phi1 is exactly zero, and psi1 is the image radius R1 o inv over the angle
+    mp = kicked_twist(FREQ, 5e-2, MODES)
+    curve = random_curve(np.random.default_rng(1), amp=0.05)
+    img = image_curve(mp, curve, K_out=24)
+    assert img.phi.K == 24 and not np.any(img.phi.coeffs)
+    u, r1 = forward_shells(mp, curve, 24)
+    psi1 = compose_angle(r1, invert_angle_map(u, K_out=24), K_out=24)
+    assert np.array_equal(img.psi.coeffs, psi1.coeffs)
+
+
 def test_image_not_a_graph():
     mp = pure_twist(FREQ)
     psi = ShellFunction.from_modes(FREQ, {(1, 0): -0.9j}, K=2) + 0.5
@@ -200,8 +211,8 @@ def test_exactness_defect_matches_the_grid_averages():
     rng = np.random.default_rng(9)
     for curve in (flat_curve(FREQ, 0.6), random_curve(rng)):
         u, r1 = forward_shells(mp, curve, max(4 * curve.phi.K, 16))
-        want = (grid_average(r1, u.derivative() + 1.0)
-                - grid_average(curve.psi, curve.phi.derivative() + 1.0))
+        want = (grid_average(r1, u.dx() + 1.0)
+                - grid_average(curve.psi, curve.phi.dx() + 1.0))
         assert exactness_defect(mp, curve) == pytest.approx(want, abs=1e-15)
 
 

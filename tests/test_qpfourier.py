@@ -233,7 +233,7 @@ def test_compose_then_invert_round_trip():
         h = random_shell(rng, FREQ2, K=3, scale=1.0)
         # |h|_0 <= 0.2 per the invariant; the derivative cap keeps the
         # inverse's spectral tail below the 1e-9 budget at K_out = 24
-        h = h * min(0.15 / h.norm_upper(0.0), 0.25 / h.derivative().norm_upper(0.0))
+        h = h * min(0.15 / h.norm_upper(0.0), 0.25 / h.dx().norm_upper(0.0))
         assert h.norm_upper(0.0) <= 0.2
         h1 = invert_angle_map(h, K_out=24)
         # displacement of the composed map t -> t + h + h1(t + h)
@@ -368,7 +368,7 @@ def test_reality_enforcement_fails_fast():
 def test_derivative_and_shift():
     f = ShellFunction.from_modes(FREQ2, {(1, 0): 0.5}, K=1)  # cos(t)
     xs = np.linspace(0, 5, 30)
-    assert np.max(np.abs(f.derivative().eval(xs).real + np.sin(xs))) < 1e-12
+    assert np.max(np.abs(f.dx().eval(xs).real + np.sin(xs))) < 1e-12
     shifted = compose_angle(f, ShellFunction.constant(FREQ2, 0.7, K=1), K_out=1)  # f(t + 0.7)
     assert np.max(np.abs(shifted.eval(xs).real - np.cos(xs + 0.7))) < 1e-12
 

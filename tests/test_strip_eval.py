@@ -55,6 +55,26 @@ TRAILING = st.sampled_from([(), (1,), (3,), (2, 3)])
 
 @PROPS
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(0, 4),
+       scalar=st.floats(-3.0, 3.0), rho=st.floats(0.0, 0.5))
+def test_shell_and_one_row_strip_share_the_mode_box_algebra(seed, n, K, scalar, rho):
+    # a strip with one Chebyshev row (J = 0) on a shell's box: the same
+    # coefficients under *, - and dx, each in its own type, and the same
+    # conjugate-pair bound
+    rng = np.random.default_rng(seed)
+    freq, dom = Frequency(OMEGAS[n]), StripDomain(0.7, 0.4)
+    a, b = random_box(rng, n, K, ()), random_box(rng, n, K, ())
+    f, g = ShellFunction(freq, a), ShellFunction(freq, b)
+    fs, gs = StripFunction(freq, dom, a[..., None]), StripFunction(freq, dom, b[..., None])
+    for shell, strip in ((f * scalar, fs * scalar), (scalar * f, scalar * fs),
+                         (f - g, fs - gs), (f.dx(), fs.dx())):
+        assert type(shell) is ShellFunction and type(strip) is StripFunction
+        assert strip.domain == dom
+        assert np.array_equal(strip.coeffs[..., 0], shell.coeffs)
+    assert f.norm_upper(rho) == fs.norm_upper(rho, dom.s)
+
+
+@PROPS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(0, 4),
        extra=st.integers(0, 3), trailing=TRAILING)
 def test_eval_modes_matches_synthesize_on_grid(seed, n, K, extra, trailing):
     # extra covers even and odd N
@@ -634,7 +654,7 @@ def test_invert_then_compose_is_identity(seed, n, K):
     h = symmetrized(ShellFunction(Frequency(OMEGAS[n]), box))
     # |h| <= 0.15 and |h'| <= 0.1 keep the inverse's tail at K_out 24 below
     # 1e-11 (n = 1) and 1e-13 (n = 2), far inside the 1e-9 budget
-    h = h * min(0.15 / h.norm_upper(0.0), 0.1 / h.derivative().norm_upper(0.0))
+    h = h * min(0.15 / h.norm_upper(0.0), 0.1 / h.dx().norm_upper(0.0))
     h1 = invert_angle_map(h, K_out=24)
     # displacement of t -> t + h(t) + h1(t + h(t)), the identity's being 0
     assert (compose_angle(h1, h, K_out=24) + h).norm_upper(0.0) < 1e-9
