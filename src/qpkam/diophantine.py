@@ -23,30 +23,19 @@ TIE_TOL = 1e-15      # equality slack: closed inequalities in exact arithmetic
 ALPHA_CHUNK_ELEMS = 1 << 19
 
 
-@functools.lru_cache(maxsize=16)
-def _half_box(K: int, n: int) -> np.ndarray:
-    """Flat mask of the box 0 < |k|_inf <= K that keeps one of each +-k pair:
-    the k whose first nonzero component is positive."""
-    kvecs = mode_vectors(K, n)                    # (n, (2K+1)^n)
-    lead = np.zeros(kvecs.shape[1], dtype=bool)
-    undecided = np.ones(kvecs.shape[1], dtype=bool)
-    for d in range(n):
-        lead |= undecided & (kvecs[d] > 0)
-        undecided &= kvecs[d] == 0
-    return lead
-
-
 def _box_k1_and_kw(omega: np.ndarray, K: int):
-    """l1 norms and <k,omega> on the half box, in its flat order."""
+    """l1 norms and <k,omega> on the half box 0 < |k|_inf <= K, one k of each
+    +-k pair: the one whose first nonzero component is positive.  The C-order
+    flat index of the centered box follows the lexicographic order of k, so
+    that half is the flat tail after the center, (2K+1)^n // 2 + 1 on."""
     n = len(omega)
-    keep = _half_box(K, n)
-    kw = (mode_vectors(K, n).T @ omega)[keep]
-    return k1_norms(K, n).ravel()[keep], kw
+    head = (2 * K + 1) ** n // 2 + 1
+    return k1_norms(K, n).ravel()[head:], mode_vectors(K, n)[:, head:].T @ omega
 
 
 def _half_box_vector(K: int, n: int, i: int) -> tuple:
     """The i-th lattice vector of the half box, for a report."""
-    return tuple(int(v) for v in mode_vectors(K, n)[:, np.flatnonzero(_half_box(K, n))[i]])
+    return tuple(int(v) for v in mode_vectors(K, n)[:, (2 * K + 1) ** n // 2 + 1 + i])
 
 
 def certify_frequency(omega, K: int, sigma0: float | None = None) -> Frequency:

@@ -111,7 +111,7 @@ class KamSchedule:
 
 
 def build_schedule(p: float, n: int, tau: float, gamma: float,
-                   q: float | None = None, k_max: int = 12) -> KamSchedule:
+                   q: float | None = None, *, k_max: int) -> KamSchedule:
     """Schedule from the constants ledger; q defaults to its upper bound."""
     if not tau >= n:
         raise ConfigError(f"tau = {tau} must be >= n = {n}")
@@ -242,10 +242,8 @@ class ConjugacyMap:
         xs = np.linspace(0.0, 2 * math.pi, 24, endpoint=False)
         im = np.repeat([-domain.r, 0.0, domain.r], 3)[None, :]
         y = np.tile([-domain.s, 0.0, domain.s], 3)[None, :]
-        vals = eval_strip_stack([self.P, self.S], np.multiply.outer(self.P.freq.vec, xs),
-                                y, 1j * im)
-        zx = xs[:, None] + 1j * im + vals[..., 0]
-        zy = self.L * y + vals[..., 1]
+        P, zy = self.values_at(np.multiply.outer(self.P.freq.vec, xs), y, 1j * im)
+        zx = xs[:, None] + 1j * im + P
         return bool(np.max(np.abs(zx.imag)) <= target.r and np.max(np.abs(zy)) <= target.s)
 
 
@@ -570,8 +568,8 @@ def _pullback_grid(Z: ConjugacyMap, thf, targets_theta_disp: np.ndarray,
 
 
 def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
-               dom: StripDomain, A_prev: NormalizedMap) -> tuple[NormalizedMap, dict]:
-    """H with Z o H = A_next o Z on dom = D_{k+1}, seeded at Phi_plus.
+               A_prev: NormalizedMap) -> tuple[NormalizedMap, dict]:
+    """H with Z o H = A_next o Z on Phi_plus's domain D_{k+1}, seeded at Phi_plus.
 
     Reports the pullback Newton's steps, final residual and interpolant
     builds (_pullback_grid), the (3.19)-type
@@ -583,6 +581,7 @@ def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
     K = phi_plus.fx.K
     J = phi_plus.fx.J
     twist_next = phi_plus.twist
+    dom = phi_plus.domain
     N = collocation_grid(K)
     ys = dom.s * cheb_nodes(J)
     nodes = ys[None, :]                       # broadcasts to (points, J+1)
@@ -626,16 +625,17 @@ WITNESS_ATOL = 1e-12
 
 
 def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: TruncationPolynomial,
-                       s_plus: float, alpha: float, eps_plus: float) -> dict:
+                       s_plus: float, eps_plus: float) -> dict:
     """Witness xi0(eta) of Psi^(2)(xi0, eta) = eta on curves xi -> Z(xi, eta)
-    and the |Q| <= 3N bound extracted from the measured N.
+    and the |Q| <= 3N bound extracted from the measured N, at the rotation
+    number alpha of the exact map.
 
     Psi is the pullback of the exact map A through Z on the reals, sampled at
     7 values of eta in [-0.9, 0.9] s_plus and 128 of xi in [0, 150); the
     report keeps the pullback Newton's steps, final max residual and
     interpolant builds (_pullback_grid).
     """
-    freq = Z.P.freq
+    freq, alpha = Z.P.freq, exact.alpha
     n_eta, n_xi = 7, 128
     etas = np.linspace(-0.9 * s_plus, 0.9 * s_plus, n_eta)
     xis = np.linspace(0.0, 150.0, n_xi, endpoint=False)
@@ -711,9 +711,8 @@ def _curve_from_Z(Z: ConjugacyMap, exact: ExactNormalizedMap,
     return InvariantCurve(phi, psi, rotation)
 
 
-def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
-        tol: float = 1e-8, K_trunc: int = 8, J: int = 6,
-        y_scale: float = 1.0) -> RunResult:
+def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule, *,
+        tol: float, K_trunc: int, J: int, y_scale: float) -> RunResult:
     """Construct the invariant curve with rotation number alpha.
 
     Iterates inductive_step + solve_back + intersection_bound from the first
@@ -767,12 +766,11 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
 
                 # Z_{k+1} = Z_k o W_k on D'_{k+1}, mapping D_{k+1} into D_{k0}
                 Z = compose_conjugacy(Z, step.w_u, step.w_v, lc)
-                dom_next = StripDomain(float(schedule.r[k + 1]), float(schedule.s[k + 1]))
-                rec["Z_contained"] = Z.range_containment(dom_next, dom_k0)
+                rec["Z_contained"] = Z.range_containment(step.phi_plus.domain, dom_k0)
 
                 # replace A_k by A_{k+1} through the new conjugacy
                 A_next = member(k + 1)
-                H, sb_report = solve_back(Z, A_next, step.phi_plus, dom_next, A_cur)
+                H, sb_report = solve_back(Z, A_next, step.phi_plus, A_cur)
                 rec["solve_back"] = sb_report
                 A_cur = A_next
             except (ContractionDiverged, ResidualDefect, RootFindFailed) as exc:
@@ -780,9 +778,7 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
                 break
 
             try:
-                rec["intersection"] = intersection_bound(
-                    Z, exact, step.Q, float(schedule.s[k + 1]), alpha.alpha,
-                    lc.eps_plus)
+                rec["intersection"] = intersection_bound(Z, exact, step.Q, lc.s_plus, lc.eps_plus)
             except NoIntersectionWitness as exc:
                 rec["intersection"] = {"pass": False, "error": str(exc)}
             k += 1

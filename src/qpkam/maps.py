@@ -1,16 +1,17 @@
 """Quasi-periodic planar map models and structural diagnostics.
 
 Maps have the form theta_1 = theta + r + f(theta, r), r_1 = r + g(theta, r)
-with f, g quasi-periodic in theta.  The catalog provides the pure twist, the
+with f, g quasi-periodic in theta.  The catalog is one builder, the
 quasi-periodically kicked twist (f = g = lam * V'(theta), exact symplectic by
 the generating function H(D, theta) = D^2/2 + lam*V(theta), optionally with a
-radial flux), and the rigid radial shift counterexample.
+radial flux); the pure twist and the rigid radial shift counterexample are
+its unkicked members without and with a flux.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,13 +55,6 @@ class QpPlanarMap:
 # catalog
 # ---------------------------------------------------------------------------
 
-def pure_twist(freq: Frequency, strip=(-math.inf, math.inf)) -> QpPlanarMap:
-    zero = lambda th, r: np.zeros(np.broadcast_shapes(th.shape[1:], np.shape(r)))
-    return QpPlanarMap(freq, zero, zero, strip, sup_norm_fg=0.0,
-                       declared={"intersection": True, "exact_symplectic": True},
-                       label="pure_twist")
-
-
 def kicked_twist(freq: Frequency, lam: float, modes, flux: float = 0.0,
                  strip=(-math.inf, math.inf)) -> QpPlanarMap:
     """theta_1 = theta + r + lam*s(theta), r_1 = r + lam*s(theta) + flux,
@@ -89,13 +83,15 @@ def kicked_twist(freq: Frequency, lam: float, modes, flux: float = 0.0,
                        label="kicked_twist")
 
 
+def pure_twist(freq: Frequency, strip=(-math.inf, math.inf)) -> QpPlanarMap:
+    """theta_1 = theta + r, r_1 = r: the kicked twist with no kick."""
+    return replace(kicked_twist(freq, 0.0, [], strip=strip), label="pure_twist")
+
+
 def rigid_shift(freq: Frequency, c: float, strip=(-math.inf, math.inf)) -> QpPlanarMap:
-    """r_1 = r + c: pushes every curve outward; violates intersection."""
-    zero = lambda th, r: np.zeros(np.broadcast_shapes(th.shape[1:], np.shape(r)))
-    g = lambda th, r: np.full(np.broadcast_shapes(th.shape[1:], np.shape(r)), c)
-    return QpPlanarMap(freq, zero, g, strip, sup_norm_fg=abs(c),
-                       declared={"intersection": False, "exact_symplectic": False},
-                       label="rigid_shift")
+    """r_1 = r + c, the kicked twist with no kick and flux c: pushes every
+    curve outward, so violates intersection unless c = 0 (the pure twist)."""
+    return replace(kicked_twist(freq, 0.0, [], flux=c, strip=strip), label="rigid_shift")
 
 
 # each catalog model: the map keys it reads besides "model", and its builder

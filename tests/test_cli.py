@@ -464,6 +464,20 @@ def test_diagnose_rigid_shift(tmp_path):
     assert not doc["curves"][0]["witness_found"]
 
 
+def test_diagnose_rigid_shift_without_flux_is_the_pure_twist(tmp_path):
+    # "c" defaults to 0: the identity twist, so exact and with intersection,
+    # and the area functional of each curve is computed
+    cfg = write_cfg(tmp_path, map={"model": "rigid_shift", "strip": [0.0, 1.7]})
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads((out / "diagnose.json").read_text())
+    assert doc["model"] == "rigid_shift"
+    assert doc["declared"] == {"intersection": True, "exact_symplectic": True}
+    for row in doc["curves"]:
+        assert row["witness_found"] and abs(row["exactness_defect"]) < 1e-12
+        assert max(map(abs, row["area_signs"])) < 1e-12
+
+
 def test_diagnose_exact_catalog(tmp_path):
     cfg = write_cfg(tmp_path, alpha=0.7,
                     curves=[{"r0": 0.7, "amp": 0.0}, {"r0": 0.7, "amp": 0.05}])

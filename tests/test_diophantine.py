@@ -1,10 +1,13 @@
 """Diophantine certification: exhaustive oracles, measure experiment, divisor sums."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpkam import diophantine
 from qpkam.diophantine import (
@@ -20,6 +23,29 @@ from qpkam.qpfourier import Frequency, mode_vectors
 
 SQRT2 = math.sqrt(2.0)
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# half box
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), K=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_half_box_is_the_lexicographic_positive_half(n, K, seed):
+    # brute-force oracle: every k of the box whose first nonzero component is
+    # positive, in the lexicographic order of itertools.product
+    omega = np.random.default_rng(seed).uniform(0.5, 2.0, n)
+    ks = [k for k in itertools.product(range(-K, K + 1), repeat=n)
+          if any(k) and next(v for v in k if v) > 0]
+    full = set(itertools.product(range(-K, K + 1), repeat=n)) - {(0,) * n}
+    negs = {tuple(-v for v in k) for k in ks}
+    assert len(ks) == len(negs) == len(full) // 2 and set(ks) | negs == full
+    k1, kw = diophantine._box_k1_and_kw(omega, K)
+    assert [diophantine._half_box_vector(K, n, i) for i in range(len(kw))] == ks
+    assert np.array_equal(k1, [sum(abs(v) for v in k) for k in ks])
+    ref = np.array([math.fsum(v * w for v, w in zip(k, omega)) for k in ks])
+    scale = np.abs(np.array(ks, dtype=float)) @ omega
+    assert np.all(np.abs(kw - ref) <= 1e-15 * scale)
 
 
 # ---------------------------------------------------------------------------

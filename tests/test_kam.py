@@ -312,7 +312,7 @@ def test_solve_back_same_member_returns_seed():
     phi = small_normalized(dom, ALPHA.alpha, 0.2, seed=5, amp=5e-5)
     # when A_next is the exact push-forward of phi through Z, H == phi
     A_push = push_forward(Z, phi, dom)
-    H, rep = solve_back(Z, A_push, phi, dom, A_push)
+    H, rep = solve_back(Z, A_push, phi, A_push)
     assert float(np.max(np.abs(H.fx.coeffs - phi.fx.coeffs))) < 1e-11
     assert float(np.max(np.abs(H.fy.coeffs - phi.fy.coeffs))) < 1e-11
     assert rep["family_gap"] < 1e-13
@@ -325,7 +325,7 @@ def test_solve_back_identity_conjugacy():
     seed = NormalizedMap(ALPHA.alpha, 0.2,
                          StripFunction.zeros(FREQ, dom, 4, 3),
                          StripFunction.zeros(FREQ, dom, 4, 3), dom)
-    H, _ = solve_back(Z, A, seed, dom, A)
+    H, _ = solve_back(Z, A, seed, A)
     assert float(np.max(np.abs(H.fx.coeffs - A.fx.coeffs))) < 1e-11
     assert float(np.max(np.abs(H.fy.coeffs - A.fy.coeffs))) < 1e-11
 
@@ -533,7 +533,7 @@ def test_solve_back_reconstructs_synthetic():
     seed = NormalizedMap(ALPHA.alpha, 0.2,
                          StripFunction.zeros(FREQ, dom, K_rep, J_rep),
                          StripFunction.zeros(FREQ, dom, K_rep, J_rep), dom)
-    H_rec, _ = solve_back(Z, A, seed, dom, A)
+    H_rec, _ = solve_back(Z, A, seed, A)
     pad = (K_rep - H_true.fx.K, J_rep - H_true.fx.J)
     fx_ref = np.pad(H_true.fx.coeffs, [(pad[0], pad[0])] * 2 + [(0, pad[1])])
     fy_ref = np.pad(H_true.fy.coeffs, [(pad[0], pad[0])] * 2 + [(0, pad[1])])
@@ -551,8 +551,7 @@ def test_intersection_zero_displacement():
     dom = StripDomain(0.5, 0.01)
     Z = ConjugacyMap.identity(FREQ, dom, 4, 3)
     Q = TruncationPolynomial(0.0, 0.0, 0.0)
-    rep = intersection_bound(Z, exact, Q, s_plus=0.005, alpha=ALPHA.alpha,
-                             eps_plus=8.0 * sched.theta)
+    rep = intersection_bound(Z, exact, Q, s_plus=0.005, eps_plus=8.0 * sched.theta)
     assert rep["pass"]
     assert len(rep["witnesses"]) == 7
 
@@ -579,8 +578,7 @@ def test_intersection_rigid_shift_no_witness():
     Z = ConjugacyMap.identity(FREQ, dom, 4, 3)
     Q = TruncationPolynomial(0.0, 0.0, 0.0)
     with pytest.raises(NoIntersectionWitness):
-        intersection_bound(Z, exact, Q, s_plus=0.005, alpha=ALPHA.alpha,
-                           eps_plus=8.0 * sched.theta)
+        intersection_bound(Z, exact, Q, s_plus=0.005, eps_plus=8.0 * sched.theta)
 
 
 # ---------------------------------------------------------------------------

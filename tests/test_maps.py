@@ -81,6 +81,21 @@ def test_model_from_config_round_trip():
     assert mp2.declared["intersection"] is False
 
 
+def test_rigid_shift_without_flux_is_the_pure_twist():
+    # the catalog's one rule: a map declares intersection and exactness iff
+    # its flux is 0, so c = 0 declares what the pure twist declares
+    th = np.multiply.outer(FREQ.vec, np.linspace(0.0, 10.0, 7))
+    r = np.linspace(0.2, 1.4, 7)
+    still, shift = rigid_shift(FREQ, 0.0), rigid_shift(FREQ, 0.02)
+    assert still.declared == pure_twist(FREQ).declared == {
+        "intersection": True, "exact_symplectic": True}
+    assert shift.declared == {"intersection": False, "exact_symplectic": False}
+    assert still.label == shift.label == "rigid_shift"
+    assert np.array_equal(still.g_shell(th, r), np.zeros(7))
+    assert np.array_equal(shift.g_shell(th, r), np.full(7, 0.02))
+    assert np.array_equal(shift.f_shell(th, r), np.zeros(7))
+
+
 # ---------------------------------------------------------------------------
 # image_curve
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ docstrings and comment-only lines.
 
 A docstring is the first-statement string of a module, class or function,
 spanning the lines of its `ast` node; a comment-only line is one whose only
-tokens (found with `tokenize`) are a comment and the line end.  Prints one
-count per module and the total.
+tokens (found with `tokenize`) are a comment and the line end.  Prints per
+module, and in total, the code lines and the physical lines (newline
+characters, as `wc -l` counts them).
 
     python tools/code_lines.py [package_dir]      # default: src/qpkam
 """
@@ -49,10 +50,13 @@ def code_lines(path: Path) -> int:
 
 def main(argv: list) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "qpkam"
-    counts = {path.stem: code_lines(path) for path in sorted(root.glob("*.py"))}
-    for name, count in counts.items():
-        print(f"{name:>12} {count:>6}")
-    print(f"{'total':>12} {sum(counts.values()):>6}")
+    counts = {path.stem: (code_lines(path), path.read_text().count("\n"))
+              for path in sorted(root.glob("*.py"))}
+    print(f"{'module':>12} {'code':>6} {'lines':>6}")
+    for name, (code, lines) in counts.items():
+        print(f"{name:>12} {code:>6} {lines:>6}")
+    print(f"{'total':>12} {sum(c for c, _ in counts.values()):>6} "
+          f"{sum(n for _, n in counts.values()):>6}")
     return 0
 
 
