@@ -260,7 +260,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
                  "phi": serialize.shell_to_dict(curve.phi),
                  "psi": serialize.shell_to_dict(curve.psi)}
     serialize.dump_json(curve_doc, out_dir / "curve.json")
-    serialize.dump_json({"converged": True, "smallness": small, "y_scale": result.y_scale,
+    serialize.dump_json({"converged": True, "smallness": small, "y_scale": float(cfg.y_scale),
                          "levels": result.trace}, out_dir / "trace.json")
     xis = np.linspace(0.0, 100.0, 1001)
     th, r = curve.points(xis)

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from numpy.polynomial import chebyshev as npcheb
 
 from .cohomology import solve_coupled
@@ -132,8 +133,13 @@ def build_schedule(p: float, n: int, tau: float, gamma: float,
     if p * math.log1p(q) - math.log1p(-q) > (p - 1 - 2 * tau) * math.log(2.0):
         raise ConfigError("geometric condition (1+q)^p/(1-q) <= 2^(p-1-2tau) fails")
     s0 = 2.0**-tau / 300.0
-    eps0 = 6.0 ** -(tau + (n + 1) / 2.0) * gamma / math.gamma(tau + 1.0)
+    try:
+        eps0 = 6.0 ** -(tau + (n + 1) / 2.0) * gamma / math.gamma(tau + 1.0)
+    except OverflowError:           # Gamma(tau + 1) beyond the largest double
+        eps0 = 0.0
     M0 = q * eps0 * s0 / 3.0
+    if not min(eps0, M0) > 0.0:
+        raise ConfigError(f"tau = {tau}: eps0 = {eps0:.3e}, M0 = {M0:.3e}, not positive doubles")
     ks = np.arange(k_max + 1)
     r = 2.0**-ks
     s = s0 * 2.0**-ks
@@ -236,28 +242,24 @@ class ConjugacyMap:
         return vals[..., 0], self.L * y_pts + vals[..., 1]
 
     def range_containment(self, domain: StripDomain, target: StripDomain) -> bool:
-        """Z(domain) inside target, checked on a boundary grid: |Im Z_x| and
-        |Z_y| sampled at 24 points of Re x in [0, 2 pi), Im x in {-r, 0, r}
-        and y in {-s, 0, s}, one node column per (Im x, y) pair."""
-        xs = np.linspace(0.0, 2 * math.pi, 24, endpoint=False)
-        im = np.repeat([-domain.r, 0.0, domain.r], 3)[None, :]
-        y = np.tile([-domain.s, 0.0, domain.s], 3)[None, :]
-        P, zy = self.values_at(np.multiply.outer(self.P.freq.vec, xs), y, 1j * im)
-        zx = xs[:, None] + 1j * im + P
-        return bool(np.max(np.abs(zx.imag)) <= target.r and np.max(np.abs(zy)) <= target.s)
+        """Z(domain) inside target on all of domain = D(r, s), complex y
+        included: |Im Z_x| <= r + |P|_D and |Z_y| <= |L| s + |S|_D, with the
+        coefficient bounds norm_upper(r, s) for the sups."""
+        r, s = domain.r, domain.s
+        return bool(r + self.P.norm_upper(r, s) <= target.r
+                    and abs(self.L) * s + self.S.norm_upper(r, s) <= target.s)
 
 
 def power_truncation(coeffs, m: int, q: float) -> np.ndarray:
-    """Degree-(m-1) polynomial with coefficients (1 - q^{2(m-k)}) c_k.
+    """Degree-(m-1) polynomial with coefficients (1 - q^{2(m-k)}) c_k, always
+    m of them: zero past the end of coeffs.
 
     Satisfies sup_{|z| <= q r} |f - f_{m-1,q}| <= q^m sup_{|z| < r} |f| for f
     holomorphic on |z| < r.
     """
-    out = np.zeros(m)
-    upto = min(m, len(coeffs))
-    ks = np.arange(upto)
-    out[:upto] = (1.0 - q ** (2.0 * (m - ks))) * np.asarray(coeffs[:upto], dtype=float)
-    return out
+    c = np.zeros(m)
+    c[:min(m, len(coeffs))] = coeffs[:m]
+    return (1.0 - q ** (2.0 * (m - np.arange(m)))) * c
 
 
 # ---------------------------------------------------------------------------
@@ -346,24 +348,11 @@ class LevelContext:
 
 
 @dataclass
-class TruncationPolynomial:
-    a0: float
-    a1: float
-    a2: float
-
-    def eval(self, eta):
-        return self.a0 + self.a1 * eta + self.a2 * eta * eta
-
-    def sup_disc(self, s: float) -> float:
-        return abs(self.a0) + abs(self.a1) * s + abs(self.a2) * s * s
-
-
-@dataclass
 class StepResult:
     w_u: StripFunction
     w_v: StripFunction
     phi_plus: NormalizedMap
-    Q: TruncationPolynomial
+    Q: Polynomial
     report: dict
 
 
@@ -448,17 +437,14 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, measured: float) -> StepR
     # (d) truncation polynomial from the power series of theta^{-1}[g](theta eta),
     # the m = 3, q = theta/2 truncation
     gpoly = H.fy.mean_poly()
-    gpow = np.zeros(3)
-    for m in range(min(3, len(gpoly))):
-        gpow[m] = gpoly[m] * theta ** (m - 1)
-    Q = TruncationPolynomial(*power_truncation(gpow, 3, theta / 2.0))
+    Q = Polynomial(power_truncation(gpoly * theta ** (np.arange(len(gpoly)) - 1.0), 3, theta / 2.0))
 
     # verification reports (theorems in the proof regime, advisory otherwise)
     N_sup = default_grid(K)
     w_sup_dprime = float(np.max(np.abs(
         sample_strip_stack([u, v], N_sup, lc.sp_plus * cheb_nodes(J)))))
     phi_minus_q = np.abs(phi1_vals).max()
-    q_at_ys = Q.eval(ys)
+    q_at_ys = Q(ys)
     phi_minus_q = max(phi_minus_q, float(np.max(np.abs(phi2_vals - q_at_ys))))
     report = {
         "measured_defect": measured, "M_paper": lc.M_paper,
@@ -624,7 +610,7 @@ def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
 WITNESS_ATOL = 1e-12
 
 
-def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: TruncationPolynomial,
+def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: Polynomial,
                        s_plus: float, eps_plus: float) -> dict:
     """Witness xi0(eta) of Psi^(2)(xi0, eta) = eta on curves xi -> Z(xi, eta)
     and the |Q| <= 3N bound extracted from the measured N, at the rotation
@@ -649,7 +635,7 @@ def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: Truncation
                                    eta_cols, 1e-12 * (1 + abs(alpha)))
     d = yv - etas                             # Psi^(2) - eta along each curve
     psi1_dev = a - alpha - eps_plus * etas    # Psi^(1) - (xi + alpha + eps+ eta)
-    N_glob = max(float(np.max(np.abs(d - Q.eval(etas)))), float(np.max(np.abs(psi1_dev))))
+    N_glob = max(float(np.max(np.abs(d - Q(etas)))), float(np.max(np.abs(psi1_dev))))
     witnesses = []
     for eta, d_eta in zip(etas, d.T):
         scale = 1.0 + abs(eta)
@@ -665,10 +651,11 @@ def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: Truncation
                     f"max d = {float(np.max(d_eta)):.3e})")
             i = int(flips[0])
             witnesses.append((float(eta), float(0.5 * (xis[i] + xis[i + 1]))))
-    q_sup = Q.sup_disc(s_plus)
+    a0, a1, a2 = Q.coef
+    q_sup = abs(a0) + abs(a1) * s_plus + abs(a2) * s_plus * s_plus
     slack = 1e-12 + 4.0 * WITNESS_ATOL
-    passed = bool(abs(Q.a0) <= N_glob + slack
-                  and abs(Q.a1) * s_plus + abs(Q.a2) * s_plus**2 <= 2 * N_glob + slack
+    passed = bool(abs(a0) <= N_glob + slack
+                  and abs(a1) * s_plus + abs(a2) * s_plus**2 <= 2 * N_glob + slack
                   and q_sup <= 3 * N_glob + slack)
     return {"witnesses": witnesses, "N_measured": N_glob, "Q_sup": q_sup,
             "pass": passed, **newton}
@@ -699,15 +686,12 @@ class RunResult:
     curve: InvariantCurve
     trace: list
     Z: ConjugacyMap
-    y_scale: float
 
 
 def _curve_from_Z(Z: ConjugacyMap, exact: ExactNormalizedMap,
                   rotation: RotationNumber) -> InvariantCurve:
-    freq = Z.P.freq
-    phi = ShellFunction(freq, Z.P.modes_at_y(0.0))
-    psi_shell = ShellFunction(freq, Z.S.modes_at_y(0.0) * exact.y_scale)
-    psi = psi_shell + rotation.alpha
+    phi = ShellFunction(Z.P.freq, Z.P.modes_at_y(0.0))
+    psi = ShellFunction(Z.P.freq, Z.S.modes_at_y(0.0) * exact.y_scale) + rotation.alpha
     return InvariantCurve(phi, psi, rotation)
 
 
@@ -721,7 +705,9 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule, *,
     original (theta, r) units.  A run that stops above tol (schedule.k_max
     reached, or a step failed with ContractionDiverged, ResidualDefect or
     RootFindFailed, recorded as the level's failure) raises NotConverged with
-    the trace.
+    the trace.  An intersection bound that finds no witness or whose pullback
+    Newton fails is recorded as {"pass": false, "error": ...}, and the run
+    goes on.
     """
     exact, member = normalize(mp, alpha, schedule, K_trunc, J, y_scale=y_scale)
     sigma = exact.y_scale
@@ -750,7 +736,7 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule, *,
                    "evaluator": evaluator}
             trace.append(rec)
             if curve.defect <= tol:
-                return RunResult(curve, trace, Z, sigma)
+                return RunResult(curve, trace, Z)
             if k >= schedule.k_max:
                 break
 
@@ -762,7 +748,7 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule, *,
                 step = inductive_step(H, lc, measured)
                 rec["contraction_iters"] = step.report["contraction_iters"]
                 rec["w_minus_theta"] = step.report["w_minus_theta"]
-                rec["Q"] = [step.Q.a0, step.Q.a1, step.Q.a2]
+                rec["Q"] = step.Q.coef.tolist()
 
                 # Z_{k+1} = Z_k o W_k on D'_{k+1}, mapping D_{k+1} into D_{k0}
                 Z = compose_conjugacy(Z, step.w_u, step.w_v, lc)
@@ -779,7 +765,7 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule, *,
 
             try:
                 rec["intersection"] = intersection_bound(Z, exact, step.Q, lc.s_plus, lc.eps_plus)
-            except NoIntersectionWitness as exc:
+            except (NoIntersectionWitness, RootFindFailed) as exc:
                 rec["intersection"] = {"pass": False, "error": str(exc)}
             k += 1
 

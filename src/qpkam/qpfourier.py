@@ -67,9 +67,6 @@ class Frequency:
     def vec(self) -> np.ndarray:
         return np.array(self.omega)
 
-    def same_omega(self, other: "Frequency") -> bool:
-        return self.omega == other.omega
-
 
 # ---------------------------------------------------------------------------
 # lattice helpers (cached per (K, n))
@@ -77,9 +74,7 @@ class Frequency:
 
 @lru_cache(maxsize=64)
 def _lattice(K: int, n: int):
-    axes = [np.arange(-K, K + 1)] * n
-    mesh = np.meshgrid(*axes, indexing="ij") if n > 1 else [axes[0]]
-    kstack = np.stack(mesh)                       # (n,) + box shape
+    kstack = np.indices((2 * K + 1,) * n) - K     # (n,) + box shape
     k1 = np.abs(kstack).sum(axis=0)               # l1 norm, box shape
     return kstack, k1
 
@@ -174,9 +169,7 @@ def _band_mass(spectrum: np.ndarray, N: int, n: int, K: int) -> float:
 
 def theta_grid(N: int, n: int) -> np.ndarray:
     """Uniform torus grid, shape (n,) + (N,)*n."""
-    t = TWO_PI * np.arange(N) / N
-    mesh = np.meshgrid(*([t] * n), indexing="ij") if n > 1 else [t]
-    return np.stack(mesh)
+    return TWO_PI * np.indices((N,) * n) / N
 
 
 def default_grid(K: int) -> int:
@@ -278,11 +271,6 @@ def cheb_analysis_matrix(J: int) -> np.ndarray:
     return C
 
 
-def cheb_fit_last_axis(values: np.ndarray, J: int) -> np.ndarray:
-    """Chebyshev coefficients along the last axis (values at cheb_nodes(J))."""
-    return values @ cheb_analysis_matrix(J).T
-
-
 def cheb_eval_rows(coeffs: np.ndarray, t) -> np.ndarray:
     """Per-row Chebyshev series at per-row points t: the last axis of coeffs,
     shape (..., J+1), contracted with chebvander(t, J).
@@ -371,7 +359,7 @@ def grid_shift_cheb(coeffs: np.ndarray, omega: np.ndarray, theta, c: float,
     M = shift_order(amps, kw, delta) if math.isfinite(c) else None
     if M is None:
         return None
-    phase = cheb_fit_last_axis(_shift_phases(omega, K, c + delta * cheb_nodes(M)), M)
+    phase = _shift_phases(omega, K, c + delta * cheb_nodes(M)) @ cheb_analysis_matrix(M).T
     boxes = coeffs[..., None] * phase.reshape(kw.shape + (1,) * len(trailing) + (M + 1,))
     if isinstance(theta, (int, np.integer)):
         return synthesize_grid(boxes, n, theta).reshape((theta**n,) + trailing + (M + 1,))
@@ -520,7 +508,7 @@ class ShellFunction(_ModeBox):
 
     def __add__(self, other):
         if isinstance(other, ShellFunction):
-            if not self.freq.same_omega(other.freq):
+            if self.freq.omega != other.freq.omega:
                 raise ValueError("frequency mismatch")
             K = max(self.K, other.K)
             return ShellFunction(self.freq, self.pad_to(K).coeffs + other.pad_to(K).coeffs)
@@ -546,7 +534,7 @@ def compose_angle(g: ShellFunction, f: ShellFunction, K_out: int) -> ShellFuncti
     interpolant is evaluated at the f values; direct eval_modes when the
     interpolant needs an order above SHIFT_MAX_ORDER.
     """
-    if not f.freq.same_omega(g.freq):
+    if f.freq.omega != g.freq.omega:
         raise ValueError("frequency mismatch")
     N = default_grid(K_out)
     fvals = f.sample(N).ravel()
@@ -654,7 +642,7 @@ class StripFunction(_ModeBox):
                   K: int, J: int) -> "StripFunction":
         """Real values on (theta grid)^n x cheb_nodes(J)*s, last axis the y
         nodes; RealityDefect for complex ones."""
-        cheb = cheb_fit_last_axis(np.asarray(values), J)
+        cheb = np.asarray(values) @ cheb_analysis_matrix(J).T
         return StripFunction(freq, domain, symmetrize(analyze(cheb, freq.n, K), freq.n))
 
     @staticmethod
@@ -684,7 +672,7 @@ class StripFunction(_ModeBox):
     # -- algebra -------------------------------------------------------------
 
     def _check_compatible(self, other: "StripFunction"):
-        if not self.freq.same_omega(other.freq):
+        if self.freq.omega != other.freq.omega:
             raise ValueError("frequency mismatch")
         if self.coeffs.shape != other.coeffs.shape:
             raise ValueError("shape mismatch")

@@ -338,6 +338,34 @@ def test_huge_p_does_not_overflow(tmp_path, capsys, command):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("tau", [170.0, 171.0])
+def test_tau_without_a_positive_eps0_exit_1(tmp_path, capsys, tau):
+    # Gamma(tau + 1) overflows at 171 and eps0 underflows to 0 at 170: both
+    # are one config error naming tau, not a traceback or a zero schedule
+    cfg = write_cfg(tmp_path, tau=tau, p=400.0)
+    assert main(["schedule", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: tau = {tau}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "schedule.json").exists()
+
+
+def test_root_find_failure_in_the_intersection_bound_is_recorded(tmp_path, capsys):
+    # K_trunc 0: the intersection bound's pullback Newton fails at level 6;
+    # the level records it and the run ends in one "not converged:" line
+    base_map = {**BASE["map"], "modes": BASE["map"]["modes"][:2]}
+    cfg = write_cfg(tmp_path, K_trunc=0, map=base_map)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("not converged:")
+    levels = json.loads((out / "trace.json").read_text())["levels"]
+    reports = [rec["intersection"] for rec in levels if "intersection" in rec]
+    failed = [rep for rep in reports if not rep["pass"]]
+    assert failed and all(rep["error"].startswith("root find failed") for rep in failed)
+
+
 @pytest.mark.parametrize("command", ["certify", "diophantine"])
 @pytest.mark.parametrize("gamma, tau, margin_null", [
     (1e-300, 2.5, False),       # gamma^-2 overflows the divisor-sum bound

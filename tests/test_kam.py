@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 from conftest import eval_xy, symmetrized
+from numpy.polynomial import Polynomial
 from numpy.polynomial import chebyshev as npcheb
 
 from qpkam import cohomology, kam
@@ -17,7 +18,6 @@ from qpkam.kam import (
     ConjugacyMap,
     LevelContext,
     NormalizedMap,
-    TruncationPolynomial,
     _pullback_grid,
     build_schedule,
     compose_conjugacy,
@@ -208,9 +208,21 @@ def test_step_zero_perturbation():
     step = inductive_step(H, lc, H.defect_sup())
     assert float(np.max(np.abs(step.w_u.coeffs))) == 0.0
     assert float(np.max(np.abs(step.w_v.coeffs))) == 0.0
-    assert step.Q.a0 == step.Q.a1 == step.Q.a2 == 0.0
+    np.testing.assert_array_equal(step.Q.coef, np.zeros(3))
     assert step.phi_plus.fx.norm_upper() == 0.0
     assert step.report["contraction_iters"] <= 2
+
+
+@pytest.mark.parametrize("J", [0, 1])
+def test_step_truncation_polynomial_has_three_coefficients(J):
+    # the mean's power series has J + 1 < 3 terms: Q is zero-padded to degree 2
+    sched = make_schedule()
+    lc = LevelContext(r=1.0, s=sched.s0, theta=sched.theta, q=sched.q,
+                      eps=sched.eps0, M_paper=sched.M0, alpha=ALPHA)
+    H = zero_normalized(lc, J=J)
+    step = inductive_step(H, lc, H.defect_sup())
+    assert step.Q.coef.shape == (3,)
+    np.testing.assert_array_equal(step.Q.coef, np.zeros(3))
 
 
 def test_step_contraction_factor_proof_scale():
@@ -550,7 +562,7 @@ def test_intersection_zero_displacement():
     exact, _ = normalize(pure_twist(FREQ, STRIP), ALPHA, sched, K_trunc=4, J=3, y_scale=8.0)
     dom = StripDomain(0.5, 0.01)
     Z = ConjugacyMap.identity(FREQ, dom, 4, 3)
-    Q = TruncationPolynomial(0.0, 0.0, 0.0)
+    Q = Polynomial(np.zeros(3))
     rep = intersection_bound(Z, exact, Q, s_plus=0.005, eps_plus=8.0 * sched.theta)
     assert rep["pass"]
     assert len(rep["witnesses"]) == 7
@@ -563,11 +575,10 @@ def test_intersection_polynomial_extraction_chain():
     etas = np.linspace(-s, s, 512)
     for _ in range(50):
         a, b, c = rng.uniform(-1, 1, 3)
-        N = float(np.max(np.abs(a + b * etas + c * etas**2)))
-        Q = TruncationPolynomial(a, b, c)
+        N = float(np.max(np.abs(Polynomial([a, b, c])(etas))))
         assert abs(a) <= N + 1e-12
         assert abs(b) * s + abs(c) * s**2 <= 2 * N + 1e-12
-        assert Q.sup_disc(s) <= 3 * N + 1e-12
+        assert abs(a) + abs(b) * s + abs(c) * s * s <= 3 * N + 1e-12
 
 
 def test_intersection_rigid_shift_no_witness():
@@ -576,7 +587,7 @@ def test_intersection_rigid_shift_no_witness():
     exact, _ = normalize(mp, ALPHA, sched, K_trunc=4, J=3, y_scale=8.0)
     dom = StripDomain(0.5, 0.01)
     Z = ConjugacyMap.identity(FREQ, dom, 4, 3)
-    Q = TruncationPolynomial(0.0, 0.0, 0.0)
+    Q = Polynomial(np.zeros(3))
     with pytest.raises(NoIntersectionWitness):
         intersection_bound(Z, exact, Q, s_plus=0.005, eps_plus=8.0 * sched.theta)
 
@@ -640,6 +651,61 @@ def test_imaginary_part_containment():
         zx = x + vals[0, 0]
         zy = Z.L * y + vals[0, 1]
         assert max(abs(zx.imag), abs(zy.imag)) <= bound * (1 + 1e-9)
+
+
+def sampled_containment(Z, domain, target):
+    """The oracle: |Im Z_x| and |Z_y| sampled at 24 points of Re x in
+    [0, 2 pi), Im x in {-r, 0, r} and y in {-s, 0, s}, against target."""
+    xs = np.linspace(0.0, 2 * math.pi, 24, endpoint=False)
+    im = np.repeat([-domain.r, 0.0, domain.r], 3)[None, :]
+    y = np.tile([-domain.s, 0.0, domain.s], 3)[None, :]
+    P, zy = Z.values_at(np.multiply.outer(Z.P.freq.vec, xs), y, 1j * im)
+    zx = xs[:, None] + 1j * im + P
+    return bool(np.max(np.abs(zx.imag)) <= target.r and np.max(np.abs(zy)) <= target.s)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_range_containment_implies_the_sampled_check(n):
+    # the coefficient bound covers all of D: wherever it holds, every
+    # boundary sample lies inside the target too
+    freq = qp.Frequency(OMEGAS[n])
+    dom_Z, dom = StripDomain(0.4, 0.02), StripDomain(0.3, 0.015)
+    held = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        Z = small_conjugacy(dom_Z, K=3, amp=10 ** rng.uniform(-4, -1.5),
+                            L=rng.uniform(0.5, 1.5), seed=seed, freq=freq)
+        target = StripDomain(rng.uniform(0.3, 0.5), rng.uniform(0.01, 0.04))
+        if Z.range_containment(dom, target):
+            held += 1
+            assert sampled_containment(Z, dom, target)
+    assert 0 < held < 40
+
+
+def test_range_containment_fails_past_the_margin():
+    dom, target = StripDomain(0.3, 0.01), StripDomain(0.4, 0.02)
+    Z = ConjugacyMap.identity(FREQ, dom, 3, 2)
+    assert Z.range_containment(dom, target) and sampled_containment(Z, dom, target)
+    mean, e1 = (3, 3, 0), (4, 3, 0)
+    # |P|_D = 0.11 above the margin 0.1 of Im x: refused, although a real
+    # constant P moves no Im Z_x sample
+    P = Z.P.coeffs.copy()
+    P[mean] = 0.11
+    wide = ConjugacyMap(StripFunction(FREQ, dom, P), Z.S, 1.0, 1.0)
+    assert not wide.range_containment(dom, target)
+    assert sampled_containment(wide, dom, target)
+    # P = 0.5 sin(x_1): Im Z_x reaches 0.3 + 0.5 sinh(0.3) = 0.45 > 0.4
+    P = Z.P.coeffs.copy()
+    P[e1], P[(2, 3, 0)] = -0.25j, 0.25j
+    sine = ConjugacyMap(StripFunction(FREQ, dom, P), Z.S, 1.0, 1.0)
+    assert not sine.range_containment(dom, target)
+    assert not sampled_containment(sine, dom, target)
+    # |Z_y| = s + 0.011 > 0.02 at y = s
+    S = Z.S.coeffs.copy()
+    S[mean] = 0.011
+    high = ConjugacyMap(Z.P, StripFunction(FREQ, dom, S), 1.0, 1.0)
+    assert not high.range_containment(dom, target)
+    assert not sampled_containment(high, dom, target)
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,19 @@ def test_round_trip_grid_recovery():
         assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lattice_and_grid_match_meshgrid(n):
+    # the box and the torus grid, bit for bit against the meshgrid construction
+    for K, N in ((0, 1), (1, 4), (3, 9)):
+        axis = np.arange(-K, K + 1)
+        kstack = np.stack(np.meshgrid(*[axis] * n, indexing="ij"))
+        np.testing.assert_array_equal(qp.mode_vectors(K, n), kstack.reshape(n, -1))
+        np.testing.assert_array_equal(qp.k1_norms(K, n), np.abs(kstack).sum(axis=0))
+        t = qp.TWO_PI * np.arange(N) / N
+        np.testing.assert_array_equal(qp.theta_grid(N, n),
+                                      np.stack(np.meshgrid(*[t] * n, indexing="ij")))
+
+
 def test_analyze_refuses_a_grid_too_small_for_the_box():
     # N = 6 holds |k| <= 2 only: K = 4 would wrap modes onto each other
     with pytest.raises(ValueError, match="N=6 cannot hold modes up to K=4"):
