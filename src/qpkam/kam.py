@@ -120,14 +120,12 @@ def build_schedule(p: float, n: int, tau: float, gamma: float,
         raise SmoothnessTooLow(f"p = {p} must exceed 2*tau + 1 = {2 * tau + 1}")
     if not 0 < gamma < 0.5:
         raise ConfigError(f"gamma = {gamma}: 0 < gamma < 1/2 required")
-    b_smooth, b_abs = q_bound(p, tau)
+    b_smooth, b_abs = q_bound(p, tau)         # b_abs = (theta/10)^2
     if q is None:
         q = min(b_smooth, b_abs)
-    if not 0 < q <= min(b_smooth, b_abs) + 1e-15:
-        raise ConfigError(f"q = {q} violates min({b_smooth:.3e}, {b_abs:.3e})")
+    if not 0 < q <= min(b_smooth, b_abs):
+        raise ConfigError(f"q = {q} violates 0 < q <= min({b_smooth:.3e}, {b_abs:.3e})")
     theta = 2.0**-tau
-    if q > (theta / 10.0) ** 2 + 1e-15:
-        raise ConfigError(f"q = {q}: q <= (theta/10)^2 violated")
     # condition (1+q)^p/(1-q) <= 2^(p-1-2 tau), compared in logarithms: no
     # power of a large p overflows
     if p * math.log1p(q) - math.log1p(-q) > (p - 1 - 2 * tau) * math.log(2.0):
@@ -306,47 +304,6 @@ def normalize(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
     return exact, member
 
 
-# ---------------------------------------------------------------------------
-# level context
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LevelContext:
-    """Constants of one inductive call: domains at (r, s), target halves."""
-
-    r: float
-    s: float
-    theta: float
-    q: float
-    eps: float            # twist at this level (the working scale)
-    M_paper: float
-    alpha: RotationNumber
-
-    @property
-    def rho(self) -> float:
-        return self.r / 6.0
-
-    @property
-    def r_plus(self) -> float:
-        return self.r / 2.0
-
-    @property
-    def s_plus(self) -> float:
-        return self.s / 2.0
-
-    @property
-    def rp_plus(self) -> float:
-        return 4.0 / 3.0 * (self.r_plus - self.s_plus)
-
-    @property
-    def sp_plus(self) -> float:
-        return 4.0 / 3.0 * self.s_plus
-
-    @property
-    def eps_plus(self) -> float:
-        return self.theta * self.eps
-
-
 @dataclass
 class StepResult:
     w_u: StripFunction
@@ -363,35 +320,40 @@ class StepResult:
 PICARD_MAX_ITER = 200
 
 
-def inductive_step(H: NormalizedMap, lc: LevelContext, measured: float) -> StepResult:
+def inductive_step(H: NormalizedMap, alpha: RotationNumber, theta: float, q: float,
+                   M_paper: float, measured: float) -> StepResult:
     """One inductive cycle: coupled solve, contraction, W, Phi_plus, Q.
 
-    measured is H.defect_sup(), the grid sup of |H - Omega|.  The working
-    size is max(measured, M): the proof regime |H - Omega|_D <= M is not
-    required, and run records which regime each level is in.
+    H is the level map on D(r, s) = H.domain with twist eps = H.twist; Phi_plus
+    lives on D(r/2, s/2) with twist theta*eps.  measured is H.defect_sup(), the
+    grid sup of |H - Omega|.  The working size is max(measured, M_paper): the
+    proof regime |H - Omega|_D <= M_paper is not required, and run records
+    which regime each level is in.
     """
     freq = H.fx.freq
     n = freq.n
     K = H.fx.K
     J = H.fx.J
-    theta = lc.theta
-    M_work = max(measured, lc.M_paper)
+    r, s, eps = H.domain.r, H.domain.s, H.twist
+    dom_plus = StripDomain(r / 2.0, s / 2.0)
+    eps_plus = theta * eps
+    M_work = max(measured, M_paper)
 
     # (a) coupled linear solve with Theta-scaled right side on D(r, t)
     fT = H.fx.scale_y(theta)
     gT = H.fy.scale_y(theta)
-    u, v = solve_coupled(fT, gT, lc.alpha, rho=lc.rho, epsilon=lc.eps)
+    u, v = solve_coupled(fT, gT, alpha, rho=r / 6.0, epsilon=eps)
     w_scale = u.domain.s     # = s / theta
 
     # collocation grid on D_plus: N^n torus points x J+1 nodes, and values
     # in the (points, nodes, pair) layout of sample_strip_stack
     N = collocation_grid(K)
-    ys = lc.s_plus * cheb_nodes(J)
+    ys = dom_plus.s * cheb_nodes(J)
 
     # fixed ingredients of the contraction: w = (u, v) at the shifts
     # shifts_plus, alpha and 0 in one call, and h = (fx, fy) at Theta y
-    shifts_plus = lc.alpha.alpha + lc.eps_plus * ys
-    shifts = np.concatenate([shifts_plus, np.full(J + 1, lc.alpha.alpha), np.zeros(J + 1)])
+    shifts_plus = alpha.alpha + eps_plus * ys
+    shifts = np.concatenate([shifts_plus, np.full(J + 1, alpha.alpha), np.zeros(J + 1)])
     w_omega_plus, w_alpha, w_at_grid = np.split(
         sample_strip_stack([u, v], N, np.tile(ys, 3), shifts), 3, axis=1)
     f2 = w_alpha - w_omega_plus
@@ -426,13 +388,12 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, measured: float) -> StepR
                                   f"(last delta {delta:.3e})")
 
     # (c) phi = Theta^{-1}(z + h* o Theta), Phi_plus = Omega_plus + phi
-    dom_plus = StripDomain(lc.r_plus, lc.s_plus)
     z = z.reshape((N,) * n + (J + 1, 2))
     phi1_vals = z[..., 0]
     phi2_vals = (z[..., 1] + hstar2) / theta
     phi1 = StripFunction.from_grid(phi1_vals, freq, dom_plus, K, J)
     phi2 = StripFunction.from_grid(phi2_vals, freq, dom_plus, K, J)
-    phi_plus = NormalizedMap(lc.alpha.alpha, lc.eps_plus, phi1, phi2, dom_plus)
+    phi_plus = NormalizedMap(alpha.alpha, eps_plus, phi1, phi2, dom_plus)
 
     # (d) truncation polynomial from the power series of theta^{-1}[g](theta eta),
     # the m = 3, q = theta/2 truncation
@@ -442,20 +403,20 @@ def inductive_step(H: NormalizedMap, lc: LevelContext, measured: float) -> StepR
     # verification reports (theorems in the proof regime, advisory otherwise)
     N_sup = default_grid(K)
     w_sup_dprime = float(np.max(np.abs(
-        sample_strip_stack([u, v], N_sup, lc.sp_plus * cheb_nodes(J)))))
+        sample_strip_stack([u, v], N_sup, 4.0 / 3.0 * dom_plus.s * cheb_nodes(J)))))
     phi_minus_q = np.abs(phi1_vals).max()
     q_at_ys = Q(ys)
     phi_minus_q = max(phi_minus_q, float(np.max(np.abs(phi2_vals - q_at_ys))))
     report = {
-        "measured_defect": measured, "M_paper": lc.M_paper,
+        "measured_defect": measured, "M_paper": M_paper,
         "contraction_iters": iters,
         "contraction_ratios": [b / a for a, b in zip(deltas, deltas[1:]) if a > 0][:8],
         "contraction_deltas": deltas[:9],
         "w_minus_theta": w_sup_dprime,
-        "w_bound_paper": 2.0 / 3.0 * lc.q * lc.s,
-        "w_bound_working": 2.0 * M_work / lc.eps,
+        "w_bound_paper": 2.0 / 3.0 * q * s,
+        "w_bound_working": 2.0 * M_work / eps,
         "phi_minus_omega_minus_q": phi_minus_q,
-        "phi_bound_paper": 5.0 / 48.0 * theta * lc.M_paper,
+        "phi_bound_paper": 5.0 / 48.0 * theta * M_paper,
         "phi_bound_working": 5.0 / 48.0 * theta * M_work,
         "w_scale": w_scale,
     }
@@ -710,10 +671,9 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule, *,
     goes on.
     """
     exact, member = normalize(mp, alpha, schedule, K_trunc, J, y_scale=y_scale)
-    sigma = exact.y_scale
     freq = mp.freq
 
-    base_scale = mp.sup_norm_fg / sigma + 1e-300
+    base_scale = mp.sup_norm_fg / exact.y_scale + 1e-300
     k0 = next((k for k in range(schedule.k_max + 1)
                if member(k).defect_sup() > 1e-13 * base_scale), 0)
 
@@ -740,18 +700,17 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule, *,
             if k >= schedule.k_max:
                 break
 
-            lc = LevelContext(r=float(schedule.r[k]), s=float(schedule.s[k]),
-                              theta=schedule.theta, q=schedule.q,
-                              eps=sigma * schedule.theta**(k - k0),
-                              M_paper=float(schedule.M[k]), alpha=alpha)
             try:
-                step = inductive_step(H, lc, measured)
+                step = inductive_step(H, alpha, schedule.theta, schedule.q,
+                                      float(schedule.M[k]), measured)
                 rec["contraction_iters"] = step.report["contraction_iters"]
                 rec["w_minus_theta"] = step.report["w_minus_theta"]
                 rec["Q"] = step.Q.coef.tolist()
 
                 # Z_{k+1} = Z_k o W_k on D'_{k+1}, mapping D_{k+1} into D_{k0}
-                Z = compose_conjugacy(Z, step.w_u, step.w_v, lc)
+                dom_prime = StripDomain(float(schedule.r_prime[k + 1]),
+                                        float(schedule.s_prime[k + 1]))
+                Z = compose_conjugacy(Z, step.w_u, step.w_v, schedule.theta, schedule.q, dom_prime)
                 rec["Z_contained"] = Z.range_containment(step.phi_plus.domain, dom_k0)
 
                 # replace A_k by A_{k+1} through the new conjugacy
@@ -764,7 +723,8 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule, *,
                 break
 
             try:
-                rec["intersection"] = intersection_bound(Z, exact, step.Q, lc.s_plus, lc.eps_plus)
+                rec["intersection"] = intersection_bound(Z, exact, step.Q, step.phi_plus.domain.s,
+                                                      step.phi_plus.twist)
             except (NoIntersectionWitness, RootFindFailed) as exc:
                 rec["intersection"] = {"pass": False, "error": str(exc)}
             k += 1
@@ -774,21 +734,19 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule, *,
 
 
 def compose_conjugacy(Z: ConjugacyMap, w_u: StripFunction, w_v: StripFunction,
-                      lc: LevelContext) -> ConjugacyMap:
-    """Z_new = Z o (Theta + w), represented on D'_{k+1}."""
+                      theta: float, q: float, dom_new: StripDomain) -> ConjugacyMap:
+    """Z_new = Z o (Theta + w), represented on dom_new = D'_{k+1}."""
     freq = Z.P.freq
     n = freq.n
     K, J = Z.P.K, Z.P.J
-    dom_new = StripDomain(lc.rp_plus, lc.sp_plus)
     N = collocation_grid(K)
-    ys = lc.sp_plus * cheb_nodes(J)
+    ys = dom_new.s * cheb_nodes(J)
     grid = (N,) * n + (J + 1,)
-    theta_c = lc.theta
     uv = sample_strip_stack([w_u, w_v], N, ys)
     u_val, v_val = uv[..., 0], uv[..., 1]
-    vals = eval_strip_stack([Z.P, Z.S], N, theta_c * ys + v_val, u_val)
+    vals = eval_strip_stack([Z.P, Z.S], N, theta * ys + v_val, u_val)
     P_new = (u_val + vals[..., 0]).reshape(grid)
     S_new = (Z.L * v_val + vals[..., 1]).reshape(grid)
     P = StripFunction.from_grid(P_new, freq, dom_new, K, J)
     S = StripFunction.from_grid(S_new, freq, dom_new, K, J)
-    return ConjugacyMap(P, S, Z.L * theta_c, Z.b * theta_c * (1 - lc.q))
+    return ConjugacyMap(P, S, Z.L * theta, Z.b * theta * (1 - q))

@@ -98,6 +98,13 @@ def _fft_indices(K: int, N: int) -> np.ndarray:
     return np.arange(-K, K + 1) % N
 
 
+def _check_grid(N: int, K: int) -> None:
+    """The one grid rule: a torus grid of N points per axis holds the box
+    |k|_inf <= K only if N >= 2K+1; a narrower one raises ValueError."""
+    if N < 2 * K + 1:
+        raise ValueError(f"grid N={N} cannot hold modes up to K={K}")
+
+
 def synthesize(coeffs: np.ndarray, n: int, N: int) -> np.ndarray:
     """Real values of sum_k c_k e^{i<k,theta>} on the uniform (N,)*n torus
     grid, for a Hermitian box (c_{-k} = conj c_k along the torus axes).
@@ -107,8 +114,7 @@ def synthesize(coeffs: np.ndarray, n: int, N: int) -> np.ndarray:
     * (K+1) * N^d lines on axis d < n-1; then one irfft on the last axis.
     """
     K = (coeffs.shape[0] - 1) // 2
-    if N < 2 * K + 1:
-        raise ValueError(f"grid N={N} cannot hold modes up to K={K}")
+    _check_grid(N, K)
     idx = _fft_indices(K, N)
     out = coeffs[(slice(None),) * (n - 1) + (slice(K, None),)]
     for ax in range(n - 1):
@@ -119,14 +125,6 @@ def synthesize(coeffs: np.ndarray, n: int, N: int) -> np.ndarray:
     half = np.zeros(out.shape[:n - 1] + (N // 2 + 1,) + out.shape[n:], dtype=complex)
     half[(slice(None),) * (n - 1) + (slice(0, K + 1),)] = out
     return np.fft.irfft(half, n=N, axis=n - 1, norm="forward")
-
-
-def synthesize_grid(coeffs: np.ndarray, n: int, N: int) -> np.ndarray:
-    """synthesize on theta_grid(N, n) for any box size: a box wider than N
-    is synthesized on the smallest multiple L*N >= 2K+1, keeping every L-th
-    point."""
-    L = -(-coeffs.shape[0] // N)
-    return synthesize(coeffs, n, L * N)[(slice(None, None, L),) * n]
 
 
 def analyze(values: np.ndarray, n: int, K: int) -> np.ndarray:
@@ -337,21 +335,23 @@ def grid_shift_cheb(coeffs: np.ndarray, omega: np.ndarray, theta, c: float,
     theta + omega*d, for d in [c - delta, c + delta].
 
     theta is an int N, meaning the P = N^n points of theta_grid(N, n) in
-    flattened order, or real scattered points of shape (n, P), as in
-    eval_strip_stack.  Each mode's phase e^{i<k,omega>(c + delta t)}, taken
-    as the product of per-axis power tables (_shift_phases), is fitted at
-    t = cheb_nodes(M) on the mode box, and one batched synthesis
-    (grid) or one eval_modes call (scattered) of the box times those fits
-    gives the result, shape (P,) + trailing + (M+1,), which the callers
-    evaluate at (d - c)/delta.  M = shift_order with one column per entry of
-    the last trailing axis (a strip of a stack), amplitudes summed over the
-    other trailing axes; the bound holds mode by mode, so at every point and
-    real d each column's error is below SHIFT_TOL * its own sum|f_k|.  None
-    (evaluate directly) for a non-finite c or delta or an order above
-    SHIFT_MAX_ORDER.
+    flattened order (N >= 2K+1, else _check_grid's ValueError), or real
+    scattered points of shape (n, P), as in eval_strip_stack.  Each mode's
+    phase e^{i<k,omega>(c + delta t)}, taken as the product of per-axis
+    power tables (_shift_phases), is fitted at t = cheb_nodes(M) on the mode
+    box, and one batched synthesis (grid) or one eval_modes call
+    (scattered) of the box times those fits gives the result, shape (P,) +
+    trailing + (M+1,), which the callers evaluate at (d - c)/delta.  M =
+    shift_order with one column per entry of the last trailing axis (a strip
+    of a stack), amplitudes summed over the other trailing axes; the bound
+    holds mode by mode, so at every point and real d each column's error is
+    below SHIFT_TOL * its own sum|f_k|.  None (evaluate directly) for a
+    non-finite c or delta or an order above SHIFT_MAX_ORDER.
     """
     n = len(omega)
     K = (coeffs.shape[0] - 1) // 2
+    if isinstance(theta, (int, np.integer)):
+        _check_grid(theta, K)
     trailing = coeffs.shape[n:]
     kw = k_dot_omega(K, omega)
     columns = trailing[-1] if trailing else 1
@@ -362,7 +362,7 @@ def grid_shift_cheb(coeffs: np.ndarray, omega: np.ndarray, theta, c: float,
     phase = _shift_phases(omega, K, c + delta * cheb_nodes(M)) @ cheb_analysis_matrix(M).T
     boxes = coeffs[..., None] * phase.reshape(kw.shape + (1,) * len(trailing) + (M + 1,))
     if isinstance(theta, (int, np.integer)):
-        return synthesize_grid(boxes, n, theta).reshape((theta**n,) + trailing + (M + 1,))
+        return synthesize(boxes, n, theta).reshape((theta**n,) + trailing + (M + 1,))
     return eval_modes(boxes, theta).real
 
 
@@ -527,7 +527,8 @@ class ShellFunction(_ModeBox):
 
 
 def compose_angle(g: ShellFunction, f: ShellFunction, K_out: int) -> ShellFunction:
-    """Quasi-periodic composition t -> g(t + f(t)) by shell collocation.
+    """Quasi-periodic composition t -> g(t + f(t)) by shell collocation on
+    default_grid(max(K_out, g.K)), which holds g's box.
 
     g is interpolated in the displacement over the range of the sampled f
     (grid_shift_cheb, c its midpoint and delta its half-spread) and the
@@ -536,7 +537,7 @@ def compose_angle(g: ShellFunction, f: ShellFunction, K_out: int) -> ShellFuncti
     """
     if f.freq.omega != g.freq.omega:
         raise ValueError("frequency mismatch")
-    N = default_grid(K_out)
+    N = default_grid(max(K_out, g.K))
     fvals = f.sample(N).ravel()
     lo, hi = float(np.min(fvals)), float(np.max(fvals))
     c, delta = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -766,11 +767,11 @@ def sample_strip_stack(strips, N: int, ys=None, shift=0.0) -> np.ndarray:
 def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:
     """Values of same-shape strips at (theta_pts + omega*disp, y_pts).
 
-    theta_pts is either scattered points of shape (n, P) or an int N, meaning
-    the P = N^n points of theta_grid(N, n) in flattened order.  y_pts and disp
-    are each a scalar, a (P,) array (one value per point, the same in every
-    node column) or a (P,) + node shape array; the first axis is always the
-    points.  Returns shape (P,) + node shape + (len(strips),).  Real inputs
+    theta_pts is either scattered points of shape (n, P) or an int N >= 2K+1,
+    meaning the P = N^n points of theta_grid(N, n) in flattened order.  y_pts
+    and disp are each a scalar, a (P,) array (one value per point, the same in
+    every node column) or a (P,) + node shape array; the first axis is always
+    the points.  Returns shape (P,) + node shape + (len(strips),).  Real inputs
     give real values, summed in float64.
 
     Grid: one grid_shift_cheb call on the stacked strips (one synthesis,
@@ -802,6 +803,7 @@ def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:
     real = all(np.isrealobj(a) for a in (theta_pts, y_pts, disp))
     cheb = None
     if grid:
+        _check_grid(int(theta_pts), strips[0].K)
         if np.isrealobj(d):
             lo, hi = float(np.min(d)), float(np.max(d))
             c, delta = 0.5 * (hi + lo), 0.5 * (hi - lo)

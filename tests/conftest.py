@@ -113,15 +113,18 @@ def thm45_holds(f, g, u, v, alpha, rho):
 
 def corner_sheet_sup(coeffs, n, N, rho):
     """Grid max of |f| on the real torus and on the 2^n corner sheets
-    Im theta = +-rho, over every mode box stacked on trailing axes."""
+    Im theta = +-rho, over every mode box stacked on trailing axes.  Equal
+    boxes have equal maxima (a J = 0 strip has the same box at every y), so
+    each distinct box is synthesized once."""
     K = (coeffs.shape[0] - 1) // 2
+    columns = np.moveaxis(coeffs.reshape(coeffs.shape[:n] + (-1,)), -1, 0)
+    boxes = np.stack(list({c.tobytes(): c for c in columns}.values()), axis=-1)
     kstack = qp.mode_vectors(K, n).reshape((n,) + coeffs.shape[:n])
     sheets = [np.zeros(n)]
     if rho > 0:
         sheets += [rho * (2 * np.array(sg) - 1) for sg in np.ndindex(*([2] * n))]
-    box = coeffs.shape[:n] + (1,) * (coeffs.ndim - n)
-    damps = [np.exp(-np.tensordot(v, kstack, axes=1)).reshape(box) for v in sheets]
-    return max(grid_sup(coeffs * damp, n, N) for damp in damps)
+    damps = [np.exp(-np.tensordot(v, kstack, axes=1))[..., None] for v in sheets]
+    return max(grid_sup(boxes * damp, n, N) for damp in damps)
 
 
 def grid_sup(coeffs, n, N):

@@ -12,11 +12,16 @@ from numpy.polynomial import chebyshev as npcheb
 from qpkam import cohomology, kam
 from qpkam import qpfourier as qp
 from qpkam.diophantine import certify_frequency, sample_admissible
-from qpkam.errors import NoIntersectionWitness, NotConverged, RootFindFailed, SmoothnessTooLow
+from qpkam.errors import (
+    ConfigError,
+    NoIntersectionWitness,
+    NotConverged,
+    RootFindFailed,
+    SmoothnessTooLow,
+)
 from qpkam.kam import (
     DEFECT_XIS,
     ConjugacyMap,
-    LevelContext,
     NormalizedMap,
     _pullback_grid,
     build_schedule,
@@ -31,7 +36,7 @@ from qpkam.kam import (
 )
 from qpkam.maps import CurveGraph, kicked_twist, pure_twist, rigid_shift
 from qpkam.qpfourier import StripDomain, StripFunction, eval_strip_stack
-from qpkam.smoothing import FROZEN_CONSTANTS, smooth
+from qpkam.smoothing import FROZEN_CONSTANTS, q_bound, smooth
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 FREQ = certify_frequency((1.0, GOLDEN), 30, 2.0)
@@ -77,6 +82,17 @@ def test_schedule_geometric_condition():
 def test_schedule_smoothness_too_low():
     with pytest.raises(SmoothnessTooLow):
         make_schedule(p=6.0, tau=2.5)          # needs p > 6
+
+
+@pytest.mark.parametrize("tau", [2.5, 3.5, 20.0, 40.0])
+def test_schedule_q_bound_holds_at_every_tau(tau):
+    # the default q is the bound min(b_smooth, b_abs) and passes; twice the
+    # bound is refused even where the bound is far below 1e-15 (tau 20, 40)
+    p = 2 * tau + 30
+    bound = min(q_bound(p, tau))
+    assert build_schedule(p, 2, tau, 0.1, k_max=2).q == bound
+    with pytest.raises(ConfigError, match="^q = "):
+        build_schedule(p, 2, tau, 0.1, 2 * bound, k_max=2)
 
 
 def test_schedule_domain_nesting():
@@ -194,18 +210,16 @@ def test_normalize_level0_bound():
 # inductive step
 # ---------------------------------------------------------------------------
 
-def zero_normalized(lc, K=6, J=4):
-    dom = StripDomain(lc.r, lc.s)
+def zero_normalized(r, s, eps, K=6, J=4):
+    dom = StripDomain(r, s)
     z = StripFunction.zeros(FREQ, dom, K, J)
-    return NormalizedMap(lc.alpha.alpha, lc.eps, z, z, dom)
+    return NormalizedMap(ALPHA.alpha, eps, z, z, dom)
 
 
 def test_step_zero_perturbation():
     sched = make_schedule()
-    lc = LevelContext(r=1.0, s=sched.s0, theta=sched.theta, q=sched.q,
-                      eps=sched.eps0, M_paper=sched.M0, alpha=ALPHA)
-    H = zero_normalized(lc)
-    step = inductive_step(H, lc, H.defect_sup())
+    H = zero_normalized(1.0, sched.s0, sched.eps0)
+    step = inductive_step(H, ALPHA, sched.theta, sched.q, sched.M0, H.defect_sup())
     assert float(np.max(np.abs(step.w_u.coeffs))) == 0.0
     assert float(np.max(np.abs(step.w_v.coeffs))) == 0.0
     np.testing.assert_array_equal(step.Q.coef, np.zeros(3))
@@ -217,10 +231,8 @@ def test_step_zero_perturbation():
 def test_step_truncation_polynomial_has_three_coefficients(J):
     # the mean's power series has J + 1 < 3 terms: Q is zero-padded to degree 2
     sched = make_schedule()
-    lc = LevelContext(r=1.0, s=sched.s0, theta=sched.theta, q=sched.q,
-                      eps=sched.eps0, M_paper=sched.M0, alpha=ALPHA)
-    H = zero_normalized(lc, J=J)
-    step = inductive_step(H, lc, H.defect_sup())
+    H = zero_normalized(1.0, sched.s0, sched.eps0, J=J)
+    step = inductive_step(H, ALPHA, sched.theta, sched.q, sched.M0, H.defect_sup())
     assert step.Q.coef.shape == (3,)
     np.testing.assert_array_equal(step.Q.coef, np.zeros(3))
 
@@ -236,8 +248,6 @@ def test_step_contraction_factor_proof_scale():
     s = theta * (r / 6.0) / 50.0
     eps = 6.0**-1.5 * gamma / math.gamma(tau + 1.0) * (r / 6.0) ** tau
     M = q * eps * s / 3.0
-    lc = LevelContext(r=r, s=s, theta=theta, q=q, eps=eps, M_paper=M,
-                      alpha=alpha)
     dom = StripDomain(r, s)
     K, J = 5, 3
     fx = StripFunction.zeros(FREQ, dom, K, J)
@@ -248,7 +258,7 @@ def test_step_contraction_factor_proof_scale():
     fy.coeffs[(K, K - 1, 0)] = 0.4999j * M
     H = NormalizedMap(alpha.alpha, eps, fx, fy, dom)
     assert H.defect_sup() <= M * (1 + 1e-12)          # the proof regime
-    step = inductive_step(H, lc, H.defect_sup())
+    step = inductive_step(H, alpha, theta, q, M, H.defect_sup())
     deltas = step.report["contraction_deltas"]
     floor = 1e-13 * max(deltas)
     for d0, d1 in zip(deltas, deltas[1:]):
@@ -269,20 +279,19 @@ def test_step_bilipschitz_sample():
     r, s = 1.0, theta / 300.0
     eps = 6.0**-1.5 * gamma / math.gamma(tau + 1.0) * (r / 6.0) ** tau
     M = q * eps * s / 3.0
-    lc = LevelContext(r=r, s=s, theta=theta, q=q, eps=eps, M_paper=M,
-                      alpha=alpha)
     dom = StripDomain(r, s)
     fx = StripFunction.zeros(FREQ, dom, 5, 3)
     fx.coeffs[(6, 5, 0)] = 0.4999 * M
     fx.coeffs[(4, 5, 0)] = 0.4999 * M
     H = NormalizedMap(alpha.alpha, eps, fx, StripFunction.zeros(FREQ, dom, 5, 3), dom)
     assert H.defect_sup() <= M * (1 + 1e-12)          # the proof regime
-    step = inductive_step(H, lc, H.defect_sup())
+    step = inductive_step(H, alpha, theta, q, M, H.defect_sup())
     rng = np.random.default_rng(5)
     n_points = 128                        # 64 pairs: point 2i against 2i + 1
+    rp_plus, sp_plus = 4.0 / 3.0 * (r / 2 - s / 2), 4.0 / 3.0 * (s / 2)    # D'_plus
     x = (rng.uniform(0, 2 * math.pi, n_points)
-         + 1j * rng.uniform(-lc.rp_plus, lc.rp_plus, n_points))
-    y = rng.uniform(-lc.sp_plus, lc.sp_plus, n_points)
+         + 1j * rng.uniform(-rp_plus, rp_plus, n_points))
+    y = rng.uniform(-sp_plus, sp_plus, n_points)
     wx = x + eval_xy(step.w_u, x, y)
     wy = theta * y + eval_xy(step.w_v, x, y)
     num = np.maximum(np.abs(wx[::2] - wx[1::2]), np.abs(wy[::2] - wy[1::2]))
@@ -322,8 +331,12 @@ def test_solve_back_same_member_returns_seed():
     dom = StripDomain(0.5, 0.01)
     Z = small_conjugacy(dom, seed=4, amp=1e-4)
     phi = small_normalized(dom, ALPHA.alpha, 0.2, seed=5, amp=5e-5)
-    # when A_next is the exact push-forward of phi through Z, H == phi
+    # when A_next is the exact push-forward of phi through Z, H == phi; phi
+    # is zero-padded to the oracle's box, which its collocation grid holds
     A_push = push_forward(Z, phi, dom)
+    pad = [(A_push.fx.K - phi.fx.K,) * 2] * 2 + [(0, 0)]
+    phi = NormalizedMap(phi.alpha, phi.twist, *(StripFunction(FREQ, dom, np.pad(f.coeffs, pad))
+                                                 for f in (phi.fx, phi.fy)), dom)
     H, rep = solve_back(Z, A_push, phi, A_push)
     assert float(np.max(np.abs(H.fx.coeffs - phi.fx.coeffs))) < 1e-11
     assert float(np.max(np.abs(H.fy.coeffs - phi.fy.coeffs))) < 1e-11
@@ -598,9 +611,7 @@ def test_intersection_rigid_shift_no_witness():
 
 def test_compose_conjugacy_consistency():
     sched = make_schedule()
-    lc = LevelContext(r=0.5, s=sched.s0 / 2, theta=sched.theta, q=sched.q,
-                      eps=8.0, M_paper=sched.M0, alpha=ALPHA)
-    dom_prime = StripDomain(4.0 / 3.0 * (lc.r - lc.s), 4.0 / 3.0 * lc.s)
+    dom_prime = StripDomain(float(sched.r_prime[1]), float(sched.s_prime[1]))
     rng = np.random.default_rng(13)
 
     def low_order(dom, amp, J=3, K=12, k_fill=2):
@@ -614,18 +625,20 @@ def test_compose_conjugacy_consistency():
 
     Z = ConjugacyMap(low_order(dom_prime, 1e-4, J=5), low_order(dom_prime, 1e-4, J=5),
                      1.0, 1.0 - 1e-3)
-    dom_w = StripDomain(lc.r - 2 * lc.rho, lc.s / lc.theta)
+    r, s, theta = float(sched.r[1]), float(sched.s[1]), sched.theta
+    dom_w = StripDomain(r - 2 * r / 6.0, s / theta)
     w_u, w_v = low_order(dom_w, 3e-6, J=5), low_order(dom_w, 3e-6, J=5)
-    Z_new = compose_conjugacy(Z, w_u, w_v, lc)
+    Z_new = compose_conjugacy(Z, w_u, w_v, theta, sched.q, StripDomain(
+        float(sched.r_prime[2]), float(sched.s_prime[2])))
     # random sample of D_{k+1}
     xs = rng.uniform(0, 2 * math.pi, 30)
-    ys = rng.uniform(-lc.s_plus, lc.s_plus, 30)
+    ys = rng.uniform(-s / 2, s / 2, 30)
     th = np.stack([xs * 0 + xs, GOLDEN * 0 + xs * 0])  # placeholder, rebuilt below
     th = np.stack([xs, xs * GOLDEN])
     # direct: Z(W(point))
     wv = eval_strip_stack([w_u, w_v], th, ys)
     u_val, v_val = wv[..., 0], wv[..., 1]
-    wy = lc.theta * ys + v_val
+    wy = theta * ys + v_val
     th_w = th + np.multiply.outer(FREQ.vec, u_val)
     zv = eval_strip_stack([Z.P, Z.S], th_w, wy)
     direct_disp = u_val + zv[..., 0]
@@ -782,6 +795,22 @@ def test_run_level1_defect_scales_linearly():
         d1.append([r for r in out.trace if r["k"] == 1][0]["defect"])
     slope = np.polyfit(np.log(lams), np.log(d1), 1)[0]
     assert abs(slope - 1.0) <= 0.15
+
+
+def test_run_twist_is_the_product_chain_of_theta(monkeypatch):
+    # each level's twist is read from H: eps_{k+1} = theta * eps_k exactly,
+    # the twist Phi_plus carries, not sigma * theta**(k - k0) by pow, which
+    # differs from the chain in the last bit from k - k0 = 5 on
+    eps = []
+    solve_coupled = kam.solve_coupled
+    monkeypatch.setattr(kam, "solve_coupled",
+                        lambda *args, **kw: eps.append(kw["epsilon"]) or solve_coupled(*args, **kw))
+    sched = make_schedule(k_max=8)
+    with pytest.raises(NotConverged):           # tol 0 is out of reach: every level runs
+        run(acceptance_map(), ALPHA, sched, tol=0.0, K_trunc=8, J=6, y_scale=16.0)
+    assert len(eps) >= 6 and eps[0] == 16.0
+    for prev, cur in zip(eps, eps[1:]):
+        assert cur == sched.theta * prev
 
 
 def test_run_large_perturbation_not_converged():

@@ -195,6 +195,22 @@ def test_compose_translation_by_pi():
     assert np.max(np.abs(h.eval(xs).real - oracle)) < 1e-12
 
 
+def test_compose_angle_with_a_box_wider_than_twice_k_out():
+    # g.K = 9 > 2 K_out: compose_angle samples on default_grid(max(K_out, g.K)),
+    # invert_angle_map's rule, which holds g's box; oracle: g evaluated
+    # directly at the displaced points of that grid, then projected
+    rng = np.random.default_rng(8)
+    g = random_shell(rng, FREQ2, K=9)
+    f = random_shell(rng, FREQ2, K=2, scale=0.05)
+    h = compose_angle(g, f, K_out=3)
+    N = qp.default_grid(9)
+    th = qp.theta_grid(N, 2).reshape(2, -1)
+    vals = qp.eval_modes(g.coeffs, th + np.multiply.outer(FREQ2.vec, f.sample(N).ravel())).real
+    want = ShellFunction.from_grid(vals.reshape(N, N), FREQ2, 3)
+    assert h.K == 3
+    assert np.max(np.abs(h.coeffs - want.coeffs)) <= 1e-13 * np.sum(np.abs(g.coeffs))
+
+
 # ---------------------------------------------------------------------------
 # invert_angle_map
 # ---------------------------------------------------------------------------

@@ -92,18 +92,23 @@ def test_eval_modes_matches_synthesize_on_grid(seed, n, K, extra, trailing):
     np.testing.assert_array_equal(qp.synthesize(coeffs, n, N).reshape(want.shape), want)
 
 
-@PROPS
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(1, 4),
-       N=st.integers(1, 8), trailing=TRAILING)
-def test_synthesize_grid_matches_eval_modes_below_the_box(seed, n, K, N, trailing):
-    N = min(N, 2 * K)                   # a grid too small for the box
-    rng = np.random.default_rng(seed)
-    coeffs = hermitian_box(rng, n, K, trailing)
-    got = qp.synthesize_grid(coeffs, n, N)
-    assert got.shape == (N,) * n + trailing and np.isrealobj(got)
-    want = qp.eval_modes(coeffs, qp.theta_grid(N, n).reshape(n, -1))
-    err = np.max(np.abs(got.reshape(want.shape) - want), initial=0.0)
-    assert err <= 1e-13 * np.sum(np.abs(coeffs))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_grid_narrower_than_the_box_raises(n):
+    # every grid holds the box it synthesizes: N = 2K is refused, on the
+    # synthesis, on the grid path of the shift interpolant (also where it
+    # would evaluate directly: a non-finite midpoint) and on eval_strip_stack's
+    # grid path (also with complex displacements, which never interpolate)
+    rng = np.random.default_rng(n)
+    K = 3
+    coeffs = hermitian_box(rng, n, K, (2,))
+    f = random_strip(rng, n, K, 2)
+    for call in (lambda: qp.synthesize(coeffs, n, 2 * K),
+                 lambda: qp.grid_shift_cheb(coeffs, np.array(OMEGAS[n]), 2 * K, 0.5, 0.1),
+                 lambda: qp.grid_shift_cheb(coeffs, np.array(OMEGAS[n]), 2 * K, math.nan, 0.1),
+                 lambda: eval_strip_stack([f], 2 * K, 0.1, 0.2),
+                 lambda: eval_strip_stack([f], 2 * K, 0.1, 0.2 + 0.1j)):
+        with pytest.raises(ValueError, match="cannot hold"):
+            call()
 
 
 @PROPS
@@ -220,11 +225,11 @@ def test_shift_phases_match_the_mode_phase_exp(n):
     scale = 1.0 + float(np.max(np.abs(np.multiply.outer(kw, s))))
     assert np.max(np.abs(got - want)) <= 4 * (K + 1) * n * 2.0**-52 * scale
     coeffs = hermitian_box(rng, n, K, (2,))
-    cheb = qp.grid_shift_cheb(coeffs, omega, 6, 0.5, 0.4)
+    cheb = qp.grid_shift_cheb(coeffs, omega, 2 * K + 1, 0.5, 0.4)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qp, "_shift_phases",
                    lambda om, K, s: np.exp(1j * np.multiply.outer(qp.k_dot_omega(K, om), s)))
-        oracle = qp.grid_shift_cheb(coeffs, omega, 6, 0.5, 0.4)
+        oracle = qp.grid_shift_cheb(coeffs, omega, 2 * K + 1, 0.5, 0.4)
     assert cheb is not None and cheb.shape == oracle.shape
     assert np.max(np.abs(cheb - oracle)) <= 1e-14 * np.sum(np.abs(coeffs))
 
@@ -424,9 +429,10 @@ def grid_vs_direct(strips, N, y, disp):
        J=st.integers(0, 4), m=st.integers(1, 3), nodes=st.integers(1, 3),
        N=st.integers(2, 12), spread=st.floats(0.0, 0.05), complex_y=st.booleans())
 def test_grid_path_matches_direct_oracle(seed, n, K, J, m, nodes, N, spread, complex_y):
-    # N ranges below 2K+1 as well: those boxes are synthesized on a multiple of N
+    # the grid holds the box: N >= 2K+1, and at most 9 points per axis at n = 3
+    N = max(N, 2 * K + 1)
     if n == 3:
-        N = min(N, 8)
+        N = min(N, 9)
     rng = np.random.default_rng(seed)
     strips = [random_strip(rng, n, K, J) for _ in range(m)]
     P = N**n
@@ -522,10 +528,11 @@ def test_grid_path_bounds_each_strip():
        N=st.integers(2, 12), trailing=TRAILING, spread=st.floats(0.0, 8.0),
        c=st.floats(-3.0, 3.0), scattered=st.booleans())
 def test_shift_interpolant_matches_direct_oracle(seed, n, K, N, trailing, spread, c, scattered):
-    # N ranges below 2K+1 as well: those boxes are synthesized on a multiple
-    # of N; scattered points go through eval_modes instead of the synthesis
+    # the grid holds the box: N >= 2K+1, and at most 9 points per axis at n =
+    # 3; scattered points go through eval_modes instead of the synthesis
+    N = max(N, 2 * K + 1)
     if n == 3:
-        N = min(N, 8)
+        N = min(N, 9)
     rng = np.random.default_rng(seed)
     coeffs = hermitian_box(rng, n, K, trailing)
     omega = np.array(OMEGAS[n])
