@@ -239,7 +239,7 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
 
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
-    # the sample's lattice box is not kept alive through the run
+    # the sample's per-box arrays (|k|^tau, the bounds) are not kept alive through the run
     freq, rot = _certificates(cfg)[:2]
     if isinstance(rot, RejectionReport):
         return _reject(out_dir, None, rot, {})

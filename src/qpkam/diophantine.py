@@ -3,7 +3,9 @@
 Certification is finite: conditions are verified for all lattice vectors in
 the max-norm box 0 < |k|_inf <= K and the cutoff K is recorded, which covers
 every divisor a truncated solver can touch.  Magnitudes |k| inside the bounds
-are l1 norms.  Lattice scans run vectorized over the whole box.
+are l1 norms.  The scans read one cached pair of arrays over the half box, its
+l1 norms and <k,omega>, filled in blocks of lattice vectors; no int lattice of
+the whole box is built or kept.
 """
 
 from __future__ import annotations
@@ -15,43 +17,82 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NoneAdmissible, ResonantFrequency
-from .qpfourier import Frequency, k1_norms, mode_vectors
+from .qpfourier import Frequency
 
 RESONANCE_TOL = 1e-14
 TIE_TOL = 1e-15      # equality slack: closed inequalities in exact arithmetic
 # elements of one (alpha chunk x lattice) float temporary in _chunk_pass (4 MB)
 ALPHA_CHUNK_ELEMS = 1 << 19
+# lattice vectors a block of _half_box's fill: one block holds the whole half
+# box at n = 2 up to K = 255 and at n = 3 up to K = 31.  Freeing that 2.7 MB
+# int block at n = 3, K = 30 raises glibc's adaptive mmap threshold as the
+# whole-box product did; with blocks of 2^14 a warm n = 3 solve re-faulted
+# about 6,000 heap pages an operation
+HALF_BOX_BLOCK = 1 << 17
 
 
-def _box_k1_and_kw(omega: np.ndarray, K: int):
-    """l1 norms and <k,omega> on the half box 0 < |k|_inf <= K, one k of each
-    +-k pair: the one whose first nonzero component is positive.  The C-order
-    flat index of the centered box follows the lexicographic order of k, so
-    that half is the flat tail after the center, (2K+1)^n // 2 + 1 on."""
-    n = len(omega)
-    head = (2 * K + 1) ** n // 2 + 1
-    return k1_norms(K, n).ravel()[head:], mode_vectors(K, n)[:, head:].T @ omega
+def _half_box_shape(K: int, n: int):
+    """The centered box shape and the flat index of the half box's first k.
+    The C-order flat index of the centered box follows the lexicographic
+    order of k, so the half box, one k of each +-k pair (the one whose first
+    nonzero component is positive), is the flat tail after the center."""
+    box = (2 * K + 1,) * n
+    return box, math.prod(box) // 2 + 1
+
+
+@functools.lru_cache(maxsize=1)
+def _half_box(omega: tuple, K: int):
+    """l1 norms, in the smallest unsigned dtype that holds nK, and <k,omega>
+    on the half box 0 < |k|_inf <= K.  Both arrays are allocated first, so a
+    box past memory fails at once, then filled in blocks of HALF_BOX_BLOCK
+    consecutive vectors."""
+    om = np.array(omega)
+    n = len(om)
+    box, head = _half_box_shape(K, n)
+    size = math.prod(box) - head
+    k1 = np.empty(size, np.min_scalar_type(n * K))
+    kw = np.empty(size)
+    for start in range(0, size, HALF_BOX_BLOCK):
+        stop = min(start + HALF_BOX_BLOCK, size)
+        # the block's flat indices unraveled in place, last axis first: row 0
+        # ends as the quotient, the first component
+        ks = np.empty((n, stop - start), np.intp)
+        ks[0] = np.arange(head + start, head + stop)
+        for d in range(n - 1, 0, -1):
+            np.divmod(ks[0], 2 * K + 1, out=(ks[0], ks[d]))
+        ks -= K
+        np.matmul(ks.T, om, out=kw[start:stop])
+        k1[start:stop] = np.abs(ks, out=ks).sum(axis=0)
+    k1.flags.writeable = kw.flags.writeable = False
+    return k1, kw
+
+
+def _k1_powers(k1: np.ndarray, n: int, K: int, p: float) -> np.ndarray:
+    """|k|_1^p over the half box, read from the (nK+1)-entry table of powers."""
+    return (np.arange(n * K + 1) ** p)[k1]
 
 
 def _half_box_vector(K: int, n: int, i: int) -> tuple:
     """The i-th lattice vector of the half box, for a report."""
-    return tuple(int(v) for v in mode_vectors(K, n)[:, (2 * K + 1) ** n // 2 + 1 + i])
+    box, head = _half_box_shape(K, n)
+    return tuple(int(v) - K for v in np.unravel_index(head + i, box))
 
 
 def certify_frequency(omega, K: int, sigma0: float | None = None) -> Frequency:
     """Largest c with |<k,omega>| >= c/|k|_1^sigma0 on the box 0 < |k|_inf <= K."""
     if K < 1:
         raise ConfigError("K >= 1 required")
-    om = Frequency(tuple(omega)).vec
+    omega = Frequency(tuple(omega)).omega
+    n = len(omega)
     if sigma0 is None:
-        sigma0 = float(len(om))
-    k1, kw = _box_k1_and_kw(om, K)
+        sigma0 = float(n)
+    k1, kw = _half_box(omega, K)
     akw = np.abs(kw)
     worst = int(np.argmin(akw))
     if akw[worst] <= RESONANCE_TOL:
-        raise ResonantFrequency(_half_box_vector(K, len(om), worst), akw[worst])
-    c = float(np.min(akw * k1**sigma0))
-    return Frequency(tuple(om), c=c, sigma0=float(sigma0), cutoff=int(K))
+        raise ResonantFrequency(_half_box_vector(K, n, worst), akw[worst])
+    c = float(np.min(akw * _k1_powers(k1, n, K, sigma0)))
+    return Frequency(omega, c=c, sigma0=float(sigma0), cutoff=int(K))
 
 
 @dataclass(frozen=True)
@@ -98,12 +139,12 @@ def certify_rotation(alpha: float, freq: Frequency, gamma: float, tau: float,
     lo, hi = _admissible_interval(gamma, tau, interval, freq.n, K)
     if not (lo <= alpha <= hi):
         return RejectionReport(alpha, "interval")
-    k1, kw = _box_k1_and_kw(freq.vec, K)
+    k1, kw = _half_box(freq.omega, K)
     x = kw * alpha / (2.0 * math.pi)
     # gamma < 1/2 and |k| >= 1: only the nearest integer can violate the bound
     j = np.round(x)
     dist = np.abs(x - j)
-    k1_tau = k1**tau
+    k1_tau = _k1_powers(k1, freq.n, K, tau)
     bound = gamma / k1_tau
     margins = dist * k1_tau / gamma
     bad = dist < bound - TIE_TOL
@@ -137,8 +178,8 @@ class AdmissibleSample:
 
     def __init__(self, alphas: np.ndarray, inside: np.ndarray, freq: Frequency,
                  gamma: float, tau: float, K: int):
-        k1, self._kw = _box_k1_and_kw(freq.vec, K)
-        self._k1_tau = k1**tau
+        k1, self._kw = _half_box(freq.omega, K)
+        self._k1_tau = _k1_powers(k1, freq.n, K, tau)
         self._bound = gamma / self._k1_tau - TIE_TOL
         self._step = max(1, ALPHA_CHUNK_ELEMS // len(self._kw))
         self._gamma = gamma
@@ -218,7 +259,7 @@ def divisor_sum_bound_check(freq: Frequency, alpha: RotationNumber, m: int) -> D
     if m > alpha.cutoff:
         raise ValueError(f"m = {m} exceeds certified cutoff {alpha.cutoff}")
     n = freq.n
-    kvecs = mode_vectors(m, n)
+    kvecs = np.indices((2 * m + 1,) * n).reshape(n, -1) - m
     k1 = np.abs(kvecs).sum(axis=0)
     kw = kvecs[:, (k1 > 0) & (k1 <= m)].T @ freq.vec
     lhs = float(np.sum(np.abs(np.exp(1j * kw * alpha.alpha) - 1.0) ** -2.0))

@@ -673,9 +673,15 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule, *,
     exact, member = normalize(mp, alpha, schedule, K_trunc, J, y_scale=y_scale)
     freq = mp.freq
 
-    base_scale = mp.sup_norm_fg / exact.y_scale + 1e-300
-    k0 = next((k for k in range(schedule.k_max + 1)
-               if member(k).defect_sup() > 1e-13 * base_scale), 0)
+    floor = 1e-13 * (mp.sup_norm_fg / exact.y_scale + 1e-300)
+
+    def departs(A: NormalizedMap) -> bool:
+        # the coefficient sums bound the grid sup and cost less: a member at
+        # the twist is settled without synthesizing its grid
+        return (max(A.fx.norm_upper(0.0), A.fy.norm_upper(0.0)) > floor
+                and A.defect_sup() > floor)
+
+    k0 = next((k for k in range(schedule.k_max + 1) if departs(member(k))), 0)
 
     dom_k0 = StripDomain(float(schedule.r[k0]), float(schedule.s[k0]))
     dom_prime = StripDomain(float(schedule.r_prime[k0]), float(schedule.s_prime[k0]))

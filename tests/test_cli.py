@@ -288,7 +288,7 @@ def test_box_past_the_address_space_is_one_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value, sized_by", [
-    ("K", 10**6, "certify_frequency"),              # the lattice box, 29.1 TiB
+    ("K", 10**6, "certify_frequency"),              # the half-box norms, 7.28 TiB
     ("sample_count", 10**13, "sample_admissible"),  # the draws, 72.8 TiB
 ])
 def test_array_past_memory_is_one_config_error(tmp_path, capsys, monkeypatch, key, value,

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpkam import diophantine
+from qpkam import diophantine, qpfourier
 from qpkam.diophantine import (
     RejectionReport,
+    TIE_TOL,
     RotationNumber,
     certify_frequency,
     certify_rotation,
@@ -19,7 +20,7 @@ from qpkam.diophantine import (
     sample_admissible,
 )
 from qpkam.errors import ConfigError, NoneAdmissible, ResonantFrequency
-from qpkam.qpfourier import Frequency, mode_vectors
+from qpkam.qpfourier import Frequency, k1_norms, mode_vectors
 
 SQRT2 = math.sqrt(2.0)
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -40,12 +41,49 @@ def test_half_box_is_the_lexicographic_positive_half(n, K, seed):
     full = set(itertools.product(range(-K, K + 1), repeat=n)) - {(0,) * n}
     negs = {tuple(-v for v in k) for k in ks}
     assert len(ks) == len(negs) == len(full) // 2 and set(ks) | negs == full
-    k1, kw = diophantine._box_k1_and_kw(omega, K)
+    k1, kw = diophantine._half_box(tuple(omega), K)
     assert [diophantine._half_box_vector(K, n, i) for i in range(len(kw))] == ks
     assert np.array_equal(k1, [sum(abs(v) for v in k) for k in ks])
     ref = np.array([math.fsum(v * w for v, w in zip(k, omega)) for k in ks])
     scale = np.abs(np.array(ks, dtype=float)) @ omega
     assert np.all(np.abs(kw - ref) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("n, K", [(1, 30), (2, 30), (3, 9), (4, 8)])
+def test_blocked_half_box_equals_the_whole_box_formula(monkeypatch, n, K):
+    # blocks of 7 vectors: the last one is short, and one spans the end of
+    # the first-component-0 slab (n >= 2)
+    box, head = diophantine._half_box_shape(K, n)
+    slab = (2 * K + 1) ** (n - 1) // 2                      # its vectors in the half box
+    assert (math.prod(box) - head) % 7 and (n == 1 or slab % 7)
+    monkeypatch.setattr(diophantine, "HALF_BOX_BLOCK", 7)
+    diophantine._half_box.cache_clear()
+    omega = (1.0, SQRT2, math.sqrt(3.0), math.sqrt(5.0))[:n]
+    ks = mode_vectors(K, n)[:, head:]
+    k1_ref, kw_ref = k1_norms(K, n).ravel()[head:], ks.T @ np.array(omega)
+    k1, kw = diophantine._half_box(omega, K)
+    assert k1.dtype == np.min_scalar_type(n * K)
+    np.testing.assert_array_equal(k1, k1_ref)
+    assert np.array_equal(kw, kw_ref)                       # bit-equal
+    for tau in (2.5, 3.0, 3.14159, 3.5):
+        assert np.array_equal(diophantine._k1_powers(k1, n, K, tau),
+                              k1.astype(np.int64) ** tau)
+    # the rejection names the (k, j) of the whole-box formula's worst line
+    gamma, tau, alpha = 0.3, n + 0.5, 0.7
+    x = kw_ref * alpha / (2.0 * math.pi)
+    j = np.round(x)
+    dist = np.abs(x - j)
+    margins = dist * k1_ref**tau / gamma
+    worst = int(np.argmin(np.where(dist < gamma / k1_ref**tau - TIE_TOL, margins, np.inf)))
+    rep = certify_rotation(alpha, Frequency(omega), gamma, tau, (0.3, 1.1), K)
+    assert (rep.k, rep.j, rep.margin) == (tuple(ks[:, worst]), j[worst], margins[worst])
+    if n > 1:
+        # a resonant omega: the first exact zero of <k,omega> in the half box
+        resonant = tuple(float(v) for v in range(1, n + 1))
+        with pytest.raises(ResonantFrequency) as exc:
+            certify_frequency(resonant, K)
+        worst = int(np.argmin(np.abs(ks.T @ np.array(resonant))))
+        assert exc.value.k == tuple(ks[:, worst])
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +302,26 @@ def test_first_only_sample_peak_at_three_frequencies():
     # n = 3, K = 30: one float array over the 226,981-vector box is 1.8 MB
     _, peak = first_only_peak(certify_frequency(THREE_FREQ, K=30), 3.5)
     assert peak < 8 * 2**20
+
+
+def test_cold_certification_at_three_frequencies_builds_no_lattice():
+    # n = 3, K = 30 from cold caches: no int lattice of the 226,981-vector
+    # box is built; the half-box cache keeps 113,490 uint8 norms and float
+    # products (1 MB) after the sample is dropped
+    diophantine._half_box.cache_clear()
+    qpfourier._lattice.cache_clear()
+    tracemalloc.start()
+    try:
+        freq = certify_frequency(THREE_FREQ, K=30)
+        res = sample_admissible(freq, 1e-2, 3.5, (0.3, 1.1), 30, 200, 0)
+        assert res.first is not None
+        del res
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20
+    assert held < 2 * 2**20
+    assert qpfourier._lattice.cache_info().currsize == 0
 
 
 def test_none_admissible():
