@@ -72,6 +72,14 @@ def collocation_grid(K: int) -> int:
     return N
 
 
+def _collocated(values: list, like: StripFunction, dom: StripDomain) -> list:
+    """The strips on dom of values on like's collocation grid: one (points,
+    nodes) array per strip, in sample_strip_stack's layout, projected on
+    like's frequency, mode box and Chebyshev order."""
+    grid = (collocation_grid(like.K),) * like.n + (like.J + 1,)
+    return [StripFunction.from_grid(v.reshape(grid), like.freq, dom, like.K) for v in values]
+
+
 # ---------------------------------------------------------------------------
 # schedule
 # ---------------------------------------------------------------------------
@@ -175,7 +183,11 @@ class NormalizedMap:
     twist: float
     fx: StripFunction
     fy: StripFunction
-    domain: StripDomain
+
+    @property
+    def domain(self) -> StripDomain:
+        """D(r, s), which the strips fx and fy hold."""
+        return self.fx.domain
 
     def defect_sup(self) -> float:
         """Grid sup of |fx| and |fy| at the Chebyshev nodes.  A sup measurement,
@@ -190,8 +202,7 @@ class NormalizedMap:
 
     def restricted(self, domain: StripDomain) -> "NormalizedMap":
         return NormalizedMap(self.alpha, self.twist,
-                             self.fx.with_domain(domain), self.fy.with_domain(domain),
-                             domain)
+                             self.fx.with_domain(domain), self.fy.with_domain(domain))
 
 
 @dataclass
@@ -299,7 +310,7 @@ def normalize(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
         d = float(schedule.delta[k])
         s_box = min(d, y_strip)
         fx, fy = (smooth(f, d) for f in projections(s_box))
-        return NormalizedMap(alpha.alpha, sigma, fx, fy, StripDomain(d, s_box))
+        return NormalizedMap(alpha.alpha, sigma, fx, fy)
 
     return exact, member
 
@@ -330,8 +341,6 @@ def inductive_step(H: NormalizedMap, alpha: RotationNumber, theta: float, q: flo
     proof regime |H - Omega|_D <= M_paper is not required, and run records
     which regime each level is in.
     """
-    freq = H.fx.freq
-    n = freq.n
     K = H.fx.K
     J = H.fx.J
     r, s, eps = H.domain.r, H.domain.s, H.twist
@@ -343,7 +352,6 @@ def inductive_step(H: NormalizedMap, alpha: RotationNumber, theta: float, q: flo
     fT = H.fx.scale_y(theta)
     gT = H.fy.scale_y(theta)
     u, v = solve_coupled(fT, gT, alpha, rho=r / 6.0, epsilon=eps)
-    w_scale = u.domain.s     # = s / theta
 
     # collocation grid on D_plus: N^n torus points x J+1 nodes, and values
     # in the (points, nodes, pair) layout of sample_strip_stack
@@ -388,12 +396,10 @@ def inductive_step(H: NormalizedMap, alpha: RotationNumber, theta: float, q: flo
                                   f"(last delta {delta:.3e})")
 
     # (c) phi = Theta^{-1}(z + h* o Theta), Phi_plus = Omega_plus + phi
-    z = z.reshape((N,) * n + (J + 1, 2))
     phi1_vals = z[..., 0]
     phi2_vals = (z[..., 1] + hstar2) / theta
-    phi1 = StripFunction.from_grid(phi1_vals, freq, dom_plus, K, J)
-    phi2 = StripFunction.from_grid(phi2_vals, freq, dom_plus, K, J)
-    phi_plus = NormalizedMap(alpha.alpha, eps_plus, phi1, phi2, dom_plus)
+    phi_plus = NormalizedMap(alpha.alpha, eps_plus,
+                             *_collocated([phi1_vals, phi2_vals], H.fx, dom_plus))
 
     # (d) truncation polynomial from the power series of theta^{-1}[g](theta eta),
     # the m = 3, q = theta/2 truncation
@@ -418,7 +424,6 @@ def inductive_step(H: NormalizedMap, alpha: RotationNumber, theta: float, q: flo
         "phi_minus_omega_minus_q": phi_minus_q,
         "phi_bound_paper": 5.0 / 48.0 * theta * M_paper,
         "phi_bound_working": 5.0 / 48.0 * theta * M_work,
-        "w_scale": w_scale,
     }
     return StepResult(u, v, phi_plus, Q, report)
 
@@ -523,13 +528,10 @@ def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
     smallness |A_next - A_prev|_E <= b*(s_k/7) of the replaced member A_prev,
     with b = Z.b, and the contraction of H around the seed.
     """
-    freq = A_next.fx.freq
-    n = freq.n
-    K = phi_plus.fx.K
     J = phi_plus.fx.J
     twist_next = phi_plus.twist
     dom = phi_plus.domain
-    N = collocation_grid(K)
+    N = collocation_grid(phi_plus.fx.K)
     ys = dom.s * cheb_nodes(J)
     nodes = ys[None, :]                       # broadcasts to (points, J+1)
 
@@ -545,13 +547,8 @@ def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
     a = A_next.alpha + twist_next * nodes + seed[..., 0]
     yv = nodes + seed[..., 1]
     a, yv, newton = _pullback_grid(Z, N, t_disp, t_y, a, yv, 1e-12 * (1.0 + abs(A_next.alpha)))
-    grid = (N,) * n + (J + 1,)
-    a_out = (a - A_next.alpha - twist_next * nodes).reshape(grid)
-    y_out = (yv - nodes).reshape(grid)
-
-    hx = StripFunction.from_grid(a_out, freq, dom, K, J)
-    hy = StripFunction.from_grid(y_out, freq, dom, K, J)
-    H_next = NormalizedMap(A_next.alpha, twist_next, hx, hy, dom)
+    hx, hy = _collocated([a - A_next.alpha - twist_next * nodes, yv - nodes], phi_plus.fx, dom)
+    H_next = NormalizedMap(A_next.alpha, twist_next, hx, hy)
 
     diff = A_prev.gap(A_next)
     bound = Z.b * (2.0 * dom.s) / 7.0             # b_{k+1} * s_k / 7
@@ -742,17 +739,10 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule, *,
 def compose_conjugacy(Z: ConjugacyMap, w_u: StripFunction, w_v: StripFunction,
                       theta: float, q: float, dom_new: StripDomain) -> ConjugacyMap:
     """Z_new = Z o (Theta + w), represented on dom_new = D'_{k+1}."""
-    freq = Z.P.freq
-    n = freq.n
-    K, J = Z.P.K, Z.P.J
-    N = collocation_grid(K)
-    ys = dom_new.s * cheb_nodes(J)
-    grid = (N,) * n + (J + 1,)
+    N = collocation_grid(Z.P.K)
+    ys = dom_new.s * cheb_nodes(Z.P.J)
     uv = sample_strip_stack([w_u, w_v], N, ys)
     u_val, v_val = uv[..., 0], uv[..., 1]
     vals = eval_strip_stack([Z.P, Z.S], N, theta * ys + v_val, u_val)
-    P_new = (u_val + vals[..., 0]).reshape(grid)
-    S_new = (Z.L * v_val + vals[..., 1]).reshape(grid)
-    P = StripFunction.from_grid(P_new, freq, dom_new, K, J)
-    S = StripFunction.from_grid(S_new, freq, dom_new, K, J)
+    P, S = _collocated([u_val + vals[..., 0], Z.L * v_val + vals[..., 1]], Z.P, dom_new)
     return ConjugacyMap(P, S, Z.L * theta, Z.b * theta * (1 - q))

@@ -79,12 +79,6 @@ def _lattice(K: int, n: int):
     return kstack, k1
 
 
-def mode_vectors(K: int, n: int) -> np.ndarray:
-    """All lattice vectors of the box |k|_inf <= K, shape (n, (2K+1)^n)."""
-    kstack, _ = _lattice(K, n)
-    return kstack.reshape(n, -1)
-
-
 def k1_norms(K: int, n: int) -> np.ndarray:
     return _lattice(K, n)[1]
 
@@ -137,8 +131,7 @@ def analyze(values: np.ndarray, n: int, K: int) -> np.ndarray:
     but the projection drops, summed over the extra axes.
     """
     N = np.shape(values)[0]
-    if N < 2 * K + 1:
-        raise ValueError(f"grid N={N} cannot hold modes up to K={K}")
+    _check_grid(N, K)
     if np.iscomplexobj(values):
         raise RealityDefect("complex values given to the real analysis")
     spectrum = np.fft.rfftn(values, axes=tuple(range(n)))
@@ -640,10 +633,10 @@ class StripFunction(_ModeBox):
 
     @staticmethod
     def from_grid(values: np.ndarray, freq: Frequency, domain: StripDomain,
-                  K: int, J: int) -> "StripFunction":
-        """Real values on (theta grid)^n x cheb_nodes(J)*s, last axis the y
-        nodes; RealityDefect for complex ones."""
-        cheb = np.asarray(values) @ cheb_analysis_matrix(J).T
+                  K: int) -> "StripFunction":
+        """Real values on (theta grid)^n x cheb_nodes(J)*s, last axis the J+1
+        y nodes; RealityDefect for complex ones."""
+        cheb = np.asarray(values) @ cheb_analysis_matrix(np.shape(values)[-1] - 1).T
         return StripFunction(freq, domain, symmetrize(analyze(cheb, freq.n, K), freq.n))
 
     @staticmethod
@@ -657,7 +650,7 @@ class StripFunction(_ModeBox):
                                th.shape[1:-1] + (J + 1,))
         if not np.all(np.isfinite(vals)):
             raise SamplerNotFinite("sampler produced non-finite values")
-        return StripFunction.from_grid(vals, freq, domain, K, J)
+        return StripFunction.from_grid(vals, freq, domain, K)
 
     # -- evaluation ----------------------------------------------------------
 

@@ -28,6 +28,12 @@ if os.environ.get("CI"):
 # fixtures
 # ---------------------------------------------------------------------------
 
+def mode_vectors(K, n):
+    """All lattice vectors of the box |k|_inf <= K, shape (n, (2K+1)^n), in
+    the flattened order of a mode box."""
+    return (np.indices((2 * K + 1,) * n) - K).reshape(n, -1)
+
+
 def symmetric_box(coeffs, n):
     """0.5*(c + conj(c reflected over the n torus axes)): the arithmetic of
     qp.symmetrize without its reality check, since random fixtures are far
@@ -119,7 +125,7 @@ def corner_sheet_sup(coeffs, n, N, rho):
     K = (coeffs.shape[0] - 1) // 2
     columns = np.moveaxis(coeffs.reshape(coeffs.shape[:n] + (-1,)), -1, 0)
     boxes = np.stack(list({c.tobytes(): c for c in columns}.values()), axis=-1)
-    kstack = qp.mode_vectors(K, n).reshape((n,) + coeffs.shape[:n])
+    kstack = mode_vectors(K, n).reshape((n,) + coeffs.shape[:n])
     sheets = [np.zeros(n)]
     if rho > 0:
         sheets += [rho * (2 * np.array(sg) - 1) for sg in np.ndindex(*([2] * n))]

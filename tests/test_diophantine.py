@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import mode_vectors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from qpkam.diophantine import (
     sample_admissible,
 )
 from qpkam.errors import ConfigError, NoneAdmissible, ResonantFrequency
-from qpkam.qpfourier import Frequency, k1_norms, mode_vectors
+from qpkam.qpfourier import Frequency, k1_norms
 
 SQRT2 = math.sqrt(2.0)
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0

@@ -207,13 +207,57 @@ def test_normalize_level0_bound():
 
 
 # ---------------------------------------------------------------------------
+# a level map's domain is its strips' domain
+# ---------------------------------------------------------------------------
+
+def test_level_maps_read_their_domain_from_their_strips():
+    # member k on D(delta_k, min(delta_k, y_strip)), a restriction on the
+    # domain it is given, Phi_plus on D(r/2, s/2) and the solve-back's H on
+    # Phi_plus's domain
+    sched, sigma = make_schedule(k_max=8), 16.0
+    mp = acceptance_map()
+    _, member = normalize(mp, ALPHA, sched, K_trunc=8, J=6, y_scale=sigma)
+    y_strip = min(1.0, min(ALPHA.alpha - mp.strip[0], mp.strip[1] - ALPHA.alpha) / sigma)
+    for k in range(sched.k_max + 1):
+        d = float(sched.delta[k])
+        assert member(k).domain == StripDomain(d, min(d, y_strip)) == member(k).fy.domain
+    D = StripDomain(float(sched.r[0]), float(sched.s[0]))
+    H = member(0).restricted(D)
+    assert H.domain == D == H.fy.domain
+    step = inductive_step(H, ALPHA, sched.theta, sched.q, float(sched.M[0]), H.defect_sup())
+    assert step.phi_plus.domain == StripDomain(D.r / 2, D.s / 2) == step.phi_plus.fy.domain
+    Z = ConjugacyMap.identity(FREQ, StripDomain(float(sched.r_prime[1]),
+                                                float(sched.s_prime[1])), 8, 6)
+    H_next, _ = solve_back(Z, member(1), step.phi_plus, member(0))
+    assert H_next.domain == step.phi_plus.domain == H_next.fy.domain
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_collocated_is_from_grid_per_strip(n):
+    # a strided slice of a stacked array, as the contraction leaves it, and
+    # a contiguous array: bit for bit the strips of from_grid one at a time
+    freq, K, J = qp.Frequency(OMEGAS[n]), 2, 3
+    like = StripFunction.zeros(freq, StripDomain(0.5, 0.01), K, J)
+    dom = StripDomain(0.25, 0.005)
+    N = kam.collocation_grid(K)
+    stack = np.random.default_rng(n).standard_normal((N**n, J + 1, 2))
+    values = [stack[..., 0], stack[..., 1] + 1.0]
+    got = kam._collocated(values, like, dom)
+    assert len(got) == 2
+    for f, v in zip(got, values):
+        want = StripFunction.from_grid(v.reshape((N,) * n + (J + 1,)), freq, dom, K)
+        assert f.freq == freq and f.domain == dom and (f.K, f.J) == (K, J)
+        np.testing.assert_array_equal(f.coeffs, want.coeffs)
+
+
+# ---------------------------------------------------------------------------
 # inductive step
 # ---------------------------------------------------------------------------
 
 def zero_normalized(r, s, eps, K=6, J=4):
     dom = StripDomain(r, s)
     z = StripFunction.zeros(FREQ, dom, K, J)
-    return NormalizedMap(ALPHA.alpha, eps, z, z, dom)
+    return NormalizedMap(ALPHA.alpha, eps, z, z)
 
 
 def test_step_zero_perturbation():
@@ -256,7 +300,7 @@ def test_step_contraction_factor_proof_scale():
     fx.coeffs[(K - 1, K, 0)] = 0.4999 * M
     fy.coeffs[(K, K + 1, 0)] = -0.4999j * M
     fy.coeffs[(K, K - 1, 0)] = 0.4999j * M
-    H = NormalizedMap(alpha.alpha, eps, fx, fy, dom)
+    H = NormalizedMap(alpha.alpha, eps, fx, fy)
     assert H.defect_sup() <= M * (1 + 1e-12)          # the proof regime
     step = inductive_step(H, alpha, theta, q, M, H.defect_sup())
     deltas = step.report["contraction_deltas"]
@@ -283,7 +327,7 @@ def test_step_bilipschitz_sample():
     fx = StripFunction.zeros(FREQ, dom, 5, 3)
     fx.coeffs[(6, 5, 0)] = 0.4999 * M
     fx.coeffs[(4, 5, 0)] = 0.4999 * M
-    H = NormalizedMap(alpha.alpha, eps, fx, StripFunction.zeros(FREQ, dom, 5, 3), dom)
+    H = NormalizedMap(alpha.alpha, eps, fx, StripFunction.zeros(FREQ, dom, 5, 3))
     assert H.defect_sup() <= M * (1 + 1e-12)          # the proof regime
     step = inductive_step(H, alpha, theta, q, M, H.defect_sup())
     rng = np.random.default_rng(5)
@@ -324,7 +368,7 @@ def small_normalized(dom, alpha, twist, K=4, J=3, amp=1e-4, seed=1):
         (amp * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
          * np.exp(-qp.k1_norms(K, 2))[..., None] * 0.3 ** np.arange(J + 1))
     ))
-    return NormalizedMap(alpha, twist, mk(), mk(), dom)
+    return NormalizedMap(alpha, twist, mk(), mk())
 
 
 def test_solve_back_same_member_returns_seed():
@@ -336,7 +380,7 @@ def test_solve_back_same_member_returns_seed():
     A_push = push_forward(Z, phi, dom)
     pad = [(A_push.fx.K - phi.fx.K,) * 2] * 2 + [(0, 0)]
     phi = NormalizedMap(phi.alpha, phi.twist, *(StripFunction(FREQ, dom, np.pad(f.coeffs, pad))
-                                                 for f in (phi.fx, phi.fy)), dom)
+                                                 for f in (phi.fx, phi.fy)))
     H, rep = solve_back(Z, A_push, phi, A_push)
     assert float(np.max(np.abs(H.fx.coeffs - phi.fx.coeffs))) < 1e-11
     assert float(np.max(np.abs(H.fy.coeffs - phi.fy.coeffs))) < 1e-11
@@ -349,7 +393,7 @@ def test_solve_back_identity_conjugacy():
     Z = ConjugacyMap.identity(FREQ, dom, 4, 3)
     seed = NormalizedMap(ALPHA.alpha, 0.2,
                          StripFunction.zeros(FREQ, dom, 4, 3),
-                         StripFunction.zeros(FREQ, dom, 4, 3), dom)
+                         StripFunction.zeros(FREQ, dom, 4, 3))
     H, _ = solve_back(Z, A, seed, A)
     assert float(np.max(np.abs(H.fx.coeffs - A.fx.coeffs))) < 1e-11
     assert float(np.max(np.abs(H.fy.coeffs - A.fy.coeffs))) < 1e-11
@@ -383,9 +427,9 @@ def push_forward(Z: ConjugacyMap, H: NormalizedMap, dom: StripDomain,
         img_y = Z.L * h_y + zv[..., 1]
         fx_vals[..., j] = (img_disp - H.alpha - H.twist * y).reshape(N, N)
         fy_vals[..., j] = (img_y - y).reshape(N, N)
-    fx = StripFunction.from_grid(fx_vals, freq, dom, K, J)
-    fy = StripFunction.from_grid(fy_vals, freq, dom, K, J)
-    return NormalizedMap(H.alpha, H.twist, fx, fy, dom)
+    fx = StripFunction.from_grid(fx_vals, freq, dom, K)
+    fy = StripFunction.from_grid(fy_vals, freq, dom, K)
+    return NormalizedMap(H.alpha, H.twist, fx, fy)
 
 
 def pullback_oracle(Z, thf, targets_theta_disp, targets_y, seeds_disp, seeds_y, tol):
@@ -557,7 +601,7 @@ def test_solve_back_reconstructs_synthetic():
     K_rep, J_rep = A.fx.K, A.fx.J
     seed = NormalizedMap(ALPHA.alpha, 0.2,
                          StripFunction.zeros(FREQ, dom, K_rep, J_rep),
-                         StripFunction.zeros(FREQ, dom, K_rep, J_rep), dom)
+                         StripFunction.zeros(FREQ, dom, K_rep, J_rep))
     H_rec, _ = solve_back(Z, A, seed, A)
     pad = (K_rep - H_true.fx.K, J_rep - H_true.fx.J)
     fx_ref = np.pad(H_true.fx.coeffs, [(pad[0], pad[0])] * 2 + [(0, pad[1])])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import eval_xy, shell_norm_lower, symmetrized
+from conftest import eval_xy, mode_vectors, shell_norm_lower, symmetrized
 
 from qpkam import qpfourier as qp
 from qpkam.errors import ConfigError, NotMonotone, RealityDefect
@@ -294,11 +294,14 @@ def test_round_trip_grid_recovery():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lattice_and_grid_match_meshgrid(n):
-    # the box and the torus grid, bit for bit against the meshgrid construction
+    # <k, omega> and |k|_1 over the box, and the torus grid, bit for bit
+    # against the meshgrid construction
+    omega = np.sqrt(np.arange(1.0, n + 1.0))
     for K, N in ((0, 1), (1, 4), (3, 9)):
         axis = np.arange(-K, K + 1)
         kstack = np.stack(np.meshgrid(*[axis] * n, indexing="ij"))
-        np.testing.assert_array_equal(qp.mode_vectors(K, n), kstack.reshape(n, -1))
+        np.testing.assert_array_equal(qp.k_dot_omega(K, omega),
+                                      np.tensordot(omega, kstack, axes=1))
         np.testing.assert_array_equal(qp.k1_norms(K, n), np.abs(kstack).sum(axis=0))
         t = qp.TWO_PI * np.arange(N) / N
         np.testing.assert_array_equal(qp.theta_grid(N, n),
@@ -317,7 +320,7 @@ def test_analyze_logs_the_discarded_band():
     # exactly the coefficient mass that the projection drops
     rng = np.random.default_rng(16)
     f = random_shell(rng, FREQ2, K=6)
-    kmax = np.max(np.abs(qp.mode_vectors(6, 2)), axis=0).reshape(f.coeffs.shape)
+    kmax = np.max(np.abs(mode_vectors(6, 2)), axis=0).reshape(f.coeffs.shape)
     with qp.grid_eval_log() as log:
         qp.analyze(f.sample(26), 2, 3)
         qp.analyze(f.sample(26), 2, 6)
@@ -341,7 +344,7 @@ def test_strip_round_trip():
     f = random_strip(rng, FREQ2, dom, K=5, J=6)
     N = qp.default_grid(f.K)
     vals = qp.sample_strip_stack([f], N)[..., 0].reshape((N, N, f.J + 1))
-    g = StripFunction.from_grid(vals, FREQ2, dom, K=5, J=6)
+    g = StripFunction.from_grid(vals, FREQ2, dom, K=5)
     assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-12
 
 
@@ -366,7 +369,7 @@ def test_from_sampler_calls_its_sampler_once(uses_y):
     th = qp.theta_grid(qp.default_grid(K), 2)
     vals = np.stack([np.broadcast_to(shell(th, y), th.shape[1:])
                      for y in dom.s * qp.cheb_nodes(J)], axis=-1)
-    want = StripFunction.from_grid(vals, FREQ2, dom, K, J)
+    want = StripFunction.from_grid(vals, FREQ2, dom, K)
     assert np.max(np.abs(f.coeffs - want.coeffs)) <= 1e-15
 
 
@@ -377,7 +380,7 @@ def test_strip_eval_matches_series():
     xs = rng.uniform(0, 10, 20)
     ys = rng.uniform(-0.3, 0.3, 20)
     direct = np.zeros(20, dtype=complex)
-    kvecs = qp.mode_vectors(4, 2)
+    kvecs = mode_vectors(4, 2)
     for idx in range(kvecs.shape[1]):
         k = kvecs[:, idx]
         kw = k @ FREQ2.vec

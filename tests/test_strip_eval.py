@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import corner_sheet_sup, eval_xy, symmetric_box, symmetrized
+from conftest import corner_sheet_sup, eval_xy, mode_vectors, symmetric_box, symmetrized
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
@@ -120,7 +120,7 @@ def test_eval_modes_matches_explicit_sum(seed, n, K, P, trailing, imag, chunk):
     coeffs = random_box(rng, n, K, trailing)
     theta = rng.uniform(-qp.TWO_PI, qp.TWO_PI, (n, P)) + 1j * imag * rng.uniform(-1.0, 1.0, (n, P))
     # sum over every k of c_k e^{i<k, theta_p>}
-    phase = np.exp(1j * qp.mode_vectors(K, n).T @ theta)          # ((2K+1)^n, P)
+    phase = np.exp(1j * mode_vectors(K, n).T @ theta)          # ((2K+1)^n, P)
     want = np.tensordot(phase, coeffs.reshape((-1,) + trailing), axes=([0], [0]))
     # EVAL_CHUNK from one point per chunk up to every point in one chunk
     with pytest.MonkeyPatch.context() as mp:
@@ -180,7 +180,7 @@ def test_from_grid_refuses_complex_values(n):
         ShellFunction.from_grid(values, freq, K)
     with pytest.raises(RealityDefect, match="complex values"):
         StripFunction.from_grid(np.ones((N,) * n + (J + 1,), dtype=complex), freq,
-                                StripDomain(0.7, 0.4), K, J)
+                                StripDomain(0.7, 0.4), K)
     assert ShellFunction.from_grid(values.real, freq, K).mean() == 1.0
 
 
@@ -428,6 +428,8 @@ def grid_vs_direct(strips, N, y, disp):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(0, 4),
        J=st.integers(0, 4), m=st.integers(1, 3), nodes=st.integers(1, 3),
        N=st.integers(2, 12), spread=st.floats(0.0, 0.05), complex_y=st.booleans())
+# node offsets 0.978 apart: W*delta = 16.2 needs an order above SHIFT_MAX_ORDER
+@example(seed=1051, n=3, K=4, J=0, m=1, nodes=2, N=2, spread=0.03125, complex_y=False)
 def test_grid_path_matches_direct_oracle(seed, n, K, J, m, nodes, N, spread, complex_y):
     # the grid holds the box: N >= 2K+1, and at most 9 points per axis at n = 3
     N = max(N, 2 * K + 1)
@@ -443,7 +445,12 @@ def test_grid_path_matches_direct_oracle(seed, n, K, J, m, nodes, N, spread, com
         y = y + 1j * rng.uniform(-s, s, (P, nodes))
     got, want, log = grid_vs_direct(strips, N, y, disp)
     assert got.shape == (P, nodes, m) and np.iscomplexobj(got) == complex_y
-    assert log["nodes"] == nodes and log["fallbacks"] == 0
+    # the offsets span up to 2 in d, so some draws need an order above
+    # SHIFT_MAX_ORDER: every node slice then falls back to the direct path
+    kw = qp.k_dot_omega(K, strips[0].freq.vec)
+    amps = np.abs(np.stack([f.coeffs for f in strips], axis=-1)).reshape(kw.shape + (-1, m))
+    direct = qp.shift_order(amps.sum(axis=-2), kw, 0.5 * (np.max(disp) - np.min(disp))) is None
+    assert log["nodes"] == nodes and log["fallbacks"] == (nodes if direct else 0)
     tmax = float(np.max(np.abs(y))) / s
     assert np.max(np.abs(got - want)) <= 1e-14 * coeff_scale(strips, tmax)
 
