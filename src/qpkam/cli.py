@@ -255,10 +255,11 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
         print(f"not converged: {exc}", file=sys.stderr)
         return 3
     curve = result.curve
+    # the last level's box holds the curve; curve.json keeps the K_trunc box
     curve_doc = {"omega": list(freq.omega), "alpha": rot.alpha,
                  "defect": curve.defect,
-                 "phi": serialize.shell_to_dict(curve.phi),
-                 "psi": serialize.shell_to_dict(curve.psi)}
+                 "phi": serialize.shell_to_dict(curve.phi.pad_to(cfg.K_trunc)),
+                 "psi": serialize.shell_to_dict(curve.psi.pad_to(cfg.K_trunc))}
     serialize.dump_json(curve_doc, out_dir / "curve.json")
     serialize.dump_json({"converged": True, "smallness": small, "y_scale": float(cfg.y_scale),
                          "levels": result.trace}, out_dir / "trace.json")

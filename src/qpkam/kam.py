@@ -8,7 +8,8 @@ the smoothed map A_k by A_{k+1} through the accumulated conjugacy Z, and the
 intersection-property bound on Q.
 
 The driver monitors the invariance defect on the real curve in original
-(theta, r) units and emits one trace record per level.
+(theta, r) units and emits one trace record per level.  Each level runs on
+the working box its map fills (level_box), within the K_trunc x J caps.
 """
 
 from __future__ import annotations
@@ -204,6 +205,9 @@ class NormalizedMap:
         return NormalizedMap(self.alpha, self.twist,
                              self.fx.with_domain(domain), self.fy.with_domain(domain))
 
+    def boxed(self, K: int, J: int) -> "NormalizedMap":
+        return NormalizedMap(self.alpha, self.twist, self.fx.boxed(K, J), self.fy.boxed(K, J))
+
 
 @dataclass
 class ExactNormalizedMap:
@@ -243,6 +247,9 @@ class ConjugacyMap:
         return ConjugacyMap(StripFunction.zeros(freq, domain, K, J),
                             StripFunction.zeros(freq, domain, K, J),
                             1.0, 1.0)
+
+    def boxed(self, K: int, J: int) -> "ConjugacyMap":
+        return ConjugacyMap(self.P.boxed(K, J), self.S.boxed(K, J), self.L, self.b)
 
     def values_at(self, theta_pts, y_pts: np.ndarray, disp=0.0):
         """(x-displacement P, image y) at (theta_pts + omega*disp, y_pts);
@@ -646,6 +653,46 @@ class RunResult:
     Z: ConjugacyMap
 
 
+# a level map's coefficients at or below this times |alpha| + |twist| s, the
+# size of the twist's displacement on D(r, s), are roundoff of a double
+BOX_FLOOR = 2.0**-52
+
+
+def _content_edges(M: NormalizedMap, floor: float) -> tuple[int, int]:
+    """The last shell |k|_inf and the last Chebyshev row where M's fx or fy
+    holds a coefficient above floor; -1 where none does."""
+    above = np.maximum(np.abs(M.fx.coeffs), np.abs(M.fy.coeffs)) > floor
+    K, n = M.fx.K, M.fx.n
+    k_inf = np.max(np.abs(np.indices((2 * K + 1,) * n) - K), axis=0)
+    return (int(k_inf[np.any(above, axis=-1)].max(initial=-1)),
+            int(np.flatnonzero(np.any(above, axis=tuple(range(n)))).max(initial=-1)))
+
+
+def level_box(H: NormalizedMap, A: NormalizedMap, K_cap: int, J_cap: int,
+              first: bool) -> tuple[int, int]:
+    """The working box (K, J) of a level with map H, solved back against the
+    member A: the last shell t and the last Chebyshev row u where H holds a
+    coefficient above the roundoff floor, plus one guard shell and one guard
+    row, (t + 1, u + 1).  A guard that H itself fills returns the cap (K_cap
+    or J_cap), the only way a box grows.  K also holds A's shells above the
+    floor, so that trimming A drops none of its data.
+
+    The first level's H is the smoothed data on the cap box, which the step
+    multiplies out: with a its largest coefficient and m the number of
+    factors a^m above the floor, the m-fold products fill shells up to m t,
+    so K = m t + 1; J stays at the cap.
+    """
+    floor = BOX_FLOOR * (abs(H.alpha) + abs(H.twist) * H.domain.s)
+    t, u = _content_edges(H, floor)
+    K = K_cap if t == H.fx.K else t + 1
+    if first and 0 < t < H.fx.K:
+        a = max(float(np.max(np.abs(H.fx.coeffs))), float(np.max(np.abs(H.fy.coeffs))))
+        m = math.ceil(math.log(floor) / math.log(a)) - 1 if a < 1.0 else K_cap
+        K = min(t * m + 1, K_cap)
+    K = min(max(K, _content_edges(A, floor)[0] + 1), K_cap)
+    return K, J_cap if first or u == H.fx.J else u + 1
+
+
 def _curve_from_Z(Z: ConjugacyMap, exact: ExactNormalizedMap,
                   rotation: RotationNumber) -> InvariantCurve:
     phi = ShellFunction(Z.P.freq, Z.P.modes_at_y(0.0))
@@ -660,10 +707,10 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule, *,
     Iterates inductive_step + solve_back + intersection_bound from the first
     level whose mollified family member differs from the twist; the trace
     records per level the curve's conjugacy_residual on DEFECT_XIS, in
-    original (theta, r) units.  A run that stops above tol (schedule.k_max
-    reached, or a step failed with ContractionDiverged, ResidualDefect or
-    RootFindFailed, recorded as the level's failure) raises NotConverged with
-    the trace.  An intersection bound that finds no witness or whose pullback
+    original (theta, r) units, and the box (level_box) of each stepped
+    level.  A run that stops above tol (schedule.k_max reached, or a step
+    failed with ContractionDiverged, ResidualDefect or RootFindFailed,
+    recorded as the level's failure) raises NotConverged with the trace.  An intersection bound that finds no witness or whose pullback
     Newton fails is recorded as {"pass": false, "error": ...}, and the run
     goes on.
     """
@@ -683,8 +730,7 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule, *,
     dom_k0 = StripDomain(float(schedule.r[k0]), float(schedule.s[k0]))
     dom_prime = StripDomain(float(schedule.r_prime[k0]), float(schedule.s_prime[k0]))
     Z = ConjugacyMap.identity(freq, dom_prime, K_trunc, J)
-    A_cur = member(k0)
-    H = A_cur.restricted(dom_k0)
+    H = member(k0).restricted(dom_k0)
 
     trace = []
     k = k0
@@ -703,6 +749,12 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule, *,
             if k >= schedule.k_max:
                 break
 
+            # the level runs on the box its map fills: H, Z and the members'
+            # mode boxes, the members keeping their own Chebyshev rows
+            K_k, J_k = level_box(H, member(k + 1), K_trunc, J, first=k == k0)
+            rec["box"] = [K_k, J_k]
+            H, Z = H.boxed(K_k, J_k), Z.boxed(K_k, J_k)
+            A_cur, A_next = (member(j).boxed(K_k, J) for j in (k, k + 1))
             try:
                 step = inductive_step(H, alpha, schedule.theta, schedule.q,
                                       float(schedule.M[k]), measured)
@@ -717,10 +769,8 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule, *,
                 rec["Z_contained"] = Z.range_containment(step.phi_plus.domain, dom_k0)
 
                 # replace A_k by A_{k+1} through the new conjugacy
-                A_next = member(k + 1)
                 H, sb_report = solve_back(Z, A_next, step.phi_plus, A_cur)
                 rec["solve_back"] = sb_report
-                A_cur = A_next
             except (ContractionDiverged, ResidualDefect, RootFindFailed) as exc:
                 rec["failure"] = f"{type(exc).__name__}: {exc}"
                 break

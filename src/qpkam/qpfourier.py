@@ -686,6 +686,16 @@ class StripFunction(_ModeBox):
         return StripFunction(self.freq, StripDomain(self.domain.r, self.domain.s / factor),
                              self.coeffs)
 
+    def boxed(self, K: int, J: int) -> "StripFunction":
+        """The same series on the box |k|_inf <= K, j <= J: zero-padded where
+        the box grows, cut where it shrinks."""
+        if (K, J) == (self.K, self.J):
+            return self
+        cut, grow = max(self.K - K, 0), max(K - self.K, 0)
+        core = self.coeffs[(slice(cut, 2 * self.K + 1 - cut),) * self.n + (slice(0, J + 1),)]
+        pad = [(grow, grow)] * self.n + [(0, max(J - self.J, 0))]
+        return replace(self, coeffs=np.pad(core, pad))
+
     def with_domain(self, domain: StripDomain, J_new: int | None = None) -> "StripFunction":
         """Re-expand on a new Chebyshev scale (exact for J_new >= J)."""
         J_new = self.J if J_new is None else J_new

@@ -352,10 +352,11 @@ def test_tau_without_a_positive_eps0_exit_1(tmp_path, capsys, tau):
 
 
 def test_root_find_failure_in_the_intersection_bound_is_recorded(tmp_path, capsys):
-    # K_trunc 0: the intersection bound's pullback Newton fails at level 6;
-    # the level records it and the run ends in one "not converged:" line
-    base_map = {**BASE["map"], "modes": BASE["map"]["modes"][:2]}
-    cfg = write_cfg(tmp_path, K_trunc=0, map=base_map)
+    # K_trunc 0 at y_scale 2 and lambda 1e-2: the intersection bound's
+    # pullback Newton fails at level 6; the level records it and the run
+    # ends in one "not converged:" line
+    base_map = {**BASE["map"], "modes": BASE["map"]["modes"][:2], "lambda": 1e-2}
+    cfg = write_cfg(tmp_path, K_trunc=0, y_scale=2.0, map=base_map)
     out = tmp_path / "o"
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
     lines = capsys.readouterr().err.strip().splitlines()

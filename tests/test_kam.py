@@ -251,6 +251,81 @@ def test_collocated_is_from_grid_per_strip(n):
 
 
 # ---------------------------------------------------------------------------
+# the working box of a level
+# ---------------------------------------------------------------------------
+
+def filled_map(entries, K=6, J=4):
+    """A level map on the (K, J) box on D(0.5, 1e-3) with twist 16: fx holds
+    each value at its (k, j) of entries; the floor is about 1.9e-16."""
+    fx = StripFunction.zeros(FREQ, StripDomain(0.5, 1e-3), K, J)
+    for k, j, value in entries:
+        fx.coeffs[(K + k[0], K + k[1], j)] = value
+    return NormalizedMap(ALPHA.alpha, 16.0, fx, StripFunction.zeros(FREQ, fx.domain, K, J))
+
+
+ZERO_MAP = filled_map([])
+
+
+@pytest.mark.parametrize("t, u", [(0, 0), (1, 0), (2, 3), (5, 1)])
+def test_level_box_is_the_content_plus_one_guard(t, u):
+    # content through shell t and row u, and sub-floor coefficients beyond
+    H = filled_map([((t, -min(t, 1)), u, 1e-6), ((0, 0), 0, 1e-3),
+                    ((6, 6), 4, 1e-17), ((-6, 2), 3, 1e-20)])
+    assert kam.level_box(H, ZERO_MAP, 8, 6, first=False) == (t + 1, u + 1)
+
+
+@pytest.mark.parametrize("k, j, box", [((6, 0), 1, (8, 2)), ((-3, 6), 0, (8, 1)),
+                                       ((1, 1), 4, (2, 6)), ((6, -6), 4, (8, 6))])
+def test_level_box_returns_to_the_cap_where_the_guard_is_filled(k, j, box):
+    # the box grows only back to the cap: H fills its outer shell 6 or its top row 4
+    H = filled_map([(k, j, 1e-12), ((1, 0), 0, 1e-6)])
+    assert kam.level_box(H, ZERO_MAP, 8, 6, first=False) == box
+
+
+def test_level_box_of_the_zero_map():
+    # no content: the box is the guard alone, on the first level at the cap's J
+    assert kam.level_box(ZERO_MAP, ZERO_MAP, 8, 6, first=False) == (0, 0)
+    assert kam.level_box(ZERO_MAP, ZERO_MAP, 8, 6, first=True) == (0, 6)
+    H = ZERO_MAP.boxed(0, 0)
+    assert H.fx.coeffs.shape == H.fy.coeffs.shape == (1, 1, 1)
+
+
+@pytest.mark.parametrize("t, box", [(1, 4), (2, 7), (3, 8)])
+def test_level_box_of_the_first_level_holds_the_products_of_the_data(t, box):
+    # the largest coefficient 1e-5 keeps three factors above the floor (1e-15,
+    # not 1e-20): K = 3t + 1, at most the cap 8; J stays at the cap
+    H = filled_map([((t, 0), 0, 1e-5), ((0, 1), 1, 1e-7)], K=8, J=6)
+    assert kam.level_box(H, ZERO_MAP, 8, 6, first=True) == (box, 6)
+
+
+def test_level_box_holds_the_member_it_solves_against():
+    # the member's data on shell 4 stays in the box; its rows do not count
+    H = filled_map([((1, 0), 1, 1e-6)])
+    A = filled_map([((4, -2), 5, 1e-9)], K=8, J=6)
+    assert kam.level_box(H, A, 8, 6, first=False) == (5, 2)
+
+
+# configs whose curves need their box: a rule that trims real content stalls them
+def test_run_stress_map_converges_on_its_box():
+    # K_trunc 8 stalls near 7.8e-9
+    mp = kicked_twist(FREQ, 1e-3, STRESS_MODES, strip=STRIP)
+    out = run(mp, ALPHA, make_schedule(k_max=10), tol=1e-10, K_trunc=12, J=6, y_scale=16.0)
+    assert out.curve.defect <= 1e-10
+
+
+POWER_MODES = [((a, b), 0.5 * (abs(a) + abs(b)) ** -9.0)
+               for a in range(-6, 7) for b in range(-6, 7) if (a, b) > (0, 0)]
+
+
+def test_run_power_law_spectrum_converges_on_its_box():
+    # 84 modes up to |k|_inf = 6 of amplitude 0.5 |k|_1^-9; K_trunc 6 repeats 4e-11
+    assert len(POWER_MODES) == 84
+    mp = kicked_twist(FREQ, 1e-3, POWER_MODES, strip=STRIP)
+    out = run(mp, ALPHA, make_schedule(k_max=8), tol=1e-12, K_trunc=10, J=6, y_scale=16.0)
+    assert out.curve.defect <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # inductive step
 # ---------------------------------------------------------------------------
 
@@ -801,6 +876,13 @@ def test_run_acceptance_instance():
         assert rec["intersection"]["newton_builds"] == rec["solve_back"]["newton_builds"] == 1
     # the collocation grid drops no resolved mass here: no aliasing to guard
     assert all(rec["evaluator"]["band"] <= 1e-12 for rec in out.trace)
+    # each stepped level records its working box, within the caps and
+    # trimmed; the first keeps the cap's J, and Z ends on the last box
+    boxes = [rec["box"] for rec in out.trace[:-1]]
+    assert "box" not in out.trace[-1]
+    assert all(0 <= K <= 8 and 0 <= J <= 6 for K, J in boxes)
+    assert boxes[0][1] == 6 and max(K for K, _ in boxes) < 8
+    assert (out.Z.P.K, out.Z.P.J) == tuple(boxes[-1])
 
 
 # a kicked twist with modes up to |k|_inf = 4 at lambda 3e-3: its level fields

@@ -2,7 +2,7 @@
 synthesis and the explicit mode sum, and the strip evaluators against
 per-node and direct scattered-evaluation oracles; and of the Fourier/Chebyshev
 algebra: analyze against synthesize and the full FFT, symmetrize,
-with_domain, and invert_angle_map with compose_angle."""
+with_domain, boxed, and invert_angle_map with compose_angle."""
 
 import itertools
 import math
@@ -658,6 +658,25 @@ def test_with_domain_is_exact_for_wider_chebyshev_order(seed, n, K, J, extra, ra
     tmax = max(1.0, ratio)
     err = np.max(np.abs(g.modes_at_y(ys) - f.modes_at_y(ys)))
     assert err <= 1e-13 * coeff_scale([f], tmax)
+
+
+@PROPS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(0, 4),
+       J=st.integers(0, 4), K_new=st.integers(0, 5), J_new=st.integers(0, 5))
+def test_boxed_pads_with_zeros_and_cuts_the_rest(seed, n, K, J, K_new, J_new):
+    f = random_strip(np.random.default_rng(seed), n, K, J)
+    g = f.boxed(K_new, J_new)
+    assert (g.K, g.J, g.freq, g.domain) == (K_new, J_new, f.freq, f.domain)
+    # the box both hold keeps its coefficients; the rest of g is zero
+    Kc, Jc = min(K, K_new), min(J, J_new)
+    common = lambda h: (slice(h.K - Kc, h.K + Kc + 1),) * n + (slice(0, Jc + 1),)
+    np.testing.assert_array_equal(g.coeffs[common(g)], f.coeffs[common(f)])
+    rest = g.coeffs.copy()
+    rest[common(g)] = 0.0
+    assert not np.any(rest)
+    # padding, then cutting back, returns the strip
+    np.testing.assert_array_equal(f.boxed(K + 1, J + 2).boxed(K, J).coeffs, f.coeffs)
+    assert f.boxed(K, J) is f
 
 
 @PROPS
