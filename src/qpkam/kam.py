@@ -50,6 +50,7 @@ from .qpfourier import (
     log_shift_build,
     sample_strip_stack,
     synthesize,  # noqa: F401  (bound here for the layer tracer in benchmarks/)
+    theta_grid,
 )
 from .smoothing import FROZEN_CONSTANTS, member_gap, q_bound, smooth
 
@@ -234,8 +235,8 @@ class ExactNormalizedMap:
 @dataclass
 class ConjugacyMap:
     """Z(x, y) = (x + P(x,y), L y + S(x,y)); P, S quasi-periodic strips on
-    Z's domain.  values_at evaluates Z at displaced points; _pullback_grid
-    inverts it by Newton on one interpolant of the stacked [P, S]."""
+    Z's domain.  _pullback_grid inverts it on a torus grid by Newton on one
+    interpolant of the stacked [P, S]."""
 
     P: StripFunction
     S: StripFunction
@@ -250,12 +251,6 @@ class ConjugacyMap:
 
     def boxed(self, K: int, J: int) -> "ConjugacyMap":
         return ConjugacyMap(self.P.boxed(K, J), self.S.boxed(K, J), self.L, self.b)
-
-    def values_at(self, theta_pts, y_pts: np.ndarray, disp=0.0):
-        """(x-displacement P, image y) at (theta_pts + omega*disp, y_pts);
-        theta_pts is scattered shell points or a grid size (eval_strip_stack)."""
-        vals = eval_strip_stack([self.P, self.S], theta_pts, y_pts, disp)
-        return vals[..., 0], self.L * y_pts + vals[..., 1]
 
     def range_containment(self, domain: StripDomain, target: StripDomain) -> bool:
         """Z(domain) inside target on all of domain = D(r, s), complex y
@@ -293,10 +288,13 @@ def normalize(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule,
     The schedule's eps0 as sigma is the proof normalization; the numerical
     driver passes a moderate sigma instead, since eps0 amplifies the radial
     perturbation by eps0^{-1}.  The intersection strip |y| < 1/600 must land
-    inside the declared r-strip.
+    inside the declared r-strip, so alpha itself must lie inside it.
     """
     sigma = float(y_scale)
     a, b = mp.strip
+    if not a < alpha.alpha < b:
+        raise ConfigError(f"alpha = {alpha.alpha:.6g} is not inside the map's strip "
+                          f"({a:.6g}, {b:.6g})")
     margin = min(alpha.alpha - a, b - alpha.alpha)
     if sigma * INTERSECTION_STRIP > margin:
         raise ConfigError(
@@ -443,19 +441,18 @@ def inductive_step(H: NormalizedMap, alpha: RotationNumber, theta: float, q: flo
 PULLBACK_MIN_HALF_WIDTH = 2.0**-26
 
 
-def _pullback_grid(Z: ConjugacyMap, thf, targets_theta_disp: np.ndarray,
+def _pullback_grid(Z: ConjugacyMap, N: int, targets_theta_disp: np.ndarray,
                    targets_y: np.ndarray, seeds_disp: np.ndarray, seeds_y: np.ndarray,
                    tol: float):
-    """Solve Z(w) = target per point x by Newton (full steps, at most 40), seeded;
-    returns the solution and a report: the steps taken (newton_iters), the
-    final max residual (newton_residual) and the interpolants built
-    (newton_builds).
+    """Solve Z(w) = target per point x of theta_grid(N, n) by Newton (full
+    steps, at most 40), seeded; returns the solution and a report: the steps
+    taken (newton_iters), the final max residual (newton_residual) and the
+    interpolants built (newton_builds).
 
-    thf is scattered shell points (n, P) or a grid size N (eval_strip_stack);
-    targets and seeds have shape (P,) or (P, nodes), one column per node, and
-    all nodes iterate until the largest residual meets tol.  Unknowns are the
-    x-displacement a (w_x = x + a) and w_y; targets are the x-displacement of
-    the target and its y value.
+    Targets and seeds have shape (P,) or (P, nodes) with P = N^n, one column
+    per node, and all nodes iterate until the largest residual meets tol.
+    Unknowns are the x-displacement a (w_x = x + a) and w_y; targets are the
+    x-displacement of the target and its y value.
 
     Along omega the x-derivative of Z is its derivative in a, so one
     grid_shift_cheb interpolant of the stacked [P, S] over a in [c - delta,
@@ -486,13 +483,13 @@ def _pullback_grid(Z: ConjugacyMap, thf, targets_theta_disp: np.ndarray,
             lo, hi = float(np.min(a)), float(np.max(a))
             c = 0.5 * (lo + hi)
             delta = max(hi - lo, PULLBACK_MIN_HALF_WIDTH * (1.0 + abs(c)))
-            cheb = grid_shift_cheb(stack, omega, thf, c, delta)
+            cheb = grid_shift_cheb(stack, omega, N, c, delta)
             log_shift_build(Q, cheb)
             builds += cheb is not None
         ty = npcheb.chebvander(yv / s, J)                     # (P, Q, J+1)
         if cheb is None:
             both = np.stack([Z.P.coeffs, Z.S.coeffs, Z.P.dx().coeffs, Z.S.dx().coeffs], axis=-1)
-            rows = eval_modes(both, _displaced_points(omega, thf, a)).real.reshape(P, Q, J + 1, 4)
+            rows = eval_modes(both, _displaced_points(omega, N, a)).real.reshape(P, Q, J + 1, 4)
             rows, rows_da = rows[..., :2], rows[..., 2:]
         else:
             M = cheb.shape[-1] - 1
@@ -577,45 +574,42 @@ WITNESS_ATOL = 1e-12
 
 def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: Polynomial,
                        s_plus: float, eps_plus: float) -> dict:
-    """Witness xi0(eta) of Psi^(2)(xi0, eta) = eta on curves xi -> Z(xi, eta)
-    and the |Q| <= 3N bound extracted from the measured N, at the rotation
-    number alpha of the exact map.
+    """Witnesses of Psi^(2)(theta, eta) = eta on the curves theta -> Z(theta,
+    eta) and the |Q| <= 3N bound extracted from the measured N, at the
+    rotation number alpha of the exact map.
 
-    Psi is the pullback of the exact map A through Z on the reals, sampled at
-    7 values of eta in [-0.9, 0.9] s_plus and 128 of xi in [0, 150); the
+    Psi is the pullback of the exact map A through Z, sampled at 7 values of
+    eta in [-0.9, 0.9] s_plus on the hull torus, theta_grid(N, n) with N =
+    max(2K+1, 8) for Z's box K: the orbit of a curve is dense there, so the
+    sup over xi in R is the sup over the torus, and a column that takes both
+    signs meets its image (the torus is connected).  A column passes where
+    |Psi^(2) - eta| <= WITNESS_ATOL (1 + |eta|) somewhere or where it takes
+    both signs; its witness is (eta, the grid angles of its least |d|).  The
     report keeps the pullback Newton's steps, final max residual and
     interpolant builds (_pullback_grid).
     """
     freq, alpha = Z.P.freq, exact.alpha
-    n_eta, n_xi = 7, 128
-    etas = np.linspace(-0.9 * s_plus, 0.9 * s_plus, n_eta)
-    xis = np.linspace(0.0, 150.0, n_xi, endpoint=False)
-    # one column per eta: the curves xi -> Z(xi, eta) side by side
-    th = np.multiply.outer(freq.vec, xis)
-    eta_cols = np.broadcast_to(etas, (n_xi, n_eta))
-    P, Zy = Z.values_at(th, eta_cols)
-    zt = th[..., None] + np.multiply.outer(freq.vec, P)
-    dx, dy = exact.displacement(zt, Zy)
-    a, yv, newton = _pullback_grid(Z, th, P + dx, Zy + dy, alpha + eps_plus * eta_cols,
-                                   eta_cols, 1e-12 * (1 + abs(alpha)))
-    d = yv - etas                             # Psi^(2) - eta along each curve
-    psi1_dev = a - alpha - eps_plus * etas    # Psi^(1) - (xi + alpha + eps+ eta)
+    N = max(2 * Z.P.K + 1, 8)
+    etas = np.linspace(-0.9 * s_plus, 0.9 * s_plus, 7)
+    th = theta_grid(N, freq.n).reshape(freq.n, -1)
+    # one column per eta: the curves theta -> Z(theta, eta) side by side
+    PS = sample_strip_stack([Z.P, Z.S], N, etas)
+    P, Zy = PS[..., 0], Z.L * etas + PS[..., 1]
+    dx, dy = exact.displacement(th[..., None] + np.multiply.outer(freq.vec, P), Zy)
+    seeds_y = np.broadcast_to(etas, P.shape)
+    a, yv, newton = _pullback_grid(Z, N, P + dx, Zy + dy, alpha + eps_plus * seeds_y,
+                                   seeds_y, 1e-12 * (1 + abs(alpha)))
+    d = yv - etas                             # Psi^(2) - eta on each curve
+    psi1_dev = a - alpha - eps_plus * etas    # Psi^(1) - (x + alpha + eps+ eta)
     N_glob = max(float(np.max(np.abs(d - Q(etas)))), float(np.max(np.abs(psi1_dev))))
     witnesses = []
     for eta, d_eta in zip(etas, d.T):
-        scale = 1.0 + abs(eta)
-        if float(np.min(np.abs(d_eta))) <= WITNESS_ATOL * scale:
-            witnesses.append((float(eta), float(xis[int(np.argmin(np.abs(d_eta)))])))
-        else:
-            sgn = np.sign(d_eta)
-            flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-            if flips.size == 0:
-                raise NoIntersectionWitness(
-                    f"no radial sign change at eta = {eta:.3e} "
-                    f"(min d = {float(np.min(d_eta)):.3e}, "
-                    f"max d = {float(np.max(d_eta)):.3e})")
-            i = int(flips[0])
-            witnesses.append((float(eta), float(0.5 * (xis[i] + xis[i + 1]))))
+        i = int(np.argmin(np.abs(d_eta)))
+        lo, hi = float(np.min(d_eta)), float(np.max(d_eta))
+        if abs(d_eta[i]) > WITNESS_ATOL * (1.0 + abs(eta)) and not lo < 0.0 < hi:
+            raise NoIntersectionWitness(
+                f"no radial sign change at eta = {eta:.3e} (min d = {lo:.3e}, max d = {hi:.3e})")
+        witnesses.append((float(eta), th[:, i].tolist()))
     a0, a1, a2 = Q.coef
     q_sup = abs(a0) + abs(a1) * s_plus + abs(a2) * s_plus * s_plus
     slack = 1e-12 + 4.0 * WITNESS_ATOL

@@ -322,29 +322,27 @@ def _shift_phases(omega: np.ndarray, K: int, s: np.ndarray) -> np.ndarray:
     return table
 
 
-def grid_shift_cheb(coeffs: np.ndarray, omega: np.ndarray, theta, c: float,
+def grid_shift_cheb(coeffs: np.ndarray, omega: np.ndarray, N: int, c: float,
                     delta: float) -> np.ndarray | None:
     """Chebyshev coefficients in d of a mode box (trailing axes kept) at
-    theta + omega*d, for d in [c - delta, c + delta].
+    theta + omega*d, for d in [c - delta, c + delta], at the P = N^n points
+    theta of theta_grid(N, n) in flattened order (N >= 2K+1, else
+    _check_grid's ValueError).
 
-    theta is an int N, meaning the P = N^n points of theta_grid(N, n) in
-    flattened order (N >= 2K+1, else _check_grid's ValueError), or real
-    scattered points of shape (n, P), as in eval_strip_stack.  Each mode's
-    phase e^{i<k,omega>(c + delta t)}, taken as the product of per-axis
-    power tables (_shift_phases), is fitted at t = cheb_nodes(M) on the mode
-    box, and one batched synthesis (grid) or one eval_modes call
-    (scattered) of the box times those fits gives the result, shape (P,) +
-    trailing + (M+1,), which the callers evaluate at (d - c)/delta.  M =
-    shift_order with one column per entry of the last trailing axis (a strip
-    of a stack), amplitudes summed over the other trailing axes; the bound
-    holds mode by mode, so at every point and real d each column's error is
-    below SHIFT_TOL * its own sum|f_k|.  None (evaluate directly) for a
-    non-finite c or delta or an order above SHIFT_MAX_ORDER.
+    Each mode's phase e^{i<k,omega>(c + delta t)}, taken as the product of
+    per-axis power tables (_shift_phases), is fitted at t = cheb_nodes(M) on
+    the mode box, and one batched synthesis of the box times those fits
+    gives the result, shape (P,) + trailing + (M+1,), which the callers
+    evaluate at (d - c)/delta.  M = shift_order with one column per entry of
+    the last trailing axis (a strip of a stack), amplitudes summed over the
+    other trailing axes; the bound holds mode by mode, so at every point and
+    real d each column's error is below SHIFT_TOL * its own sum|f_k|.  None
+    (evaluate directly) for a non-finite c or delta or an order above
+    SHIFT_MAX_ORDER.
     """
     n = len(omega)
     K = (coeffs.shape[0] - 1) // 2
-    if isinstance(theta, (int, np.integer)):
-        _check_grid(theta, K)
+    _check_grid(N, K)
     trailing = coeffs.shape[n:]
     kw = k_dot_omega(K, omega)
     columns = trailing[-1] if trailing else 1
@@ -354,9 +352,7 @@ def grid_shift_cheb(coeffs: np.ndarray, omega: np.ndarray, theta, c: float,
         return None
     phase = _shift_phases(omega, K, c + delta * cheb_nodes(M)) @ cheb_analysis_matrix(M).T
     boxes = coeffs[..., None] * phase.reshape(kw.shape + (1,) * len(trailing) + (M + 1,))
-    if isinstance(theta, (int, np.integer)):
-        return synthesize(boxes, n, theta).reshape((theta**n,) + trailing + (M + 1,))
-    return eval_modes(boxes, theta).real
+    return synthesize(boxes, n, N).reshape((N**n,) + trailing + (M + 1,))
 
 
 def _displaced_points(omega: np.ndarray, theta, d: np.ndarray) -> np.ndarray:

@@ -123,6 +123,16 @@ def test_y_scale_beyond_strip_margin_exit_1(tmp_path, capsys):
     assert len(err) == 1 and "intersection strip" in err[0]
 
 
+def test_alpha_outside_the_map_strip_exit_1(tmp_path, capsys):
+    # the strip holds no alpha of the interval: one line naming alpha and
+    # the strip, not a negative distance to the strip boundary
+    cfg = write_cfg(tmp_path, map={**BASE["map"], "strip": [0.69, 0.71]})
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: alpha = ")
+    assert "not inside the map's strip (0.69, 0.71)" in err[0]
+
+
 def test_k_trunc_beyond_cutoff_exit_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, K=10, K_trunc=12)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

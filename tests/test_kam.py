@@ -484,14 +484,12 @@ def push_forward(Z: ConjugacyMap, H: NormalizedMap, dom: StripDomain,
     th = qp.theta_grid(N, 2)
     thf = th.reshape(2, -1)
     ys = dom.s * qp.cheb_nodes(J)
+    zeros = np.zeros(thf.shape[1])
     fx_vals = np.empty((N, N, J + 1))
     fy_vals = np.empty((N, N, J + 1))
     for j, y in enumerate(ys):
         # eta = Z^{-1}(grid point)
-        a, ey, _ = _pullback_grid(Z, thf, np.zeros(thf.shape[1]),
-                                  np.full(thf.shape[1], y),
-                                  np.zeros(thf.shape[1]), np.full(thf.shape[1], y),
-                                  1e-14)
+        a, ey, _ = _pullback_grid(Z, N, zeros, zeros + y, zeros, zeros + y, 1e-14)
         th_eta = thf + np.multiply.outer(freq.vec, a)
         hv = eval_strip_stack([H.fx, H.fy], th_eta, ey)
         h_disp = H.alpha + H.twist * ey + hv[..., 0]
@@ -509,8 +507,8 @@ def push_forward(Z: ConjugacyMap, H: NormalizedMap, dom: StripDomain,
 
 def pullback_oracle(Z, thf, targets_theta_disp, targets_y, seeds_disp, seeds_y, tol):
     """kam._pullback_grid by direct evaluation at every step: the values of Z
-    by Z.values_at and its Jacobian [[1+Px, Py], [Sx, L+Sy]] from the four
-    derivative strips, on scattered points thf (n, P); returns the solution
+    by eval_strip_stack at the points thf (n, P) and its Jacobian [[1+Px,
+    Py], [Sx, L+Sy]] from the four derivative strips; returns the solution
     and the Newton steps taken."""
     def dy(f):
         der = npcheb.chebder(f.coeffs, axis=-1) / f.domain.s
@@ -521,9 +519,9 @@ def pullback_oracle(Z, thf, targets_theta_disp, targets_y, seeds_disp, seeds_y, 
     strips = [Z.P.dx(), dy(Z.P), Z.S.dx(), dy(Z.S)]
     a, yv = seeds_disp.copy(), seeds_y.copy()
     for it in range(40):
-        P, Zy = Z.values_at(thf, yv, a)
-        r1 = (a + P) - targets_theta_disp
-        r2 = Zy - targets_y
+        vals = eval_strip_stack([Z.P, Z.S], thf, yv, a)
+        r1 = (a + vals[..., 0]) - targets_theta_disp
+        r2 = (Z.L * yv + vals[..., 1]) - targets_y
         if max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))) < tol:
             return a, yv, it
         jac = eval_strip_stack(strips, thf, yv, a)
@@ -534,15 +532,15 @@ def pullback_oracle(Z, thf, targets_theta_disp, targets_y, seeds_disp, seeds_y, 
     raise AssertionError("the oracle's Newton did not converge")
 
 
-def pullback_case(n, grid, seeds="spread", K=3, J=3, amp=1e-4, seed=0):
-    """A near-identity Z on n frequencies with targets near the seeds: the
-    seeds spread over 0.3 + 0.02 * (node index), or all equal 0.3."""
+def pullback_case(n, seeds="spread", K=3, J=3, amp=1e-4, seed=0):
+    """A near-identity Z on n frequencies, the grid size N, the N^n grid
+    points and targets near the seeds: the seeds spread over 0.3 + 0.02 *
+    (node index), or all equal 0.3."""
     freq = qp.Frequency(OMEGAS[n])
     dom = StripDomain(0.5, 0.01)
     Z = small_conjugacy(dom, K=K, J=J, amp=amp, seed=seed, freq=freq)
     N = qp.default_grid(K) if n < 3 else 8
-    thf = N if grid else qp.theta_grid(N, n).reshape(n, -1)[:, ::5]
-    P = N**n if grid else thf.shape[1]
+    P = N**n
     ys = dom.s * qp.cheb_nodes(J)
     rng = np.random.default_rng(seed + 1)
     spread = 0.02 * np.arange(J + 1) if seeds == "spread" else np.zeros(J + 1)
@@ -550,19 +548,18 @@ def pullback_case(n, grid, seeds="spread", K=3, J=3, amp=1e-4, seed=0):
     seed_y = np.broadcast_to(ys, (P, J + 1)).copy()
     t_disp = seed_disp + 1e-4 * rng.standard_normal((P, J + 1))
     t_y = seed_y + 1e-4 * rng.standard_normal((P, J + 1))
-    points = qp.theta_grid(N, n).reshape(n, -1) if grid else thf
-    return Z, thf, points, (t_disp, t_y, seed_disp, seed_y)
+    return Z, N, qp.theta_grid(N, n).reshape(n, -1), (t_disp, t_y, seed_disp, seed_y)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("seeds", ["spread", "equal"])
-@pytest.mark.parametrize("grid", [True, False])
+@pytest.mark.parametrize("grid", [True])        # the pullback takes grid points only
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pullback_matches_direct_oracle(n, grid, seeds):
     # one interpolant per solve (values and Jacobian) against direct
     # evaluation at every step; equal seeds are the zero-width case
-    Z, thf, points, args = pullback_case(n, grid, seeds)
-    a, yv, newton = _pullback_grid(Z, thf, *args, 1e-13)
+    Z, N, points, args = pullback_case(n, seeds)
+    a, yv, newton = _pullback_grid(Z, N, *args, 1e-13)
     a_ref, yv_ref, iters_ref = pullback_oracle(Z, points, *args, 1e-13)
     assert newton["newton_iters"] == iters_ref > 0
     assert newton["newton_residual"] < 1e-13
@@ -581,9 +578,9 @@ def counted(monkeypatch, name):
 
 def test_pullback_builds_once(monkeypatch):
     builds = counted(monkeypatch, "grid_shift_cheb")
-    Z, thf, _, args = pullback_case(2, True)
+    Z, N, _, args = pullback_case(2)
     with qp.grid_eval_log() as log:
-        _, _, newton = _pullback_grid(Z, thf, *args, 1e-13)
+        _, _, newton = _pullback_grid(Z, N, *args, 1e-13)
     assert newton["newton_iters"] > 0
     assert len(builds) == newton["newton_builds"] == 1
     M = builds[0].shape[-1] - 1
@@ -594,9 +591,9 @@ def test_pullback_rebuilds_outside_the_doubled_interval(monkeypatch):
     # the targets sit 0.5 beyond seeds spread over 0.06: the first step
     # leaves [c - delta, c + delta] and the interpolant is built again
     builds = counted(monkeypatch, "grid_shift_cheb")
-    Z, thf, points, (t_disp, t_y, seed_disp, seed_y) = pullback_case(2, False)
+    Z, N, points, (t_disp, t_y, seed_disp, seed_y) = pullback_case(2)
     args = (t_disp + 0.5, t_y, seed_disp, seed_y)
-    a, yv, newton = _pullback_grid(Z, thf, *args, 1e-13)
+    a, yv, newton = _pullback_grid(Z, N, *args, 1e-13)
     assert len(builds) == newton["newton_builds"] == 2
     assert builds[1].shape == builds[0].shape[:-1] + builds[1].shape[-1:]
     a_ref, yv_ref, iters_ref = pullback_oracle(Z, points, *args, 1e-13)
@@ -609,11 +606,11 @@ def test_pullback_evaluates_directly_above_the_order_cap(monkeypatch):
     # meets the bound, so each step is one eval_modes call on [P, S, P.dx, S.dx]
     builds = counted(monkeypatch, "grid_shift_cheb")
     evals = counted(monkeypatch, "eval_modes")
-    Z, thf, points, (t_disp, t_y, seed_disp, seed_y) = pullback_case(2, False)
+    Z, N, points, (t_disp, t_y, seed_disp, seed_y) = pullback_case(2)
     widen = 2.0 * np.arange(seed_disp.shape[1])
     args = (t_disp + widen, t_y, seed_disp + widen, seed_y)
     with qp.grid_eval_log() as log:
-        a, yv, newton = _pullback_grid(Z, thf, *args, 1e-13)
+        a, yv, newton = _pullback_grid(Z, N, *args, 1e-13)
     steps = newton["newton_iters"] + 1
     assert newton["newton_builds"] == 0 and builds == [None] * steps
     assert len(evals) == steps and all(v.shape[-1] == 4 for v in evals)
@@ -632,36 +629,34 @@ def test_pullback_singular_jacobian_raises():
     S[:, 1] = [-0.25, -0.5, -0.25]          # coefficient of T_1(y/s) = y
     Z = ConjugacyMap(StripFunction.zeros(freq, dom, 1, 1), StripFunction(freq, dom, S),
                      1.0, 1.0)
-    thf = qp.theta_grid(8, 1).reshape(1, -1)
-    zeros = np.zeros(thf.shape[1])
-    j22 = (1.0 - np.cos(thf[0])) / 2.0
-    _, Zy = Z.values_at(thf, zeros + 1.0)     # Z_y is linear in y: Z_y(x, 1) = j22
+    zeros = np.zeros(8)
+    j22 = (1.0 - np.cos(qp.theta_grid(8, 1)[0])) / 2.0
+    Zy = Z.L + eval_strip_stack([Z.S], 8, 1.0)[:, 0]     # Z_y is linear in y: Z_y(x, 1) = j22
     np.testing.assert_allclose(Zy, j22, rtol=0.0, atol=1e-15)
     assert abs(j22[0]) < 1e-14 and np.min(np.abs(j22[1:])) > 0.1
     with pytest.raises(RootFindFailed) as info:
-        _pullback_grid(Z, thf, zeros, zeros + 0.1, zeros, zeros, 1e-12)
+        _pullback_grid(Z, 8, zeros, zeros + 0.1, zeros, zeros, 1e-12)
     assert info.value.point == (0.0, 0.0)
 
 
-@pytest.mark.parametrize("grid", [True, False])
+@pytest.mark.parametrize("grid", [True])        # the pullback takes grid points only
 def test_pullback_grid_node_axis_matches_per_node_calls(grid):
     # a (P, nodes) solve agrees with one (P,) solve per node column
     dom = StripDomain(0.5, 0.01)
     Z = small_conjugacy(dom, seed=3, amp=1e-4)
     N = qp.default_grid(Z.P.K)
-    thf = N if grid else qp.theta_grid(N, 2).reshape(2, -1)[:, ::7]
-    P = N**2 if grid else thf.shape[1]
+    P = N**2
     ys = dom.s * qp.cheb_nodes(Z.P.J)
     rng = np.random.default_rng(8)
     t_disp = 0.3 + 1e-4 * rng.standard_normal((P, ys.size))
     t_y = ys + 1e-4 * rng.standard_normal((P, ys.size))
     seed_disp = np.full((P, ys.size), 0.3)
     seed_y = np.broadcast_to(ys, (P, ys.size))
-    a, yv, newton = _pullback_grid(Z, thf, t_disp, t_y, seed_disp, seed_y, 1e-13)
+    a, yv, newton = _pullback_grid(Z, N, t_disp, t_y, seed_disp, seed_y, 1e-13)
     assert a.shape == yv.shape == (P, ys.size)
     assert 0 < newton["newton_iters"] < 40 and newton["newton_residual"] < 1e-13
     for j in range(ys.size):
-        aj, yj, newton_j = _pullback_grid(Z, thf, t_disp[:, j], t_y[:, j],
+        aj, yj, newton_j = _pullback_grid(Z, N, t_disp[:, j], t_y[:, j],
                                           seed_disp[:, j], seed_y[:, j], 1e-13)
         assert newton_j["newton_iters"] <= newton["newton_iters"]
         assert np.max(np.abs(a[:, j] - aj)) <= 1e-13
@@ -698,6 +693,56 @@ def test_intersection_zero_displacement():
     rep = intersection_bound(Z, exact, Q, s_plus=0.005, eps_plus=8.0 * sched.theta)
     assert rep["pass"]
     assert len(rep["witnesses"]) == 7
+
+
+def exact_map(n, y_scale=8.0, flux=2e-4):
+    """The exact normalized map of a kicked twist on n frequencies whose
+    radial kick, with the flux, takes both signs."""
+    modes = [(tuple(int(i == j) for i in range(n)), 0.5 - 0.1 * j) for j in range(n)]
+    modes.append(((2,) + (0,) * (n - 1), 0.3))
+    return kam.ExactNormalizedMap(kicked_twist(qp.Frequency(OMEGAS[n]), 1e-3, modes, flux=flux),
+                                  0.8, y_scale)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_intersection_bound_with_identity_Z_reads_the_exact_map_on_the_torus(n):
+    # Z = identity makes Psi the exact map: N_measured and every witness
+    # against hx and hy sampled directly on theta_grid(8, n), the grid of a
+    # box K = 3; |Psi^(2) - eta - Q| is the larger part of N
+    exact = exact_map(n, y_scale=1.0)
+    Z = ConjugacyMap.identity(qp.Frequency(OMEGAS[n]), StripDomain(0.5, 0.01), 3, 3)
+    Q = Polynomial([1e-3, 2e-2, 3.0])
+    s_plus, eps_plus = 0.005, 0.9
+    rep = intersection_bound(Z, exact, Q, s_plus=s_plus, eps_plus=eps_plus)
+    th = qp.theta_grid(8, n).reshape(n, -1)[..., None]
+    etas = np.linspace(-0.9 * s_plus, 0.9 * s_plus, 7)
+    d = exact.hy(th, etas)                                  # Psi^(2) - eta, (P, 7)
+    psi1 = (exact.y_scale - eps_plus) * etas + exact.hx(th, etas)
+    N_ref = max(float(np.max(np.abs(d - Q(etas)))), float(np.max(np.abs(psi1))))
+    assert N_ref > float(np.max(np.abs(psi1)))
+    assert rep["N_measured"] == pytest.approx(N_ref, rel=1e-12)
+    assert [w[0] for w in rep["witnesses"]] == etas.tolist()
+    for (_, angles), d_eta in zip(rep["witnesses"], d.T):
+        # the witness is the grid point of its column's least |d|
+        i = np.ravel_multi_index(tuple(np.rint(np.array(angles) * 8 / qp.TWO_PI).astype(int)),
+                                 (8,) * n)
+        assert angles == th[:, i, 0].tolist()
+        assert abs(d_eta[i]) <= np.min(np.abs(d_eta)) + 1e-17
+
+
+def test_intersection_bound_on_box_zero_samples_eight_points_per_axis(monkeypatch):
+    # the grid holds Z's box with the 8-point floor: K = 0 still samples
+    # theta_grid(8, n), and the bound passes
+    grids = []
+    sample = kam.sample_strip_stack
+    monkeypatch.setattr(kam, "sample_strip_stack",
+                        lambda strips, N, *args: grids.append(N) or sample(strips, N, *args))
+    Z = ConjugacyMap.identity(FREQ, StripDomain(0.5, 0.01), 0, 0)
+    rep = intersection_bound(Z, exact_map(2), Polynomial(np.zeros(3)), s_plus=0.005,
+                             eps_plus=8.0)
+    assert grids == [8] and rep["pass"] and len(rep["witnesses"]) == 7
+    points = qp.theta_grid(8, 2).reshape(2, -1).T.tolist()
+    assert all(angles in points for _, angles in rep["witnesses"])
 
 
 def test_intersection_polynomial_extraction_chain():
@@ -791,8 +836,9 @@ def sampled_containment(Z, domain, target):
     xs = np.linspace(0.0, 2 * math.pi, 24, endpoint=False)
     im = np.repeat([-domain.r, 0.0, domain.r], 3)[None, :]
     y = np.tile([-domain.s, 0.0, domain.s], 3)[None, :]
-    P, zy = Z.values_at(np.multiply.outer(Z.P.freq.vec, xs), y, 1j * im)
-    zx = xs[:, None] + 1j * im + P
+    vals = eval_strip_stack([Z.P, Z.S], np.multiply.outer(Z.P.freq.vec, xs), y, 1j * im)
+    zx = xs[:, None] + 1j * im + vals[..., 0]
+    zy = Z.L * y + vals[..., 1]
     return bool(np.max(np.abs(zx.imag)) <= target.r and np.max(np.abs(zy)) <= target.s)
 
 

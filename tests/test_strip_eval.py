@@ -533,10 +533,9 @@ def test_grid_path_bounds_each_strip():
 @PROPS
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(0, 4),
        N=st.integers(2, 12), trailing=TRAILING, spread=st.floats(0.0, 8.0),
-       c=st.floats(-3.0, 3.0), scattered=st.booleans())
-def test_shift_interpolant_matches_direct_oracle(seed, n, K, N, trailing, spread, c, scattered):
-    # the grid holds the box: N >= 2K+1, and at most 9 points per axis at n =
-    # 3; scattered points go through eval_modes instead of the synthesis
+       c=st.floats(-3.0, 3.0))
+def test_shift_interpolant_matches_direct_oracle(seed, n, K, N, trailing, spread, c):
+    # the grid holds the box: N >= 2K+1, and at most 9 points per axis at n = 3
     N = max(N, 2 * K + 1)
     if n == 3:
         N = min(N, 9)
@@ -545,8 +544,8 @@ def test_shift_interpolant_matches_direct_oracle(seed, n, K, N, trailing, spread
     omega = np.array(OMEGAS[n])
     W = float(np.max(np.abs(qp.k_dot_omega(K, omega))))
     delta = spread / W if W > 0 else spread          # W*delta = spread
-    theta = rng.uniform(0.0, 40.0, (n, N**n)) if scattered else qp.theta_grid(N, n).reshape(n, -1)
-    cheb = qp.grid_shift_cheb(coeffs, omega, theta if scattered else N, c, delta)
+    theta = qp.theta_grid(N, n).reshape(n, -1)
+    cheb = qp.grid_shift_cheb(coeffs, omega, N, c, delta)
     assert cheb is not None and cheb.shape[:-1] == (N**n,) + trailing and np.isrealobj(cheb)
     d = c + delta * rng.uniform(-1.0, 1.0, N**n)
     t = (d - c) / delta if delta > 0 else np.zeros_like(d)
