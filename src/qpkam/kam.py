@@ -36,18 +36,17 @@ from .errors import (
 from .maps import CurveGraph, QpPlanarMap
 from .qpfourier import (
     Frequency,
+    GridShift,
     ShellFunction,
     StripDomain,
     StripFunction,
-    _displaced_points,
+    _span,
     cheb_eval_rows,
     cheb_nodes,
     default_grid,
-    eval_modes,
+    eval_modes,  # noqa: F401  (bound here for the layer tracer in benchmarks/)
     eval_strip_stack,
     grid_eval_log,
-    grid_shift_cheb,
-    log_shift_build,
     sample_strip_stack,
     synthesize,  # noqa: F401  (bound here for the layer tracer in benchmarks/)
     theta_grid,
@@ -455,18 +454,19 @@ def _pullback_grid(Z: ConjugacyMap, N: int, targets_theta_disp: np.ndarray,
     x-displacement of the target and its y value.
 
     Along omega the x-derivative of Z is its derivative in a, so one
-    grid_shift_cheb interpolant of the stacked [P, S] over a in [c - delta,
-    c + delta] gives the values (chebvander in a and in y/s) and, only when
-    a step is taken, the Jacobian (the chebder derivatives of those bases).
-    The interval is the range of the seeds' a with its half-width doubled,
-    and is built again the same way when an iterate leaves it.  Equal seeds
-    get the half-width PULLBACK_MIN_HALF_WIDTH * (1 + |c|): the nodes c +
-    delta t_m stay distinct in floating point, and the order is at least 1
-    wherever Z depends on x above roundoff, so d/da keeps about half its
-    digits.  Above SHIFT_MAX_ORDER a step evaluates [P, S, P.dx, S.dx]
-    directly, in one eval_modes call.  The values alone fix the root (to
-    SHIFT_TOL * sum|f_k| per strip); the Jacobian only sets the rate.
-    grid_eval_log counts every build and every direct step.
+    GridShift of the stacked [P, S] over a in [c - delta, c + delta] gives
+    each step the values and their y-derivative in one call (summed against
+    chebvander(y/s) and its chebder basis) and, only when a step is taken,
+    the derivative in a (dd).  The interval is the range of the seeds' a with
+    its half-width doubled, and is built again the same way when an iterate
+    leaves it (GridShift.covers).  Equal seeds get the half-width
+    PULLBACK_MIN_HALF_WIDTH * (1 + |c|): the nodes c + delta t_m stay
+    distinct in floating point, and the order is at least 1 wherever Z
+    depends on x above roundoff, so d/da keeps about half its digits.  Above
+    SHIFT_MAX_ORDER the GridShift evaluates each step directly and covers
+    nothing, so the next step tries a fit again.  The values alone fix the
+    root (to SHIFT_TOL * sum|f_k| per strip); the Jacobian only sets the
+    rate.  grid_eval_log counts every build and every direct step.
     """
     omega, s, J = Z.P.freq.vec, Z.P.domain.s, Z.P.J
     stack = np.stack([Z.P.coeffs, Z.S.coeffs], axis=-1)
@@ -477,38 +477,25 @@ def _pullback_grid(Z: ConjugacyMap, N: int, targets_theta_disp: np.ndarray,
     t_disp = targets_theta_disp.reshape(P, Q)
     t_y = targets_y.reshape(P, Q)
     dJ = npcheb.chebder(np.eye(J + 1))        # T_j' = sum_l dJ[l, j] T_l
-    cheb, c, delta, builds = None, 0.0, -1.0, 0
+    shift, builds = None, 0
     for it in range(40):
-        if cheb is None or not np.all(np.abs(a - c) <= delta):
-            lo, hi = float(np.min(a)), float(np.max(a))
-            c = 0.5 * (lo + hi)
-            delta = max(hi - lo, PULLBACK_MIN_HALF_WIDTH * (1.0 + abs(c)))
-            cheb = grid_shift_cheb(stack, omega, N, c, delta)
-            log_shift_build(Q, cheb)
-            builds += cheb is not None
+        if shift is None or not shift.covers(a):
+            c, half = _span(a)
+            delta = max(2.0 * half, PULLBACK_MIN_HALF_WIDTH * (1.0 + abs(c)))
+            shift = GridShift(stack, omega, N, c, delta, Q)
+            builds += shift.cheb is not None
         ty = npcheb.chebvander(yv / s, J)                     # (P, Q, J+1)
-        if cheb is None:
-            both = np.stack([Z.P.coeffs, Z.S.coeffs, Z.P.dx().coeffs, Z.S.dx().coeffs], axis=-1)
-            rows = eval_modes(both, _displaced_points(omega, N, a)).real.reshape(P, Q, J + 1, 4)
-            rows, rows_da = rows[..., :2], rows[..., 2:]
-        else:
-            M = cheb.shape[-1] - 1
-            td = npcheb.chebvander((a - c) / delta, M)        # (P, Q, M+1)
-            box = cheb.reshape(P, 2 * (J + 1), M + 1).transpose(0, 2, 1)
-            rows = (td @ box).reshape(P, Q, J + 1, 2)
-        vals = np.einsum("pqjs,pqj->pqs", rows, ty)
+        # the values and, for the Jacobian, s times their y-derivative
+        bases = np.stack([ty, ty[..., :dJ.shape[0]] @ dJ], axis=2)
+        vals, d_dy = np.moveaxis(shift.at(a, bases), 2, 0)
         r1 = (a + vals[..., 0]) - t_disp
         r2 = (Z.L * yv + vals[..., 1]) - t_y
         res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
         if res < tol:
             break
-        if cheb is not None:
-            dM = npcheb.chebder(np.eye(M + 1))
-            rows_da = ((td[..., :dM.shape[0]] @ dM) @ box).reshape(P, Q, J + 1, 2) / delta
-        d_da = np.einsum("pqjs,pqj->pqs", rows_da, ty)
-        d_dy = np.einsum("pqjs,pqj->pqs", rows, ty[..., :dJ.shape[0]] @ dJ) / s
-        j11, j12 = 1.0 + d_da[..., 0], d_dy[..., 0]
-        j21, j22 = d_da[..., 1], Z.L + d_dy[..., 1]
+        d_da = shift.at(a, ty, dd=True)
+        j11, j12 = 1.0 + d_da[..., 0], d_dy[..., 0] / s
+        j21, j22 = d_da[..., 1], Z.L + d_dy[..., 1] / s
         det = j11 * j22 - j12 * j21
         singular = np.abs(det) < 1e-14
         if np.any(singular):

@@ -284,7 +284,7 @@ def cheb_disc_bounds(J: int, t: float) -> np.ndarray:
 
 # orders of grid_shift_cheb: the smallest M whose interpolation bound meets
 # SHIFT_TOL, tried up to SHIFT_MAX_ORDER (about W*delta = 11 for a single
-# mode) before the callers' direct eval_modes fallback
+# mode) before GridShift's direct eval_modes fallback
 SHIFT_TOL = 2.0**-53
 SHIFT_MAX_ORDER = 40
 
@@ -355,27 +355,89 @@ def grid_shift_cheb(coeffs: np.ndarray, omega: np.ndarray, N: int, c: float,
     return synthesize(boxes, n, N).reshape((N**n,) + trailing + (M + 1,))
 
 
-def _displaced_points(omega: np.ndarray, theta, d: np.ndarray) -> np.ndarray:
-    """The points theta + omega*d of a direct displaced evaluation, flattened
-    to (n, d.size) in d's order.  theta is a grid size N (the P = N^n points
-    of theta_grid(N, n), flattened) or scattered points of shape (n, P); d
-    has shape (P,) or (P, Q), one displacement per point and column."""
-    n = len(omega)
-    if isinstance(theta, (int, np.integer)):
-        theta = theta_grid(theta, n).reshape(n, -1)
-    theta = theta.reshape(theta.shape + (1,) * (d.ndim - 1))
-    return (theta + np.multiply.outer(omega, d)).reshape(n, d.size)
+def _span(d: np.ndarray) -> tuple[float, float]:
+    """Midpoint and half-width of the range of real displacements d; NaN for
+    complex ones, which are never interpolated."""
+    if np.iscomplexobj(d):
+        return math.nan, math.nan
+    lo, hi = float(np.min(d)), float(np.max(d))
+    return 0.5 * (hi + lo), 0.5 * (hi - lo)
 
 
-def _eval_shifted(coeffs, omega, N, d, cheb, c, delta) -> np.ndarray:
-    """Values of a mode box at theta_grid(N, n) + omega*d, shape (N^n,) +
-    trailing: cheb_eval_rows at (d - c)/delta of the box's grid_shift_cheb
-    coefficients cheb, or eval_modes when cheb is None.
+class GridShift:
+    """A mode box at the displaced points theta + omega*d: the one evaluator
+    of eval_strip_stack, compose_angle, invert_angle_map and kam's pullback
+    Newton.
+
+    coeffs has shape (2K+1,)*n + (R, m): R Chebyshev rows, which `at` sums
+    against the caller's basis, and m columns (the strips of a stack).
+    theta is a grid size N (the P = N^n points of theta_grid(N, n),
+    flattened) or scattered points of shape (n, P).  On a grid, one
+    grid_shift_cheb call fits the box in d over [c - delta, c + delta] and
+    counts its `nodes` node slices in every active grid_eval_log; where the
+    fit is None (a non-finite c or delta, or an order above
+    SHIFT_MAX_ORDER), the slices count as fallbacks.  Without a fit, and
+    always on scattered points, `at` evaluates directly with eval_modes;
+    setting cheb to None asks for direct values from then on.
     """
-    if cheb is None:
-        return eval_modes(coeffs, _displaced_points(omega, N, d))
-    t = (d - c) / delta if delta > 0 else np.zeros_like(d)
-    return cheb_eval_rows(cheb, t.reshape(t.shape + (1,) * (cheb.ndim - 2)))
+
+    def __init__(self, coeffs: np.ndarray, omega: np.ndarray, theta, c: float,
+                 delta: float, nodes: int = 1):
+        self.coeffs, self.omega, self.theta = coeffs, omega, theta
+        self.c, self.delta = c, delta
+        self.cheb = None
+        if isinstance(theta, (int, np.integer)):
+            self.cheb = grid_shift_cheb(coeffs, omega, theta, c, delta)
+            M = 0 if self.cheb is None else self.cheb.shape[-1] - 1
+            for log in _grid_logs:
+                log["nodes"] += nodes
+                log["fallbacks"] += nodes if self.cheb is None else 0
+                log["max_order"] = max(log["max_order"], M)
+
+    def covers(self, d: np.ndarray) -> bool:
+        """Whether the fit holds every displacement of d."""
+        return self.cheb is not None and bool(np.all(np.abs(d - self.c) <= self.delta))
+
+    def at(self, d: np.ndarray, basis: np.ndarray, dd: bool = False) -> np.ndarray:
+        """The values at theta + omega*d, or with dd their derivative in d,
+        summed against basis over the Chebyshev rows: d has shape (P, Q),
+        one displacement per point and node column, basis broadcasts to (P,
+        Q, ..., R), where the middle axes hold several bases for the same
+        rows, and the result has shape (P, Q, ..., m).  Real points and
+        displacements give real rows, so a real basis gives float64 sums.
+
+        The rows (P, Q, R, m) at d come first: chebvander((d - c)/delta), or
+        its chebder for dd, times the fit; or one eval_modes call (memory
+        bounded by its chunks) of the box, times i<k,omega> for dd.
+        """
+        P, Q = d.shape
+        R, m = self.coeffs.shape[-2:]
+        basis = np.broadcast_to(basis, (P, Q) + np.shape(basis)[2:-1] + (R,))
+        if self.cheb is None:
+            coeffs, theta, n = self.coeffs, self.theta, len(self.omega)
+            if dd:
+                kw = k_dot_omega((coeffs.shape[0] - 1) // 2, self.omega)
+                coeffs = coeffs * (1j * kw)[..., None, None]
+            if isinstance(theta, (int, np.integer)):
+                theta = theta_grid(theta, n).reshape(n, -1)
+            pts = (theta[..., None] + np.multiply.outer(self.omega, d)).reshape(n, P * Q)
+            rows = eval_modes(coeffs, pts).reshape(P, Q, R, m)
+            rows = rows if np.iscomplexobj(pts) else rows.real
+        else:
+            M = self.cheb.shape[-1] - 1
+            t = (d - self.c) / self.delta if self.delta > 0 else np.zeros_like(d)
+            td = npcheb.chebvander(t, M)
+            if dd:
+                dM = npcheb.chebder(np.eye(M + 1))        # T_j' = sum_l dM[l, j] T_l
+                td = td[..., :dM.shape[0]] @ dM
+            box = self.cheb.reshape(P, R * m, M + 1)
+            # batched matmul costs a fixed time per point, which one node
+            # column (the shell maps) does not repay: einsum there
+            rows = np.einsum("pqk,pjk->pqj", td, box) if Q == 1 else td @ box.transpose(0, 2, 1)
+            rows = rows.reshape(P, Q, R, m)
+            if dd:
+                rows = rows / self.delta
+        return np.einsum("pqjs,pq...j->pq...s", rows, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -519,19 +581,14 @@ def compose_angle(g: ShellFunction, f: ShellFunction, K_out: int) -> ShellFuncti
     """Quasi-periodic composition t -> g(t + f(t)) by shell collocation on
     default_grid(max(K_out, g.K)), which holds g's box.
 
-    g is interpolated in the displacement over the range of the sampled f
-    (grid_shift_cheb, c its midpoint and delta its half-spread) and the
-    interpolant is evaluated at the f values; direct eval_modes when the
-    interpolant needs an order above SHIFT_MAX_ORDER.
+    g is evaluated at the f values by one GridShift over the range of the
+    sampled f (c its midpoint and delta its half-spread).
     """
     if f.freq.omega != g.freq.omega:
         raise ValueError("frequency mismatch")
     N = default_grid(max(K_out, g.K))
-    fvals = f.sample(N).ravel()
-    lo, hi = float(np.min(fvals)), float(np.max(fvals))
-    c, delta = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    cheb = grid_shift_cheb(g.coeffs, f.freq.vec, N, c, delta)
-    gvals = _eval_shifted(g.coeffs, f.freq.vec, N, fvals, cheb, c, delta).real
+    fvals = f.sample(N).reshape(-1, 1)
+    gvals = GridShift(g.coeffs[..., None, None], f.freq.vec, N, *_span(fvals)).at(fvals, 1.0)
     return ShellFunction.from_grid(gvals.reshape((N,) * f.n), f.freq, K_out)
 
 
@@ -543,11 +600,10 @@ def invert_angle_map(h: ShellFunction, K_out: int) -> ShellFunction:
     1e-13 in at most 60 iterations; the beta = 1 case of the quasi-periodic
     inverse lemma.  The root lies in -range(h), inside the bracket
     [c - delta, c + delta] with c = -[h] and delta = norm_upper(h - [h]) >=
-    sup|h - [h]|; Newton starts at v = c.  One grid_shift_cheb call on [h, h']
-    over that bracket serves every iteration as a cheb_eval_rows call.  Once
-    the interpolated residual is below 1e-13 a direct eval_modes call checks
-    it on the true h, and Newton goes on with direct values if the check
-    fails.
+    sup|h - [h]|; Newton starts at v = c.  One GridShift of [h, h'] over
+    that bracket serves every iteration.  Once the interpolated residual is
+    below 1e-13, the GridShift's direct values check it on the true h, and
+    Newton goes on with direct values if the check fails.
     """
     n = h.n
     N = default_grid(max(K_out, h.K))
@@ -555,29 +611,27 @@ def invert_angle_map(h: ShellFunction, K_out: int) -> ShellFunction:
     dvals = dh.sample(N)
     if float(np.min(1.0 + dvals)) <= 0.0:
         raise NotMonotone(f"min(1 + h') = {float(np.min(1.0 + dvals)):.3e}")
-    stacked = np.stack([h.coeffs, dh.coeffs], axis=-1)
-    omega = h.freq.vec
     # per point the residual v + h(tau + v) is strictly increasing in v
     # (1 + h' > 0), so the root is unique; the pad keeps a root on the
     # bracket's end inside it under roundoff
     c = -h.mean()
     delta = (h - h.mean()).norm_upper(0.0) + 1e-12
-    cheb = grid_shift_cheb(stacked, omega, N, c, delta)
-    lo = np.full(N**n, c - delta)
-    hi = np.full(N**n, c + delta)
-    v = np.full(N**n, c)
+    shift = GridShift(np.stack([h.coeffs, dh.coeffs], axis=-1)[..., None, :], h.freq.vec, N,
+                      c, delta)
+    v = np.full((N**n, 1), c)
+    lo, hi = v - delta, v + delta
     for _ in range(60):
-        both = _eval_shifted(stacked, omega, N, v, cheb, c, delta).real
-        res = v + both[:, 0]
-        if cheb is not None and float(np.max(np.abs(res))) < 1e-13:
-            cheb = None         # check on the true h, and go on with it
-            both = _eval_shifted(stacked, omega, N, v, cheb, c, delta).real
-            res = v + both[:, 0]
+        both = shift.at(v, 1.0)
+        res = v + both[..., 0]
+        if shift.cheb is not None and float(np.max(np.abs(res))) < 1e-13:
+            shift.cheb = None           # check on the true h, and go on with it
+            both = shift.at(v, 1.0)
+            res = v + both[..., 0]
         hi = np.where(res > 0, np.minimum(hi, v), hi)
         lo = np.where(res <= 0, np.maximum(lo, v), lo)
         if float(np.max(np.abs(res))) < 1e-13:
             break
-        slope = np.maximum(1.0 + both[:, 1], 1e-3)
+        slope = np.maximum(1.0 + both[..., 1], 1e-3)
         cand = v - res / slope
         # closed bracket: a converged point's step lands on its own endpoint
         inside = (cand >= lo) & (cand <= hi)
@@ -719,33 +773,23 @@ class StripFunction(_ModeBox):
         return self._pair_bound(np.abs(self.coeffs) @ Mj, rho)
 
 
-# active grid_eval_log records; eval_strip_stack's grid path and analyze update them
+# active grid_eval_log records; GridShift's grid builds and analyze update them
 _grid_logs: list = []
 
 
 @contextmanager
 def grid_eval_log():
-    """Collect, over the block, the node slices served by the grid_shift_cheb
-    calls of eval_strip_stack's grid path and of kam's pullback Newton (each
-    reported through log_shift_build), the largest Chebyshev order in the
-    displacement d that those calls used, the node slices evaluated directly
-    instead (fallbacks) and the largest discarded band of analyze."""
+    """Collect, over the block, the node slices of every GridShift built on a
+    grid (eval_strip_stack's grid path, kam's pullback Newton and the shell
+    maps), the largest Chebyshev order in the displacement d that their fits
+    used, the node slices evaluated directly instead (fallbacks) and the
+    largest discarded band of analyze."""
     log = {"nodes": 0, "max_order": 0, "fallbacks": 0, "band": 0.0}
     _grid_logs.append(log)
     try:
         yield log
     finally:
         _grid_logs.remove(log)
-
-
-def log_shift_build(nodes: int, cheb: np.ndarray | None) -> None:
-    """Count one grid_shift_cheb result serving `nodes` node slices in every
-    active grid_eval_log; a None result (direct evaluation) counts them as
-    fallbacks."""
-    for log in _grid_logs:
-        log["nodes"] += nodes
-        log["fallbacks"] += nodes if cheb is None else 0
-        log["max_order"] = max(log["max_order"], 0 if cheb is None else cheb.shape[-1] - 1)
 
 
 def sample_strip_stack(strips, N: int, ys=None, shift=0.0) -> np.ndarray:
@@ -773,49 +817,25 @@ def eval_strip_stack(strips, theta_pts, y_pts, disp=0.0) -> np.ndarray:
     the points.  Returns shape (P,) + node shape + (len(strips),).  Real inputs
     give real values, summed in float64.
 
-    Grid: one grid_shift_cheb call on the stacked strips (one synthesis,
-    whatever the number of nodes) interpolates in d over [c - delta, c +
-    delta], the midpoint and half-width of every displacement of the call, at
-    an order that bounds each strip's error by SHIFT_TOL times its own
-    sum|f_kj|; two batched products then evaluate every node slice at once,
-    chebvander(y/s) against the interpolant's y axis and chebvander((d -
-    c)/delta) against its d axis.  Scattered points, complex or non-finite
-    displacements, or an order above SHIFT_MAX_ORDER evaluate directly: one
-    eval_modes call (memory bounded by its chunks) on all P*Q points, or on
-    the P points alone when one disp column serves every node, then the sum
-    over the Chebyshev rows at y/s as one batched matrix product;
-    grid_eval_log counts the node slices of a grid call evaluated this way as
-    fallbacks.
+    One GridShift of the stacked strips serves every node slice at once, at
+    the Q = prod(node shape) displacements of each point, summed against
+    chebvander(y/s).  On a grid its interval is the midpoint and half-width
+    of every displacement of the call, so the call makes one synthesis
+    whatever the number of nodes, at an order that bounds each strip's error
+    by SHIFT_TOL times its own sum|f_kj|.  Scattered points, complex or
+    non-finite displacements, or an order above SHIFT_MAX_ORDER evaluate
+    directly (GridShift.at).
     """
     coeffs = np.stack([f.coeffs for f in strips], axis=-1)
-    omega, J, m = strips[0].freq.vec, strips[0].J, len(strips)
-    grid = isinstance(theta_pts, (int, np.integer))
-    P = int(theta_pts) ** len(omega) if grid else theta_pts.shape[1]
+    omega, J = strips[0].freq.vec, strips[0].J
+    P = theta_pts.shape[1] if np.ndim(theta_pts) else int(theta_pts) ** len(omega)
     t = np.asarray(y_pts) / strips[0].domain.s
     disp = np.asarray(disp)
     nodes = np.broadcast_shapes(t.shape[1:], disp.shape[1:])
-    Q = math.prod(nodes)
     # a (P,) array keeps its values on the points axis, not the node axis
     t, disp = (x.reshape(x.shape + (1,) * (len(nodes) + 1 - x.ndim)) if x.ndim else x
                for x in (t, disp))
-    d = np.broadcast_to(disp, (P,) + nodes).reshape(P, Q)
-    real = all(np.isrealobj(a) for a in (theta_pts, y_pts, disp))
-    cheb = None
-    if grid:
-        _check_grid(int(theta_pts), strips[0].K)
-        if np.isrealobj(d):
-            lo, hi = float(np.min(d)), float(np.max(d))
-            c, delta = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            cheb = grid_shift_cheb(coeffs, omega, int(theta_pts), c, delta)
-        log_shift_build(Q, cheb)
-    ty = npcheb.chebvander(np.broadcast_to(t, (P,) + nodes), J).reshape(P, Q, J + 1)
-    if cheb is not None:        # the sum in y on (P, Q, m, M+1), then the sum in d
-        M = cheb.shape[-1] - 1
-        cheb_y = (ty @ cheb.reshape(P, J + 1, m * (M + 1))).reshape(P, Q, m, M + 1)
-        td = npcheb.chebvander((d - c) / delta if delta > 0 else np.zeros_like(d), M)
-        return (cheb_y @ td[..., None]).reshape((P,) + nodes + (m,))
-    cols = 1 if math.prod(disp.shape[1:]) == 1 else Q
-    pts = _displaced_points(omega, theta_pts, d[:, :cols])
-    rows = eval_modes(coeffs, pts).reshape(P, cols, J + 1, m)
-    out = ty.reshape(P, cols, Q // cols, J + 1) @ (rows.real if real else rows)
-    return out.reshape((P,) + nodes + (m,))
+    d = np.broadcast_to(disp, (P,) + nodes).reshape(P, -1)
+    shift = GridShift(coeffs, omega, theta_pts, *_span(d), nodes=d.shape[1])
+    ty = npcheb.chebvander(np.broadcast_to(t, (P,) + nodes), J).reshape(d.shape + (J + 1,))
+    return shift.at(d, ty).reshape((P,) + nodes + (len(strips),))

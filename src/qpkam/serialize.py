@@ -24,12 +24,16 @@ def shell_to_dict(f: ShellFunction) -> dict:
 
 def shell_from_dict(d: dict) -> ShellFunction:
     """The shell of a document.  ValueError for a document without K, re or
-    im, or with re or im arrays of the wrong length; RealityDefect for a
-    nonzero imaginary part at k = 0."""
-    freq = Frequency(tuple(d["omega"]))
+    im, without an omega array, or with re or im arrays of the wrong length
+    or with a NaN or infinite entry; RealityDefect for a nonzero imaginary
+    part at k = 0."""
     missing = [key for key in ("K", "re", "im") if key not in d]
     if missing:
         raise ValueError(f"a shell document needs the keys K, re and im; missing {missing}")
+    if np.ndim(d.get("omega")) != 1:
+        raise ValueError(f"a shell document needs omega as an array of frequencies, "
+                         f"got {d.get('omega')!r}")
+    freq = Frequency(tuple(d["omega"]))
     K, size = d["K"], None
     if isinstance(K, int) and K >= 0:
         size = (2 * K + 1) ** freq.n // 2 + 1
@@ -37,6 +41,8 @@ def shell_from_dict(d: dict) -> ShellFunction:
     if size is None or re.shape != (size,) or im.shape != (size,):
         raise ValueError(f"K = {K!r} at n = {freq.n} needs re and im arrays of "
                          f"{size} values, got shapes {re.shape} and {im.shape}")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("a shell document needs finite re and im values")
     if im[-1] != 0.0:
         raise RealityDefect(f"the mean c_0 = {re[-1]} + {im[-1]}j of a real function "
                             "must be real")

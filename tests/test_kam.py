@@ -569,10 +569,10 @@ def test_pullback_matches_direct_oracle(n, grid, seeds):
 
 
 def counted(monkeypatch, name):
-    """Record the results of kam's binding of a qpfourier function."""
+    """Record the results of a qpfourier function where GridShift calls it."""
     results = []
-    fn = getattr(kam, name)
-    monkeypatch.setattr(kam, name, lambda *args: results.append(fn(*args)) or results[-1])
+    fn = getattr(qp, name)
+    monkeypatch.setattr(qp, name, lambda *args: results.append(fn(*args)) or results[-1])
     return results
 
 
@@ -603,7 +603,8 @@ def test_pullback_rebuilds_outside_the_doubled_interval(monkeypatch):
 
 def test_pullback_evaluates_directly_above_the_order_cap(monkeypatch):
     # seeds spread over W * delta of about 60: no order up to SHIFT_MAX_ORDER
-    # meets the bound, so each step is one eval_modes call on [P, S, P.dx, S.dx]
+    # meets the bound, so each residual (with d/dy) is one eval_modes call on
+    # [P, S], and each Newton step one more, on [P.dx, S.dx]
     builds = counted(monkeypatch, "grid_shift_cheb")
     evals = counted(monkeypatch, "eval_modes")
     Z, N, points, (t_disp, t_y, seed_disp, seed_y) = pullback_case(2)
@@ -613,7 +614,8 @@ def test_pullback_evaluates_directly_above_the_order_cap(monkeypatch):
         a, yv, newton = _pullback_grid(Z, N, *args, 1e-13)
     steps = newton["newton_iters"] + 1
     assert newton["newton_builds"] == 0 and builds == [None] * steps
-    assert len(evals) == steps and all(v.shape[-1] == 4 for v in evals)
+    assert len(evals) == steps + newton["newton_iters"]
+    assert all(v.shape[-1] == 2 for v in evals)
     assert log["fallbacks"] == log["nodes"] == 4 * steps and log["max_order"] == 0
     a_ref, yv_ref, iters_ref = pullback_oracle(Z, points, *args, 1e-13)
     assert newton["newton_iters"] == iters_ref > 0

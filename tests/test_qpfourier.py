@@ -458,6 +458,23 @@ def test_serialization_needs_the_compact_keys():
         assert type(info.value) is ValueError
 
 
+def test_serialization_refuses_a_missing_or_scalar_omega_and_non_finite_values():
+    # no omega (a KeyError before), a scalar omega (a TypeError before) and a
+    # NaN or infinite coefficient (a NaN shell before) are one-line ValueErrors
+    from qpkam.serialize import shell_from_dict, shell_to_dict
+
+    doc = shell_to_dict(random_shell(np.random.default_rng(20), FREQ2, K=2))
+    no_omega = {k: v for k, v in doc.items() if k != "omega"}
+    for bad, match in ((no_omega, "needs omega as an array"),
+                       ({**doc, "omega": 1.0}, "needs omega as an array"),
+                       ({**doc, "re": [math.nan] + doc["re"][1:]}, "finite re and im"),
+                       ({**doc, "im": [math.inf] + doc["im"][1:]}, "finite re and im"),
+                       ({**doc, "re": doc["re"][:-1] + [-math.inf]}, "finite re and im")):
+        with pytest.raises(ValueError, match=match) as info:
+            shell_from_dict(bad)
+        assert type(info.value) is ValueError and "\n" not in str(info.value)
+
+
 @pytest.mark.parametrize("omega", [(1.0, 0.0), (1.0, math.nan), (math.inf,), ()])
 def test_frequency_and_certify_frequency_share_one_check(omega):
     from qpkam.diophantine import certify_frequency

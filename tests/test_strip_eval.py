@@ -253,8 +253,8 @@ def test_shell_eval_on_real_x_matches_complex_x(seed, n, K, shape):
        is_complex=st.booleans())
 def test_direct_path_shared_displacement_matches_general_form(seed, n, K, J, P, nodes,
                                                               is_complex):
-    # disp of shape (P, 1) takes eval_modes on the P points once, for every
-    # node column; the same values repeated per column take it on all P * nodes
+    # disp of shape (P, 1) broadcasts over the node columns: the same values
+    # as those values repeated per column
     rng = np.random.default_rng(seed)
     f, g = random_strip(rng, n, K, J), random_strip(rng, n, K, J)
     theta = np.multiply.outer(f.freq.vec, rng.uniform(0.0, 40.0, P))
@@ -552,6 +552,52 @@ def test_shift_interpolant_matches_direct_oracle(seed, n, K, N, trailing, spread
     got = qp.cheb_eval_rows(cheb, t.reshape(t.shape + (1,) * len(trailing)))
     want = qp.eval_modes(coeffs, theta + np.multiply.outer(omega, d))
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * (1.0 + np.sum(np.abs(coeffs)))
+
+
+@PROPS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), K=st.integers(0, 3),
+       J=st.integers(0, 3), m=st.integers(1, 2), nodes=st.integers(1, 3),
+       delta=st.floats(1e-3, 0.5), c=st.floats(-3.0, 3.0))
+def test_grid_shift_fit_matches_direct_values_and_dx_strips(seed, n, K, J, m, nodes, delta, c):
+    # one stack at theta + omega*d three ways: the fit on the grid, the
+    # direct path on the grid (a NaN interval) and the same points given as
+    # scattered points; values, and the derivative in d against the dx()
+    # strips' values.  Each grid build counts its node slices once in the
+    # log; scattered points count nothing.
+    rng = np.random.default_rng(seed)
+    strips = [random_strip(rng, n, K, J) for _ in range(m)]
+    coeffs = np.stack([f.coeffs for f in strips], axis=-1)
+    omega = strips[0].freq.vec
+    N = max(2 * K + 1, 3)
+    P = N**n
+    d = c + delta * rng.uniform(-1.0, 1.0, (P, nodes))
+    basis = npcheb.chebvander(rng.uniform(-1.0, 1.0, (P, nodes)), J)
+    with qp.grid_eval_log() as log:
+        fit = qp.GridShift(coeffs, omega, N, c, delta, nodes)
+        M = fit.cheb.shape[-1] - 1
+        assert log == {"nodes": nodes, "max_order": M, "fallbacks": 0, "band": 0.0}
+        direct = qp.GridShift(coeffs, omega, N, math.nan, math.nan, nodes)
+        assert direct.cheb is None and log["nodes"] == log["fallbacks"] + nodes == 2 * nodes
+        theta = qp.theta_grid(N, n).reshape(n, -1)
+        scattered = qp.GridShift(coeffs, omega, theta, c, delta, nodes)
+        dx_strips = qp.GridShift(np.stack([f.dx().coeffs for f in strips], axis=-1), omega,
+                                 theta, c, delta, nodes)
+        assert log["nodes"] == 2 * nodes and log["max_order"] == M
+    assert scattered.cheb is None
+    assert fit.covers(d)
+    assert not fit.covers(np.full((P, nodes), c + 1.001 * delta + 1e-9))
+    assert not direct.covers(d) and not scattered.covers(d)
+    scale = coeff_scale(strips, 1.0)
+    values = fit.at(d, basis)
+    assert values.shape == (P, nodes, m) and np.isrealobj(values)
+    for other in (direct, scattered):
+        assert np.max(np.abs(values - other.at(d, basis))) <= 1e-14 * scale
+    # the direct derivative is the dx() box at the same points, bit for bit
+    want = dx_strips.at(d, basis)
+    np.testing.assert_array_equal(direct.at(d, basis, dd=True), want)
+    np.testing.assert_array_equal(scattered.at(d, basis, dd=True), want)
+    W = float(np.max(np.abs(qp.k_dot_omega(K, omega))))
+    assert np.max(np.abs(fit.at(d, basis, dd=True) - want)) <= 1e-11 * (1.0 + W) * scale
 
 
 def shift_remainder(amps, kw, delta, M):
