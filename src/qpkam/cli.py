@@ -40,6 +40,7 @@ from .maps import (
     model_from_config,
 )
 from .qpfourier import Frequency, ShellFunction
+from .serialize import is_int, is_number
 
 
 @dataclass(frozen=True)
@@ -52,25 +53,14 @@ class Schema:
     required: tuple = ()
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """An int or float that converts to a finite double: JSON's NaN and
-    Infinity, and an int beyond the largest double, are not numbers here."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
-INT = ("an integer", _is_int)
-COUNT = ("an integer >= 0", lambda v: _is_int(v) and v >= 0)
-NUMBER = ("a finite number", _is_number)
-NUMBER_OR_NULL = ("a finite number or null", lambda v: v is None or _is_number(v))
+INT = ("an integer", is_int)
+COUNT = ("an integer >= 0", lambda v: is_int(v) and v >= 0)
+NUMBER = ("a finite number", is_number)
+NUMBER_OR_NULL = ("a finite number or null", lambda v: v is None or is_number(v))
 PAIR = ("two finite numbers [a, b] with a < b",
-        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(is_number, v))
         and v[0] < v[1])
-MODE = Schema({"k": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+MODE = Schema({"k": ("a list of integers", lambda v: isinstance(v, list) and all(map(is_int, v))),
                "c": NUMBER}, required=("k",))
 # the union of the keys of maps.MODELS; check_model_config rejects those the
 # chosen model does not read
@@ -80,12 +70,12 @@ CURVE = Schema({"r0": NUMBER_OR_NULL, "amp": NUMBER, "K": INT})
 # the fields of ExperimentConfig; the diophantine flags are checked by it too
 CONFIG = Schema({
     "omega": ("a nonempty list of finite numbers",
-              lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_number, v))),
+              lambda v: isinstance(v, list) and len(v) > 0 and all(map(is_number, v))),
     "gamma": NUMBER, "tau": NUMBER, "interval": PAIR, "map": MAP,
     "sigma0": NUMBER_OR_NULL, "K": INT, "alpha": NUMBER_OR_NULL, "sample_count": INT,
     "p": NUMBER, "q": NUMBER_OR_NULL, "K_trunc": COUNT, "J": COUNT, "k_max": COUNT,
-    "tol": ("a finite number >= 0", lambda v: _is_number(v) and v >= 0),
-    "y_scale": ("a finite number > 0", lambda v: _is_number(v) and v > 0),
+    "tol": ("a finite number >= 0", lambda v: is_number(v) and v >= 0),
+    "y_scale": ("a finite number > 0", lambda v: is_number(v) and v > 0),
     "seed": COUNT, "curves": [CURVE],
 }, required=("omega", "gamma", "tau", "interval"))
 

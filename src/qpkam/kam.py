@@ -7,9 +7,10 @@ polynomial Q from the mean-value power series, then the solve-back replacing
 the smoothed map A_k by A_{k+1} through the accumulated conjugacy Z, and the
 intersection-property bound on Q.
 
-The driver monitors the invariance defect on the real curve in original
-(theta, r) units and emits one trace record per level.  Each level runs on
-the working box its map fills (level_box), within the K_trunc x J caps.
+The driver measures the curve's invariance defect on the hull torus in
+original (theta, r) units and emits one trace record per level.  Each level
+runs on the working box its map fills (level_box), within the K_trunc x J
+caps.
 """
 
 from __future__ import annotations
@@ -54,8 +55,6 @@ from .qpfourier import (
 from .smoothing import FROZEN_CONSTANTS, member_gap, q_bound, smooth
 
 INTERSECTION_STRIP = 1.0 / 600.0
-# the trace defect is sup |M(curve(xi)) - curve(xi + alpha)| over these xi
-DEFECT_XIS = np.linspace(0.0, 240.0, 192, endpoint=False)
 
 
 def collocation_grid(K: int) -> int:
@@ -190,6 +189,12 @@ class NormalizedMap:
         """D(r, s), which the strips fx and fy hold."""
         return self.fx.domain
 
+    def displacement(self, N: int, d: np.ndarray, y: np.ndarray):
+        """(dx, dy) at the points (x + d, y), x on theta_grid(N, n), which the
+        map sends to (x + d + dx, y + dy); d and y have shape (N^n, nodes)."""
+        f = eval_strip_stack([self.fx, self.fy], N, y, d)
+        return self.alpha + self.twist * y + f[..., 0], f[..., 1]
+
     def defect_sup(self) -> float:
         """Grid sup of |fx| and |fy| at the Chebyshev nodes.  A sup measurement,
         not a collocation: it stays on the oversampled default_grid."""
@@ -225,10 +230,11 @@ class ExactNormalizedMap:
         """g/y_scale at (theta, r = alpha + y_scale*y): the y-perturbation."""
         return self.mp.g_shell(theta, self.alpha + self.y_scale * y) / self.y_scale
 
-    def displacement(self, theta_pts: np.ndarray, y_pts: np.ndarray):
-        """(dx, dy) with x1 = x + dx, y1 = y + dy at shell points."""
-        return (self.alpha + self.y_scale * y_pts + self.hx(theta_pts, y_pts),
-                self.hy(theta_pts, y_pts))
+    def displacement(self, N: int, d: np.ndarray, y: np.ndarray):
+        """NormalizedMap.displacement of the unsmoothed map."""
+        freq = self.mp.freq
+        th = theta_grid(N, freq.n).reshape(freq.n, -1)[..., None] + np.multiply.outer(freq.vec, d)
+        return self.alpha + self.y_scale * y + self.hx(th, y), self.hy(th, y)
 
 
 @dataclass
@@ -510,6 +516,29 @@ def _pullback_grid(Z: ConjugacyMap, N: int, targets_theta_disp: np.ndarray,
     return a.reshape(seeds_disp.shape), yv.reshape(seeds_disp.shape), report
 
 
+def _A_of_Z(A, Z: ConjugacyMap, N: int, ys: np.ndarray):
+    """A(Z(x, y)) on theta_grid(N, n) x ys for a NormalizedMap or the
+    ExactNormalizedMap A: its x-displacement from x and its y, each of shape
+    (N^n, len(ys))."""
+    PS = sample_strip_stack([Z.P, Z.S], N, ys)
+    P, Zy = PS[..., 0], Z.L * ys + PS[..., 1]
+    dx, dy = A.displacement(N, P, Zy)
+    return P + dx, Zy + dy
+
+
+def _pullback(A, Z: ConjugacyMap, N: int, ys: np.ndarray, twist: float, guess=None):
+    """Psi - Omega on theta_grid(N, n) x ys, where Z o Psi = A o Z and
+    Omega(x, y) = (x + alpha + twist y, y): _pullback_grid seeded at Omega
+    plus guess (zero, or values in sample_strip_stack's layout), to
+    1e-12 (1 + |alpha|).  Returns the x-part, the y-part and the Newton
+    report."""
+    t_disp, t_y = _A_of_Z(A, Z, N, ys)
+    guess = np.zeros(t_disp.shape + (2,)) if guess is None else guess
+    a, yv, newton = _pullback_grid(Z, N, t_disp, t_y, A.alpha + twist * ys + guess[..., 0],
+                                   ys + guess[..., 1], 1e-12 * (1.0 + abs(A.alpha)))
+    return a - A.alpha - twist * ys, yv - ys, newton
+
+
 def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
                A_prev: NormalizedMap) -> tuple[NormalizedMap, dict]:
     """H with Z o H = A_next o Z on Phi_plus's domain D_{k+1}, seeded at Phi_plus.
@@ -519,27 +548,14 @@ def solve_back(Z: ConjugacyMap, A_next: NormalizedMap, phi_plus: NormalizedMap,
     smallness |A_next - A_prev|_E <= b*(s_k/7) of the replaced member A_prev,
     with b = Z.b, and the contraction of H around the seed.
     """
-    J = phi_plus.fx.J
-    twist_next = phi_plus.twist
     dom = phi_plus.domain
     N = collocation_grid(phi_plus.fx.K)
-    ys = dom.s * cheb_nodes(J)
-    nodes = ys[None, :]                       # broadcasts to (points, J+1)
-
-    # target: A_next(Z(x, y))
-    PS = sample_strip_stack([Z.P, Z.S], N, ys)
-    P, Zy = PS[..., 0], Z.L * nodes + PS[..., 1]
-    fx = eval_strip_stack([A_next.fx, A_next.fy], N, Zy, P)
-    dx = A_next.alpha + A_next.twist * Zy + fx[..., 0]
-    t_disp = P + dx                           # x-displacement of A(Z) vs x
-    t_y = Zy + fx[..., 1]
-    # seed: Phi_plus(x, y)
+    ys = dom.s * cheb_nodes(phi_plus.fx.J)
+    # seeded at Phi_plus
     seed = sample_strip_stack([phi_plus.fx, phi_plus.fy], N, ys)
-    a = A_next.alpha + twist_next * nodes + seed[..., 0]
-    yv = nodes + seed[..., 1]
-    a, yv, newton = _pullback_grid(Z, N, t_disp, t_y, a, yv, 1e-12 * (1.0 + abs(A_next.alpha)))
-    hx, hy = _collocated([a - A_next.alpha - twist_next * nodes, yv - nodes], phi_plus.fx, dom)
-    H_next = NormalizedMap(A_next.alpha, twist_next, hx, hy)
+    hx, hy, newton = _pullback(A_next, Z, N, ys, phi_plus.twist, seed)
+    hx, hy = _collocated([hx, hy], phi_plus.fx, dom)
+    H_next = NormalizedMap(A_next.alpha, phi_plus.twist, hx, hy)
 
     diff = A_prev.gap(A_next)
     bound = Z.b * (2.0 * dom.s) / 7.0             # b_{k+1} * s_k / 7
@@ -575,19 +591,12 @@ def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: Polynomial
     report keeps the pullback Newton's steps, final max residual and
     interpolant builds (_pullback_grid).
     """
-    freq, alpha = Z.P.freq, exact.alpha
     N = max(2 * Z.P.K + 1, 8)
     etas = np.linspace(-0.9 * s_plus, 0.9 * s_plus, 7)
-    th = theta_grid(N, freq.n).reshape(freq.n, -1)
-    # one column per eta: the curves theta -> Z(theta, eta) side by side
-    PS = sample_strip_stack([Z.P, Z.S], N, etas)
-    P, Zy = PS[..., 0], Z.L * etas + PS[..., 1]
-    dx, dy = exact.displacement(th[..., None] + np.multiply.outer(freq.vec, P), Zy)
-    seeds_y = np.broadcast_to(etas, P.shape)
-    a, yv, newton = _pullback_grid(Z, N, P + dx, Zy + dy, alpha + eps_plus * seeds_y,
-                                   seeds_y, 1e-12 * (1 + abs(alpha)))
-    d = yv - etas                             # Psi^(2) - eta on each curve
-    psi1_dev = a - alpha - eps_plus * etas    # Psi^(1) - (x + alpha + eps+ eta)
+    # one column per eta: the curves theta -> Z(theta, eta) side by side;
+    # psi1_dev = Psi^(1) - (x + alpha + eps+ eta), d = Psi^(2) - eta
+    psi1_dev, d, newton = _pullback(exact, Z, N, etas, eps_plus)
+    th = theta_grid(N, Z.P.n).reshape(Z.P.n, -1)
     N_glob = max(float(np.max(np.abs(d - Q(etas)))), float(np.max(np.abs(psi1_dev))))
     witnesses = []
     for eta, d_eta in zip(etas, d.T):
@@ -617,12 +626,6 @@ class InvariantCurve(CurveGraph):
 
     rotation: RotationNumber
     defect: float = math.nan
-
-    def conjugacy_residual(self, mp: QpPlanarMap, xis) -> float:
-        th, r = self.points(xis)
-        th1, r1 = mp.apply((th, r))
-        th_t, r_t = self.points(np.asarray(xis) + self.rotation.alpha)
-        return float(max(np.max(np.abs(th1 - th_t)), np.max(np.abs(r1 - r_t))))
 
 
 @dataclass
@@ -674,11 +677,23 @@ def level_box(H: NormalizedMap, A: NormalizedMap, K_cap: int, J_cap: int,
     return K, J_cap if first or u == H.fx.J else u + 1
 
 
+def _defect(Z: ConjugacyMap, exact: ExactNormalizedMap) -> float:
+    """The invariance defect of the curve Z(x, 0) under the exact map A: the
+    sup over theta_grid(default_grid(K), n) of |A o Z(x, 0) - Z(x + alpha, 0)|,
+    in (theta, r) units.  The curve's orbit is dense in the hull torus, so
+    this grid samples the sup over all real x."""
+    N, ys = default_grid(Z.P.K), np.zeros(1)
+    t_disp, t_y = _A_of_Z(exact, Z, N, ys)
+    moved = sample_strip_stack([Z.P, Z.S], N, ys, exact.alpha)
+    return max(float(np.max(np.abs(t_disp - exact.alpha - moved[..., 0]))),
+               exact.y_scale * float(np.max(np.abs(t_y - moved[..., 1]))))
+
+
 def _curve_from_Z(Z: ConjugacyMap, exact: ExactNormalizedMap,
-                  rotation: RotationNumber) -> InvariantCurve:
+                  rotation: RotationNumber, defect: float) -> InvariantCurve:
     phi = ShellFunction(Z.P.freq, Z.P.modes_at_y(0.0))
     psi = ShellFunction(Z.P.freq, Z.S.modes_at_y(0.0) * exact.y_scale) + rotation.alpha
-    return InvariantCurve(phi, psi, rotation)
+    return InvariantCurve(phi, psi, rotation, defect)
 
 
 def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule, *,
@@ -687,13 +702,13 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule, *,
 
     Iterates inductive_step + solve_back + intersection_bound from the first
     level whose mollified family member differs from the twist; the trace
-    records per level the curve's conjugacy_residual on DEFECT_XIS, in
-    original (theta, r) units, and the box (level_box) of each stepped
-    level.  A run that stops above tol (schedule.k_max reached, or a step
-    failed with ContractionDiverged, ResidualDefect or RootFindFailed,
-    recorded as the level's failure) raises NotConverged with the trace.  An intersection bound that finds no witness or whose pullback
-    Newton fails is recorded as {"pass": false, "error": ...}, and the run
-    goes on.
+    records per level the curve's invariance defect on the hull torus
+    (_defect), in original (theta, r) units, and the box (level_box) of each
+    stepped level.  A run that stops above tol (schedule.k_max reached, or a
+    step failed with ContractionDiverged, ResidualDefect or RootFindFailed,
+    recorded as the level's failure) raises NotConverged with the trace.  An
+    intersection bound that finds no witness or whose pullback Newton fails
+    is recorded as {"pass": false, "error": ...}, and the run goes on.
     """
     exact, member = normalize(mp, alpha, schedule, K_trunc, J, y_scale=y_scale)
     freq = mp.freq
@@ -717,16 +732,15 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule, *,
     k = k0
     while True:
         with grid_eval_log() as evaluator:
-            curve = _curve_from_Z(Z, exact, alpha)
-            curve.defect = curve.conjugacy_residual(mp, DEFECT_XIS)
+            defect = _defect(Z, exact)
             measured = H.defect_sup()
-            rec = {"k": k, "defect": curve.defect, "M_k": float(schedule.M[k]),
+            rec = {"k": k, "defect": defect, "M_k": float(schedule.M[k]),
                    "BM_k": float(schedule.B[k] * schedule.M[k]),
                    "regime": "proof" if measured <= schedule.M[k] else "numerical",
                    "evaluator": evaluator}
             trace.append(rec)
-            if curve.defect <= tol:
-                return RunResult(curve, trace, Z)
+            if defect <= tol:
+                return RunResult(_curve_from_Z(Z, exact, alpha, defect), trace, Z)
             if k >= schedule.k_max:
                 break
 

@@ -44,12 +44,6 @@ class QpPlanarMap:
     declared: dict = field(default_factory=dict)
     label: str = "custom"
 
-    def apply(self, point):
-        """Image of (theta, r), also for r outside the declared strip."""
-        theta, r = point
-        th = np.multiply.outer(self.freq.vec, np.asarray(theta, dtype=float))
-        return theta + r + self.f_shell(th, r), r + self.g_shell(th, r)
-
 
 # ---------------------------------------------------------------------------
 # catalog

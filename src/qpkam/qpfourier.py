@@ -170,8 +170,8 @@ def default_grid(K: int) -> int:
     (from_sampler, and compose_angle and invert_angle_map, whose shifted
     copies of this grid grid_shift_cheb synthesizes), smoothing, cohomology,
     the shell compositions in maps, and the sups of
-    NormalizedMap.defect_sup and inductive_step.  The KAM collocation grids
-    use kam.collocation_grid instead.
+    NormalizedMap.defect_sup, inductive_step and kam's trace defect.  The
+    KAM collocation grids use kam.collocation_grid instead.
     """
     return max(2 * (2 * K + 1), 8)
 
@@ -746,12 +746,11 @@ class StripFunction(_ModeBox):
         pad = [(grow, grow)] * self.n + [(0, max(J - self.J, 0))]
         return replace(self, coeffs=np.pad(core, pad))
 
-    def with_domain(self, domain: StripDomain, J_new: int | None = None) -> "StripFunction":
-        """Re-expand on a new Chebyshev scale (exact for J_new >= J)."""
-        J_new = self.J if J_new is None else J_new
-        basis = npcheb.chebvander(domain.s * cheb_nodes(J_new) / self.domain.s, self.J)
+    def with_domain(self, domain: StripDomain) -> "StripFunction":
+        """Re-expand on a new Chebyshev scale."""
+        basis = npcheb.chebvander(domain.s * cheb_nodes(self.J) / self.domain.s, self.J)
         return StripFunction(self.freq, domain,
-                             self.coeffs @ (cheb_analysis_matrix(J_new) @ basis).T)
+                             self.coeffs @ (cheb_analysis_matrix(self.J) @ basis).T)
 
     def mean_value(self) -> np.ndarray:
         """Chebyshev coefficients (real) of [f](y), the k = 0 slice."""

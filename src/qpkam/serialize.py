@@ -9,11 +9,25 @@ gives the rest.  shell_from_dict ignores other keys.
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
 from .errors import RealityDefect
 from .qpfourier import Frequency, ShellFunction
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """An int or float, not a bool, that converts to a finite double: JSON's
+    NaN and Infinity, and an int beyond the largest double, are not numbers
+    here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def shell_to_dict(f: ShellFunction) -> dict:
@@ -24,24 +38,26 @@ def shell_to_dict(f: ShellFunction) -> dict:
 
 def shell_from_dict(d: dict) -> ShellFunction:
     """The shell of a document.  ValueError for a document without K, re or
-    im, without an omega array, or with re or im arrays of the wrong length
-    or with a NaN or infinite entry; RealityDefect for a nonzero imaginary
-    part at k = 0."""
+    im, without an omega array of numbers, with a K that is no integer >= 0,
+    or with re or im arrays of the wrong length or with an entry that is no
+    finite number (is_int and is_number: a bool or a string is neither);
+    RealityDefect for a nonzero imaginary part at k = 0."""
     missing = [key for key in ("K", "re", "im") if key not in d]
     if missing:
         raise ValueError(f"a shell document needs the keys K, re and im; missing {missing}")
-    if np.ndim(d.get("omega")) != 1:
+    omega = d.get("omega")
+    if np.ndim(omega) != 1 or not all(map(is_number, omega)):
         raise ValueError(f"a shell document needs omega as an array of frequencies, "
-                         f"got {d.get('omega')!r}")
-    freq = Frequency(tuple(d["omega"]))
+                         f"got {omega!r}")
+    freq = Frequency(tuple(omega))
     K, size = d["K"], None
-    if isinstance(K, int) and K >= 0:
+    if is_int(K) and K >= 0:
         size = (2 * K + 1) ** freq.n // 2 + 1
     re, im = np.asarray(d["re"], dtype=float), np.asarray(d["im"], dtype=float)
     if size is None or re.shape != (size,) or im.shape != (size,):
         raise ValueError(f"K = {K!r} at n = {freq.n} needs re and im arrays of "
                          f"{size} values, got shapes {re.shape} and {im.shape}")
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+    if not all(map(is_number, list(d["re"]) + list(d["im"]))):
         raise ValueError("a shell document needs finite re and im values")
     if im[-1] != 0.0:
         raise RealityDefect(f"the mean c_0 = {re[-1]} + {im[-1]}j of a real function "

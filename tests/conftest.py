@@ -1,5 +1,6 @@
 """Hypothesis profiles, and the helpers that only the tests use: fixtures,
-scattered strip evaluation and the grid Birkhoff average, the paper's norm estimates for the cohomology solves, lower
+scattered strip evaluation and the grid Birkhoff average, the orbit oracles
+of a map and a curve, the paper's norm estimates for the cohomology solves, lower
 sup estimates on corner sheets, and C^p data with the smoothing-family fit.  Test modules
 import them with `from conftest import ...`.
 
@@ -61,6 +62,27 @@ def grid_average(f, g):
     Birkhoff average by synthesis."""
     N = qp.default_grid(f.K + g.K)
     return float(np.mean(f.sample(N) * g.sample(N)))
+
+
+# ---------------------------------------------------------------------------
+# orbit oracles: the map and the curve at scattered points
+# ---------------------------------------------------------------------------
+
+def apply_map(mp, point):
+    """Image of (theta, r) under a QpPlanarMap, also for r outside its
+    declared strip."""
+    theta, r = point
+    th = np.multiply.outer(mp.freq.vec, np.asarray(theta, dtype=float))
+    return theta + r + mp.f_shell(th, r), r + mp.g_shell(th, r)
+
+
+def conjugacy_residual(curve, mp, xis):
+    """sup over xis of |M(curve(xi)) - curve(xi + alpha)| for an
+    InvariantCurve: the orbit form of the trace defect."""
+    th, r = curve.points(xis)
+    th1, r1 = apply_map(mp, (th, r))
+    th_t, r_t = curve.points(np.asarray(xis) + curve.rotation.alpha)
+    return float(max(np.max(np.abs(th1 - th_t)), np.max(np.abs(r1 - r_t))))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ import time
 import numpy as np
 from conftest import (
     SampledCpFunction,
+    apply_map,
     build_family,
+    conjugacy_residual,
     coupled_residuals,
     epsilon_of,
     eval_xy,
@@ -239,14 +241,14 @@ def test_criterion_5_end_to_end():
     within = defects[-1] <= 1e-8 and out.trace[-1]["k"] <= 6
     factor4 = all(b <= a / 4.0 for a, b in zip(defects, defects[1:]))
     rng = np.random.default_rng(0)
-    resid = out.curve.conjugacy_residual(mp, rng.uniform(0, 100, 1000))
+    resid = conjugacy_residual(out.curve, mp, rng.uniform(0, 100, 1000))
     inv = invert_angle_map(out.curve.phi, K_out=16)
     r_hat = compose_angle(out.curve.psi, inv, K_out=16)
     th, r = out.curve.points(np.array([0.35]))
     pt = (float(th[0]), float(r[0]))
     worst = 0.0
     for _ in range(10_000):
-        pt = mp.apply(pt)
+        pt = apply_map(mp, pt)
         worst = max(worst, abs(pt[1] - float(r_hat.eval(pt[0]).real)))
     orbit_ok = worst <= 10.0 * math.sqrt(1e-8)
     elapsed = time.monotonic() - t0
@@ -330,7 +332,7 @@ def test_three_frequencies_end_to_end():
     out = run(mp, alpha, sched, tol=1e-8, K_trunc=8, J=4, y_scale=16.0)
     defect = out.trace[-1]["defect"]
     rng = np.random.default_rng(3)
-    resid = out.curve.conjugacy_residual(mp, rng.uniform(0.0, 100.0, 64))
+    resid = conjugacy_residual(out.curve, mp, rng.uniform(0.0, 100.0, 64))
     # a map orbit from a curve point stays within 10*sqrt(tol) of the curve's
     # graph r = r_hat(theta)
     inv = invert_angle_map(out.curve.phi, K_out=8)
@@ -339,7 +341,7 @@ def test_three_frequencies_end_to_end():
     pt = (float(th[0]), float(r[0]))
     worst = 0.0
     for _ in range(2_000):
-        pt = mp.apply(pt)
+        pt = apply_map(mp, pt)
         worst = max(worst, abs(pt[1] - float(r_hat.eval(pt[0]).real)))
     elapsed = time.monotonic() - t0
     _report("n3", "three-frequency kicked twist",

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import eval_xy, symmetrized
+from conftest import apply_map, conjugacy_residual, eval_xy, symmetrized
 from numpy.polynomial import Polynomial
 from numpy.polynomial import chebyshev as npcheb
 
@@ -20,7 +20,6 @@ from qpkam.errors import (
     SmoothnessTooLow,
 )
 from qpkam.kam import (
-    DEFECT_XIS,
     ConjugacyMap,
     NormalizedMap,
     _pullback_grid,
@@ -1013,7 +1012,7 @@ def test_run_curve_quality_and_orbit():
     out = run(mp, ALPHA, sched, tol=1e-8, K_trunc=8, J=6, y_scale=16.0)
     rng = np.random.default_rng(0)
     xis = rng.uniform(0, 100, 1000)
-    assert out.curve.conjugacy_residual(mp, xis) <= 1e-8
+    assert conjugacy_residual(out.curve, mp, xis) <= 1e-8
     # orbit stays near the curve for 10^4 iterates
     from qpkam.qpfourier import compose_angle, invert_angle_map
 
@@ -1023,7 +1022,7 @@ def test_run_curve_quality_and_orbit():
     pt = (float(th[0]), float(r[0]))
     worst = 0.0
     for _ in range(10_000):
-        pt = mp.apply(pt)
+        pt = apply_map(mp, pt)
         worst = max(worst, abs(pt[1] - float(r_hat.eval(pt[0]).real)))
     assert worst <= 10.0 * math.sqrt(1e-8)
 
@@ -1041,10 +1040,47 @@ def test_run_measures_each_level_once(monkeypatch):
     # below k0 are the twist by their coefficient bounds, with no grid sup
     assert k0 >= 1 and len(out.trace) > 1
     assert len(calls) == len(out.trace) + 1
-    # the trace defect is the returned curve's conjugacy residual
+    # the trace defect is the returned curve's invariance defect on the hull
+    # torus theta_grid(default_grid(K), n), recomputed here from out.Z in
+    # (theta, r) units: theta = x + P, r = alpha + sigma S at y = 0
     assert isinstance(out.curve, CurveGraph)
     assert out.curve.defect == out.trace[-1]["defect"]
-    assert out.curve.defect == out.curve.conjugacy_residual(mp, DEFECT_XIS)
+    Z, alpha, sigma = out.Z, ALPHA.alpha, 16.0
+    N = qp.default_grid(Z.P.K)
+    th = qp.theta_grid(N, 2).reshape(2, -1)
+    P, S, P1, S1 = (qp.synthesize(f.modes_at_y(0.0), 2, N).ravel()
+                    for f in (Z.P, Z.S, Z.P.shift_x(alpha), Z.S.shift_x(alpha)))
+    r = alpha + sigma * S
+    th_curve = th + np.multiply.outer(FREQ.vec, P)
+    torus = max(np.max(np.abs(P + r + mp.f_shell(th_curve, r) - (alpha + P1))),
+                np.max(np.abs(r + mp.g_shell(th_curve, r) - (alpha + sigma * S1))))
+    assert out.curve.defect == pytest.approx(torus, rel=1e-5)
+    # the orbit of 1,000 random xi reads the same sup within 5%
+    orbit = conjugacy_residual(out.curve, mp, np.random.default_rng(0).uniform(0.0, 240.0, 1000))
+    assert orbit == pytest.approx(out.curve.defect, rel=0.05)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_run_defect_of_a_kick_on_the_unit_vectors_at_K_trunc_0(n):
+    # no mode of the kick fits the K_trunc 0 box, so Z stays the identity and
+    # every level's defect is the kick's sup on the hull torus: lam sum|c_i|
+    # at sin(theta_i) = sign(c_i), which the N = 8 grid holds (theta = pi/2,
+    # 3 pi/2).  The x-part reads A o Z's x-displacement, which carries alpha,
+    # so it resolves the defect to an ulp of alpha.
+    tau = n + 0.5
+    freq = certify_frequency(OMEGAS[n], 30)
+    alpha = sample_admissible(freq, 1e-2, tau, (0.3, 1.1), K=30, count=200, seed=0).first
+    lam, cs = 1e-4, [0.55, -0.45, 0.15][:n]
+    modes = [(tuple(int(i == j) for i in range(n)), c) for j, c in enumerate(cs)]
+    mp = kicked_twist(freq, lam, modes, strip=(0.0, 1.7))
+    sched = build_schedule(p=2 * tau + 2, n=n, tau=tau, gamma=1e-2, k_max=4)
+    with pytest.raises(NotConverged) as info:
+        run(mp, alpha, sched, tol=1e-8, K_trunc=0, J=3, y_scale=16.0)
+    defects = [rec["defect"] for rec in info.value.trace]
+    assert len(defects) == 5
+    want = lam * sum(abs(c) for c in cs)
+    for defect in defects:
+        assert defect == pytest.approx(want, rel=1e-14, abs=np.spacing(alpha.alpha))
 
 
 # y_strip = 0.8/sigma: at sigma 16 levels 0-4 share one s_box, at sigma 2

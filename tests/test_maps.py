@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import grid_average, symmetrized
+from conftest import apply_map, grid_average, symmetrized
 
 from qpkam import maps
 from qpkam.errors import NotAGraph, NotMonotone
@@ -45,7 +45,7 @@ def random_curve(rng, r0=0.7, K=3, amp=0.08):
 
 def test_apply_pure_twist_point():
     mp = pure_twist(FREQ)
-    th1, r1 = mp.apply((0.0, 0.5))
+    th1, r1 = apply_map(mp, (0.0, 0.5))
     assert th1 == pytest.approx(0.5)
     assert r1 == pytest.approx(0.5)
 
@@ -55,7 +55,7 @@ def test_apply_twist_displacement_identity():
     rng = np.random.default_rng(0)
     th = rng.uniform(0, 20, 50)
     r = rng.uniform(-1, 1, 50)
-    th1, r1 = mp.apply((th, r))
+    th1, r1 = apply_map(mp, (th, r))
     assert np.allclose(th1 - th, r)
     assert np.allclose(r1, r)
 
@@ -65,7 +65,7 @@ def test_apply_kicked_against_formula():
     mp = kicked_twist(FREQ, lam, [((1, 1), 1.0)])
     th = np.linspace(0, 9, 25)
     r = np.full_like(th, 0.4)
-    th1, r1 = mp.apply((th, r))
+    th1, r1 = apply_map(mp, (th, r))
     s = np.sin((1.0 + math.sqrt(2.0)) * th)
     assert np.allclose(th1, th + r + lam * s, atol=1e-13)
     assert np.allclose(r1, r + lam * s, atol=1e-13)
@@ -129,13 +129,13 @@ def test_image_round_trip_residual():
     # pointwise oracle: solve theta1(xi0) = th_i by bisection per point
     for th_target, r_target in zip(th_i[:40], r_i[:40]):
         lo, hi = th_target - 2.5, th_target + 2.5
-        f = lambda x: mp.apply(curve.points(x))[0] - th_target
+        f = lambda x: apply_map(mp, curve.points(x))[0] - th_target
         assert f(lo) < 0 < f(hi)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             (lo, hi) = (mid, hi) if f(mid) < 0 else (lo, mid)
         xi0 = 0.5 * (lo + hi)
-        r_oracle = mp.apply(curve.points(xi0))[1]
+        r_oracle = apply_map(mp, curve.points(xi0))[1]
         assert abs(r_oracle - r_target) < 1e-9
 
 
@@ -277,9 +277,9 @@ def test_image_representation_faithful():
     for xi in xis:
         th_t, r_t = img.points(np.array([xi]))
         lo, hi = th_t[0] - 2.5, th_t[0] + 2.5
-        f = lambda x: mp.apply(curve.points(x))[0] - th_t[0]
+        f = lambda x: apply_map(mp, curve.points(x))[0] - th_t[0]
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             (lo, hi) = (mid, hi) if f(mid) < 0 else (lo, mid)
-        r_oracle = mp.apply(curve.points(0.5 * (lo + hi)))[1]
+        r_oracle = apply_map(mp, curve.points(0.5 * (lo + hi)))[1]
         assert abs(r_oracle - r_t[0]) < 1e-10

@@ -475,6 +475,22 @@ def test_serialization_refuses_a_missing_or_scalar_omega_and_non_finite_values()
         assert type(info.value) is ValueError and "\n" not in str(info.value)
 
 
+def test_serialization_refuses_booleans_and_strings():
+    # a bool K or a bool or string entry loaded as a number before (K = 1,
+    # omega 1.0, re 1.0); each is now refused as the config fields are
+    from qpkam.serialize import shell_from_dict, shell_to_dict
+
+    one = shell_to_dict(random_shell(np.random.default_rng(21), FREQ2, K=1))
+    zero = shell_to_dict(ShellFunction.constant(FREQ2, 0.5))
+    for bad, match in (({**one, "K": True}, "needs re and im arrays"),
+                       ({**one, "omega": ["1.0", "1.6"]}, "needs omega as an array"),
+                       ({**one, "omega": [True, 1.6]}, "needs omega as an array"),
+                       ({**zero, "re": [True]}, "finite re and im")):
+        with pytest.raises(ValueError, match=match) as info:
+            shell_from_dict(bad)
+        assert type(info.value) is ValueError and "\n" not in str(info.value)
+
+
 @pytest.mark.parametrize("omega", [(1.0, 0.0), (1.0, math.nan), (math.inf,), ()])
 def test_frequency_and_certify_frequency_share_one_check(omega):
     from qpkam.diophantine import certify_frequency

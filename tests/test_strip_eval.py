@@ -696,8 +696,9 @@ def test_symmetrize_is_idempotent(seed, n, K, trailing):
        J=st.integers(0, 5), extra=st.integers(0, 3), ratio=st.floats(0.2, 1.5))
 def test_with_domain_is_exact_for_wider_chebyshev_order(seed, n, K, J, extra, ratio):
     rng = np.random.default_rng(seed)
+    # the series padded with zero rows to order J + extra, then re-expanded
     f = random_strip(rng, n, K, J)
-    g = f.with_domain(StripDomain(0.5, ratio * f.domain.s), J + extra)
+    g = f.boxed(K, J + extra).with_domain(StripDomain(0.5, ratio * f.domain.s))
     assert g.J == J + extra
     ys = g.domain.s * rng.uniform(-1.0, 1.0, 7)
     tmax = max(1.0, ratio)
