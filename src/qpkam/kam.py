@@ -677,12 +677,15 @@ def level_box(H: NormalizedMap, A: NormalizedMap, K_cap: int, J_cap: int,
     return K, J_cap if first or u == H.fx.J else u + 1
 
 
-def _defect(Z: ConjugacyMap, exact: ExactNormalizedMap) -> float:
+def _defect(Z: ConjugacyMap, exact: ExactNormalizedMap, K_map: int) -> float:
     """The invariance defect of the curve Z(x, 0) under the exact map A: the
-    sup over theta_grid(default_grid(K), n) of |A o Z(x, 0) - Z(x + alpha, 0)|,
-    in (theta, r) units.  The curve's orbit is dense in the hull torus, so
-    this grid samples the sup over all real x."""
-    N, ys = default_grid(Z.P.K), np.zeros(1)
+    max over theta_grid(default_grid(max(K, K_map)), n) of |A o Z(x, 0) -
+    Z(x + alpha, 0)|, in (theta, r) units, for Z's box K and the map's modes
+    |k|_inf <= K_map.  The curve's orbit is dense in the hull torus, so the
+    sup over all real x is the sup over the torus; the grid oversamples every
+    mode of Z and of the map twice, and samples the higher modes that their
+    composition makes."""
+    N, ys = default_grid(max(Z.P.K, K_map)), np.zeros(1)
     t_disp, t_y = _A_of_Z(exact, Z, N, ys)
     moved = sample_strip_stack([Z.P, Z.S], N, ys, exact.alpha)
     return max(float(np.max(np.abs(t_disp - exact.alpha - moved[..., 0]))),
@@ -712,6 +715,8 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule, *,
     """
     exact, member = normalize(mp, alpha, schedule, K_trunc, J, y_scale=y_scale)
     freq = mp.freq
+    # a map of unknown modes is resolved on the K_trunc box that represents it
+    K_map = K_trunc if mp.K is None else mp.K
 
     floor = 1e-13 * (mp.sup_norm_fg / exact.y_scale + 1e-300)
 
@@ -732,7 +737,7 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule, *,
     k = k0
     while True:
         with grid_eval_log() as evaluator:
-            defect = _defect(Z, exact)
+            defect = _defect(Z, exact, K_map)
             measured = H.defect_sup()
             rec = {"k": k, "defect": defect, "M_k": float(schedule.M[k]),
                    "BM_k": float(schedule.B[k] * schedule.M[k]),

@@ -32,7 +32,8 @@ class QpPlanarMap:
 
     f_shell/g_shell take (theta_stack, r) with theta_stack of shape (n, ...)
     and broadcastable r.  declared holds {"intersection", "exact_symplectic"}
-    flags (True/False/None for unknown).
+    flags (True/False/None for unknown).  K bounds |k|_inf of the angle modes
+    of f and g (None for unknown).
     """
 
     freq: Frequency
@@ -43,6 +44,7 @@ class QpPlanarMap:
     sup_norm_fg: float = 0.0          # |f| + |g| on the strip (declared)
     declared: dict = field(default_factory=dict)
     label: str = "custom"
+    K: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +76,7 @@ def kicked_twist(freq: Frequency, lam: float, modes, flux: float = 0.0,
                        sup_norm_fg=2 * amp + abs(flux),
                        declared={"intersection": flux == 0.0,
                                  "exact_symplectic": flux == 0.0},
-                       label="kicked_twist")
+                       label="kicked_twist", K=int(np.max(np.abs(ks), initial=0)))
 
 
 def pure_twist(freq: Frequency, strip=(-math.inf, math.inf)) -> QpPlanarMap:

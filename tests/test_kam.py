@@ -1046,7 +1046,7 @@ def test_run_measures_each_level_once(monkeypatch):
     assert isinstance(out.curve, CurveGraph)
     assert out.curve.defect == out.trace[-1]["defect"]
     Z, alpha, sigma = out.Z, ALPHA.alpha, 16.0
-    N = qp.default_grid(Z.P.K)
+    N = qp.default_grid(max(Z.P.K, mp.K))
     th = qp.theta_grid(N, 2).reshape(2, -1)
     P, S, P1, S1 = (qp.synthesize(f.modes_at_y(0.0), 2, N).ravel()
                     for f in (Z.P, Z.S, Z.P.shift_x(alpha), Z.S.shift_x(alpha)))
@@ -1081,6 +1081,22 @@ def test_run_defect_of_a_kick_on_the_unit_vectors_at_K_trunc_0(n):
     want = lam * sum(abs(c) for c in cs)
     for defect in defects:
         assert defect == pytest.approx(want, rel=1e-14, abs=np.spacing(alpha.alpha))
+
+
+@pytest.mark.parametrize("k, K_trunc", [(4, 0), (5, 2)])
+def test_run_defect_resolves_kick_modes_beyond_the_box(k, K_trunc):
+    # sin(k theta) vanishes on theta_grid(2k, 1), which default_grid(K_trunc)
+    # is here: a defect grid sized by Z's box alone reads 0 and returns a
+    # curve whose invariance error is lam |c|.  Sized by the kick's modes too,
+    # it reads above 0.98 lam |c| (sin 80 degrees) on every level.
+    freq = certify_frequency(OMEGAS[1], 30)
+    alpha = sample_admissible(freq, 1e-2, 1.5, (0.3, 1.1), K=30, count=200, seed=0).first
+    lam, c = 1e-4, 0.55
+    mp = kicked_twist(freq, lam, [((k,), c)], strip=(0.0, 1.7))
+    sched = build_schedule(p=5.0, n=1, tau=1.5, gamma=1e-2, k_max=4)
+    with pytest.raises(NotConverged) as info:
+        run(mp, alpha, sched, tol=1e-8, K_trunc=K_trunc, J=3, y_scale=16.0)
+    assert all(0.98 * lam * c <= rec["defect"] <= 1.01 * lam * c for rec in info.value.trace)
 
 
 # y_strip = 0.8/sigma: at sigma 16 levels 0-4 share one s_box, at sigma 2
