@@ -256,7 +256,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
     xis = np.linspace(0.0, 100.0, 1001)
     th, r = curve.points(xis)
     lines = ["xi,theta,r"]
-    lines += [f"{float(x)!r},{float(t)!r},{float(v)!r}" for x, t, v in zip(xis, th, r)]
+    lines += [f"{x!r},{t!r},{v!r}" for x, t, v in zip(xis.tolist(), th.tolist(), r.tolist())]
     (out_dir / "samples.csv").write_text("\n".join(lines) + "\n")
     if verbose:
         for rec in result.trace:
@@ -297,7 +297,7 @@ def cmd_diagnose(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
             "curve": i,
             "witness_found": witness.found,
             "sign_change": witness.sign_change,
-            "xi_star": witness.xi_star,
+            "witness": witness.witness,
             "area_signs": list(witness.area_signs) if witness.area_signs else None,
             "exactness_defect": defect,
         })

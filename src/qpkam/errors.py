@@ -59,10 +59,6 @@ class RootFindFailed(QpKamError):
         super().__init__(f"root find failed at {point} (residual {residual:.3e})")
 
 
-class NoIntersectionWitness(QpKamError):
-    """No sign change of the radial displacement found at grid resolution."""
-
-
 class NotAGraph(QpKamError):
     """The image of a curve folds over and is not a graph over the angle."""
 

@@ -28,13 +28,12 @@ from .diophantine import RotationNumber
 from .errors import (
     ConfigError,
     ContractionDiverged,
-    NoIntersectionWitness,
     NotConverged,
     ResidualDefect,
     RootFindFailed,
     SmoothnessTooLow,
 )
-from .maps import CurveGraph, QpPlanarMap
+from .maps import CurveGraph, QpPlanarMap, column_witness
 from .qpfourier import (
     Frequency,
     GridShift,
@@ -576,22 +575,23 @@ WITNESS_ATOL = 1e-12
 
 
 def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: Polynomial,
-                       s_plus: float, eps_plus: float) -> dict:
+                       s_plus: float, eps_plus: float, K_map: int) -> dict:
     """Witnesses of Psi^(2)(theta, eta) = eta on the curves theta -> Z(theta,
     eta) and the |Q| <= 3N bound extracted from the measured N, at the
     rotation number alpha of the exact map.
 
     Psi is the pullback of the exact map A through Z, sampled at 7 values of
     eta in [-0.9, 0.9] s_plus on the hull torus, theta_grid(N, n) with N =
-    max(2K+1, 8) for Z's box K: the orbit of a curve is dense there, so the
-    sup over xi in R is the sup over the torus, and a column that takes both
-    signs meets its image (the torus is connected).  A column passes where
-    |Psi^(2) - eta| <= WITNESS_ATOL (1 + |eta|) somewhere or where it takes
-    both signs; its witness is (eta, the grid angles of its least |d|).  The
-    report keeps the pullback Newton's steps, final max residual and
-    interpolant builds (_pullback_grid).
+    max(2 max(K, K_map) + 1, 8) for Z's box K and the map's modes |k|_inf <=
+    K_map: the orbit of a curve is dense there, so the sup over xi in R is
+    the sup over the torus.  Each column d = Psi^(2) - eta is decided by
+    column_witness with the tolerance WITNESS_ATOL (1 + |eta|); its witness is
+    (eta, the grid angles of its least |d|).  The report keeps the pullback
+    Newton's steps, final max residual and interpolant builds
+    (_pullback_grid); a column with no witness makes it {"pass": False,
+    "error": ...}.
     """
-    N = max(2 * Z.P.K + 1, 8)
+    N = max(2 * max(Z.P.K, K_map) + 1, 8)
     etas = np.linspace(-0.9 * s_plus, 0.9 * s_plus, 7)
     # one column per eta: the curves theta -> Z(theta, eta) side by side;
     # psi1_dev = Psi^(1) - (x + alpha + eps+ eta), d = Psi^(2) - eta
@@ -600,12 +600,11 @@ def intersection_bound(Z: ConjugacyMap, exact: ExactNormalizedMap, Q: Polynomial
     N_glob = max(float(np.max(np.abs(d - Q(etas)))), float(np.max(np.abs(psi1_dev))))
     witnesses = []
     for eta, d_eta in zip(etas, d.T):
-        i = int(np.argmin(np.abs(d_eta)))
-        lo, hi = float(np.min(d_eta)), float(np.max(d_eta))
-        if abs(d_eta[i]) > WITNESS_ATOL * (1.0 + abs(eta)) and not lo < 0.0 < hi:
-            raise NoIntersectionWitness(
-                f"no radial sign change at eta = {eta:.3e} (min d = {lo:.3e}, max d = {hi:.3e})")
-        witnesses.append((float(eta), th[:, i].tolist()))
+        found, _, angles = column_witness(d_eta, th, WITNESS_ATOL * (1.0 + abs(eta)))
+        if not found:
+            return {"pass": False, "error": f"no radial sign change at eta = {eta:.3e} "
+                    f"(min d = {np.min(d_eta):.3e}, max d = {np.max(d_eta):.3e})"}
+        witnesses.append((float(eta), angles))
     a0, a1, a2 = Q.coef
     q_sup = abs(a0) + abs(a1) * s_plus + abs(a2) * s_plus * s_plus
     slack = 1e-12 + 4.0 * WITNESS_ATOL
@@ -777,8 +776,8 @@ def run(mp: QpPlanarMap, alpha: RotationNumber, schedule: KamSchedule, *,
 
             try:
                 rec["intersection"] = intersection_bound(Z, exact, step.Q, step.phi_plus.domain.s,
-                                                      step.phi_plus.twist)
-            except (NoIntersectionWitness, RootFindFailed) as exc:
+                                                         step.phi_plus.twist, K_map)
+            except RootFindFailed as exc:
                 rec["intersection"] = {"pass": False, "error": str(exc)}
             k += 1
 

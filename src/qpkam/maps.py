@@ -189,21 +189,28 @@ def image_curve(mp: QpPlanarMap, curve: CurveGraph, K_out: int | None = None) ->
     return CurveGraph(ShellFunction.zeros(mp.freq, K_out), compose_angle(r1, inv, K_out=K_out))
 
 
-# d is scanned at 256 points of [0, 200); the witness bracket (200/256 wide)
-# shrinks by (BISECT_POINTS + 1)^BISECT_ROUNDS = 2^48: to 3e-15
-SCAN_POINTS = np.linspace(0.0, 200.0, 256, endpoint=False)
-BISECT_POINTS = 255
-BISECT_ROUNDS = 6
 # the area functional's quadrature points; AREA_GRID of them, evenly
 # spread, are the t and T nodes of its (t, T) grid
 AREA_POINTS = np.linspace(0.0, 120.0, 512)
 AREA_GRID = 64
 
 
+def column_witness(d: np.ndarray, th: np.ndarray, atol: float) -> tuple[bool, bool, list]:
+    """The intersection test of a radial displacement d sampled at the torus
+    points th, shape (n, P): the curve meets its image where |d| <= atol at
+    some point or where d takes both signs (the torus is connected, and the
+    orbit of a curve is dense in it).  Returns (passed, both signs beyond
+    atol, the angles of the point of least |d|)."""
+    i = int(np.argmin(np.abs(d)))
+    lo, hi = float(np.min(d)), float(np.max(d))
+    return (bool(abs(d[i]) <= atol or lo < 0.0 < hi), bool(lo < -atol and atol < hi),
+            th[:, i].tolist())
+
+
 @dataclass
 class WitnessReport:
     found: bool
-    xi_star: float | None
+    witness: list | None               # the n torus angles of the least |d|, when found
     sign_change: bool
     area_signs: tuple | None = None    # (min, max) of Delta(t, T) when computed
 
@@ -212,38 +219,21 @@ def intersection_witness(mp: QpPlanarMap, curve: CurveGraph) -> WitnessReport:
     """Witness of M(curve) meeting curve: a zero of the radial displacement
     d(theta) between the two graphs over the angle.
 
-    |d| <= 1e-11 (1 + |psi|) everywhere counts as the trivial witness;
-    otherwise the first sign change of d along increasing xi is reported.
-    For declared exact symplectic maps the area functional Delta(t, T) is
-    the integral of the same d; one d.eval call serves the scan points and
-    the area functional's quadrature points, and both signs are reported.
+    d is sampled on the hull torus, theta_grid(default_grid(d.K), n), and
+    decided by column_witness with the tolerance 1e-11 (1 + |psi|).  For
+    declared exact symplectic maps the area functional Delta(t, T), the
+    integral of the same d over a window of the real line, is reported too.
     """
     img = image_curve(mp, curve)
     # img.psi is already the image's radius over the angle (its phi1 is zero)
     d = img.psi - curve.r_of_theta()
-    exact = bool(mp.declared.get("exact_symplectic"))
-    xs = SCAN_POINTS
-    dv = d.eval(np.concatenate([xs, AREA_POINTS]) if exact else xs).real
-    area = _area_functional_signs(dv[xs.size:]) if exact else None
-    dv = dv[:xs.size]
-    scale = 1.0 + curve.psi.norm_upper(0.0)
-    found, xi_star, sign_change = False, None, False
-    if float(np.max(np.abs(dv))) <= 1e-11 * scale:
-        found, xi_star = True, float(xs[0])
-    else:
-        sgn = np.sign(dv)
-        flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-        if flips.size:
-            i = int(flips[0])
-            lo, hi = xs[i], xs[i + 1]
-            # each round keeps the first sign change among the interior points
-            for _ in range(BISECT_ROUNDS):
-                grid = np.linspace(lo, hi, BISECT_POINTS + 2)
-                flip = np.flatnonzero(np.sign(d.eval(grid[1:-1]).real) != sgn[i])
-                j = int(flip[0]) + 1 if flip.size else BISECT_POINTS + 1
-                lo, hi = grid[j - 1], grid[j]
-            found, xi_star, sign_change = True, float(0.5 * (lo + hi)), True
-    return WitnessReport(found, xi_star, sign_change, area)
+    N = default_grid(d.K)
+    found, sign_change, witness = column_witness(
+        d.sample(N).ravel(), theta_grid(N, d.n).reshape(d.n, -1),
+        1e-11 * (1.0 + curve.psi.norm_upper(0.0)))
+    area = (_area_functional_signs(d.eval(AREA_POINTS).real)
+            if mp.declared.get("exact_symplectic") else None)
+    return WitnessReport(found, witness if found else None, sign_change, area)
 
 
 def _area_functional_signs(diff: np.ndarray):

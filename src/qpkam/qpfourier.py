@@ -169,9 +169,11 @@ def default_grid(K: int) -> int:
     Its users: the shell algebra and strip sampling of this module
     (from_sampler, and compose_angle and invert_angle_map, whose shifted
     copies of this grid grid_shift_cheb synthesizes), smoothing, cohomology,
-    the shell compositions in maps, and the sups of
-    NormalizedMap.defect_sup, inductive_step and kam's trace defect.  The
-    KAM collocation grids use kam.collocation_grid instead.
+    the shell compositions and the intersection witness's torus sample in
+    maps, and the sups of NormalizedMap.defect_sup, inductive_step and kam's
+    trace defect.  The KAM collocation grids use kam.collocation_grid
+    instead, and kam.intersection_bound the smallest grid that holds its
+    boxes.
     """
     return max(2 * (2 * K + 1), 8)
 

@@ -14,7 +14,6 @@ from qpkam import qpfourier as qp
 from qpkam.diophantine import certify_frequency, sample_admissible
 from qpkam.errors import (
     ConfigError,
-    NoIntersectionWitness,
     NotConverged,
     RootFindFailed,
     SmoothnessTooLow,
@@ -691,7 +690,7 @@ def test_intersection_zero_displacement():
     dom = StripDomain(0.5, 0.01)
     Z = ConjugacyMap.identity(FREQ, dom, 4, 3)
     Q = Polynomial(np.zeros(3))
-    rep = intersection_bound(Z, exact, Q, s_plus=0.005, eps_plus=8.0 * sched.theta)
+    rep = intersection_bound(Z, exact, Q, s_plus=0.005, eps_plus=8.0 * sched.theta, K_map=0)
     assert rep["pass"]
     assert len(rep["witnesses"]) == 7
 
@@ -714,7 +713,7 @@ def test_intersection_bound_with_identity_Z_reads_the_exact_map_on_the_torus(n):
     Z = ConjugacyMap.identity(qp.Frequency(OMEGAS[n]), StripDomain(0.5, 0.01), 3, 3)
     Q = Polynomial([1e-3, 2e-2, 3.0])
     s_plus, eps_plus = 0.005, 0.9
-    rep = intersection_bound(Z, exact, Q, s_plus=s_plus, eps_plus=eps_plus)
+    rep = intersection_bound(Z, exact, Q, s_plus=s_plus, eps_plus=eps_plus, K_map=2)
     th = qp.theta_grid(8, n).reshape(n, -1)[..., None]
     etas = np.linspace(-0.9 * s_plus, 0.9 * s_plus, 7)
     d = exact.hy(th, etas)                                  # Psi^(2) - eta, (P, 7)
@@ -740,7 +739,7 @@ def test_intersection_bound_on_box_zero_samples_eight_points_per_axis(monkeypatc
                         lambda strips, N, *args: grids.append(N) or sample(strips, N, *args))
     Z = ConjugacyMap.identity(FREQ, StripDomain(0.5, 0.01), 0, 0)
     rep = intersection_bound(Z, exact_map(2), Polynomial(np.zeros(3)), s_plus=0.005,
-                             eps_plus=8.0)
+                             eps_plus=8.0, K_map=2)
     assert grids == [8] and rep["pass"] and len(rep["witnesses"]) == 7
     points = qp.theta_grid(8, 2).reshape(2, -1).T.tolist()
     assert all(angles in points for _, angles in rep["witnesses"])
@@ -766,8 +765,12 @@ def test_intersection_rigid_shift_no_witness():
     dom = StripDomain(0.5, 0.01)
     Z = ConjugacyMap.identity(FREQ, dom, 4, 3)
     Q = Polynomial(np.zeros(3))
-    with pytest.raises(NoIntersectionWitness):
-        intersection_bound(Z, exact, Q, s_plus=0.005, eps_plus=8.0 * sched.theta)
+    # d = Psi^(2) - eta is the flux c / y_scale on every column: the first
+    # column fails, and the report is that failure alone
+    rep = intersection_bound(Z, exact, Q, s_plus=0.005, eps_plus=8.0 * sched.theta, K_map=0)
+    d = 5e-3 / 8.0
+    assert rep == {"pass": False, "error": f"no radial sign change at eta = {-0.9 * 0.005:.3e} "
+                                           f"(min d = {d:.3e}, max d = {d:.3e})"}
 
 
 # ---------------------------------------------------------------------------
@@ -1088,7 +1091,9 @@ def test_run_defect_resolves_kick_modes_beyond_the_box(k, K_trunc):
     # sin(k theta) vanishes on theta_grid(2k, 1), which default_grid(K_trunc)
     # is here: a defect grid sized by Z's box alone reads 0 and returns a
     # curve whose invariance error is lam |c|.  Sized by the kick's modes too,
-    # it reads above 0.98 lam |c| (sin 80 degrees) on every level.
+    # it reads above 0.98 lam |c| (sin 80 degrees) on every level.  So does
+    # the intersection bound's N_measured, which read about 2e-18 at (4, 0)
+    # on the 8 points of the K_trunc 0 box alone (sin(4 theta) is 0 there).
     freq = certify_frequency(OMEGAS[1], 30)
     alpha = sample_admissible(freq, 1e-2, 1.5, (0.3, 1.1), K=30, count=200, seed=0).first
     lam, c = 1e-4, 0.55
@@ -1097,6 +1102,9 @@ def test_run_defect_resolves_kick_modes_beyond_the_box(k, K_trunc):
     with pytest.raises(NotConverged) as info:
         run(mp, alpha, sched, tol=1e-8, K_trunc=K_trunc, J=3, y_scale=16.0)
     assert all(0.98 * lam * c <= rec["defect"] <= 1.01 * lam * c for rec in info.value.trace)
+    bounds = [rec["intersection"] for rec in info.value.trace if "intersection" in rec]
+    assert len(bounds) == 4
+    assert all(bound["N_measured"] >= 0.98 * lam * c for bound in bounds)
 
 
 # y_strip = 0.8/sigma: at sigma 16 levels 0-4 share one s_box, at sigma 2

@@ -12,6 +12,7 @@ from qpkam.maps import (
     AREA_POINTS,
     CurveGraph,
     QpPlanarMap,
+    column_witness,
     exactness_defect,
     flat_curve,
     forward_shells,
@@ -22,7 +23,15 @@ from qpkam.maps import (
     pure_twist,
     rigid_shift,
 )
-from qpkam.qpfourier import Frequency, ShellFunction, compose_angle, invert_angle_map
+from qpkam.qpfourier import (
+    TWO_PI,
+    Frequency,
+    ShellFunction,
+    compose_angle,
+    default_grid,
+    invert_angle_map,
+    theta_grid,
+)
 
 FREQ = Frequency((1.0, math.sqrt(2.0)))
 MODES = [((1, 0), 0.6), ((0, 1), 0.4)]
@@ -177,6 +186,7 @@ def test_witness_absent_for_rigid_shift():
     mp = rigid_shift(FREQ, 0.02)
     rep = intersection_witness(mp, flat_curve(FREQ, 0.5))
     assert not rep.found
+    assert rep.witness is None
 
 
 def test_witness_and_area_signs_for_exact_map():
@@ -185,6 +195,37 @@ def test_witness_and_area_signs_for_exact_map():
     assert rep.found and rep.sign_change
     lo, hi = rep.area_signs
     assert lo < 0 < hi
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_witness_is_the_torus_point_of_least_displacement(n):
+    freq = Frequency((1.0, math.sqrt(2.0), math.sqrt(3.0))[:n])
+    modes = [(tuple(int(i == j) for i in range(n)), 0.5 - 0.1 * j) for j in range(n)]
+    mp = kicked_twist(freq, 0.05, modes)
+    curve = flat_curve(freq, 0.53)
+    rep = intersection_witness(mp, curve)
+    assert rep.found and rep.sign_change
+    assert len(rep.witness) == n and all(0.0 <= a < TWO_PI for a in rep.witness)
+    # the witness is a point of theta_grid(default_grid(d.K), n), and |d| there
+    # is the least on that grid
+    d = image_curve(mp, curve).psi - curve.r_of_theta()
+    N = default_grid(d.K)
+    i = tuple(np.rint(np.array(rep.witness) * N / TWO_PI).astype(int))
+    assert rep.witness == theta_grid(N, n)[(slice(None),) + i].tolist()
+    d_abs = np.abs(d.sample(N))
+    assert d_abs[i] == np.min(d_abs)
+
+
+@pytest.mark.parametrize("d, passed, sign_change", [
+    ([3e-3, 1e-3, 2e-3], False, False),       # one sign, above the tolerance
+    ([3e-3, 5e-7, 2e-3], True, False),        # one sign, within it at one point
+    ([3e-3, -5e-7, 2e-3], True, False),       # both signs, one within it
+    ([-3e-3, 1e-3, 2e-3], True, True),        # both signs beyond it
+])
+def test_column_witness_decides_by_tolerance_and_signs(d, passed, sign_change):
+    th = theta_grid(3, 1).reshape(1, -1)
+    got = column_witness(np.array(d), th, 1e-6)
+    assert got == (passed, sign_change, th[:, int(np.argmin(np.abs(d)))].tolist())
 
 
 def two_eval_area_signs(r_orig, r_img):
@@ -197,7 +238,7 @@ def two_eval_area_signs(r_orig, r_img):
 
 
 def test_area_signs_from_the_scan_evaluation_match_two_evaluations():
-    # the witness integrates its one evaluation of d = r_img - r_orig
+    # the witness integrates d = r_img - r_orig, evaluated once at AREA_POINTS
     rng = np.random.default_rng(7)
     cases = [(kicked_twist(FREQ, 0.05, MODES), flat_curve(FREQ, 0.53))]
     cases += [(kicked_twist(FREQ, 0.03, MODES + [((1, 1), 0.2)]), random_curve(rng))
